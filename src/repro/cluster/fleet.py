@@ -53,7 +53,14 @@ from ..obs import Instrumentation
 from ..obs import get_default as _default_obs
 from ..scw import CodewordScheme, DEFAULT_SCHEME
 from ..storage import DurabilityOptions, UnknownPredicateError
-from ..terms import Clause, Term, clause_from_term, functor_indicator, read_program
+from ..terms import (
+    Clause,
+    Term,
+    as_clause,
+    clause_from_term,
+    functor_indicator,
+    read_program,
+)
 from .manifest import ClusterManifest, ManifestHolder
 from .routing import ShardingPolicy, ShardRouter
 from .server import (
@@ -74,12 +81,6 @@ class FleetWriteError(RuntimeError):
 #: freeze lasts one final delta replay (small: the log is capped), so
 #: with escalating waits this budget comfortably outlives it.
 _WRITE_ROUNDS = 8
-
-
-def _as_clause(clause_or_term: Clause | Term) -> Clause:
-    if isinstance(clause_or_term, Clause):
-        return clause_or_term
-    return clause_from_term(clause_or_term)
 
 
 @dataclass
@@ -169,13 +170,14 @@ class Fleet:
         #: :class:`FleetClient` shares it to route goals to shard ids
         #: (production would serialise its state into the manifest).
         self.router = ShardRouter(num_shards, self.policy)
-        self._partition: dict[int, list[tuple[Clause, str]]] = {
+        self._module = module
+        self._partition: dict[int, list[Clause]] = {
             shard_id: [] for shard_id in range(num_shards)
         }
         for term in read_program(program_text):
             clause = clause_from_term(term)
             home = self.router.route_clause(clause.head)
-            self._partition[home].append((clause, module))
+            self._partition[home].append(clause)
         #: address -> node, every replica ever started (dead ones stay
         #: until restarted or migrated away).
         self.nodes: dict[str, ClusterNode] = {}
@@ -330,8 +332,10 @@ class Fleet:
             **self._node_engine_opts(shard_id),
         )
         if engine.recovered is None or engine.recovered.empty:
-            for clause, module in self._partition[shard_id]:
-                engine.add_clause(clause, module=module)
+            # One bulk load: a durable node group-commits the partition
+            # and is only handed out (and started) once all of it is on
+            # disk.
+            engine.add_clauses(self._partition[shard_id], module=self._module)
         return ClusterNode(
             shard_id=shard_id,
             engine=engine,
@@ -703,20 +707,42 @@ class FleetClient:
     def assertz(
         self, clause_or_term: Clause | Term, module: str = "user"
     ) -> None:
-        clause = _as_clause(clause_or_term)
-        shard_id = self.router.route_clause(clause.head)
-        self._replicated_write("assertz", clause, module, shard_id)
+        clause = as_clause(clause_or_term)
+        self._replicated_write(
+            "assertz", clause, module, self._home_shard(clause)
+        )
 
     def asserta(
         self, clause_or_term: Clause | Term, module: str = "user"
     ) -> None:
-        clause = _as_clause(clause_or_term)
-        shard_id = self.router.route_clause(clause.head)
-        self._replicated_write("asserta", clause, module, shard_id)
+        clause = as_clause(clause_or_term)
+        self._replicated_write(
+            "asserta", clause, module, self._home_shard(clause)
+        )
+
+    def _home_shard(self, clause: Clause) -> int:
+        """The shard a new clause is written to (recorded in the router).
+
+        ``route_clause`` records the home shard as a holder of the
+        predicate.  On a cold client that would be the *only* holder the
+        router knows, and later reads of keys homed elsewhere would
+        route to nobody — so a write to a predicate this router has
+        never seen discovers its existing holders first.
+        """
+        if self._discover and not self.router.shards_for_indicator(
+            clause.indicator
+        ):
+            try:
+                self._discover_retrieve(
+                    clause.head, None, self.read_deadline_s
+                )
+            except UnknownPredicateError:
+                pass  # brand new: this write creates the predicate
+        return self.router.route_clause(clause.head)
 
     def retract(self, clause_or_term: Clause | Term) -> Clause | None:
         """Two-phase replicated retract; returns the clause removed."""
-        template = _as_clause(clause_or_term)
+        template = as_clause(clause_or_term)
         try:
             targets = self.router.route_goal(template.head)
         except UnknownPredicateError:

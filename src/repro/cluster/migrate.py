@@ -107,8 +107,7 @@ def catch_up(source: ClusterNode, target: ClusterNode, seq: int) -> int:
         records = source.engine.mutations_since(seq)
         if not records:
             return seq
-        for record in records:
-            target.engine.apply_mutation(record)
+        target.engine.apply_mutations(records)
         seq = records[-1].seq
     raise MigrationError(
         f"source still producing writes after {_MAX_CATCH_UP_ROUNDS} "

@@ -40,6 +40,7 @@ from ..obs import get_default as _default_obs
 from ..scw import CodewordScheme, DEFAULT_SCHEME
 from ..storage import KnowledgeBase, Residency, UnknownPredicateError
 from ..storage.wal import (
+    BULK_COMMIT_RECORDS,
     DurabilityOptions,
     DurableStore,
     RecoveredState,
@@ -49,6 +50,7 @@ from ..storage.wal import (
 from ..terms import (
     Clause,
     Term,
+    as_clause,
     clause_from_term,
     functor_indicator,
     read_program,
@@ -278,20 +280,31 @@ class ShardedRetrievalServer:
 
     def consult_text(self, text: str, module: str = "user") -> int:
         """Load ``.``-terminated clauses, routing each to its home shard."""
-        count = 0
-        for term in read_program(text):
-            self.add_clause(clause_from_term(term), module=module)
-            count += 1
-        return count
+        return self.add_clauses(
+            (clause_from_term(term) for term in read_program(text)),
+            module=module,
+        )
 
     def consult_clauses(
         self, clauses: Iterable[Clause], module: str = "user"
     ) -> int:
-        count = 0
-        for clause in clauses:
-            self.add_clause(clause, module=module)
-            count += 1
-        return count
+        return self.add_clauses(clauses, module=module)
+
+    def add_clauses(
+        self, clauses: Iterable[Clause], module: str = "user"
+    ) -> int:
+        """Bulk load: append every clause, one group commit per chunk.
+
+        Each clause is routed, applied and logged exactly as
+        :meth:`add_clause` would (own seq, own :class:`MutationRecord`,
+        own WAL record); only the durability wait is shared.  The call
+        returns — and so the load is acknowledged — once the last
+        clause's record is durable.  Returns the number of clauses.
+        """
+        return self._group_commit(
+            self._apply_assert("assertz", clause, module, None)[1]
+            for clause in clauses
+        )
 
     def add_clause(
         self,
@@ -299,30 +312,9 @@ class ShardedRetrievalServer:
         module: str = "user",
         write_id: str | None = None,
     ) -> int:
-        """Append a clause on its home shard; returns the shard id.
-
-        Mutations hold the shard lock: ``retract_matching`` swaps in a
-        rebuilt clause file after snapshotting the old one, so an
-        unlocked concurrent append would land on the file being
-        replaced and vanish with it (a lost update).
-        """
-        shard_id = self.router.route_clause(clause.head)
-        shard = self.shards[shard_id]
-        # The version bump (and its mutation-log append) happens while
-        # the shard lock is still held: a snapshot taken under that lock
-        # then sees KB state and log cut at exactly the same seq, so a
-        # snapshot + delta replay neither misses nor doubles a mutation.
-        with shard.lock:
-            if write_id is not None and self._applied_before(write_id)[0]:
-                return shard_id  # duplicate delivery: already applied
-            self._check_frozen()
-            shard.kb.add_clause(clause, module=module)
-            seq = self._bump_version(
-                op="assertz", clause=clause, module=module, write_id=write_id
-            )
-            self._on_shard_mutation(shard, "assertz", clause, module)
+        """Append a clause on its home shard; returns the shard id."""
+        shard_id, seq = self._apply_assert("assertz", clause, module, write_id)
         self._wal_commit(seq)
-        self.obs.counter("cluster.clauses_routed", shard=str(shard_id)).inc()
         return shard_id
 
     def assertz(
@@ -332,7 +324,7 @@ class ShardedRetrievalServer:
         write_id: str | None = None,
     ) -> None:
         self.add_clause(
-            _as_clause(clause_or_term), module=module, write_id=write_id
+            as_clause(clause_or_term), module=module, write_id=write_id
         )
 
     def asserta(
@@ -347,19 +339,73 @@ class ShardedRetrievalServer:
         candidate *set* is what the contract guarantees); within a shard
         the usual Prolog ordering semantics hold.
         """
-        clause = _as_clause(clause_or_term)
+        _, seq = self._apply_assert(
+            "asserta", as_clause(clause_or_term), module, write_id
+        )
+        self._wal_commit(seq)
+
+    def _apply_assert(
+        self, op: str, clause: Clause, module: str, write_id: str | None
+    ) -> tuple[int, int | None]:
+        """Route and apply one ``assertz``/``asserta``; not yet durable.
+
+        Returns ``(shard_id, seq)``; ``seq`` is ``None`` for a duplicate
+        delivery of an already applied ``write_id``.  The caller owes a
+        :meth:`_wal_commit` of the seq before acknowledging.
+
+        Mutations hold the shard lock: ``retract_matching`` swaps in a
+        rebuilt clause file after snapshotting the old one, so an
+        unlocked concurrent append would land on the file being
+        replaced and vanish with it (a lost update).
+        """
         shard_id = self.router.route_clause(clause.head)
         shard = self.shards[shard_id]
+        # The version bump (and its mutation-log append) happens while
+        # the shard lock is still held: a snapshot taken under that lock
+        # then sees KB state and log cut at exactly the same seq, so a
+        # snapshot + delta replay neither misses nor doubles a mutation.
         with shard.lock:
             if write_id is not None and self._applied_before(write_id)[0]:
-                return
+                return shard_id, None
             self._check_frozen()
-            shard.kb.asserta(clause, module=module)
+            if op == "assertz":
+                shard.kb.add_clause(clause, module=module)
+                self.obs.counter(
+                    "cluster.clauses_routed", shard=str(shard_id)
+                ).inc()
+            else:
+                shard.kb.asserta(clause, module=module)
             seq = self._bump_version(
-                op="asserta", clause=clause, module=module, write_id=write_id
+                op=op, clause=clause, module=module, write_id=write_id
             )
-            self._on_shard_mutation(shard, "asserta", clause, module)
-        self._wal_commit(seq)
+            self._on_shard_mutation(shard, op, clause, module)
+        return shard_id, seq
+
+    def _group_commit(self, staged: Iterable[int | None]) -> int:
+        """Drain a stream of applied mutations, one durability wait per chunk.
+
+        ``staged`` applies one mutation per item and yields its seq
+        (``None`` when nothing was logged).  The waits are this call's
+        own: a concurrent single writer still blocks on its own seq in
+        :meth:`_wal_commit` and rides whichever commit is in flight.  If
+        ``staged`` raises part-way, everything it already applied is
+        made durable before the exception propagates, so after a failed
+        bulk load memory and disk agree on the same prefix.  Returns the
+        number of items drained.
+        """
+        count = 0
+        pending: int | None = None
+        try:
+            for seq in staged:
+                count += 1
+                if seq is not None:
+                    pending = seq
+                if count % BULK_COMMIT_RECORDS == 0:
+                    self._wal_commit(pending)
+                    pending = None
+        finally:
+            self._wal_commit(pending)
+        return count
 
     def retract(self, clause_or_term: Clause | Term) -> bool:
         """Remove the first matching clause, probing shards in id order."""
@@ -377,7 +423,7 @@ class ShardedRetrievalServer:
         keeps the cluster cache (and every retriever layered on it) from
         serving the retracted clause to later choice points.
         """
-        template = _as_clause(clause_or_term)
+        template = as_clause(clause_or_term)
         try:
             targets = self.router.route_goal(template.head)
         except UnknownPredicateError:
@@ -470,15 +516,20 @@ class ShardedRetrievalServer:
                 )
             return self.version
 
-    def _wal_commit(self, seq: int) -> None:
+    def _wal_commit(self, seq: int | None) -> None:
         """Block until WAL record ``seq`` is durable (volatile: no-op).
 
         Called *after* the shard lock is released, so concurrent writers
         ride one group commit instead of serialising an fsync each under
-        the lock.  During recovery replay the records are already on
-        disk and the wait is skipped.
+        the lock.  ``None`` (nothing was logged) returns at once.  During
+        recovery replay the records are already on disk and the wait is
+        skipped.
         """
-        if self._durable is not None and not self._replaying:
+        if (
+            seq is not None
+            and self._durable is not None
+            and not self._replaying
+        ):
             self._durable.wait_durable(seq)
 
     def _applied_before(self, write_id: str) -> tuple[bool, Clause | None]:
@@ -600,56 +651,65 @@ class ShardedRetrievalServer:
         self.obs.counter("wal.shipped_records").inc(len(out))
         return out
 
-    def apply_mutation(self, record: MutationRecord) -> None:
-        """Replay one logged mutation from another node onto this one.
+    def apply_mutations(self, records: Iterable[MutationRecord]) -> int:
+        """Replay logged mutations from another node, in order.
 
-        The record's ``write_id`` rides along, so a replay of a write
-        this node already applied directly (the client re-routed it here
+        The replay twin of :meth:`add_clauses`: every record is applied
+        and re-logged under this node's own seq, and durability is
+        awaited once per chunk rather than once per record.  Each
+        record's ``write_id`` rides along, so a replay of a write this
+        node already applied directly (the client re-routed it here
         after a manifest flip) dedupes instead of doubling the clause.
+        Returns the number of records consumed.
         """
-        if record.op == "assertz":
-            assert record.clause is not None
-            self.add_clause(
-                record.clause, module=record.module, write_id=record.write_id
-            )
-        elif record.op == "asserta":
-            assert record.clause is not None
-            self.asserta(
-                record.clause, module=record.module, write_id=record.write_id
-            )
-        elif record.op == "retract":
-            assert record.clause is not None
-            self.remove_exact(record.clause, write_id=record.write_id)
-        else:
+        return self._group_commit(
+            self._apply_record(record) for record in records
+        )
+
+    def _apply_record(self, record: MutationRecord) -> int | None:
+        """Apply one logged mutation; its new seq, not yet durable."""
+        if record.clause is None or record.op not in (
+            "assertz", "asserta", "retract"
+        ):
             raise MutationLogOverflow(
                 f"mutation op {record.op!r} is not incrementally "
                 "replayable; take a fresh snapshot"
             )
+        if record.op == "retract":
+            return self._apply_remove_exact(record.clause, record.write_id)[1]
+        return self._apply_assert(
+            record.op, record.clause, record.module, record.write_id
+        )[1]
 
     def remove_exact(
         self, clause: Clause, write_id: str | None = None
     ) -> bool:
         """Remove the first structurally identical clause (replica replay)."""
+        removed, seq = self._apply_remove_exact(clause, write_id)
+        self._wal_commit(seq)
+        return removed
+
+    def _apply_remove_exact(
+        self, clause: Clause, write_id: str | None
+    ) -> tuple[bool, int | None]:
+        """:meth:`remove_exact` up to, not including, the durability wait."""
         try:
             targets = self.router.route_goal(clause.head)
         except UnknownPredicateError:
-            return False
+            return False, None
         for shard_id in targets:
             shard = self.shards[shard_id]
             with shard.lock:
                 if write_id is not None and self._applied_before(write_id)[0]:
-                    return True
+                    return True, None
                 self._check_frozen()
-                removed = shard.kb.remove_exact(clause)
-                if removed:
+                if shard.kb.remove_exact(clause):
                     seq = self._bump_version(
                         op="retract", clause=clause, write_id=write_id
                     )
                     self._on_shard_mutation(shard, "remove_exact", clause)
-            if removed:
-                self._wal_commit(seq)
-                return True
-        return False
+                    return True, seq
+        return False, None
 
     def adopt_kb(self, kb: KnowledgeBase) -> None:
         """Replace a single-shard node's knowledge base (snapshot restore).
@@ -758,7 +818,7 @@ class ShardedRetrievalServer:
         self._replaying = True
         try:
             for record in state.records:
-                self.apply_mutation(
+                self._apply_record(
                     MutationRecord(
                         seq=record.seq,
                         op=record.op,
@@ -1279,8 +1339,8 @@ class _AggregateStore:
     """A read-only union view of one predicate's per-shard stores.
 
     Exposes exactly what :func:`repro.crs.planner.select_mode` consumes —
-    ``len`` and an iterable ``clause_file`` — so the cluster's planner
-    sees the same clause population the single engine's planner would.
+    ``len`` and ``fact_count`` — so the cluster's planner sees the same
+    clause population the single engine's planner would.
     """
 
     def __init__(self, indicator: tuple[str, int], stores: list):
@@ -1291,12 +1351,5 @@ class _AggregateStore:
         return sum(len(store) for store in self._stores)
 
     @property
-    def clause_file(self):
-        for store in self._stores:
-            yield from store.clause_file
-
-
-def _as_clause(clause_or_term: Clause | Term) -> Clause:
-    if isinstance(clause_or_term, Clause):
-        return clause_or_term
-    return clause_from_term(clause_or_term)
+    def fact_count(self) -> int:
+        return sum(store.fact_count for store in self._stores)

@@ -98,5 +98,4 @@ def select_mode(
 def _fact_fraction(store: PredicateStore) -> float:
     if len(store) == 0:
         return 1.0
-    facts = sum(1 for record in store.clause_file if record.is_fact)
-    return facts / len(store)
+    return store.fact_count / len(store)

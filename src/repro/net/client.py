@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from ..crs import RetrievalResult, SearchMode
 from ..obs import Instrumentation
 from ..obs import get_default as _default_obs
-from ..terms import Clause, Term, clause_from_term
+from ..terms import Clause, Term, as_clause
 from . import protocol
 from .protocol import (
     DEFAULT_MAX_FRAME_BYTES,
@@ -104,11 +104,6 @@ _RETRYABLE = (ServerBusy, ServerDraining, ConnectError, ConnectionError, OSError
 #: write freeze) and failures to connect at all are safe to retry.
 _MUTATION_RETRYABLE = (ServerBusy, ServerDraining, ConnectError, WritesFrozen)
 
-
-def _as_clause(clause_or_term: Clause | Term) -> Clause:
-    if isinstance(clause_or_term, Clause):
-        return clause_or_term
-    return clause_from_term(clause_or_term)
 
 
 class _ClientCore:
@@ -407,7 +402,7 @@ class RetrievalClient:
         track acknowledgements themselves and stamp each logical write
         with a ``write_id`` so re-deliveries dedupe server-side.
         """
-        clause = _as_clause(clause_or_term)
+        clause = as_clause(clause_or_term)
         deadline = None if deadline_s is None else time.monotonic() + deadline_s
         frame = self._request_with_retries(
             FrameType.REQ_MUTATE,
@@ -792,7 +787,7 @@ class AsyncRetrievalClient:
         retried — a drop after the frame went out leaves the mutation's
         fate unknown, and ``write_id`` is the caller's dedupe handle.
         """
-        clause = _as_clause(clause_or_term)
+        clause = as_clause(clause_or_term)
         deadline = None if deadline_s is None else time.monotonic() + deadline_s
         frame = await self._request_with_retries(
             FrameType.REQ_MUTATE,

@@ -48,11 +48,12 @@ from __future__ import annotations
 import mmap
 import pathlib
 import struct
+from functools import cached_property
 from typing import Iterator
 
 from ..obs import Instrumentation
 from ..pif import ClauseFile, CompiledClause, SymbolTable
-from ..pif.clausefile import decode_compiled, next_generation
+from ..pif.clausefile import decode_compiled, next_generation, record_is_fact
 from ..scw import CodewordScheme, SecondaryIndexFile
 from ..scw.bitsliced import BitSlicedIndex
 from ..scw.codeword import Codeword
@@ -195,6 +196,16 @@ class SharedClauseFile:
 
     def __len__(self) -> int:
         return len(self._addresses)
+
+    @cached_property
+    def fact_count(self) -> int:
+        """How many records are facts.
+
+        The file is immutable, so one pass over the records' flags bytes
+        on first use (never at attach) answers for good.
+        """
+        view = self._view
+        return sum(record_is_fact(view, a) for a in self._addresses)
 
     def __iter__(self) -> Iterator[CompiledClause]:
         for position in range(len(self._addresses)):

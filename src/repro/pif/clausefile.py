@@ -139,6 +139,11 @@ class CompiledClause:
         )
 
 
+def record_is_fact(data: bytes, offset: int = 0) -> bool:
+    """Whether the serialised record at ``offset`` is a fact (flags only)."""
+    return not data[offset + 2] & _FLAG_HAS_BODY
+
+
 def decode_compiled(compiled: CompiledClause, symbols: SymbolTable) -> Clause:
     """Decompile a compiled clause record back to a logical clause."""
     from ..terms import body_goals
@@ -199,6 +204,9 @@ class ClauseFile:
         self.generation = next(_GENERATIONS)
         self._records: list[CompiledClause] = []
         self._sources: list[Clause] = []
+        #: how many records are facts — kept by :meth:`append` so the
+        #: planner's fact-fraction test never walks the file.
+        self.fact_count = 0
         # Running byte addresses and record lengths for the default
         # serialisation, so appends (and incremental index updates) stay
         # O(1) and candidate fetches never re-serialise the whole file.
@@ -224,6 +232,7 @@ class ClauseFile:
         record_bytes = compiled.to_bytes()  # enforce the record size cap
         self._records.append(compiled)
         self._sources.append(clause)
+        self.fact_count += compiled.is_fact
         self._position_by_address[self._next_address] = len(self._addresses)
         self._addresses.append(self._next_address)
         self._lengths.append(len(record_bytes))

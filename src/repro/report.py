@@ -209,15 +209,27 @@ def format_net_report(registry: MetricsRegistry) -> str:
         )
     )
     for instrument in registry:
-        if instrument.name == "net.request_ms" and getattr(
-            instrument, "count", 0
-        ):
+        if not getattr(instrument, "count", 0):
+            continue
+        if instrument.name == "net.request_ms":
             lines.append(
                 "request latency: n={} mean={:.3f}ms min={:.3f}ms "
                 "max={:.3f}ms".format(
                     instrument.count,
                     instrument.mean,
                     instrument.min,
+                    instrument.max,
+                )
+            )
+        elif instrument.name == "wal.batch_records":
+            # Group commit at a glance: a bulk load shows up as a few
+            # large commits, wire writes as many commits of one or two.
+            lines.append(
+                "wal: appends={:g}  fsyncs={:g}  records/commit "
+                "mean={:.1f} max={:g}".format(
+                    registry.total("wal.appends"),
+                    registry.total("wal.fsyncs"),
+                    instrument.mean,
                     instrument.max,
                 )
             )

@@ -85,12 +85,16 @@ class SecondaryIndexFile:
     def build(
         cls, clause_file: ClauseFile, scheme: CodewordScheme
     ) -> "SecondaryIndexFile":
-        """Build the index for every clause in ``clause_file``."""
+        """Build the index for every clause in ``clause_file``.
+
+        Heads come from the file's retained source clauses — the same
+        heads :meth:`add` sees on incremental appends — so a bulk load
+        compiles each clause once and never decodes it back.
+        """
         index = cls(scheme, clause_file.indicator)
         addresses = clause_file.record_addresses()
         for position, address in enumerate(addresses):
-            head = clause_file.decode_clause(position).head
-            index.add(head, address)
+            index.add(clause_file.source_clause(position).head, address)
         return index
 
     def scan(self, query: Codeword) -> list[int]:

@@ -20,6 +20,7 @@ from ..scw import CodewordScheme, DEFAULT_SCHEME, SecondaryIndexFile
 from ..terms import (
     Clause,
     Term,
+    as_clause,
     clause_from_term,
     functor_indicator,
     read_program,
@@ -45,6 +46,11 @@ class PredicateStore:
 
     def __len__(self) -> int:
         return len(self.clause_file)
+
+    @property
+    def fact_count(self) -> int:
+        """How many of the predicate's clauses are facts (running count)."""
+        return self.clause_file.fact_count
 
     @property
     def index(self) -> SecondaryIndexFile:
@@ -143,11 +149,11 @@ class KnowledgeBase:
         return compiled
 
     def assertz(self, clause_or_term: Clause | Term, module: str = "user") -> None:
-        self.add_clause(_as_clause(clause_or_term), module=module)
+        self.add_clause(as_clause(clause_or_term), module=module)
 
     def asserta(self, clause_or_term: Clause | Term, module: str = "user") -> None:
         """Prepend a clause, preserving the ordering semantics of Prolog."""
-        clause = _as_clause(clause_or_term)
+        clause = as_clause(clause_or_term)
         store = self._store_or_create(clause.indicator, module)
         existing = store.clauses()
         fresh = ClauseFile(clause.indicator, self.symbols)
@@ -172,7 +178,7 @@ class KnowledgeBase:
         from ..terms import rename_apart
         from ..unify import unify
 
-        clause = _as_clause(clause_or_term)
+        clause = as_clause(clause_or_term)
         store = self._predicates.get(clause.indicator)
         if store is None:
             return None
@@ -299,9 +305,3 @@ class KnowledgeBase:
             self._predicates[indicator] = store
             self.module(module).add_procedure(indicator)
         return store
-
-
-def _as_clause(clause_or_term: Clause | Term) -> Clause:
-    if isinstance(clause_or_term, Clause):
-        return clause_or_term
-    return clause_from_term(clause_or_term)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .term import Atom, Struct, Term, Var, functor_indicator, variables
 from .writer import term_to_string
 
-__all__ = ["Clause", "clause_from_term", "body_goals", "TRUE"]
+__all__ = ["Clause", "as_clause", "clause_from_term", "body_goals", "TRUE"]
 
 TRUE = Atom("true")
 
@@ -86,3 +86,10 @@ def clause_from_term(term: Term) -> Clause:
         head, body = term.args
         return Clause(head, body_goals(body))
     return Clause(term)
+
+
+def as_clause(clause_or_term: Clause | Term) -> Clause:
+    """Accept either form the mutation verbs take; clauses pass through."""
+    if isinstance(clause_or_term, Clause):
+        return clause_or_term
+    return clause_from_term(clause_or_term)

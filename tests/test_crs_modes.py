@@ -302,6 +302,51 @@ class TestPlanner:
         )
         assert mode == SearchMode.BOTH
 
+    def test_fact_fraction_threshold_tracks_every_kind_of_update(self):
+        """The 0.9 fact-fraction cut reads a running count; appends,
+        asserta and retract (which rebuild the file) must all move it
+        exactly as a walk over the records would."""
+        def walked(store):
+            return sum(1 for r in store.clause_file if r.is_fact) / len(store)
+
+        goal = read_term("p(a1)")
+        kb = self.kb_with(
+            [f"p(a{i})." for i in range(90)]
+            + [f"p(r{i}) :- q(r{i})." for i in range(10)]
+        )
+        store = kb.store(("p", 1))
+        assert store.fact_count / len(store) == walked(store) == 0.9
+        assert select_mode(goal, store, Residency.DISK) == SearchMode.BOTH
+        kb.assertz(read_term("p(extra)"))  # 91 / 101 > 0.9
+        assert store.fact_count / len(store) == walked(store)
+        assert select_mode(goal, store, Residency.DISK) == SearchMode.FS1_ONLY
+        kb.asserta(read_term("p(front) :- q(front)"))  # 91 / 102 < 0.9
+        assert store.fact_count / len(store) == walked(store)
+        assert select_mode(goal, store, Residency.DISK) == SearchMode.BOTH
+        assert kb.retract(read_term("p(front) :- q(front)"))
+        assert kb.retract(read_term("p(r0) :- q(r0)"))  # 91 / 100
+        assert store.fact_count / len(store) == walked(store)
+        assert select_mode(goal, store, Residency.DISK) == SearchMode.FS1_ONLY
+
+    def test_cluster_planner_sums_the_shards_fact_counts(self):
+        from repro.cluster import ShardedRetrievalServer
+
+        texts = [f"p(a{i})." for i in range(91)] + [
+            f"p(r{i}) :- q(r{i})." for i in range(9)
+        ]
+        kb = self.kb_with(texts, module="user")
+        cluster = ShardedRetrievalServer(3, "first_arg")
+        cluster.consult_text(" ".join(texts))
+        cluster.pin_module("user", Residency.DISK)
+        for goal in (read_term("p(a1)"), read_term("p(X)")):
+            assert cluster._plan_mode(goal) == select_mode(
+                goal, kb.store(("p", 1)), Residency.DISK
+            )
+        assert cluster._plan_mode(read_term("p(a1)")) == SearchMode.FS1_ONLY
+        cluster.assertz(read_term("p(r9) :- q(r9)"))  # 91 / 101 > 0.9 still
+        cluster.assertz(read_term("p(r10) :- q(r10)"))  # 91 / 102 < 0.9
+        assert cluster._plan_mode(read_term("p(a1)")) == SearchMode.BOTH
+
     def test_machine_uses_planner(self):
         from repro.engine import PrologMachine
 

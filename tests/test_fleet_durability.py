@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import Fleet, FleetClient
+from repro.cluster import Fleet, FleetClient, ShardRouter
 from repro.obs import Instrumentation
 from repro.storage import UnknownPredicateError, kb_fingerprint
 from repro.terms import read_term, term_to_string
@@ -64,6 +64,35 @@ class TestColdClientBootstrap:
             assert _candidate_set(client, "f(X)") == [
                 "f(a).", "f(b).", "f(c)."
             ]
+
+    def test_cold_write_before_read_keeps_other_shards_visible(self):
+        """A cold client's first touch of a predicate is a *write*: the
+        router must not conclude the written shard is the only holder."""
+        router = ShardRouter(2, "first_arg")
+        homes = {
+            key: router.route_clause(read_term(f"rec({key}, v)"))
+            for key in (f"k{i}" for i in range(16))
+        }
+        written = next(k for k, shard in homes.items() if shard == 0)
+        elsewhere = next(k for k, shard in homes.items() if shard == 1)
+        program = " ".join(f"rec({k}, v)." for k in homes if k != written)
+        with Fleet(
+            program, num_shards=2, replicas=1, policy="first_arg"
+        ) as fleet:
+            with self._connect(fleet) as client:
+                client.assertz(read_term(f"rec({written}, v)"))
+                assert _candidate_set(client, f"rec({elsewhere}, X)") == [
+                    f"rec({elsewhere},v)."
+                ]
+                assert _candidate_set(client, f"rec({written}, X)") == [
+                    f"rec({written},v)."
+                ]
+                assert len(_candidate_set(client, "rec(K, v)")) == 16
+
+    def test_cold_write_creates_a_brand_new_predicate(self, fleet):
+        with self._connect(fleet) as client:
+            client.assertz(read_term("fresh(one)"))
+            assert _candidate_set(client, "fresh(X)") == ["fresh(one)."]
 
     def test_cold_retract(self, fleet):
         with self._connect(fleet) as client:

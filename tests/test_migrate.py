@@ -111,6 +111,67 @@ class TestCatchUp:
         assert prints(target) == prints(source)
         assert prints(target)["p/1"] == ["p(front).", "p(b)."]
 
+    def test_durable_target_batches_the_delta_and_equals_per_record_replay(
+        self, tmp_path
+    ):
+        """Catch-up hands the whole delta to ``apply_mutations``: on a
+        durable target that is one group commit, and the resulting
+        state, seqs, memo and recovered store are exactly what replaying
+        the records one at a time (one fsync each) produces."""
+        from repro.obs import Instrumentation
+        from repro.storage import DurabilityOptions
+
+        source = engine_node()
+        source.engine.consult_text("p(a). q(z).")
+        seq = snapshot_node(source, tmp_path / "snap")
+        for i in range(12):
+            source.engine.assertz(fact("p", f"k{i}"), write_id=f"w:{i}")
+        source.engine.asserta(fact("p", "front"), write_id="w:front")
+        source.engine.retract_matching(fact("p", "k3"), write_id="w:gone")
+        delta = source.engine.mutations_since(seq)
+        assert len(delta) == 14
+
+        def durable_target(name):
+            obs = Instrumentation()
+            opts = DurabilityOptions(
+                directory=tmp_path / name, auto_compact=False
+            )
+            node = engine_node(durability=opts, obs=obs)
+            node.engine.adopt_kb(load_kb(tmp_path / "snap"))
+            return node, opts, obs.registry.counter("wal.fsyncs")
+
+        batched, batched_opts, batched_fsyncs = durable_target("batched")
+        single, single_opts, single_fsyncs = durable_target("single")
+        before = batched_fsyncs.value, single_fsyncs.value
+        assert catch_up(source, batched, seq) == source.engine.version
+        for record in delta:
+            single.engine.apply_mutations([record])
+        assert batched_fsyncs.value - before[0] == 1
+        assert single_fsyncs.value - before[1] == len(delta)
+
+        assert prints(batched) == prints(single) == prints(source)
+        assert batched.engine.version == single.engine.version
+        assert (
+            batched.engine.applied_write_ids()
+            == single.engine.applied_write_ids()
+        )
+        # A re-routed duplicate of a replayed write still dedupes.
+        batched.engine.assertz(fact("p", "k5"), write_id="w:5")
+        assert prints(batched) == prints(source)
+        batched.engine.close()
+        single.engine.close()
+
+        for opts in (batched_opts, single_opts):
+            reborn = ShardedRetrievalServer(1, durability=opts)
+            try:
+                assert kb_fingerprint(reborn.shards[0].kb) == prints(source)
+                assert reborn.version == batched.engine.version
+                assert reborn.applied_write_ids() == (
+                    batched.engine.applied_write_ids()
+                )
+            finally:
+                reborn.close()
+
     def test_catch_up_converges_over_multiple_rounds(self):
         source = engine_node()
         source.engine.consult_text("p(a).")

@@ -62,6 +62,17 @@ class TestClauseFileFidelity:
                 )
                 assert attached.record(position) == original.record(position)
 
+    def test_fact_count_matches_without_a_walk_at_attach(self, roundtrip):
+        kb, shared = roundtrip
+        for indicator in kb.predicates():
+            original = kb.store(indicator)
+            attached = shared.store(indicator)
+            assert "fact_count" not in vars(attached.clause_file)  # lazy
+            assert attached.fact_count == original.fact_count
+            assert attached.fact_count == sum(
+                1 for record in attached.clause_file if record.is_fact
+            )
+
     def test_decoded_clauses_survive(self, roundtrip):
         kb, shared = roundtrip
         for indicator in kb.predicates():

@@ -132,6 +132,15 @@ class TestClauseFile:
         assert decoded[1].body == (read_term("q(X)"),)
         assert decoded[2].is_fact
 
+    def test_fact_count_runs_with_append(self, symbols):
+        cf = ClauseFile(("p", 1), symbols)
+        assert cf.fact_count == 0
+        for text in ["p(a)", "p(X) :- q(X)", "p(b)", "p(Y) :- r(Y), s(Y)",
+                     "p(c)"]:
+            cf.append(parse_clause(text))
+            assert cf.fact_count == sum(1 for r in cf if r.is_fact)
+        assert cf.fact_count == 3
+
     def test_rule_decode_roundtrip(self, symbols):
         cf = ClauseFile(("anc", 2), symbols)
         clause = parse_clause("anc(X, Z) :- parent(X, Y), anc(Y, Z)")

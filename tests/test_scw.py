@@ -1,9 +1,12 @@
 """Tests for the SCW+MB codeword scheme and the FS1 filter model."""
 
+import tempfile
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.pif import ClauseFile, SymbolTable
+from repro.pif import ClauseFile, PIFError, SymbolTable
 from repro.scw import (
     CodewordScheme,
     FirstStageFilter,
@@ -182,6 +185,121 @@ class TestSecondaryIndex:
         texts = [f"p(atom{i}, f(atom{i}, {i}), [{i}, {i + 1}])" for i in range(50)]
         cf, index = build_index(texts, ("p", 3))
         assert index.size_bytes() < cf.size_bytes()
+
+
+def _decode_back_index(clause_file, scheme) -> SecondaryIndexFile:
+    """The reference build: decompile every record to recover its head."""
+    index = SecondaryIndexFile(scheme, clause_file.indicator)
+    for position, address in enumerate(clause_file.record_addresses()):
+        index.add(clause_file.decode_clause(position).head, address)
+    return index
+
+
+def _rows(index) -> list[tuple[int, int, int]]:
+    return [(e.codeword.bits, e.codeword.mask, e.address) for e in index]
+
+
+_INDEX_SCHEMES = [
+    CodewordScheme(),
+    SCHEME,
+    CodewordScheme(width=32, bits_per_key=1, max_args=2, max_depth=0),
+    CodewordScheme(width=128, bits_per_key=3, max_args=16, max_depth=4),
+]
+
+#: Heads the random strategy reaches rarely or never: both zeros, more
+#: arguments than any scheme encodes, variables shared across (and
+#: inside) arguments, partial lists.
+_INDEX_EDGE_HEADS = [
+    "p(-0.0, 0.0, f(-0.0))",
+    "p(" + ", ".join(f"a{i}" for i in range(14)) + ")",
+    "p(" + ", ".join("X" if i % 2 else f"g({i}, Y)" for i in range(14)) + ")",
+    "p(X, X, f(X, _, [X | T]), T)",
+    "p(_, _, _)",
+    "p",
+]
+
+
+class TestIndexBuiltFromSources:
+    """``SecondaryIndexFile.build`` reads the clause file's retained
+    source heads; the decode-back build is the reference it must equal,
+    entry for entry."""
+
+    @staticmethod
+    def _files(heads, first_body=()):
+        """One clause file per indicator among ``heads``, in order; the
+        first clause is a rule with ``first_body``, the rest are facts."""
+        symbols = SymbolTable()
+        files: dict[tuple[str, int], ClauseFile] = {}
+        for position, head in enumerate(heads):
+            clause = Clause(head, first_body if position == 0 else ())
+            cf = files.setdefault(
+                clause.indicator, ClauseFile(clause.indicator, symbols)
+            )
+            try:
+                cf.append(clause)
+            except PIFError:
+                pass  # wider than a Result Memory slot: not storable
+        return list(files.values())
+
+    @pytest.mark.parametrize("scheme", _INDEX_SCHEMES, ids=repr)
+    def test_edge_heads(self, scheme):
+        heads = [read_term(text) for text in _INDEX_EDGE_HEADS]
+        for cf in self._files(heads, first_body=(read_term("q(X)"),)):
+            built = SecondaryIndexFile.build(cf, scheme)
+            reference = _decode_back_index(cf, scheme)
+            assert _rows(built) == _rows(reference)
+            assert list(built) == list(reference)  # per-argument bits too
+            assert built.to_bytes() == reference.to_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        heads=st.lists(
+            st.one_of(clause_heads(arity=3), clause_heads(arity=14)),
+            min_size=1, max_size=12,
+        ),
+        scheme=st.sampled_from(_INDEX_SCHEMES),
+    )
+    def test_equals_decode_back_build(self, heads, scheme):
+        for cf in self._files(heads):
+            built = SecondaryIndexFile.build(cf, scheme)
+            reference = _decode_back_index(cf, scheme)
+            assert list(built) == list(reference)
+            assert built.to_bytes() == reference.to_bytes()
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        heads=st.lists(clause_heads(arity=3), min_size=1, max_size=8),
+        scheme=st.sampled_from(_INDEX_SCHEMES),
+    )
+    def test_segment_attached_files_agree(self, heads, scheme):
+        """A segment-backed file has no sources to retain (its
+        ``source_clause`` decodes): built over it, over the original, or
+        by decode-back, the index is the same — and equals the image
+        the segment shipped."""
+        from repro.parallel.segments import attach_kb, write_segments
+        from repro.storage import KnowledgeBase
+
+        kb = KnowledgeBase(scheme=scheme)
+        edge = [read_term(text) for text in _INDEX_EDGE_HEADS[:2]]
+        for head in edge + heads:
+            try:
+                kb.add_clause(Clause(head))
+            except PIFError:
+                pass
+        with tempfile.TemporaryDirectory() as directory:
+            write_segments(kb, directory)
+            shared = attach_kb(directory)
+            try:
+                for store in kb:
+                    attached = shared.store(store.indicator)
+                    reference = _decode_back_index(store.clause_file, scheme)
+                    for clause_file in (store.clause_file,
+                                        attached.clause_file):
+                        built = SecondaryIndexFile.build(clause_file, scheme)
+                        assert list(built) == list(reference)
+                    assert attached.index.to_bytes() == reference.to_bytes()
+            finally:
+                shared.close()
 
 
 class TestFirstStageFilter:

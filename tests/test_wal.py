@@ -8,15 +8,17 @@ and the property-based round trip against an in-memory oracle.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ShardedRetrievalServer
+from repro.cluster import MutationRecord, ShardedRetrievalServer, WritesFrozen
 from repro.cluster.server import MutationLogOverflow
 from repro.obs import Instrumentation
+from repro.pif import PIFError
 from repro.storage import (
     DurabilityOptions,
     KnowledgeBase,
@@ -26,6 +28,7 @@ from repro.storage import (
     wal_dump,
 )
 from repro.storage.wal import (
+    BULK_COMMIT_RECORDS,
     WalError,
     WalRecord,
     WriteAheadLog,
@@ -192,6 +195,258 @@ class TestGroupCommit:
         assert recovered.clause_count() == total
         assert recovered.version == total
         recovered.close()
+
+
+class TestBatchedIngest:
+    """The bulk path: own seq and own WAL record per clause, one
+    durability wait per chunk.  Every check counts; none times."""
+
+    @staticmethod
+    def _facts(count: int, name: str = "f"):
+        return [_clause(f"{name}(k{i}, v{i % 7})") for i in range(count)]
+
+    @staticmethod
+    def _counters(obs) -> tuple[int, int]:
+        registry = obs.registry
+        return (
+            registry.counter("wal.appends").value,
+            registry.counter("wal.fsyncs").value,
+        )
+
+    @staticmethod
+    def _segment_seqs(opts) -> list[int]:
+        return [
+            record.seq
+            for path in sorted(opts.directory.glob("wal-*.log"))
+            for record in _scan_segment(path).records
+        ]
+
+    def test_bulk_load_fsyncs_once_per_chunk(self, tmp_path):
+        obs = Instrumentation()
+        opts = _durable(tmp_path)
+        engine = ShardedRetrievalServer(
+            2, "first_arg", durability=opts, obs=obs
+        )
+        total = 2 * BULK_COMMIT_RECORDS + 5
+        assert engine.consult_clauses(self._facts(total)) == total
+        assert self._counters(obs) == (total, 3)  # ceil(total / chunk)
+        # Acknowledged means durable: all of it is in the segment files
+        # before anything is closed or flushed again.
+        assert self._segment_seqs(opts) == list(range(1, total + 1))
+        batches = obs.registry.histogram("wal.batch_records")
+        assert batches.max == BULK_COMMIT_RECORDS
+        assert batches.counts[-1] == 0  # nothing in the overflow bucket
+
+        # A single write is not batched with anything: exactly one more.
+        engine.assertz(read_term("f(single, w)"))
+        assert self._counters(obs) == (total + 1, 4)
+        engine.close()
+        assert self._counters(obs)[1] == 4  # nothing was left to flush
+
+    def test_consult_text_rides_the_same_path(self, tmp_path):
+        obs = Instrumentation()
+        engine = ShardedRetrievalServer(
+            1, "predicate", durability=_durable(tmp_path), obs=obs
+        )
+        assert engine.consult_text("f(a). f(b). g(X) :- f(X).") == 3
+        assert self._counters(obs) == (3, 1)
+        engine.close()
+
+    def test_recovery_equals_the_per_clause_path(self, tmp_path):
+        """Same records in, byte-identical log out: whichever commit
+        each record rode, recovery cannot tell the two paths apart."""
+        records = [
+            MutationRecord(seq=100 + i, op=op, clause=_clause(text),
+                           write_id=f"w:{i}")
+            for i, (op, text) in enumerate(
+                [("assertz", f"f(k{i})") for i in range(20)]
+                + [("asserta", "f(first)"), ("retract", "f(k3)"),
+                   ("assertz", "g(X) :- f(X)")]
+            )
+        ]
+        batched_opts = _durable(tmp_path, "batched")
+        single_opts = _durable(tmp_path, "single")
+        batched = ShardedRetrievalServer(
+            2, "predicate", durability=batched_opts
+        )
+        single = ShardedRetrievalServer(
+            2, "predicate", durability=single_opts
+        )
+        assert batched.apply_mutations(records) == len(records)
+        for record in records:
+            single.apply_mutations([record])
+        batched.close()
+        single.close()
+
+        def log_bytes(opts) -> list[bytes]:
+            return [
+                path.read_bytes()
+                for path in sorted(opts.directory.glob("wal-*.log"))
+            ]
+
+        assert log_bytes(batched_opts) == log_bytes(single_opts)
+        assert self._segment_seqs(batched_opts) == list(
+            range(1, len(records) + 1)
+        )
+        recovered = ShardedRetrievalServer(
+            2, "predicate", durability=batched_opts
+        )
+        oracle = ShardedRetrievalServer(
+            2, "predicate", durability=single_opts
+        )
+        try:
+            assert recovered.version == oracle.version == len(records)
+            assert _engine_fingerprint(recovered) == _engine_fingerprint(
+                oracle
+            )
+            assert recovered.applied_write_ids() == [
+                record.write_id for record in records
+            ]
+            assert recovered.applied_write_ids() == oracle.applied_write_ids()
+        finally:
+            recovered.close()
+            oracle.close()
+
+    def test_single_writer_during_a_bulk_load_waits_for_its_own_seq(
+        self, tmp_path
+    ):
+        obs = Instrumentation()
+        engine = ShardedRetrievalServer(
+            1, "predicate", durability=_durable(tmp_path), obs=obs
+        )
+        wal = engine.durable_store._wal
+        go, done = threading.Event(), threading.Event()
+        seen: dict = {}
+
+        def writer() -> None:
+            assert go.wait(timeout=30)
+            engine.assertz(read_term("f(from_writer)"), write_id="w:1")
+            # Monotonic, so reading it first thing after the ack is the
+            # tightest lower bound on what was durable at the ack.
+            seen["durable_seq"] = wal._durable_seq
+            seen["fsyncs"] = self._counters(obs)[1]
+            done.set()
+
+        def clauses():
+            for position, clause in enumerate(self._facts(40)):
+                if position == 10:
+                    # Ten records staged, none committed: let the single
+                    # writer in and hold the bulk load until it is acked.
+                    go.set()
+                    assert done.wait(timeout=30)
+                yield clause
+
+        thread = threading.Thread(target=writer)
+        thread.start()
+        assert engine.add_clauses(clauses()) == 40
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+
+        (mine,) = [
+            r.seq for r in engine.mutations_since(0) if r.write_id == "w:1"
+        ]
+        assert mine == 11
+        # Its ack waited for its own record (and committed the staged
+        # bulk prefix with it) — with one fsync, its own.
+        assert seen == {"durable_seq": 11, "fsyncs": 1}
+        # The bulk load then paid one more for its remaining 30.
+        assert self._counters(obs) == (41, 2)
+        engine.close()
+
+    def test_bulk_load_beside_single_writers_loses_nothing(self, tmp_path):
+        """Stress: more threads than cores, switch interval shortened."""
+        opts = _durable(tmp_path)
+        engine = ShardedRetrievalServer(2, "first_arg", durability=opts)
+        bulk = self._facts(BULK_COMMIT_RECORDS + 200, "bulk")
+        wal = engine.durable_store._wal
+        acked: dict[str, int] = {}  # write_id -> durable seq seen at the ack
+
+        def single(tag: int) -> None:
+            for i in range(25):
+                write_id = f"s:{tag}:{i}"
+                engine.assertz(
+                    read_term(f"one(t{tag}, n{i})"), write_id=write_id
+                )
+                acked[write_id] = wal._durable_seq
+
+        threads = [
+            threading.Thread(target=single, args=(tag,)) for tag in range(6)
+        ]
+        threads.append(
+            threading.Thread(target=engine.add_clauses, args=(bulk,))
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        total = len(bulk) + 6 * 25
+        assert engine.version == total
+        # Every single-write ack promised durability of that very record.
+        own_seq = {
+            r.write_id: r.seq for r in engine.mutations_since(0) if r.write_id
+        }
+        assert len(acked) == 6 * 25
+        assert all(acked[w] >= own_seq[w] for w in acked)
+        want = _engine_fingerprint(engine)
+        engine.close()
+
+        assert self._segment_seqs(opts) == list(range(1, total + 1))
+        recovered = ShardedRetrievalServer(2, "first_arg", durability=opts)
+        try:
+            assert recovered.version == total
+            assert _engine_fingerprint(recovered) == want
+            assert sorted(recovered.applied_write_ids()) == sorted(acked)
+        finally:
+            recovered.close()
+
+    @pytest.mark.parametrize("failure", ["oversize", "frozen"])
+    def test_failure_mid_batch_leaves_the_prefix_durable(
+        self, tmp_path, failure
+    ):
+        opts = _durable(tmp_path)
+        engine = ShardedRetrievalServer(1, "predicate", durability=opts)
+        big = ", ".join(f"a{i}" for i in range(200))
+        oversize = _clause(f"f([{big}], x)")  # > one Result Memory slot
+
+        def clauses():
+            yield from self._facts(7)
+            if failure == "oversize":
+                yield oversize
+            else:
+                engine.freeze_writes()
+                yield _clause("f(refused, x)")
+            yield _clause("f(never, reached)")
+
+        with pytest.raises(PIFError if failure == "oversize" else WritesFrozen):
+            engine.add_clauses(clauses())
+        # Before any close or further write: the seven applied clauses
+        # are on disk, and nothing after the failure was applied.
+        assert engine.version == 7
+        assert engine.durable_store._wal._durable_seq == 7
+        assert self._segment_seqs(opts) == list(range(1, 8))
+        want = _engine_fingerprint(engine)
+        engine.close()
+
+        recovered = ShardedRetrievalServer(1, "predicate", durability=opts)
+        try:
+            assert recovered.version == 7
+            assert _engine_fingerprint(recovered) == want
+        finally:
+            recovered.close()
+
+    def test_volatile_engine_bulk_loads_without_a_store(self):
+        engine = ShardedRetrievalServer(2, "first_arg")
+        assert engine.add_clauses(self._facts(50)) == 50
+        assert engine.version == 50
+        assert [r.seq for r in engine.mutations_since(0)] == list(
+            range(1, 51)
+        )
 
 
 class TestEngineRecovery:

@@ -17,6 +17,11 @@ The parent then recovers the store and checks the durability contract:
 * re-delivering the surviving mutations with their original write_ids
   changes nothing (idempotency memo recovered intact),
 * the store stays usable: new writes append, compaction completes.
+
+The bulk-load cases run the same harness over one ``consult_clauses``
+call spanning several group-commit chunks: a crash between chunks must
+recover a contiguous prefix of the load, at least every chunk that was
+fsynced and at most what had been staged.
 """
 
 from __future__ import annotations
@@ -30,21 +35,24 @@ import pytest
 
 from repro.cluster import ShardedRetrievalServer
 from repro.storage import DurabilityOptions, kb_fingerprint
+from repro.storage.wal import BULK_COMMIT_RECORDS
 from repro.terms import read_term
 
-from .wal_crash_runner import mutation_plan
+from .wal_crash_runner import bulk_plan, mutation_plan
 
 RUNNER = pathlib.Path(__file__).with_name("wal_crash_runner.py")
 COUNT = 12
 
 
-def _run_to_crash(tmp_path, point: str, hits: int) -> list[str]:
+def _run_to_crash(
+    tmp_path, point: str, hits: int, count: int = COUNT, *mode: str
+) -> list[str]:
     """Spawn the runner, wait for its SIGKILL, return the acked ids."""
     store = tmp_path / "store"
     acks = tmp_path / "acks.txt"
     proc = subprocess.run(
         [sys.executable, str(RUNNER), str(store), str(acks), point,
-         str(hits), str(COUNT)],
+         str(hits), str(count), *mode],
         capture_output=True,
         text=True,
         timeout=120,
@@ -167,6 +175,64 @@ def test_crash_mid_compaction_loses_nothing(tmp_path, point):
         assert _fingerprint(recovered) == _fingerprint(_oracle(COUNT))
     finally:
         recovered.close()
+
+
+BULK_COUNT = 2 * BULK_COMMIT_RECORDS + 300
+
+
+def _bulk_oracle(prefix: int) -> ShardedRetrievalServer:
+    """An in-memory engine holding the bulk plan's first ``prefix`` facts."""
+    engine = ShardedRetrievalServer(2, "predicate")
+    engine.consult_text(" ".join(f"{t}." for t in bulk_plan(prefix)))
+    return engine
+
+
+@pytest.mark.parametrize(
+    ("point", "hits", "fsynced", "staged"),
+    [
+        # Chunk 2 written and flushed, killed before its fsync: the OS
+        # still holds it, so anything from one to two chunks is legal.
+        ("wal.pre_fsync", 2, BULK_COMMIT_RECORDS, 2 * BULK_COMMIT_RECORDS),
+        ("wal.post_fsync", 2, 2 * BULK_COMMIT_RECORDS,
+         2 * BULK_COMMIT_RECORDS),
+        # Killed half-way through staging chunk 2 (frames in memory only).
+        ("wal.staged", BULK_COMMIT_RECORDS + 500, BULK_COMMIT_RECORDS,
+         BULK_COMMIT_RECORDS + 500),
+    ],
+)
+def test_crash_mid_bulk_load_recovers_a_contiguous_prefix(
+    tmp_path, point, hits, fsynced, staged
+):
+    acked = _run_to_crash(tmp_path, point, hits, BULK_COUNT, "bulk")
+    assert acked == []  # the load never returned, nothing was promised
+
+    engine = _recover(tmp_path)
+    try:
+        survived = engine.version
+        assert fsynced <= survived <= staged
+        # Contiguous seqs are enforced by recovery itself (a gap raises
+        # WalError); the content must be exactly the plan's prefix.
+        assert _fingerprint(engine) == _fingerprint(_bulk_oracle(survived))
+        assert [r.seq for r in engine.recovered.records] == list(
+            range(1, survived + 1)
+        )
+        # The store stays usable: finish the load, write, compact.
+        engine.consult_text(
+            " ".join(f"{t}." for t in bulk_plan(BULK_COUNT)[survived:])
+        )
+        engine.assertz(read_term("post_crash(ok)"))
+        assert engine.compact() == BULK_COUNT + 1
+    finally:
+        engine.close()
+
+    reopened = _recover(tmp_path)
+    try:
+        assert reopened.version == BULK_COUNT + 1
+        whole = _bulk_oracle(BULK_COUNT)
+        whole.assertz(read_term("post_crash(ok)"))
+        assert _fingerprint(reopened) == _fingerprint(whole)
+    finally:
+        reopened.close()
 
 
 def test_double_crash_then_recover(tmp_path):

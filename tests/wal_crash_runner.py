@@ -2,7 +2,7 @@
 
 Run as::
 
-    python wal_crash_runner.py STORE_DIR ACKS_FILE POINT HITS COUNT
+    python wal_crash_runner.py STORE_DIR ACKS_FILE POINT HITS COUNT [bulk]
 
 Builds a durable two-shard engine over ``STORE_DIR``, arms crash point
 ``POINT`` to SIGKILL this process on its ``HITS``-th hit, then applies
@@ -19,9 +19,16 @@ ack) first, and the armed point fires inside the explicit
 ``engine.compact()`` call — crash-during-compaction must never lose an
 acked write either.
 
-The mutation schedule (see :func:`mutation_plan`) is pure: the parent
-imports this module and replays the same plan against an in-memory
-oracle to decide exactly what the recovered KB must contain.
+With a trailing ``bulk`` the run is one bulk load instead: the
+``COUNT`` facts of :func:`bulk_plan` go through ``consult_clauses`` (one
+group commit per chunk, not per clause) and the single ack line
+``bulk`` is written only after the whole load returned.  A crash
+mid-batch must leave a contiguous prefix of the plan — whole chunks
+plus whatever reached the file — never a hole.
+
+The schedules (see :func:`mutation_plan`, :func:`bulk_plan`) are pure:
+the parent imports this module and replays the same plan against an
+in-memory oracle to decide exactly what the recovered KB must contain.
 """
 
 from __future__ import annotations
@@ -58,14 +65,23 @@ def mutation_plan(count: int) -> list[tuple[str, str, str]]:
     return plan
 
 
+def bulk_plan(count: int) -> list[str]:
+    """The bulk-load schedule: ``count`` unique facts over two predicates."""
+    return [
+        f"bulk_a(k{i})" if i % 3 else f"bulk_b(k{i}, v{i % 11})"
+        for i in range(count)
+    ]
+
+
 def main(argv: list[str]) -> int:
     store_dir, acks_file, point, hits, count = (
         argv[0], argv[1], argv[2], int(argv[3]), int(argv[4]),
     )
+    bulk = argv[5:] == ["bulk"]
     from repro.cluster import ShardedRetrievalServer
     from repro.storage import DurabilityOptions
     from repro.storage.wal import install_crash_point
-    from repro.terms import read_term
+    from repro.terms import as_clause, read_term
 
     engine = ShardedRetrievalServer(
         2,
@@ -76,19 +92,29 @@ def main(argv: list[str]) -> int:
     )
     install_crash_point(point, hits)
     acks = os.open(acks_file, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-    for op, text, write_id in mutation_plan(count):
-        term = read_term(text)
-        if op == "assertz":
-            engine.assertz(term, write_id=write_id)
-        elif op == "asserta":
-            engine.asserta(term, write_id=write_id)
-        else:
-            removed = engine.retract_matching(term, write_id=write_id)
-            assert removed is not None, f"plan retract missed: {text}"
+
+    def ack(write_id: str) -> None:
         # The mutator returned: the write is acknowledged.  Record the
         # promise durably before offering the next mutation.
         os.write(acks, (write_id + "\n").encode("ascii"))
         os.fsync(acks)
+
+    if bulk:
+        engine.consult_clauses(
+            as_clause(read_term(text)) for text in bulk_plan(count)
+        )
+        ack("bulk")
+    else:
+        for op, text, write_id in mutation_plan(count):
+            term = read_term(text)
+            if op == "assertz":
+                engine.assertz(term, write_id=write_id)
+            elif op == "asserta":
+                engine.asserta(term, write_id=write_id)
+            else:
+                removed = engine.retract_matching(term, write_id=write_id)
+                assert removed is not None, f"plan retract missed: {text}"
+            ack(write_id)
     if point.startswith("compact."):
         engine.compact()
     engine.close()
