@@ -9,6 +9,7 @@ two-stage pipeline is the best general choice at scale.
 """
 
 from repro.crs import ClauseRetrievalServer, SearchMode
+from repro.disk import FUJITSU_M2351A, MICROPOLIS_1325, DiskSim
 from repro.storage import KnowledgeBase, Residency
 from repro.terms import read_term
 from repro.workloads import FactKBSpec, generate_couples, generate_facts
@@ -118,3 +119,129 @@ def test_bench_modes_shared_variable_query(benchmark):
         rows,
         notes="mode (c)/(d) selection for cross-bound queries, section 2.2",
     )
+
+
+WIDE_CLAUSES = 5000
+WIDE_CANDIDATES = (1, 5, 20, 100, 500)
+WIDE_DRIVES = (FUJITSU_M2351A, MICROPOLIS_1325)
+
+
+def _short(drive) -> str:
+    return drive.name.split(" (")[0]
+
+
+def _wide_kb(drive) -> KnowledgeBase:
+    """5 000 records; group ``cN`` tags N of them, evenly scattered."""
+    group_of = {}
+    for wanted in WIDE_CANDIDATES:
+        stride = WIDE_CLAUSES // wanted
+        for k in range(wanted):
+            slot = k * stride + stride // 2
+            while slot in group_of:
+                slot += 1
+            group_of[slot] = f"c{wanted}"
+    # Few filler values, and a payload nested below the depth the SCW
+    # encodes (bytes on disk, no codeword bits), keep FS1 false drops
+    # from swamping the candidate column; the file is ~7x the M2351A's
+    # break-even gap, so a sparse candidate set still has to reposition.
+    text = " ".join(
+        "rec(k{0}, {1}, w(w(w(w([a{3}, b{4}, c{2}, d{3}, e{4}, f{2}, g{3}, h{4}]))))).".format(
+            i, group_of.get(i, f"o{i % 5}"), i % 89, i % 13, i % 7
+        )
+        for i in range(WIDE_CLAUSES)
+    )
+    kb = KnowledgeBase(disk=DiskSim(drive))
+    kb.consult_text(text, module="data")
+    kb.module("data").pin(Residency.DISK)
+    kb.sync_to_disk()
+    return kb
+
+
+def _per_record_seek_s(drive, offsets) -> float:
+    """What the fetch cost when every non-adjacent record paid an access."""
+    cost, previous_end = 0.0, None
+    for start, length in offsets:
+        if start != previous_end:
+            cost += drive.access_time_s()
+        cost += drive.transfer_time_s(length)
+        previous_end = start + length
+    return cost
+
+
+def test_bench_wide_result_fetch_schedule(benchmark):
+    """E3c: the two-stage fetch as FS1's candidate set widens.
+
+    The disk driver serves FS1's candidates as read-through runs, so
+    ``fs1+fs2`` degrades towards (index read + full stream) as the
+    result widens instead of paying one average seek per candidate.
+    """
+
+    def sweep():
+        rows = []
+        for drive in WIDE_DRIVES:
+            kb = _wide_kb(drive)
+            crs = ClauseRetrievalServer(kb)
+            store = kb.store(("rec", 3))
+            index_ms = drive.read_time_s(store.index.size_bytes()) * 1e3
+            for wanted in WIDE_CANDIDATES:
+                goal = read_term(f"rec(K, c{wanted}, V)")
+                both = crs.retrieve(goal, mode=SearchMode.BOTH).stats
+                full = crs.retrieve(goal, mode=SearchMode.FS2_ONLY).stats
+                fs1 = crs.retrieve(goal, mode=SearchMode.FS1_ONLY)
+                offsets = [
+                    (address, store.clause_file.record_span(address)[1])
+                    for address in fs1.addresses
+                ]
+                _, fetch = kb.disk.stream_records(store.extent_name(), offsets)
+                old_disk_s = (
+                    both.disk_time_s
+                    - fetch.total_time_s
+                    + _per_record_seek_s(drive, offsets)
+                )
+                old_ms = 1e3 * (
+                    max(old_disk_s, both.fs1_time_s + both.fs2_time_s)
+                    + both.software_time_s
+                )
+                both_ms = both.filter_time_s * 1e3
+                full_ms = full.filter_time_s * 1e3
+                # The bound the planner relies on: however wide the
+                # result, two-stage <= index read + full clause stream.
+                assert both_ms <= full_ms + index_ms
+                rows.append(
+                    (
+                        _short(drive),
+                        both.fs1_candidates,
+                        fetch.seeks,
+                        round(fetch.bytes_skipped / 1000, 1),
+                        round(both_ms, 2),
+                        round(full_ms, 2),
+                        round(old_ms, 2),
+                    )
+                )
+        return rows
+
+    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    break_even = ", ".join(
+        "{}: {:.1f} KB".format(
+            _short(drive),
+            drive.access_time_s() * drive.transfer_rate_bytes_per_sec / 1000,
+        )
+        for drive in WIDE_DRIVES
+    )
+    record_table(
+        "E3c",
+        "Wide results: two-stage fetch scheduled as read-through runs "
+        f"({WIDE_CLAUSES}-clause predicate, modelled filter ms)",
+        (
+            "drive", "fs1 cands", "seeks", "skipped KB",
+            "fs1+fs2", "fs2", "per-record-seek fs1+fs2",
+        ),
+        rows,
+        notes="break-even gap (access time x transfer rate) = " + break_even,
+    )
+    for row in rows:
+        # Never worse than the per-record-seek schedule; equal only
+        # while every gap is past break-even.
+        assert row[4] <= row[6]
+    widest = [row for row in rows if row[1] >= 500]
+    assert all(row[2] == 1 and row[6] > 20 * row[4] for row in widest)

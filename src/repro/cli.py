@@ -31,7 +31,7 @@ from .fs2 import assemble_search_program, table1, worst_case_rate_bytes_per_sec
 from .fs2.microcode import disassemble
 from .obs import Instrumentation
 from .storage import KnowledgeBase, Residency
-from .terms import read_term, term_to_string
+from .terms import ReaderError, read_term, term_to_string
 
 __all__ = ["main", "build_parser"]
 
@@ -322,6 +322,16 @@ def main(argv: list[str] | None = None, out=None) -> int:
     """Entry point; returns the process exit code."""
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args, out)
+    except (OSError, ReaderError) as exc:
+        # A missing/unreadable FILE or malformed Prolog text (ReaderError
+        # carries line and column) is the user's input, not a crash.
+        sys.stderr.write(f"repro: error: {exc}\n")
+        return 2
+
+
+def _dispatch(args: argparse.Namespace, out) -> int:
     if args.command == "table1":
         return _cmd_table1(out)
     if args.command == "microcode":

@@ -13,7 +13,11 @@ The heuristics here formalise that sentence:
   the functor partitioning the clause file already provides — stream
   through FS2 to keep the host out of the loop;
 * otherwise the two-stage pipeline wins: FS1 cuts the disk volume, FS2
-  cuts the false drops.
+  cuts the false drops.  The disk driver serves FS1's (ascending)
+  candidate addresses as one sweep, so the fetch is bounded by one access
+  plus the transfer of the candidate span — however many candidates FS1
+  passes, the two-stage clause read never costs more than the full
+  stream mode (c) pays.
 """
 
 from __future__ import annotations

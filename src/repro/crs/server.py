@@ -677,9 +677,16 @@ class ClauseRetrievalServer:
         Record spans come from the clause file's incrementally-maintained
         address table, so the cost is O(candidates) — the "selective" FS1
         path no longer re-serialises every record of the predicate on
-        every retrieval.  The memory-resident path yields records lazily
-        (zero-copy memoryviews for segment-backed clause files) so the
-        FS1→FS2 hand-off never builds an intermediate record list.
+        every retrieval.  ``addresses`` arrive ascending (FS1 enumerates
+        survivors in clause-file order), which is what lets the disk
+        driver serve them as one sweep (:meth:`DiskSim.stream_records`):
+        the modelled cost is at most one access plus the transfer of the
+        first-to-last candidate span, never one seek per candidate.
+        Only the candidate records themselves are returned and counted
+        in ``bytes_transferred``.  The memory-resident path yields
+        records lazily (zero-copy memoryviews for segment-backed clause
+        files) so the FS1→FS2 hand-off never builds an intermediate
+        record list.
         """
         spans = [store.clause_file.record_span(a) for a in addresses]
         if residency == Residency.DISK:

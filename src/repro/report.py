@@ -81,6 +81,8 @@ def headline_counters(registry: MetricsRegistry) -> dict[str, float]:
         "fs2_plan_cache_misses": registry.total("fs2.plan_cache.misses"),
         "fs2_compiled_clauses": registry.total("fs2.compiled.clauses"),
         "disk_bytes": registry.total("disk.bytes_read"),
+        "disk_bytes_skipped": registry.total("disk.bytes_skipped"),
+        "disk_seeks": registry.total("disk.seeks"),
         "lock_waits": registry.total("locks.waits"),
         "deadlocks": registry.total("locks.deadlocks"),
         "txn_commits": registry.total("txn.commits"),
@@ -263,6 +265,13 @@ def format_metrics(
             head["fs2_plan_cache_hits"],
             head["fs2_plan_cache_misses"],
             head["fs2_compiled_clauses"],
+        )
+    )
+    lines.append(
+        "disk seeks={:g}  bytes delivered/skipped={:g}/{:g}".format(
+            head["disk_seeks"],
+            head["disk_bytes"],
+            head["disk_bytes_skipped"],
         )
     )
     lines.append(

@@ -38,11 +38,6 @@ from typing import Iterator, Sequence
 
 from .codeword import Codeword, CodewordScheme
 
-try:  # optional accelerator — the array('Q') fallback covers its absence
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
-
 __all__ = ["VectorSlicedIndex", "have_numpy"]
 
 WORD_BITS = 64
@@ -51,9 +46,36 @@ _FULL_WORD = (1 << WORD_BITS) - 1
 _BIG_ENDIAN_HOST = sys.byteorder == "big"
 
 
+def _numpy():
+    """numpy, or None when it cannot import — resolved on first call.
+
+    The optional accelerator is bound to the module global ``_np`` the
+    first time a vector index is built (or anyone asks), not at import:
+    a server on the default ``bitsliced`` engine never loads it.  The
+    ``array('Q')`` fallback covers its absence.
+    """
+    global _np
+    try:
+        return _np
+    except NameError:
+        try:
+            import numpy as _np
+        except ImportError:  # pragma: no cover - the no-numpy CI job
+            _np = None
+        return _np
+
+
+def __getattr__(name: str):
+    # PEP 562: ``vector._np`` read from outside (the tests' both-backends
+    # fixture monkeypatches it) resolves the lazy binding the same way.
+    if name == "_np":
+        return _numpy()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def have_numpy() -> bool:
     """Whether the numpy fast path is active for new indexes."""
-    return _np is not None
+    return _numpy() is not None
 
 
 def _bit_positions(value: int):
@@ -86,13 +108,14 @@ class VectorSlicedIndex:
     Same surface and same results as :class:`BitSlicedIndex`; entries
     append in clause-file order, so enumeration yields addresses exactly
     as the naive scan returns them.  The backend (numpy vs ``array``)
-    is chosen per instance at construction time from module state, which
-    keeps the fallback testable by monkeypatching ``vector._np``.
+    is chosen per instance at construction time from module state
+    (numpy is first imported here, never at module import), which keeps
+    the fallback testable by monkeypatching ``vector._np``.
     """
 
     def __init__(self, scheme: CodewordScheme):
         self.scheme = scheme
-        self._np = _np
+        self._np = _numpy()
         self._count = 0
         self._addresses: list[int] = []
         self._addr_cache = None  # numpy address array, rebuilt on append

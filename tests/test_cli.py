@@ -179,6 +179,54 @@ class TestStatsCommand:
         assert trace.exists()
 
 
+    def test_prints_sweep_seeks_and_skipped_bytes(self, tmp_path):
+        path = tmp_path / "recs.pl"
+        path.write_text(
+            "".join(f"rec(k{i}, g{i % 8}).\n" for i in range(400))
+        )
+        output = run(
+            ["stats", str(path), "--goal", "rec(K, g3)", "--disk",
+             "--mode", "fs1+fs2"]
+        )
+        # 50 scattered FS1 candidates come off the disk as one run.
+        assert "disk seeks=1  bytes delivered/skipped=" in output
+        assert "disk.bytes_skipped" in output
+
+
+class TestUserErrors:
+    """Bad input is reported, not dumped as a traceback (exit code 2)."""
+
+    @pytest.mark.parametrize("command", ["consult", "stats", "serve"])
+    def test_missing_file(self, command, tmp_path, capsys):
+        missing = str(tmp_path / "nope.pl")
+        assert main([command, missing], out=io.StringIO()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert "nope.pl" in err
+        assert "Traceback" not in err
+
+    def test_unreadable_file(self, tmp_path, capsys):
+        # A directory is the portable "exists but cannot be read".
+        assert main(["consult", str(tmp_path)], out=io.StringIO()) == 2
+        assert capsys.readouterr().err.startswith("repro: error: ")
+
+    @pytest.mark.parametrize("command", ["consult", "stats"])
+    def test_goal_syntax_error(self, command, program_file, capsys):
+        code = main(
+            [command, program_file, "--goal", "edge(X"], out=io.StringIO()
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert "line 1, column 7" in err
+
+    def test_program_syntax_error_names_the_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.pl"
+        path.write_text("edge(a, b).\nedge(a,\n")
+        assert main(["consult", str(path)], out=io.StringIO()) == 2
+        assert "line 3, column 1" in capsys.readouterr().err
+
+
 class TestDumpCommand:
     def test_dump_fact(self):
         output = run(["dump", "p(a, X, [1, 2])"])

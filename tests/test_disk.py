@@ -1,6 +1,10 @@
 """Tests for the simulated disk subsystem."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.disk import (
     FUJITSU_M2351A,
@@ -9,7 +13,11 @@ from repro.disk import (
     DiskGeometry,
     DiskSim,
     DriveModel,
+    TransferStats,
 )
+from repro.obs import Instrumentation
+
+DRIVES = (FUJITSU_M2351A, MICROPOLIS_1325)
 
 
 class TestGeometry:
@@ -124,8 +132,13 @@ class TestDiskSim:
         disk.write_extent("blob", b"AAABBBCCCDDD")
         records, stats = disk.stream_records("blob", [(0, 3), (6, 3)])
         assert list(records) == [b"AAA", b"CCC"]
-        assert stats.seeks == 2  # non-contiguous: one reposition
-        assert stats.bytes_transferred == 6
+        # A 3-byte gap is read through, not repositioned over: one run.
+        assert stats.seeks == 1
+        assert stats.bytes_transferred == 6  # only the records are delivered
+        assert stats.bytes_skipped == 3
+        assert stats.transfer_time_s == pytest.approx(
+            disk.drive.transfer_time_s(9)
+        )
 
     def test_contiguous_records_single_seek(self):
         disk = DiskSim()
@@ -134,7 +147,7 @@ class TestDiskSim:
         assert stats.seeks == 1
 
     def test_selective_vs_full_timing(self):
-        """Few selective reads beat a full scan; many do not."""
+        """A selective fetch never loses to streaming the span it covers."""
         disk = DiskSim()
         record = b"r" * 64
         disk.write_extent("blob", record * 1000)
@@ -143,7 +156,48 @@ class TestDiskSim:
         assert few.total_time_s < full.total_time_s
         scattered = [(i * 128, 64) for i in range(400)]
         _, many = disk.stream_records("blob", scattered)
-        assert many.total_time_s > full.total_time_s  # seek-bound
+        # 400 scattered candidates inside 51 KB are one read-through run,
+        # not 400 average seeks (which would cost ~10 s here).
+        assert many.seeks == 1
+        assert many.bytes_skipped == 399 * 64
+        assert many.total_time_s < full.total_time_s
+        assert many.total_time_s == pytest.approx(
+            disk.drive.read_time_s(399 * 128 + 64)
+        )
+
+    @pytest.mark.parametrize("drive", DRIVES, ids=lambda d: d.name)
+    def test_gap_past_break_even_repositions(self, drive):
+        """The schedule falls out of the drive's own numbers."""
+        break_even = int(
+            drive.access_time_s() * drive.transfer_rate_bytes_per_sec
+        )
+        disk = DiskSim(drive)
+        disk.write_extent("blob", b"\0" * (2 * break_even + 1024))
+        _, near = disk.stream_records(
+            "blob", [(0, 64), (64 + break_even - 1, 64)]
+        )
+        assert (near.seeks, near.bytes_skipped) == (1, break_even - 1)
+        _, far = disk.stream_records(
+            "blob", [(0, 64), (64 + break_even + 512, 64)]
+        )
+        assert (far.seeks, far.bytes_skipped) == (2, 0)
+
+    def test_backwards_offset_repositions(self):
+        disk = DiskSim()
+        disk.write_extent("blob", b"AAABBBCCC")
+        records, stats = disk.stream_records("blob", [(6, 3), (0, 3), (1, 3)])
+        assert list(records) == [b"CCC", b"AAA", b"AAB"]
+        assert stats.seeks == 3  # backwards, then overlapping
+        assert stats.bytes_skipped == 0
+
+    def test_skipped_bytes_are_counted(self):
+        obs = Instrumentation()
+        disk = DiskSim(obs=obs)
+        disk.write_extent("blob", b"AAABBBCCCDDD")
+        disk.stream_records("blob", [(0, 3), (6, 3)])
+        assert obs.registry.total("disk.seeks") == 1
+        assert obs.registry.total("disk.bytes_read") == 6
+        assert obs.registry.total("disk.bytes_skipped") == 3
 
     def test_track_alignment(self):
         disk = DiskSim()
@@ -166,3 +220,124 @@ class TestDiskSim:
             "blob", disk.drive.geometry.track_bytes
         )
         assert (cylinder0, track0) != (cylinder1, track1)
+
+
+# -- the sweep schedule, as a property ----------------------------------------
+
+#: Big enough that gaps land on both sides of either drive's break-even
+#: (~51 KB on the M2351A, ~36 KB on the Micropolis).
+EXTENT_BYTES = 400_000
+EXTENT = bytes(i % 251 for i in range(EXTENT_BYTES))
+
+offset_lists = st.lists(
+    st.tuples(
+        st.integers(0, EXTENT_BYTES - 1), st.integers(1, 4096)
+    ).map(lambda pair: (pair[0], min(pair[1], EXTENT_BYTES - pair[0]))),
+    min_size=1,
+    max_size=12,
+)
+
+
+class PerRecordSeekDisk(DiskSim):
+    """The pre-sweep driver, kept as the oracle: one access per
+    non-contiguous record, nothing ever read through."""
+
+    def stream_records(self, name, offsets=None):
+        data = self._data[self.extent(name).name]
+        pairs = [(0, len(data))] if offsets is None else list(offsets)
+        stats = TransferStats()
+        records = []
+        previous_end = None
+        for start, length in pairs:
+            if start != previous_end:
+                stats.seeks += 1
+                stats.seek_time_s += self.drive.access_time_s()
+            records.append(data[start : start + length])
+            stats.bytes_transferred += length
+            stats.transfer_time_s += self.drive.transfer_time_s(length)
+            previous_end = start + length
+        return iter(records), stats
+
+
+def brute_force_minimum(drive: DriveModel, offsets) -> float:
+    """Cheapest of all 2^(n-1) seek / read-through choices."""
+    delivered = sum(drive.transfer_time_s(length) for _, length in offsets)
+    gaps = [
+        following[0] - (start + length)
+        for (start, length), following in zip(offsets, offsets[1:])
+    ]
+    best = None
+    for choice in itertools.product((False, True), repeat=len(gaps)):
+        if any(read and gap < 0 for read, gap in zip(choice, gaps)):
+            continue  # the platter does not turn backwards
+        cost = drive.access_time_s() + delivered
+        for read_through, gap in zip(choice, gaps):
+            if read_through:
+                cost += drive.transfer_time_s(gap)
+            else:
+                cost += drive.access_time_s()
+        best = cost if best is None else min(best, cost)
+    return best
+
+
+@pytest.mark.parametrize("drive", DRIVES, ids=lambda d: d.name)
+class TestSweepSchedule:
+    def stream(self, drive, offsets, disk_class=DiskSim):
+        disk = disk_class(drive)
+        disk.write_extent("blob", EXTENT)
+        records, stats = disk.stream_records("blob", offsets)
+        return list(records), stats
+
+    @settings(max_examples=150, deadline=None)
+    @given(offsets=offset_lists, ascending=st.booleans())
+    def test_schedule_properties(self, drive, offsets, ascending):
+        if ascending:
+            offsets = sorted(offsets)
+        records, stats = self.stream(drive, offsets)
+        # Delivery: exactly the requested slices, in the order asked for.
+        assert records == [EXTENT[s : s + n] for s, n in offsets]
+        assert stats.bytes_transferred == sum(n for _, n in offsets)
+        # Ledger: transfer time covers delivered + skipped bytes.
+        assert stats.seek_time_s == pytest.approx(
+            stats.seeks * drive.access_time_s()
+        )
+        assert stats.transfer_time_s == pytest.approx(
+            drive.transfer_time_s(stats.bytes_transferred + stats.bytes_skipped)
+        )
+        # Never worse than the old one-access-per-jump cost.
+        slack = 1e-12
+        old_records, old = self.stream(drive, offsets, PerRecordSeekDisk)
+        assert records == old_records
+        assert stats.total_time_s <= old.total_time_s + slack
+        # A backwards or overlapping offset is always a reposition.
+        backwards = sum(
+            1
+            for (start, length), following in zip(offsets, offsets[1:])
+            if following[0] < start + length
+        )
+        assert stats.seeks >= 1 + backwards
+        if backwards == 0:
+            first, (last_start, last_length) = offsets[0][0], offsets[-1]
+            span = last_start + last_length - first
+            assert stats.total_time_s <= drive.read_time_s(span) + slack
+        if len(offsets) <= 8:
+            assert stats.total_time_s == pytest.approx(
+                brute_force_minimum(drive, offsets), rel=1e-12
+            )
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        start=st.integers(0, 100_000),
+        lengths=st.lists(st.integers(1, 4096), min_size=1, max_size=12),
+    )
+    def test_contiguous_offsets_are_one_seek(self, drive, start, lengths):
+        offsets = []
+        for length in lengths:
+            offsets.append((start, length))
+            start += length
+        _, stats = self.stream(drive, offsets)
+        assert stats.seeks == 1
+        assert stats.bytes_skipped == 0
+        assert stats.total_time_s == pytest.approx(
+            drive.read_time_s(sum(lengths))
+        )

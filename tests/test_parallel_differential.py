@@ -152,6 +152,49 @@ class TestMutationIdentity:
             process.close()
 
 
+    def test_wide_selective_fetch_disk_time_is_identical(self):
+        """The sweep-scheduled candidate fetch: one DiskSim, every backend.
+
+        A one-bound goal over a FIRST_ARG-sharded, DISK-pinned fact KB
+        makes every worker fetch dozens of scattered FS1 candidates; the
+        modelled read-through schedule must come out the same float in
+        the worker processes as in the threaded cluster.
+        """
+        text = " ".join(
+            f"rec(k{i}, g{i % 8}, v{i % 97})." for i in range(1200)
+        )
+        threaded, process = build_pair(
+            text=text, num_shards=4, policy=ShardingPolicy.FIRST_ARG
+        )
+        try:
+            threaded.pin_module("user", Residency.DISK)
+            process.pin_module("user", Residency.DISK)
+            goal = read_term("rec(K, g3, V)")
+            for mode in (SearchMode.BOTH, SearchMode.FS1_ONLY):
+                expected = threaded.retrieve(goal, mode=mode)
+                got = process.retrieve(goal, mode=mode)
+                assert fingerprint(got) == fingerprint(expected), mode
+                assert got.stats.disk_time_s == expected.stats.disk_time_s
+                assert got.stats.shards_queried == 4
+                per_shard = got.stats.per_shard
+                assert {
+                    shard: s.disk_time_s for shard, s in per_shard.items()
+                } == {
+                    shard: s.disk_time_s
+                    for shard, s in expected.stats.per_shard.items()
+                }
+                # Scheduled as runs: far below one average access per
+                # candidate, on every shard.
+                drive = threaded.shards[0].kb.disk.drive
+                for stats in per_shard.values():
+                    assert stats.fs1_candidates > 20
+                    assert stats.disk_time_s < (
+                        stats.fs1_candidates * drive.access_time_s() / 4
+                    )
+        finally:
+            process.close()
+
+
 class TestSolveIdentity:
     def test_solve_streams_identical_answers_and_stats(self):
         threaded, process = build_pair()

@@ -345,6 +345,43 @@ class TestFirstStageFilterVectorMode:
             FirstStageFilter(SCHEME, mode="vectorised")
 
 
+class TestNumpyIsLoadedLazily:
+    """The accelerator is paid for by the engine that uses it, only."""
+
+    SCRIPT = """
+import sys
+import repro.cluster, repro.net, repro.storage, repro.obs, repro.parallel
+from repro.cluster import ShardedRetrievalServer
+from repro.storage import Residency
+from repro.terms import read_term
+
+server = ShardedRetrievalServer(4, "first_arg")
+server.consult_text(" ".join(f"rec(k{i}, g{i % 4})." for i in range(200)))
+server.pin_module("user", Residency.DISK)
+assert len(server.retrieve(read_term("rec(K, g1)")).candidates) == 50
+print("numpy" in sys.modules)
+from repro.scw import have_numpy
+print(have_numpy() == ("numpy" in sys.modules))
+"""
+
+    def test_default_serving_stack_never_imports_numpy(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(vector_module.__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        # bitsliced FS1 served the goal without numpy; asking for the
+        # accelerator afterwards is what loads it (when installed).
+        assert done.stdout.split() == ["False", "True"]
+
+
 class TestSegmentRoundTrip:
     def shared_store(self, tmp_path, heads):
         from repro.parallel.segments import attach_kb, write_segments
