@@ -88,22 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=ShardingPolicy.PREDICATE.value,
             help="shard routing policy (default: predicate)",
         )
-        sub.add_argument(
-            "--fs1-mode",
-            choices=["bitsliced", "vector", "naive"],
-            default="bitsliced",
-            help="FS1 scan engine: columnar big-int bit-sliced index, "
-            "the uint64 word-array vector engine (numpy-accelerated "
-            "when available), or the per-entry naive loop "
-            "(default: bitsliced)",
-        )
-        sub.add_argument(
-            "--fs2-mode",
-            choices=["compiled", "microcoded"],
-            default="compiled",
-            help="FS2 match engine: plan-compiled fast path or the "
-            "cycle-stepped microcode sequencer (default: compiled)",
-        )
     stats.add_argument(
         "--cache", type=int, default=0, help="CRS retrieval cache size (entries)"
     )
@@ -127,21 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard-by",
         choices=[p.value for p in ShardingPolicy],
         default=ShardingPolicy.PREDICATE.value,
-    )
-    serve.add_argument(
-        "--fs1-mode",
-        choices=["bitsliced", "vector", "naive"],
-        default="bitsliced",
-    )
-    serve.add_argument(
-        "--fs2-mode", choices=["compiled", "microcoded"], default="compiled"
-    )
-    serve.add_argument(
-        "--result-transport",
-        choices=["shm", "pipe"],
-        default="shm",
-        help="how process workers return results: shared-memory slabs "
-        "(default) or the pickled pipe; ignored with --workers threads",
     )
     serve.add_argument(
         "--workers", default="threads",
@@ -261,13 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument(
         "--workers", choices=["processes", "threads"], default="processes",
         help="shard backend for the --cores sweep",
-    )
-    loadgen.add_argument(
-        "--result-transport",
-        choices=["shm", "pipe"],
-        default="shm",
-        help="result transport for --cores process workers "
-        "(shared-memory slabs or the pickled pipe)",
     )
     loadgen.add_argument("--qps", type=float, default=200.0)
     loadgen.add_argument("--duration-s", type=float, default=1.0)
@@ -495,8 +457,6 @@ def _cmd_sharded(args, out, obs: Instrumentation | None, cache_size: int = 0) ->
         args.shards,
         args.shard_by,
         cache_size=cache_size,
-        fs1_mode=getattr(args, "fs1_mode", "bitsliced"),
-        fs2_mode=getattr(args, "fs2_mode", "compiled"),
         **({"obs": obs} if obs is not None else {}),
     )
     with open(args.file, encoding="utf-8") as handle:
@@ -575,18 +535,13 @@ def _cmd_serve(args, out) -> int:
         server = ProcessShardedRetrievalServer(
             num_shards,
             args.shard_by,
-            fs1_mode=args.fs1_mode,
-            fs2_mode=args.fs2_mode,
             obs=obs,
-            result_transport=getattr(args, "result_transport", "shm"),
             **extra,
         )
     else:
         server = ShardedRetrievalServer(
             num_shards,
             args.shard_by,
-            fs1_mode=args.fs1_mode,
-            fs2_mode=args.fs2_mode,
             obs=obs,
             **extra,
         )
@@ -779,7 +734,6 @@ def _cmd_loadgen(args, out) -> int:
             mode=mode,
             deadline_s=deadline_s,
             workers=args.workers,
-            result_transport=args.result_transport,
         )
         out.write(format_cores_table(rows) + "\n")
         return 0
@@ -817,8 +771,6 @@ def _load_machine(
     crs = ClauseRetrievalServer(
         kb,
         cache_size=cache_size,
-        fs1_mode=getattr(args, "fs1_mode", "bitsliced"),
-        fs2_mode=getattr(args, "fs2_mode", "compiled"),
         **({"obs": obs} if obs is not None else {}),
     )
     return PrologMachine(

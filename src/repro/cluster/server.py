@@ -168,14 +168,10 @@ class ShardedRetrievalServer:
         cross_binding: bool = True,
         cache_size: int = 0,
         obs: Instrumentation | None = None,
-        fs1_mode: str = "bitsliced",
-        fs2_mode: str = "compiled",
         mutation_log_size: int = 4096,
         durability: DurabilityOptions | str | None = None,
     ):
         self.obs = obs if obs is not None else _default_obs()
-        self._fs1_mode = fs1_mode
-        self._fs2_mode = fs2_mode
         self._cost_model = cost_model
         self._cross_binding = cross_binding
         self.router = ShardRouter(num_shards, policy)
@@ -192,8 +188,6 @@ class ShardedRetrievalServer:
                 cross_binding=cross_binding,
                 cache_size=0,  # caching happens once, at the cluster level
                 obs=shard_obs,
-                fs1_mode=fs1_mode,
-                fs2_mode=fs2_mode,
             )
             self.shards.append(ClusterShard(shard_id, kb, server))
         #: bumped on every mutation through this front-end; the cluster
@@ -733,8 +727,6 @@ class ShardedRetrievalServer:
             cross_binding=self._cross_binding,
             cache_size=0,
             obs=shard_obs,
-            fs1_mode=self._fs1_mode,
-            fs2_mode=self._fs2_mode,
         )
         for store in kb:
             for clause in store.clauses():
@@ -852,8 +844,6 @@ class ShardedRetrievalServer:
             cross_binding=self._cross_binding,
             cache_size=0,
             obs=shard_obs,
-            fs1_mode=self._fs1_mode,
-            fs2_mode=self._fs2_mode,
         )
         for store in kb:
             for clause in store.clauses():

@@ -149,7 +149,6 @@ class ClauseRetrievalServer:
         cross_binding: bool = True,
         cache_size: int = 0,
         obs: Instrumentation | None = None,
-        fs1_mode: str = "bitsliced",
         fs2_mode: str = "compiled",
         decode_cache_size: int = 4096,
         decode_cache_bytes: int = 8 << 20,
@@ -158,7 +157,7 @@ class ClauseRetrievalServer:
         self.cost_model = cost_model or HostCostModel()
         self.cross_binding = cross_binding
         self.obs = obs if obs is not None else _default_obs()
-        self.fs1 = FirstStageFilter(kb.scheme, obs=self.obs, mode=fs1_mode)
+        self.fs1 = FirstStageFilter(kb.scheme, obs=self.obs)
         self.fs2 = SecondStageFilter(
             kb.symbols, cross_binding=cross_binding, obs=self.obs, mode=fs2_mode
         )

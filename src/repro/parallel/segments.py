@@ -22,16 +22,12 @@ Segment directory layout (one per shard), a superset of the
   record instead of a parse walk;
 * ``<stem>.index`` — the horizontal SCW+MB index image
   (:meth:`~repro.scw.index.SecondaryIndexFile.to_bytes`);
-* ``<stem>.cols`` — the bit-sliced columns: a ``u32×5`` header
-  (entries, bytes per column, columns, planes, flags) followed by the
-  packed column and plane integers (:meth:`~repro.scw.bitsliced.
-  BitSlicedIndex.packed_columns`).  Flags bit 0 records that the
-  columns are 64-bit word aligned; since little-endian zero padding is
-  value-preserving, the *same* bytes rebuild either the big-int
-  :class:`~repro.scw.bitsliced.BitSlicedIndex` (one ``int.from_bytes``
-  per column) or the word-array :class:`~repro.scw.vector.
-  VectorSlicedIndex` (one ``np.frombuffer`` over the whole image,
-  zero-copy) — no clause decoding, no re-hashing either way.
+* ``<stem>.cols`` — the bit-sliced columns: a ``u32×4`` header
+  (entries, bytes per column, columns, planes) followed by the packed
+  column and plane integers (:meth:`~repro.scw.bitsliced.
+  BitSlicedIndex.packed_columns`); attaching rebuilds the
+  :class:`~repro.scw.bitsliced.BitSlicedIndex` with one
+  ``int.from_bytes`` per column — no clause decoding, no re-hashing.
 
 Mutability: segments are immutable.  A worker that must mutate a
 predicate first *materialises* it — decodes the shared records into a
@@ -57,7 +53,6 @@ from ..pif.clausefile import decode_compiled, next_generation, record_is_fact
 from ..scw import CodewordScheme, SecondaryIndexFile
 from ..scw.bitsliced import BitSlicedIndex
 from ..scw.codeword import Codeword
-from ..scw.vector import VectorSlicedIndex
 from ..scw.index import ADDRESS_BYTES, IndexEntry
 from ..storage import KnowledgeBase
 from ..storage.kb import PredicateStore
@@ -75,10 +70,7 @@ __all__ = [
 
 _MANIFEST = "manifest.txt"
 _SYMBOLS = "symbols.bin"
-_COLS_HEADER = struct.Struct("<IIIII")
-#: flags bit 0: column_bytes is a multiple of 8, so the packed image can
-#: be attached directly as ``uint64`` word rows (vector FS1 zero-copy).
-_COLS_FLAG_WORD_ALIGNED = 1
+_COLS_HEADER = struct.Struct("<IIII")
 _ADDR_COUNT = struct.Struct("<I")
 _ADDR_PAIR = struct.Struct("<II")
 
@@ -140,14 +132,12 @@ def write_segments(kb: KnowledgeBase, directory: str | pathlib.Path) -> list[str
 
         sliced = store.index.bitsliced
         column_bytes, columns, planes = sliced.packed_columns()
-        flags = _COLS_FLAG_WORD_ALIGNED if column_bytes % 8 == 0 else 0
         cols = (
             _COLS_HEADER.pack(
                 count,
                 column_bytes,
                 len(columns) // column_bytes,
                 len(planes) // column_bytes,
-                flags,
             )
             + columns
             + planes
@@ -278,7 +268,7 @@ class SharedIndex:
     """A read-only :class:`~repro.scw.SecondaryIndexFile` view.
 
     The horizontal entry rows live in the mmap'd ``.index`` image and
-    are parsed per access (naive FS1 scans, ``entry_at``); the
+    are parsed per access (the reference :meth:`scan`, ``entry_at``); the
     bit-sliced columnar view rebuilds lazily from the packed ``.cols``
     image — one ``int.from_bytes`` per column, no clause decoding.
     """
@@ -303,7 +293,6 @@ class SharedIndex:
         self._columns_view = columns
         self._planes_view = planes
         self._bitsliced: BitSlicedIndex | None = None
-        self._vector: VectorSlicedIndex | None = None
 
     def __len__(self) -> int:
         return self._entries
@@ -343,25 +332,6 @@ class SharedIndex:
                 self._planes_view,
             )
         return self._bitsliced
-
-    @property
-    def vector(self) -> VectorSlicedIndex:
-        """The word-array columnar view over the same packed image.
-
-        Word-aligned segments attach zero-copy (``np.frombuffer`` over
-        the mmap slice when numpy is importable); legacy unaligned
-        images are zero-padded per column first — value-preserving for
-        little-endian integers, so scans stay bit-identical.
-        """
-        if self._vector is None:
-            self._vector = VectorSlicedIndex.from_packed(
-                self.scheme,
-                self._addresses,
-                self._column_bytes,
-                self._columns_view,
-                self._planes_view,
-            )
-        return self._vector
 
     def scan(self, query: Codeword) -> list[int]:
         matches = self.scheme.matches
@@ -501,17 +471,12 @@ def attach_kb(
 
         index_view = kb._map_file(path / f"{stem}.index")
         cols_view = kb._map_file(path / f"{stem}.cols")
-        entries, column_bytes, n_columns, n_planes, flags = (
+        entries, column_bytes, n_columns, n_planes = (
             _COLS_HEADER.unpack_from(cols_view, 0)
         )
         if entries != count:
             raise SegmentError(
                 f"{stem}.cols: {entries} entries, manifest says {count}"
-            )
-        if flags & _COLS_FLAG_WORD_ALIGNED and column_bytes % 8:
-            raise SegmentError(
-                f"{stem}.cols: word-aligned flag set but columns are "
-                f"{column_bytes} bytes"
             )
         body = cols_view[_COLS_HEADER.size :]
         columns_end = n_columns * column_bytes

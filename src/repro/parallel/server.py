@@ -24,12 +24,15 @@ per-record Python work of a broadcast ``retrieve_batch`` runs on N
 cores instead of interleaving on one.  The parent-side threads spend
 their time blocked in ``Connection.recv`` (GIL released).
 
-Result transport: with ``result_transport="shm"`` (the default) each
-worker owns a ring of shared-memory slots and replies to the retrieve
-verbs with a ``("__shm__", slot, length)`` reference instead of a
-pickled result — the parent decodes candidates off the slab through its
-own clause cache (:mod:`repro.parallel.shm`).  ``"pipe"`` restores the
-pickled transport; either way the control channel stays the pipe.
+Result transport: each worker owns a ring of shared-memory slots and
+replies to the retrieve verbs with a ``("__shm__", slot, length)``
+reference instead of a pickled result — the parent decodes candidates
+off the slab through its own clause cache (:mod:`repro.parallel.shm`).
+The pipe stays the control channel and the overflow path: a result
+that outgrows its slot is pickled (``parallel.shm.fallbacks``), and on
+a host where the slab cannot be created at all (no ``/dev/shm``) the
+worker is launched without one and pickles everything
+(``parallel.shm.unavailable`` counts those launches).
 
 Fault tolerance: a worker that dies mid-call is respawned in place —
 segments are re-exported from the parent's authoritative shard (which
@@ -73,8 +76,8 @@ class _WorkerHandle:
         self.shard_id = shard_id
         self.process = process
         self.conn = conn
-        #: the worker's result slab (parent-owned; ``None`` on the
-        #: pickled-pipe transport).
+        #: the worker's result slab (parent-owned; ``None`` when the
+        #: host could not create one).
         self.shm = shm
         #: last metrics snapshot merged into the parent registry, so
         #: repeated pulls advance by delta instead of double-counting.
@@ -142,20 +145,16 @@ class ProcessShardedRetrievalServer(ShardedRetrievalServer):
         *args,
         spool_dir: str | None = None,
         start_method: str = "spawn",
-        result_transport: str = "shm",
         shm_slots: int = DEFAULT_SLOTS,
         shm_slot_bytes: int = DEFAULT_SLOT_BYTES,
         **kwargs,
     ):
-        if result_transport not in ("shm", "pipe"):
-            raise ValueError("result_transport must be 'shm' or 'pipe'")
         # Worker state exists before super().__init__: a durable parent
         # replays its WAL during construction, and the mutation hooks
         # below consult ``_handles`` (empty = workers not up, local only).
         self._spool_dir = spool_dir
         self._owns_spool = False
         self._start_method = start_method
-        self._result_transport = result_transport
         self._shm_slots = shm_slots
         self._shm_slot_bytes = shm_slot_bytes
         self._handles: dict[int, _WorkerHandle] = {}
@@ -210,20 +209,21 @@ class ProcessShardedRetrievalServer(ShardedRetrievalServer):
         """Export the shard and spawn its worker (no handshake yet)."""
         ctx = get_context(self._start_method)
         segments_dir = self._export_shard(shard)
-        shm = None
-        if self._result_transport == "shm":
+        try:
             shm = SharedMemory(
                 create=True, size=self._shm_slots * self._shm_slot_bytes
             )
+        except OSError:
+            # No shared memory on this host: the worker pickles every
+            # result through the pipe, as it does for slot overflow.
+            shm = None
+            self.obs.counter("parallel.shm.unavailable").inc()
         parent_conn, child_conn = ctx.Pipe()
         config = WorkerConfig(
             shard_id=shard.shard_id,
             segments_dir=segments_dir,
-            fs1_mode=self._fs1_mode,
-            fs2_mode=self._fs2_mode,
             cross_binding=self._cross_binding,
             cost_model=self._cost_model,
-            result_transport=self._result_transport,
             shm_name=shm.name if shm is not None else None,
             shm_slots=self._shm_slots,
             shm_slot_bytes=self._shm_slot_bytes,
@@ -344,8 +344,8 @@ class ProcessShardedRetrievalServer(ShardedRetrievalServer):
         return decoded
 
     def _count_fallback(self, handle: _WorkerHandle) -> None:
-        """A retrieve verb came back pickled on the shm transport."""
-        if self._result_transport == "shm" and handle.shm is not None:
+        """A retrieve verb came back pickled from a worker with a slab."""
+        if handle.shm is not None:
             self.obs.counter("parallel.shm.fallbacks").inc()
 
     def _on_shard_mutation(

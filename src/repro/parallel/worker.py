@@ -27,13 +27,13 @@ then serves a tiny pickled-tuple RPC over its pipe:
 
 Replies are ``("ok", payload)`` or ``("err", exception)``; results and
 stats ride the pipe as pickled dataclasses (terms are frozen slotted
-dataclasses with value equality, so transport is loss-free).  With
-``result_transport="shm"`` the retrieve verbs instead write an
-``(address, record bytes)`` directory into the worker's shared-memory
-slab ring and reply with a ``("__shm__", slot, length)`` reference —
-see :mod:`repro.parallel.shm`; payloads that cannot ride the slab
-(outgrown slot, unknown addresses) fall back to the pickled pipe
-transparently.
+dataclasses with value equality, so transport is loss-free).  The
+retrieve verbs instead write an ``(address, record bytes)`` directory
+into the worker's shared-memory slab ring and reply with a
+``("__shm__", slot, length)`` reference — see :mod:`repro.parallel.shm`;
+payloads that cannot ride the slab (outgrown slot, unknown addresses)
+and workers launched without one (``shm_name=None``: the host could
+not create shared memory) fall back to the pickled pipe transparently.
 """
 
 from __future__ import annotations
@@ -64,13 +64,10 @@ class WorkerConfig:
 
     shard_id: int
     segments_dir: str
-    fs1_mode: str = "bitsliced"
-    fs2_mode: str = "compiled"
     cross_binding: bool = True
     cost_model: HostCostModel | None = None
-    #: ``"shm"`` ships retrieve results through the slab ring named by
-    #: ``shm_name``; ``"pipe"`` (or a missing slab) pickles them.
-    result_transport: str = "pipe"
+    #: the worker's result slab; ``None`` when the parent could not
+    #: create one, and every result is pickled through the pipe.
     shm_name: str | None = None
     shm_slots: int = DEFAULT_SLOTS
     shm_slot_bytes: int = DEFAULT_SLOT_BYTES
@@ -86,8 +83,6 @@ def _build_engine(config: WorkerConfig, segments_dir: str):
         cross_binding=config.cross_binding,
         cache_size=0,  # caching happens once, at the cluster front-end
         obs=obs,
-        fs1_mode=config.fs1_mode,
-        fs2_mode=config.fs2_mode,
     )
     return base, kb, server
 
@@ -117,7 +112,7 @@ def worker_main(conn, config: WorkerConfig) -> None:
     try:
         base, kb, server = _build_engine(config, config.segments_dir)
         writer = None
-        if config.result_transport == "shm" and config.shm_name:
+        if config.shm_name:
             writer = SlabWriter(
                 attach_slab(config.shm_name),
                 config.shm_slots,

@@ -16,7 +16,6 @@ from .fs1 import (
 )
 from .hardware import FS1Hardware, FS1HardwareResult
 from .index import ADDRESS_BYTES, IndexEntry, SecondaryIndexFile
-from .vector import VectorSlicedIndex, have_numpy
 
 __all__ = [
     "ADDRESS_BYTES",
@@ -32,9 +31,7 @@ __all__ = [
     "IndexEntry",
     "SchemeMismatchError",
     "SecondaryIndexFile",
-    "VectorSlicedIndex",
     "expected_saturation",
-    "have_numpy",
     "false_drop_probability",
     "optimal_bits_per_key",
     "recommend_width",

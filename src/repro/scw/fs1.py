@@ -6,21 +6,17 @@ MSI components" while the secondary file streams past at up to 4.5 MB/s
 every index entry; the model also accounts the scan volume and wall time
 so mode benchmarks can compare against software scanning and FS2.
 
-Two execution engines implement the identical match condition:
+The host executes the scan on the columnar
+:class:`~repro.scw.bitsliced.BitSlicedIndex`, whose big-integer column
+ANDs model the PLA matcher's data-parallelism in real wall clock.  The
+per-entry loop over the horizontal records
+(:meth:`~repro.scw.index.SecondaryIndexFile.scan`) and the byte-level
+:class:`~repro.scw.hardware.FS1Hardware` are the references the
+differential suites hold it against; neither is a serving mode.
 
-* ``mode="naive"`` — the original per-entry Python loop over the
-  horizontal :class:`~repro.scw.index.SecondaryIndexFile` records;
-* ``mode="bitsliced"`` (the default) — the columnar
-  :class:`~repro.scw.bitsliced.BitSlicedIndex`, whose big-integer column
-  ANDs model the PLA matcher's data-parallelism in real wall clock;
-* ``mode="vector"`` — the same columns as C-contiguous ``uint64`` word
-  arrays (:class:`~repro.scw.vector.VectorSlicedIndex`): numpy-vectorised
-  AND/OR reductions when numpy imports, a per-word ``array('Q')``
-  fallback when it does not.
-
-Both report the same simulated SCW+MB scan time (the whole secondary
-file streams past the matcher either way); only the host-side cost
-changes.  :meth:`FirstStageFilter.search_batch` additionally evaluates K
+The simulated SCW+MB scan time is a function of the index size alone
+(the whole secondary file streams past the matcher whatever the host
+does).  :meth:`FirstStageFilter.search_batch` additionally evaluates K
 query codewords against one pass over the columns, which is what the
 cluster's batch executor amortises.
 """
@@ -92,17 +88,11 @@ class FirstStageFilter:
         scheme: CodewordScheme,
         scan_rate_bytes_per_sec: float = FS1_SCAN_RATE_BYTES_PER_SEC,
         obs: Instrumentation | None = None,
-        mode: str = "bitsliced",
     ):
         if scan_rate_bytes_per_sec <= 0:
             raise ValueError("scan rate must be positive")
-        if mode not in ("bitsliced", "vector", "naive"):
-            raise ValueError(
-                "FS1 mode must be 'bitsliced', 'vector' or 'naive'"
-            )
         self.scheme = scheme
         self.scan_rate = scan_rate_bytes_per_sec
-        self.mode = mode
         self.obs = obs if obs is not None else _default_obs()
         self._codeword_cache: "OrderedDict[tuple, Codeword]" = OrderedDict()
         self._codeword_lock = threading.Lock()
@@ -139,27 +129,15 @@ class FirstStageFilter:
         self._check_scheme(index)
         with self.obs.span("fs1.scan", indicator=_render(index.indicator)) as span:
             query_codeword = self.query_codeword(query)
-            if self.mode == "bitsliced":
-                addresses, columns_touched = index.bitsliced.scan_info(
-                    query_codeword
-                )
-                self.obs.counter("fs1.bitsliced.scans").inc()
-                self.obs.counter("fs1.bitsliced.columns_touched").inc(
-                    columns_touched
-                )
-            elif self.mode == "vector":
-                addresses, columns_touched = index.vector.scan_info(
-                    query_codeword
-                )
-                self.obs.counter("fs1.vector.scans").inc()
-                self.obs.counter("fs1.vector.columns_touched").inc(
-                    columns_touched
-                )
-            else:
-                addresses = index.scan(query_codeword)
+            addresses, columns_touched = index.bitsliced.scan_info(
+                query_codeword
+            )
+            self.obs.counter("fs1.bitsliced.scans").inc()
+            self.obs.counter("fs1.bitsliced.columns_touched").inc(
+                columns_touched
+            )
             result = self._result(index, addresses)
             span.set(
-                engine=self.mode,
                 entries=result.entries_scanned,
                 candidates=result.candidate_count,
                 bytes=result.bytes_scanned,
@@ -173,11 +151,10 @@ class FirstStageFilter:
     ) -> list[FS1Result]:
         """One FS1 result per query, sharing index passes across the batch.
 
-        Under the bit-sliced engine every distinct column the batch needs
-        is loaded once; under the naive engine the batch degrades to K
-        independent scans.  Per-query simulated scan accounting is
-        identical to :meth:`search` — the modelled hardware streams the
-        secondary file once per query either way.
+        Every distinct column the batch needs is loaded once.  Per-query
+        simulated scan accounting is identical to :meth:`search` — the
+        modelled hardware streams the secondary file once per query
+        either way.
         """
         self._check_scheme(index)
         with self.obs.span(
@@ -186,29 +163,17 @@ class FirstStageFilter:
             queries=len(queries),
         ) as span:
             codewords = [self.query_codeword(query) for query in queries]
-            if self.mode == "bitsliced":
-                address_lists, columns_touched = index.bitsliced.scan_batch(
-                    codewords
-                )
-                self.obs.counter("fs1.bitsliced.scans").inc(len(queries))
-                self.obs.counter("fs1.bitsliced.columns_touched").inc(
-                    columns_touched
-                )
-            elif self.mode == "vector":
-                address_lists, columns_touched = index.vector.scan_batch(
-                    codewords
-                )
-                self.obs.counter("fs1.vector.scans").inc(len(queries))
-                self.obs.counter("fs1.vector.columns_touched").inc(
-                    columns_touched
-                )
-            else:
-                address_lists = [index.scan(cw) for cw in codewords]
+            address_lists, columns_touched = index.bitsliced.scan_batch(
+                codewords
+            )
+            self.obs.counter("fs1.bitsliced.scans").inc(len(queries))
+            self.obs.counter("fs1.bitsliced.columns_touched").inc(
+                columns_touched
+            )
             results = [
                 self._result(index, addresses) for addresses in address_lists
             ]
             span.set(
-                engine=self.mode,
                 entries=len(index),
                 candidates=sum(r.candidate_count for r in results),
             )

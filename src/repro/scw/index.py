@@ -17,7 +17,6 @@ from ..pif.clausefile import ClauseFile
 from ..terms import Term
 from .bitsliced import BitSlicedIndex
 from .codeword import Codeword, CodewordScheme
-from .vector import VectorSlicedIndex
 
 __all__ = ["IndexEntry", "SecondaryIndexFile"]
 
@@ -39,12 +38,10 @@ class SecondaryIndexFile:
         self.scheme = scheme
         self.indicator = indicator
         self._entries: list[IndexEntry] = []
-        # The columnar views (big-int bit-sliced and word-array vector)
-        # are built lazily on first use and then maintained incrementally
-        # by :meth:`add`, so append-heavy loads pay nothing until a
-        # columnar scan actually happens.
+        # The columnar view is built lazily on first use and then
+        # maintained incrementally by :meth:`add`, so append-heavy loads
+        # pay nothing until a columnar scan actually happens.
         self._bitsliced: BitSlicedIndex | None = None
-        self._vector: VectorSlicedIndex | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -58,8 +55,6 @@ class SecondaryIndexFile:
         self._entries.append(entry)
         if self._bitsliced is not None:
             self._bitsliced.add(entry.codeword, entry.address)
-        if self._vector is not None:
-            self._vector.add(entry.codeword, entry.address)
         return entry
 
     @property
@@ -71,15 +66,6 @@ class SecondaryIndexFile:
                 sliced.add(entry.codeword, entry.address)
             self._bitsliced = sliced
         return self._bitsliced
-
-    @property
-    def vector(self) -> VectorSlicedIndex:
-        """The word-array columnar view (built lazily, kept in sync)."""
-        if self._vector is None:
-            self._vector = VectorSlicedIndex.from_entries(
-                self.scheme, self._entries
-            )
-        return self._vector
 
     @classmethod
     def build(

@@ -279,7 +279,6 @@ def run_cores_sweep(
     deadline_s: float | None = None,
     shard_by: str = "round_robin",
     workers: str = "processes",
-    result_transport: str = "shm",
     clock=time.monotonic,
     sleep=asyncio.sleep,
 ) -> list[tuple[int, LoadgenResult]]:
@@ -291,9 +290,7 @@ def run_cores_sweep(
     baseline), serves it over loopback TCP, drives it open-loop, and
     tears everything down.  Round-robin sharding is the default so the
     same program broadcasts across all N engines — that is the layout
-    where cores matter.  ``result_transport`` selects how process
-    workers ship results back (shared-memory slabs or the pickled
-    pipe); ``clock``/``sleep`` pass straight through to
+    where cores matter.  ``clock``/``sleep`` pass straight through to
     :func:`run_loadgen` so deterministic-pacing tests keep their
     injected time source at every core count.
     """
@@ -307,9 +304,7 @@ def run_cores_sweep(
         if workers == "processes":
             from ..parallel import ProcessShardedRetrievalServer
 
-            engine = ProcessShardedRetrievalServer(
-                n, shard_by, result_transport=result_transport
-            )
+            engine = ProcessShardedRetrievalServer(n, shard_by)
         else:
             engine = ShardedRetrievalServer(n, shard_by)
         try:

@@ -3,24 +3,28 @@
 The whole point of :class:`repro.scw.BitSlicedIndex` is that it is a
 pure representation change — column ANDs over packed bit-planes must
 select exactly the entries the per-entry ``scheme.matches`` loop
-selects, for every scheme parameterisation and query shape.  The
-property suite here drives both engines over random knowledge bases and
-queries (including the structural edge cases: all-variable queries,
-shared variables, and truncation past ``max_args``).
+(:meth:`SecondaryIndexFile.scan`, the reference) selects, for every
+scheme parameterisation and query shape.  The property suite here
+drives both over random knowledge bases and queries (including the
+structural edge cases: all-variable queries, shared variables,
+truncation past ``max_args``, and populations straddling the 64-entry
+word boundary).
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.obs import Instrumentation
 from repro.scw import (
+    FS1_SCAN_RATE_BYTES_PER_SEC,
     BitSlicedIndex,
     CodewordScheme,
     FirstStageFilter,
     SchemeMismatchError,
     SecondaryIndexFile,
 )
+from repro.scw.bitsliced import _bit_positions
 from repro.terms import Struct, Var, read_term
 from tests.strategies import clause_heads
 
@@ -148,6 +152,30 @@ class TestStructuralEdges:
             assert index.bitsliced.scan(codeword) == naive
             assert (i * 32) in naive
 
+    @pytest.mark.parametrize("count", [63, 64, 65, 127, 128, 129])
+    def test_word_boundary_populations(self, count):
+        """Survivor sets at the partial-word occupancy edge."""
+        heads = [read_term(f"p(a{i % 7}, {i}, x)") for i in range(count)]
+        heads[-1] = read_term("p(last, tail, end)")
+        index = build_index(heads)
+        codewords = [
+            SCHEME.query_codeword(read_term(text))
+            for text in (
+                "p(a1, Y, Z)",
+                "p(a3, 3, x)",
+                "p(last, tail, end)",  # only the top bit survives
+                "p(X, Y, Z)",  # all ones
+                "p(nowhere, Y, Z)",  # no survivor
+            )
+        ]
+        expected = [index.scan(cw) for cw in codewords]
+        assert expected[2] == [(count - 1) * 32]
+        assert [index.bitsliced.scan(cw) for cw in codewords] == expected
+        assert [
+            list(index.bitsliced.iter_scan(cw)) for cw in codewords
+        ] == expected
+        assert index.bitsliced.scan_batch(codewords)[0] == expected
+
     # 14-argument heads draw dozens of atoms each; the occasional quoted
     # name the struct strategy rejects is enough to trip the filter
     # health check on an unlucky run, so it is suppressed here.
@@ -169,38 +197,45 @@ class TestStructuralEdges:
 class TestFirstStageFilterModes:
     def filters(self):
         obs = Instrumentation()
-        return (
-            FirstStageFilter(SCHEME, mode="bitsliced", obs=obs),
-            FirstStageFilter(SCHEME, mode="naive", obs=obs),
-            obs,
-        )
+        return FirstStageFilter(SCHEME, obs=obs), obs
 
     def test_modes_agree_and_share_the_timing_model(self):
+        """The filter returns the reference scan and the 1989 accounting."""
         index = build_index(
             [read_term(t) for t in TestStructuralEdges.HEADS]
         )
-        bitsliced, naive, _ = self.filters()
+        fs1, _ = self.filters()
         for text in ("p(a, 1, x)", "p(X, 2, Y)", "p(U, V, W)"):
             query = read_term(text)
-            fast = bitsliced.search(index, query)
-            slow = naive.search(index, query)
-            assert fast == slow  # addresses AND simulated accounting
+            result = fs1.search(index, query)
+            assert result.candidate_addresses == tuple(
+                index.scan(fs1.query_codeword(query))
+            )
+            assert result.entries_scanned == len(index)
+            assert result.bytes_scanned == index.size_bytes()
+            assert result.scan_time_s == (
+                index.size_bytes() / FS1_SCAN_RATE_BYTES_PER_SEC
+            )
 
     def test_search_batch_equals_search(self):
         index = build_index(
             [read_term(t) for t in TestStructuralEdges.HEADS]
         )
-        bitsliced, _, _ = self.filters()
+        fs1, _ = self.filters()
         queries = [
             read_term(t)
             for t in ("p(a, 1, x)", "p(b, Q, R)", "p(S, T, z)", "p(a, 1, x)")
         ]
-        batched = bitsliced.search_batch(index, queries)
-        assert batched == [bitsliced.search(index, q) for q in queries]
+        batched = fs1.search_batch(index, queries)
+        assert batched == [fs1.search(index, q) for q in queries]
+        assert [r.candidate_addresses for r in batched] == [
+            tuple(index.scan(fs1.query_codeword(q))) for q in queries
+        ]
 
     def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            FirstStageFilter(SCHEME, mode="quantum")
+        """There is one engine: the filter takes no selector at all."""
+        with pytest.raises(TypeError):
+            FirstStageFilter(SCHEME, mode="naive")
 
     def test_scheme_mismatch_is_typed(self):
         index = build_index([read_term("p(a, 1, x)")])
@@ -215,7 +250,7 @@ class TestFirstStageFilterModes:
         index = build_index(
             [read_term(t) for t in TestStructuralEdges.HEADS]
         )
-        bitsliced, _, obs = self.filters()
+        bitsliced, obs = self.filters()
         # p(_, 1, x) and p(Fresh, 1, x) are the same retrieval: one
         # canonical key, one hashing pass.
         r1 = bitsliced.search(index, read_term("p(_, 1, x)"))
@@ -228,7 +263,7 @@ class TestFirstStageFilterModes:
         index = build_index(
             [read_term(t) for t in TestStructuralEdges.HEADS]
         )
-        bitsliced, _, obs = self.filters()
+        bitsliced, obs = self.filters()
         bitsliced.search(index, read_term("p(a, 1, x)"))
         assert obs.registry.total("fs1.bitsliced.columns_touched") > 0
         # An unconstrained query touches no columns at all.
@@ -241,7 +276,11 @@ class TestBitSlicedIndexDirect:
     def test_empty_index(self):
         sliced = BitSlicedIndex(SCHEME)
         assert len(sliced) == 0
-        assert sliced.scan(SCHEME.query_codeword(read_term("p(a, b, c)"))) == []
+        for text in ("p(a, b, c)", "p(X, Y, Z)"):
+            codeword = SCHEME.query_codeword(read_term(text))
+            assert sliced.scan(codeword) == []
+            assert list(sliced.iter_scan(codeword)) == []
+            assert sliced.scan_batch([codeword, codeword])[0] == [[], []]
 
     def test_addresses_come_back_in_entry_order(self):
         index = build_index(
@@ -295,3 +334,37 @@ class TestLazyEnumeration:
         for text in ("p(a1, Y, Z)", "p(X, Y, Z)", "p(a2, 2, x)"):
             codeword = SCHEME.query_codeword(read_term(text))
             assert rebuilt.scan(codeword) == index.scan(codeword)
+        # An attached index that is then appended to stays in sync.
+        fresh = SCHEME.clause_codeword(read_term("p(fresh, 99, x)"))
+        rebuilt.add(fresh, 9 * 32)
+        index.add(fresh, 9 * 32)
+        for text in ("p(fresh, Y, Z)", "p(X, Y, Z)", "p(a1, Y, Z)"):
+            codeword = SCHEME.query_codeword(read_term(text))
+            assert rebuilt.scan(codeword) == index.scan(codeword)
+        assert 9 * 32 in rebuilt.scan(
+            SCHEME.query_codeword(read_term("p(fresh, Y, Z)"))
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=(1 << 20) - 64),
+                st.integers(min_value=0, max_value=(1 << 64) - 1),
+            ),
+            max_size=24,
+        )
+    )
+    @example([])
+    @example([((1 << 20) - 64, 1 << 63)])  # only the top bit set
+    @example([(0, (1 << 64) - 1), (64, (1 << 64) - 1), (128, 1)])  # all ones
+    def test_enumerate_equals_reference_bit_walk(self, chunks):
+        """The byte-image walk visits exactly the set bits, ascending."""
+        survivors = 0
+        for offset, chunk in chunks:
+            survivors |= chunk << offset
+        sliced = BitSlicedIndex(SCHEME)
+        sliced._addresses = range(1 << 20)  # address j at slot j
+        assert list(sliced._enumerate(survivors)) == list(
+            _bit_positions(survivors)
+        )

@@ -5,9 +5,10 @@ ring of :class:`multiprocessing.shared_memory` slabs (see
 :mod:`repro.parallel.shm`).  The contract is the same as PR 8's: bit
 identity with the threaded cluster — candidates element-wise, full
 stats tuple — for every goal, mode, and mutation.  This suite drives
-the shm transport differentially against both the pipe transport and
-the threaded reference, forces the pipe fallback with absurdly small
-slots, and proves the respawn path by killing a worker mid-traffic.
+the slab path differentially against the pickled pipe (forced by
+absurdly small slots, or by a host that cannot create shared memory)
+and the threaded reference, and proves the respawn path by killing a
+worker mid-traffic.
 """
 
 import dataclasses
@@ -22,6 +23,7 @@ from repro.cluster import ShardedRetrievalServer, ShardingPolicy
 from repro.crs import SearchMode
 from repro.obs import Instrumentation
 from repro.parallel import ProcessShardedRetrievalServer
+from repro.parallel import server as parallel_server
 from repro.parallel.shm import encode_result, is_shm_ref
 from repro.terms import Atom, Clause, Struct, Var, read_term
 
@@ -48,26 +50,37 @@ def fingerprint(result):
     )
 
 
-def build_process(transport="shm", obs=None, **kwargs):
+def build_process(**kwargs):
     server = ProcessShardedRetrievalServer(
-        3,
-        ShardingPolicy.PREDICATE,
-        result_transport=transport,
-        obs=obs if obs is not None else Instrumentation(),
-        **kwargs,
+        3, ShardingPolicy.PREDICATE, obs=Instrumentation(), **kwargs
     )
     server.consult_text(PROGRAM)
     server.start()
     return server
 
 
+def kill_one_worker(process):
+    handle = next(iter(process._handles.values()))
+    os.kill(handle.process.pid, signal.SIGKILL)
+    handle.process.join(timeout=5.0)
+    # Give the pipe a moment to report EOF on the parent side.
+    deadline = time.monotonic() + 5.0
+    while handle.process.is_alive() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return handle.shard_id
+
+
 @pytest.fixture(scope="module")
 def transport_trio():
-    """Threaded reference + both process transports over one program."""
+    """Threaded reference + slab path + pickled pipe over one program.
+
+    Eight-byte slots hold no payload at all, so every result of the
+    ``pipe`` server takes the overflow path.
+    """
     threaded = ShardedRetrievalServer(3, ShardingPolicy.PREDICATE)
     threaded.consult_text(PROGRAM)
-    shm = build_process("shm")
-    pipe = build_process("pipe")
+    shm = build_process()
+    pipe = build_process(shm_slot_bytes=8)
     yield threaded, shm, pipe
     shm.close()
     pipe.close()
@@ -101,13 +114,13 @@ class TestTransportIdentity:
         after = shm.obs.registry.total("parallel.shm.results")
         assert after > before
         assert shm.obs.registry.total("parallel.shm.bytes") > 0
-        # The pipe transport never touches a slab.
+        # The overflow path never touches a slab.
         assert pipe.obs.registry.total("parallel.shm.results") == 0
 
     def test_mutations_stay_identical_over_shm(self):
         threaded = ShardedRetrievalServer(3, ShardingPolicy.PREDICATE)
         threaded.consult_text(PROGRAM)
-        process = build_process("shm")
+        process = build_process()
         try:
             steps = [
                 ("assertz", Clause(Struct("edge", (Atom("e"), Atom("f"))))),
@@ -144,7 +157,7 @@ class TestSlabFallback:
         """Payloads that outgrow a slot still answer, over the pipe."""
         threaded = ShardedRetrievalServer(3, ShardingPolicy.PREDICATE)
         threaded.consult_text(PROGRAM)
-        process = build_process("shm", shm_slot_bytes=8)
+        process = build_process(shm_slot_bytes=8)
         try:
             for goal_text in GOALS:
                 goal = read_term(goal_text)
@@ -156,28 +169,58 @@ class TestSlabFallback:
             process.close()
 
 
-class TestWorkerRespawn:
-    def kill_one_worker(self, process):
-        handle = next(iter(process._handles.values()))
-        os.kill(handle.process.pid, signal.SIGKILL)
-        handle.process.join(timeout=5.0)
-        # Give the pipe a moment to report EOF on the parent side.
-        deadline = time.monotonic() + 5.0
-        while handle.process.is_alive() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        return handle.shard_id
+class TestSlabUnavailable:
+    """No ``/dev/shm``: workers launch without a slab and pickle."""
 
+    @pytest.fixture
+    def no_shared_memory(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise OSError("no shared memory on this host")
+
+        monkeypatch.setattr(parallel_server, "SharedMemory", refuse)
+
+    def test_workers_fall_back_to_the_pipe(self, no_shared_memory):
+        threaded = ShardedRetrievalServer(3, ShardingPolicy.PREDICATE)
+        threaded.consult_text(PROGRAM)
+        process = build_process()
+        try:
+            total = process.obs.registry.total
+            assert total("parallel.shm.unavailable") == 3  # one per worker
+            goals = [read_term(text) for text in GOALS]
+            for goal in goals:
+                for mode in [None, *SearchMode]:
+                    assert fingerprint(
+                        process.retrieve(goal, mode=mode)
+                    ) == fingerprint(threaded.retrieve(goal, mode=mode))
+            batch = [fingerprint(r) for r in process.retrieve_batch(goals)]
+            assert batch == [
+                fingerprint(r) for r in threaded.retrieve_batch(goals)
+            ]
+            assert total("parallel.shm.results") == 0
+            assert total("parallel.shm.fallbacks") == 0  # nothing overflowed
+            # A respawned worker is launched the same way.
+            kill_one_worker(process)
+            assert [fingerprint(process.retrieve(g)) for g in goals] == [
+                fingerprint(threaded.retrieve(g)) for g in goals
+            ]
+            assert total("parallel.worker.restarts") == 1
+            assert total("parallel.shm.unavailable") == 4
+        finally:
+            process.close()
+
+
+class TestWorkerRespawn:
     def test_killed_worker_respawns_and_answers(self):
         threaded = ShardedRetrievalServer(3, ShardingPolicy.PREDICATE)
         threaded.consult_text(PROGRAM)
-        process = build_process("shm")
+        process = build_process()
         try:
             goals = [read_term(text) for text in GOALS]
             expected = [fingerprint(threaded.retrieve(g)) for g in goals]
             assert [fingerprint(process.retrieve(g)) for g in goals] == (
                 expected
             )
-            killed = self.kill_one_worker(process)
+            killed = kill_one_worker(process)
             # Every goal still answers bit-identically: the dead
             # worker's shard respawns transparently on first use.
             assert [fingerprint(process.retrieve(g)) for g in goals] == (
@@ -198,12 +241,12 @@ class TestWorkerRespawn:
         """The replacement re-exports from the parent's mutated shard."""
         threaded = ShardedRetrievalServer(3, ShardingPolicy.PREDICATE)
         threaded.consult_text(PROGRAM)
-        process = build_process("shm")
+        process = build_process()
         try:
             clause = Clause(Struct("edge", (Atom("post"), Atom("kill"))))
             threaded.add_clause(clause)
             process.add_clause(clause)
-            self.kill_one_worker(process)
+            kill_one_worker(process)
             goal = read_term("edge(X, Y)")
             assert fingerprint(process.retrieve(goal)) == fingerprint(
                 threaded.retrieve(goal)

@@ -116,3 +116,45 @@ class TestDocumentationCoverage:
                 if not (item.__doc__ and item.__doc__.strip()):
                     undocumented.append(name)
         assert not undocumented, f"{module_name}: {undocumented}"
+
+
+class TestOneDataPlane:
+    """One FS1 engine, one FS2 serving path, one result transport."""
+
+    IMPORT_EVERYTHING = """
+import importlib, pkgutil, sys
+sys.modules["numpy"] = None  # any ``import numpy`` now raises ImportError
+import repro
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    importlib.import_module(info.name)
+"""
+
+    def test_every_module_imports_with_numpy_blocked(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(repro.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", self.IMPORT_EVERYTHING],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "kb.pl", "--fs1-mode", "vector"],
+            ["consult", "kb.pl", "--fs2-mode", "microcoded"],
+            ["serve", "kb.pl", "--result-transport", "pipe"],
+        ],
+    )
+    def test_removed_selector_flags_are_usage_errors(self, argv, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
