@@ -20,6 +20,7 @@ their sum; the per-shard breakdown is preserved in
 
 from __future__ import annotations
 
+import pathlib
 import threading
 import time
 from collections import OrderedDict, deque
@@ -38,7 +39,7 @@ from ..crs.server import ClauseRetrievalServer
 from ..obs import Instrumentation
 from ..obs import get_default as _default_obs
 from ..scw import CodewordScheme, DEFAULT_SCHEME
-from ..storage import KnowledgeBase, Residency, UnknownPredicateError
+from ..storage import KnowledgeBase, Residency, UnknownPredicateError, load_kb
 from ..storage.wal import (
     BULK_COMMIT_RECORDS,
     DurabilityOptions,
@@ -721,6 +722,7 @@ class ShardedRetrievalServer:
         shard = self.shards[0]
         shard_obs = self.obs.labelled(shard="0")
         kb.disk.obs = shard_obs
+        kb.publish_footprint()
         server = ClauseRetrievalServer(
             kb,
             cost_model=self._cost_model,
@@ -793,8 +795,6 @@ class ShardedRetrievalServer:
         assert self._durable is not None
         state = self._durable.open()
         if state.shard_dirs:
-            from ..storage import load_kb
-
             for shard_dir in state.shard_dirs:
                 shard_id = int(shard_dir.name[len("shard"):])
                 if shard_id >= self.num_shards:
@@ -802,7 +802,7 @@ class ShardedRetrievalServer:
                         f"snapshot has {shard_dir.name} but the engine "
                         f"only has {self.num_shards} shard(s)"
                     )
-                self._install_recovered_kb(shard_id, load_kb(shard_dir))
+                self._install_recovered_kb(shard_id, shard_dir)
         self.version = state.snapshot_seq
         self._cache_version = state.snapshot_seq
         if state.write_ids:
@@ -828,8 +828,10 @@ class ShardedRetrievalServer:
             self._replaying = False
         self.recovered = state
 
-    def _install_recovered_kb(self, shard_id: int, kb: KnowledgeBase) -> None:
-        """Swap a recovered snapshot KB into one shard (constructor only).
+    def _install_recovered_kb(
+        self, shard_id: int, shard_dir: pathlib.Path
+    ) -> None:
+        """Load a snapshot tree into one shard (constructor only).
 
         Placement is recorded verbatim via :meth:`ShardRouter.observe`
         rather than re-hashed — under round-robin the original placement
@@ -837,7 +839,7 @@ class ShardedRetrievalServer:
         """
         shard = self.shards[shard_id]
         shard_obs = self.obs.labelled(shard=str(shard_id))
-        kb.disk.obs = shard_obs
+        kb = load_kb(shard_dir, shard_obs)
         server = ClauseRetrievalServer(
             kb,
             cost_model=self._cost_model,

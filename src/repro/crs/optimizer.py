@@ -96,7 +96,9 @@ class ConjunctionPlanner:
         if constants_present:
             # Ask the index: a real scan with the goal's constants.
             candidates = len(
-                store.index.scan(self.kb.scheme.query_codeword(goal))
+                store.index.bitsliced.scan(
+                    self.kb.scheme.query_codeword(goal)
+                )
             )
         else:
             # Only variable bindings make it selective; assume the join

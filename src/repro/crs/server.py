@@ -176,8 +176,8 @@ class ClauseRetrievalServer:
         self.cache_hits = 0
         self.cache_misses = 0
         # Decoded-clause cache, keyed by (clause-file generation, record
-        # address).  Records are immutable once appended and mutations
-        # replace the whole file (fresh generation), so entries never go
+        # address).  Appends never move a record and every mutation that
+        # does (a splice) takes a fresh generation, so entries never go
         # stale — the LRU bound just caps memory.  FS2 re-runs over
         # recurring candidate sets skip the PIF re-decode entirely.
         # The cache is bounded by *resident bytes* (each entry charged
@@ -533,8 +533,9 @@ class ClauseRetrievalServer:
         stats = RetrievalStats(mode=SearchMode.FS2_ONLY, residency=residency)
         stats.clauses_total = len(store)
         # Lazy feed: records stream into the FS2 chunker one at a time
-        # (memoryview slices when the clause file is segment-backed), so
-        # a full-predicate scan never materialises the record list.
+        # (slices of the clause image; zero-copy when it is an mmap'd
+        # segment), so a full-predicate scan never materialises the
+        # record list.
         records = (
             store.clause_file.record_bytes(i) for i in range(len(store))
         )
@@ -673,10 +674,8 @@ class ClauseRetrievalServer:
     ) -> "tuple[Iterable[bytes], TransferStats]":
         """Fetch candidate records by address (selective disk reads).
 
-        Record spans come from the clause file's incrementally-maintained
-        address table, so the cost is O(candidates) — the "selective" FS1
-        path no longer re-serialises every record of the predicate on
-        every retrieval.  ``addresses`` arrive ascending (FS1 enumerates
+        Record spans come from the clause file's address table, so the
+        cost is O(candidates).  ``addresses`` arrive ascending (FS1 enumerates
         survivors in clause-file order), which is what lets the disk
         driver serve them as one sweep (:meth:`DiskSim.stream_records`):
         the modelled cost is at most one access plus the transfer of the
@@ -734,7 +733,7 @@ class ClauseRetrievalServer:
         """Decode one candidate record, through the decoded-clause cache.
 
         The key is (clause-file generation, record address): addresses
-        are stable under append and every other mutation replaces the
+        are stable under append and every other mutation splices the
         file under a fresh generation, so a cached decode can never be
         served for changed bytes.
         """

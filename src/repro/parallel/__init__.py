@@ -1,7 +1,7 @@
 """The multi-core data plane: process shard workers over shared segments.
 
-See :mod:`repro.parallel.segments` for the mmap segment format and the
-shared read-only views, :mod:`repro.parallel.worker` for the worker
+See :mod:`repro.parallel.segments` for the mmap segments and their
+copy-on-write rule, :mod:`repro.parallel.worker` for the worker
 process protocol, :mod:`repro.parallel.shm` for the shared-memory
 result slab ring, and :mod:`repro.parallel.server` for the
 process-backed drop-in behind the cluster front-end.
@@ -9,8 +9,6 @@ process-backed drop-in behind the cluster front-end.
 
 from .segments import (
     SegmentError,
-    SharedClauseFile,
-    SharedIndex,
     SharedKnowledgeBase,
     attach_kb,
     write_segments,
@@ -22,8 +20,6 @@ from .worker import WorkerConfig, worker_main
 __all__ = [
     "ProcessShardedRetrievalServer",
     "SegmentError",
-    "SharedClauseFile",
-    "SharedIndex",
     "SharedKnowledgeBase",
     "WorkerConfig",
     "WorkerError",

@@ -2,8 +2,14 @@
 
 "Predicates with the same functor names and arities are stored in a
 compiled clause file" (paper section 2.1).  A :class:`ClauseFile` holds the
-PIF-compiled clauses of one predicate in user order; its byte serialisation
-is what streams off the simulated disk through CLARE.
+PIF-compiled clauses of one predicate in user order, and it holds them
+as the very bytes that stream off the simulated disk through CLARE: one
+buffer of concatenated records plus the table of where each starts.
+Records are parsed out of the buffer on demand (:class:`CompiledClause`
+is a transient view, never stored), a saved or mmap'd image is adopted
+as it is (:meth:`ClauseFile.from_image`), and ``asserta`` / ``retract``
+splice the buffer in place (:meth:`ClauseFile.prepend`,
+:meth:`ClauseFile.delete`).
 
 Record layout (all integers big-endian)::
 
@@ -23,12 +29,15 @@ slot (the 9-bit low counter of the RM address generator).
 from __future__ import annotations
 
 import itertools
+import struct
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
 from ..terms import Clause, Term
 from .encoder import EncodedArgs, PIFEncoder, PIFError
-from .decoder import PIFDecoder
+from .decoder import PIFDecodeError, PIFDecoder
 from .symbols import SymbolTable
 
 __all__ = [
@@ -144,6 +153,11 @@ def record_is_fact(data: bytes, offset: int = 0) -> bool:
     return not data[offset + 2] & _FLAG_HAS_BODY
 
 
+def _record_length(data: bytes, offset: int) -> int:
+    """The serialised record at ``offset``'s own total-length field."""
+    return data[offset] << 8 | data[offset + 1]
+
+
 def decode_compiled(compiled: CompiledClause, symbols: SymbolTable) -> Clause:
     """Decompile a compiled clause record back to a logical clause."""
     from ..terms import body_goals
@@ -178,117 +192,202 @@ def compile_clause(clause: Clause, symbols: SymbolTable) -> CompiledClause:
     )
 
 
-#: Process-wide generation ids.  Every ClauseFile gets a fresh one, so a
-#: (generation, address) pair names one immutable record forever:
-#: appends never move existing records, and the mutations that do
-#: (asserta, retract) build a *new* ClauseFile with a new generation.
+#: Process-wide generation ids.  A (generation, address) pair names one
+#: immutable record forever: appends never move existing records, and
+#: the mutations that do (:meth:`ClauseFile.prepend`,
+#: :meth:`ClauseFile.delete`) take a fresh generation.
 _GENERATIONS = itertools.count(1)
 
+_HEADER = struct.Struct(">HBHHH")  # total, flags, head, body, heap lengths
 
-def next_generation() -> int:
-    """Allocate a fresh process-wide clause-file generation id.
 
-    Exposed for clause-file *views* (e.g. segment-backed shared files)
-    that participate in the (generation, address) cache-keying contract
-    without going through :class:`ClauseFile`.
+def _names_end(image: bytes, position: int, limit: int) -> int:
+    """Where the variable-name blob starting at ``position`` ends.
+
+    Never reads at or past ``limit``; -1 when the blob would.
     """
-    return next(_GENERATIONS)
+    if position >= limit:
+        return -1
+    names = image[position]
+    position += 1
+    for _ in range(names):
+        if position >= limit:
+            return -1
+        position += 1 + image[position]
+    return position
 
 
 class ClauseFile:
-    """The compiled clauses of one predicate, in user-specified order."""
+    """The compiled clauses of one predicate, in user-specified order.
+
+    The file *is* its serialised image: ``_image`` holds the
+    concatenated records and ``_addresses`` where each one starts;
+    records are parsed on demand.  ``_image`` is either a ``bytearray``
+    this file owns and grows, or a read-only buffer adopted by
+    :meth:`from_image` (``bytes`` off a saved file, a ``memoryview``
+    over an mmap'd segment).  The first mutation of an adopted file
+    copies the image (copy-on-write), so the adopted buffer is never
+    written.  Only adopted buffers hand out zero-copy slices: a
+    ``bytearray`` cannot be resized while a view of it is exported.
+    """
 
     def __init__(self, indicator: tuple[str, int], symbols: SymbolTable):
         self.indicator = indicator
         self.symbols = symbols
         self.generation = next(_GENERATIONS)
-        self._records: list[CompiledClause] = []
-        self._sources: list[Clause] = []
-        #: how many records are facts — kept by :meth:`append` so the
+        #: how many records are facts — kept by every mutation so the
         #: planner's fact-fraction test never walks the file.
         self.fact_count = 0
-        # Running byte addresses and record lengths for the default
-        # serialisation, so appends (and incremental index updates) stay
-        # O(1) and candidate fetches never re-serialise the whole file.
-        self._addresses: list[int] = []
-        self._lengths: list[int] = []
-        self._position_by_address: dict[int, int] = {}
-        self._next_address = 0
+        self._image: bytearray | bytes | memoryview = bytearray()
+        self._addresses = array("I")
+
+    @classmethod
+    def from_image(
+        cls,
+        indicator: tuple[str, int],
+        symbols: SymbolTable,
+        image: bytes | memoryview,
+    ) -> "ClauseFile":
+        """Adopt a serialised record stream without copying it.
+
+        Every record header is checked before anything is sized by it;
+        a record that is truncated, overlong or whose stream lengths do
+        not add up to its total raises :class:`PIFDecodeError`.
+        """
+        clause_file = cls(indicator, symbols)
+        end = len(image)
+        offset = 0
+        while offset < end:
+            if offset + _HEADER.size > end:
+                raise PIFDecodeError(
+                    f"record header at {offset} runs past the image end {end}"
+                )
+            total, flags, head, body, heap = _HEADER.unpack_from(image, offset)
+            if not _HEADER.size <= total <= MAX_RECORD_BYTES:
+                raise PIFDecodeError(
+                    f"record at {offset} claims {total} bytes; records are "
+                    f"{_HEADER.size}..{MAX_RECORD_BYTES}"
+                )
+            if offset + total > end:
+                raise PIFDecodeError(
+                    f"record at {offset} ({total} bytes) runs past the "
+                    f"image end {end}"
+                )
+            position = offset + _HEADER.size + head + body + heap
+            if flags & _FLAG_HAS_NAMES:
+                position = _names_end(image, position, offset + total)
+            if position != offset + total:
+                raise PIFDecodeError(
+                    f"record at {offset}: stream lengths do not add up to "
+                    f"its total of {total} bytes"
+                )
+            clause_file._addresses.append(offset)
+            clause_file.fact_count += not flags & _FLAG_HAS_BODY
+            offset += total
+        clause_file._image = image
+        return clause_file
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._addresses)
 
     def __iter__(self) -> Iterator[CompiledClause]:
-        return iter(self._records)
+        return (self.record(index) for index in range(len(self._addresses)))
+
+    def record(self, index: int) -> CompiledClause:
+        compiled, _ = CompiledClause.from_bytes(
+            self._image, self.indicator, self._addresses[index]
+        )
+        return compiled
+
+    def decode_clause(self, index: int) -> Clause:
+        """Decompile record ``index`` back to a logical clause."""
+        return decode_compiled(self.record(index), self.symbols)
+
+    # -- mutation ----------------------------------------------------------
 
     def append(self, clause: Clause) -> CompiledClause:
         """Compile and append a clause (preserving user ordering)."""
+        compiled, record = self._compile(clause)
+        image = self._owned_image()
+        self._addresses.append(len(image))
+        image += record
+        self.fact_count += compiled.is_fact
+        return compiled
+
+    def prepend(self, clause: Clause) -> int:
+        """Splice a clause in before every other; returns its record length.
+
+        Every later record moves, so the file takes a fresh generation.
+        """
+        compiled, record = self._compile(clause)
+        self._owned_image()[0:0] = record
+        self._addresses = array(
+            "I", [0, *(address + len(record) for address in self._addresses)]
+        )
+        self.fact_count += compiled.is_fact
+        self.generation = next(_GENERATIONS)
+        return len(record)
+
+    def delete(self, index: int) -> int:
+        """Cut record ``index`` out of the image; returns its length.
+
+        The later records close the gap, so the file takes a fresh
+        generation.
+        """
+        addresses = self._addresses
+        start = addresses.pop(index)
+        image = self._owned_image()
+        length = _record_length(image, start)
+        self.fact_count -= record_is_fact(image, start)
+        del image[start : start + length]
+        addresses[index:] = array("I", [a - length for a in addresses[index:]])
+        self.generation = next(_GENERATIONS)
+        return length
+
+    def _compile(self, clause: Clause) -> tuple[CompiledClause, bytes]:
         if clause.indicator != self.indicator:
             raise ValueError(
                 f"clause {clause.indicator} does not belong in file "
                 f"{self.indicator}"
             )
         compiled = compile_clause(clause, self.symbols)
-        record_bytes = compiled.to_bytes()  # enforce the record size cap
-        self._records.append(compiled)
-        self._sources.append(clause)
-        self.fact_count += compiled.is_fact
-        self._position_by_address[self._next_address] = len(self._addresses)
-        self._addresses.append(self._next_address)
-        self._lengths.append(len(record_bytes))
-        self._next_address += len(record_bytes)
-        return compiled
+        return compiled, compiled.to_bytes()  # enforces the record size cap
 
-    def record(self, index: int) -> CompiledClause:
-        return self._records[index]
+    def _owned_image(self) -> bytearray:
+        """The image as a buffer this file may resize (copy-on-write)."""
+        if not isinstance(self._image, bytearray):
+            self._image = bytearray(self._image)
+        return self._image
 
-    def source_clause(self, index: int) -> Clause:
-        """The original (uncompiled) clause, for interpreter fallback."""
-        return self._sources[index]
+    # -- the image ---------------------------------------------------------
 
-    def decode_clause(self, index: int) -> Clause:
-        """Decompile record ``index`` back to a logical clause."""
-        return decode_compiled(self._records[index], self.symbols)
-
-    # -- persistence -----------------------------------------------------
-
-    def to_bytes(self, include_names: bool = True) -> bytes:
+    def to_bytes(self) -> bytes:
         """All records concatenated (the on-disk clause file image)."""
-        return b"".join(r.to_bytes(include_names) for r in self._records)
+        return bytes(self._image)
 
-    def record_addresses(self, include_names: bool = True) -> list[int]:
+    def record_addresses(self) -> list[int]:
         """Byte offset of each record within :meth:`to_bytes`."""
-        if include_names:
-            return list(self._addresses)
-        addresses = []
-        position = 0
-        for record in self._records:
-            addresses.append(position)
-            position += len(record.to_bytes(include_names))
-        return addresses
-
-    def record_lengths(self) -> list[int]:
-        """Serialised byte length of each record (cached, O(1) per record)."""
-        return list(self._lengths)
+        return self._addresses.tolist()
 
     def record_span(self, address: int) -> tuple[int, int]:
-        """(position, length) of the record at a byte ``address``.
-
-        The table is maintained incrementally by :meth:`append`, so
-        candidate fetches are O(1) per address instead of re-serialising
-        every record on every retrieval.
-        """
-        try:
-            position = self._position_by_address[address]
-        except KeyError:
+        """(position, length) of the record at a byte ``address``."""
+        addresses = self._addresses
+        position = bisect_left(addresses, address)
+        if position == len(addresses) or addresses[position] != address:
             raise KeyError(
                 f"no record of {self.indicator} at address {address}"
-            ) from None
-        return position, self._lengths[position]
+            )
+        return position, _record_length(self._image, address)
 
-    def record_bytes(self, position: int) -> bytes:
-        """The serialised record at ``position`` (one record only)."""
-        return self._records[position].to_bytes()
+    def record_bytes(self, position: int) -> bytes | memoryview:
+        """The serialised record at ``position``.
+
+        A zero-copy slice when the image is an adopted ``memoryview``,
+        a copy when this file owns (and may resize) the image.
+        """
+        start = self._addresses[position]
+        record = self._image[start : start + _record_length(self._image, start)]
+        return bytes(record) if isinstance(record, bytearray) else record
 
     def last_address(self) -> int:
         """Address of the most recently appended record."""
@@ -297,6 +396,4 @@ class ClauseFile:
         return self._addresses[-1]
 
     def size_bytes(self) -> int:
-        # The running append address is the concatenated size; don't
-        # re-serialise 300 records to answer a residency check.
-        return self._next_address
+        return len(self._image)

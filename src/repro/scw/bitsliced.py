@@ -23,11 +23,19 @@ The result sets are *identical* to the naive scan by construction (the
 property suite holds the two against each other), and the simulated
 SCW+MB timing model is untouched: bit-slicing changes where the real
 wall-clock goes, not what the modelled 1989 hardware would charge.
+
+Entries are not only appended: when a clause is spliced out of (or in
+front of) its file, :meth:`BitSlicedIndex.delete` /
+:meth:`BitSlicedIndex.insert_front` splice one bit out of (or into)
+every column and plane — a shift and two masks per big integer — and
+re-address the entries behind it, leaving exactly the columns a
+from-scratch build of the surviving entries would produce.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
 from typing import Iterable, Iterator, Sequence
 
 from .codeword import Codeword, CodewordScheme
@@ -66,12 +74,11 @@ class BitSlicedIndex:
         self.scheme = scheme
         #: one N-entry column per codeword bit position.
         self._columns = [0] * scheme.width
-        #: one N-entry plane per mask-bit (argument) position; grown on
-        #: demand because truncated clauses carry mask bits beyond
-        #: ``max_args`` (a query never constrains those positions, but
-        #: the planes keep the structure faithful to the entry records).
+        #: one N-entry plane per encoded argument position.  Truncated
+        #: clauses carry mask bits beyond ``max_args``; no query ever
+        #: constrains those positions, so they get no plane.
         self._planes: list[int] = [0] * scheme.max_args
-        self._addresses: list[int] = []
+        self._addresses = array("I")
         self._occupied = 0  # (1 << len(self)) - 1, maintained incrementally
 
     def __len__(self) -> int:
@@ -79,15 +86,50 @@ class BitSlicedIndex:
 
     def add(self, codeword: Codeword, address: int) -> None:
         """Append one entry's bits into the columns (clause-file order)."""
-        slot = 1 << len(self._addresses)
+        self._set(codeword, 1 << len(self._addresses))
+        self._addresses.append(address)
+        self._occupied = self._occupied << 1 | 1
+
+    def _set(self, codeword: Codeword, slot: int) -> None:
         for bit in _bit_positions(codeword.bits):
             self._columns[bit] |= slot
-        for position in _bit_positions(codeword.mask):
-            if position >= len(self._planes):
-                self._planes.extend([0] * (position + 1 - len(self._planes)))
+        encoded = (1 << self.scheme.max_args) - 1
+        for position in _bit_positions(codeword.mask & encoded):
             self._planes[position] |= slot
-        self._addresses.append(address)
-        self._occupied |= slot
+
+    def insert_front(self, codeword: Codeword, shift: int) -> None:
+        """Splice one entry in at slot 0, address 0.
+
+        Every other entry moves up one slot (one bit spliced into each
+        column) and its address grows by ``shift`` — the length of the
+        record that was spliced in front of the clause file.
+        """
+        self._columns = [column << 1 for column in self._columns]
+        self._planes = [plane << 1 for plane in self._planes]
+        self._set(codeword, 1)
+        self._addresses = array(
+            "I", [0, *(address + shift for address in self._addresses)]
+        )
+        self._occupied = self._occupied << 1 | 1
+
+    def delete(self, slot: int, shift: int) -> None:
+        """Splice the entry at ``slot`` out of every column.
+
+        Later entries move down one slot and their addresses shrink by
+        ``shift`` — the length of the record cut from the clause file.
+        """
+        low = (1 << slot) - 1
+        self._columns = [
+            (column >> slot + 1) << slot | column & low
+            for column in self._columns
+        ]
+        self._planes = [
+            (plane >> slot + 1) << slot | plane & low for plane in self._planes
+        ]
+        addresses = self._addresses
+        del addresses[slot]
+        addresses[slot:] = array("I", [a - shift for a in addresses[slot:]])
+        self._occupied >>= 1
 
     # -- segment export / attach -------------------------------------------
 
@@ -134,11 +176,7 @@ class BitSlicedIndex:
             )
             for p in range(len(planes) // column_bytes)
         ]
-        if len(index._planes) < scheme.max_args:
-            index._planes.extend(
-                [0] * (scheme.max_args - len(index._planes))
-            )
-        index._addresses = list(addresses)
+        index._addresses = array("I", addresses)
         index._occupied = (1 << len(index._addresses)) - 1
         return index
 

@@ -42,6 +42,9 @@ from ..terms import (
 
 __all__ = ["CodewordScheme", "Codeword", "DEFAULT_SCHEME"]
 
+#: entries a scheme's component-hash memo may hold before it is dropped.
+KEY_BITS_MEMO_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class Codeword:
@@ -85,6 +88,10 @@ class CodewordScheme:
         self.bits_per_key = bits_per_key
         self.max_args = max_args
         self.max_depth = max_depth
+        #: (position, component key) -> hashed bits.  A knowledge base
+        #: hashes the same few thousand components over and over (clause
+        #: and query side alike); see :meth:`_key_bits`.
+        self._key_bits_memo: dict[tuple[int, str], int] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CodewordScheme):
@@ -225,7 +232,21 @@ class CodewordScheme:
             self._harvest(element, depth + 1, found)
 
     def _key_bits(self, position: int, key: str) -> int:
-        """``bits_per_key`` deterministic positions for one component."""
+        """``bits_per_key`` deterministic positions for one component.
+
+        Memoised per (position, key), at most :data:`KEY_BITS_MEMO_SIZE`
+        entries; a full memo is dropped whole rather than aged.
+        """
+        memo = self._key_bits_memo
+        bits = memo.get((position, key))
+        if bits is None:
+            if len(memo) >= KEY_BITS_MEMO_SIZE:
+                memo.clear()
+            bits = memo[position, key] = self._hash_key(position, key)
+        return bits
+
+    def _hash_key(self, position: int, key: str) -> int:
+        """The hash itself (what the memo is tested against)."""
         digest = hashlib.blake2b(
             key.encode("utf-8"), digest_size=16, salt=position.to_bytes(8, "big")
         ).digest()

@@ -6,11 +6,18 @@ together, in the user-specified order, in one compiled clause file per
 paper section 1).  Each clause file gets an SCW+MB secondary index; both
 can be placed on the simulated disk for predicates whose module is
 disk resident.
+
+Both files are byte images and the knowledge base keeps them in step:
+an append compiles the clause into the one and hashes its head into the
+other; ``asserta``, ``retract`` and ``remove_exact`` find their clause
+through the index the way a retrieval would, then splice its record and
+its row into or out of both images under a fresh clause-file generation
+— byte-identical to rebuilding both from the surviving clauses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from ..disk import DiskSim
@@ -36,13 +43,17 @@ class UnknownPredicateError(KeyError):
 
 @dataclass
 class PredicateStore:
-    """One predicate: its clause file, index, and module membership."""
+    """One predicate: its clause file, index, and module membership.
+
+    The SCW+MB index is live from the first append: the knowledge base
+    mirrors every mutation of the clause file into it as it happens.
+    """
 
     indicator: tuple[str, int]
     clause_file: ClauseFile
     module_name: str
     scheme: CodewordScheme
-    _index: SecondaryIndexFile | None = field(default=None, repr=False)
+    index: SecondaryIndexFile
 
     def __len__(self) -> int:
         return len(self.clause_file)
@@ -51,16 +62,6 @@ class PredicateStore:
     def fact_count(self) -> int:
         """How many of the predicate's clauses are facts (running count)."""
         return self.clause_file.fact_count
-
-    @property
-    def index(self) -> SecondaryIndexFile:
-        """The SCW+MB secondary index (rebuilt lazily after updates)."""
-        if self._index is None:
-            self._index = SecondaryIndexFile.build(self.clause_file, self.scheme)
-        return self._index
-
-    def invalidate_index(self) -> None:
-        self._index = None
 
     def clauses(self) -> list[Clause]:
         """All clauses, decoded, in user order."""
@@ -100,9 +101,9 @@ class KnowledgeBase:
         #: write, so retrieval paths can tell a fresh extent from one
         #: that predates an assert/retract.  Appends keep the clause
         #: file's generation but grow the count; every other mutation
-        #: replaces the file under a new generation — either way the key
-        #: changes and the extent must be rewritten before its bytes are
-        #: trusted again.
+        #: splices the file and takes a new generation — either way the
+        #: key changes and the extent must be rewritten before its bytes
+        #: are trusted again.
         self._disk_synced: dict[tuple[str, int], tuple[int, int]] = {}
 
     # -- modules --------------------------------------------------------------
@@ -141,11 +142,9 @@ class KnowledgeBase:
         """Append a clause (``assertz`` order: end of its procedure)."""
         store = self._store_or_create(clause.indicator, module)
         compiled = store.clause_file.append(clause)
-        # Appends update a live index incrementally; anything else (see
-        # asserta/retract) rebuilds lazily.
-        if store._index is not None:
-            store._index.add(clause.head, store.clause_file.last_address())
+        store.index.add(clause.head, store.clause_file.last_address())
         self.version += 1
+        self.publish_footprint()
         return compiled
 
     def assertz(self, clause_or_term: Clause | Term, module: str = "user") -> None:
@@ -155,14 +154,9 @@ class KnowledgeBase:
         """Prepend a clause, preserving the ordering semantics of Prolog."""
         clause = as_clause(clause_or_term)
         store = self._store_or_create(clause.indicator, module)
-        existing = store.clauses()
-        fresh = ClauseFile(clause.indicator, self.symbols)
-        fresh.append(clause)
-        for old in existing:
-            fresh.append(old)
-        store.clause_file = fresh
-        store.invalidate_index()
-        self.version += 1
+        length = store.clause_file.prepend(clause)
+        store.index.insert_front(clause.head, length)
+        self._spliced()
 
     def retract(self, clause_or_term: Clause | Term) -> bool:
         """Remove the first clause *unifying* with the given template.
@@ -179,20 +173,10 @@ class KnowledgeBase:
         from ..unify import unify
 
         clause = as_clause(clause_or_term)
-        store = self._predicates.get(clause.indicator)
-        if store is None:
-            return None
         template = clause.to_term()
-        existing = store.clauses()
-        for position, candidate in enumerate(existing):
-            renamed = rename_apart(candidate.to_term())
-            if unify(template, renamed) is not None:
-                fresh = ClauseFile(clause.indicator, self.symbols)
-                for keep in existing[:position] + existing[position + 1 :]:
-                    fresh.append(keep)
-                store.clause_file = fresh
-                store.invalidate_index()
-                self.version += 1
+        for store, position, candidate in self._shortlist(clause.head):
+            if unify(template, rename_apart(candidate.to_term())) is not None:
+                self._cut(store, position)
                 return candidate
         return None
 
@@ -205,20 +189,56 @@ class KnowledgeBase:
         removed.  Shipping the clause the primary actually removed and
         matching it by structural equality keeps replicas byte-identical.
         """
-        store = self._predicates.get(clause.indicator)
-        if store is None:
-            return False
-        existing = store.clauses()
-        for position, candidate in enumerate(existing):
+        for store, position, candidate in self._shortlist(clause.head):
             if candidate == clause:
-                fresh = ClauseFile(clause.indicator, self.symbols)
-                for keep in existing[:position] + existing[position + 1 :]:
-                    fresh.append(keep)
-                store.clause_file = fresh
-                store.invalidate_index()
-                self.version += 1
+                self._cut(store, position)
                 return True
         return False
+
+    def _shortlist(
+        self, head: Term
+    ) -> Iterator[tuple[PredicateStore, int, Clause]]:
+        """(store, position, decoded clause) of possible matches of ``head``.
+
+        Found the way retrieval finds them: the FS1 scan never drops a
+        clause whose head unifies with the probe (the filter-soundness
+        invariant), and enumerates survivors in clause order, so the
+        first match among them is the first match in the file and only
+        the shortlisted records are ever decoded.
+        """
+        store = self._predicates.get(functor_indicator(head))
+        if store is None:
+            return
+        clause_file = store.clause_file
+        probe = self.scheme.query_codeword(head)
+        for address in store.index.bitsliced.scan(probe):
+            position, _ = clause_file.record_span(address)
+            yield store, position, clause_file.decode_clause(position)
+
+    def _cut(self, store: PredicateStore, position: int) -> None:
+        """Splice one clause out of a store's file and index."""
+        length = store.clause_file.delete(position)
+        store.index.delete(position, length)
+        self._spliced()
+
+    def _spliced(self) -> None:
+        self.version += 1
+        self.disk.obs.counter("storage.splices").inc()
+        self.publish_footprint()
+
+    def publish_footprint(self) -> None:
+        """Set the ``kb.image_bytes`` / ``kb.index_bytes`` gauges.
+
+        Bytes stored, to hold against the process's resident size from
+        outside it.  Skipped while instrumentation is off: the sums walk
+        every predicate.
+        """
+        obs = self.disk.obs
+        if obs.enabled:
+            obs.gauge("kb.image_bytes").set(self.size_bytes())
+            obs.gauge("kb.index_bytes").set(
+                sum(s.index.size_bytes() for s in self._predicates.values())
+            )
 
     # -- access -----------------------------------------------------------------
 
@@ -301,6 +321,7 @@ class KnowledgeBase:
                 clause_file=ClauseFile(indicator, self.symbols),
                 module_name=module,
                 scheme=self.scheme,
+                index=SecondaryIndexFile(self.scheme, indicator),
             )
             self._predicates[indicator] = store
             self.module(module).add_procedure(indicator)

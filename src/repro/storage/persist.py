@@ -7,20 +7,30 @@ A saved knowledge base is a directory:
   plus module residency pins;
 * ``<name>_<arity>.clauses`` — each predicate's compiled clause file
   image (the same bytes that stream through CLARE);
-* ``<name>_<arity>.index`` — its secondary index image (rebuilt on load
-  if absent; the codeword scheme parameters are stored in the manifest).
+* ``<name>_<arity>.index`` — its secondary index image (the codeword
+  scheme parameters are stored in the manifest);
+* ``<name>_<arity>.cols`` — optionally, the index's packed bit-sliced
+  columns (:func:`write_columns`; the process workers' segment
+  directories carry them, snapshots do not).
 
 This realises the premise of the paper's title: the knowledge base lives
-in secondary storage and is *not* re-consulted from source.
+in secondary storage and is *not* re-consulted from source.  Loading
+adopts both images as they are (:meth:`~repro.pif.ClauseFile.from_image`,
+:meth:`~repro.scw.SecondaryIndexFile.from_image`): every record header
+is validated, nothing is decoded, recompiled or re-hashed.  Only an
+index image that is missing or does not describe the clause file is
+rebuilt from the decoded heads (counted in ``storage.index_rebuilds``).
 """
 
 from __future__ import annotations
 
 import os
 import pathlib
+from typing import Callable
 
-from ..pif import ClauseFile, CompiledClause, SymbolTable
-from ..scw import CodewordScheme
+from ..obs import Instrumentation
+from ..pif import ClauseFile, PIFDecodeError, SymbolTable
+from ..scw import CodewordScheme, SecondaryIndexFile
 from .kb import KnowledgeBase, PredicateStore
 
 __all__ = ["save_kb", "load_kb", "kb_fingerprint", "PersistenceError"]
@@ -137,13 +147,32 @@ def save_kb(
     return written
 
 
-def load_kb(directory: str | pathlib.Path) -> KnowledgeBase:
+def load_kb(
+    directory: str | pathlib.Path, obs: Instrumentation | None = None
+) -> KnowledgeBase:
     """Reconstruct a knowledge base saved by :func:`save_kb`."""
+    return restore_kb(
+        KnowledgeBase(obs=obs), directory, pathlib.Path.read_bytes, PersistenceError
+    )
+
+
+def restore_kb(
+    kb: KnowledgeBase,
+    directory: str | pathlib.Path,
+    read: Callable[[pathlib.Path], bytes | memoryview],
+    error: type[PersistenceError],
+) -> KnowledgeBase:
+    """Adopt a saved directory's images into the empty ``kb``.
+
+    ``read`` returns a file's content as a read-only buffer — the bytes
+    themselves for :func:`load_kb`, a view of an mmap for
+    :func:`repro.parallel.attach_kb` — and the clause files and indexes
+    wrap those buffers as they are.  Malformed input raises ``error``.
+    """
     path = pathlib.Path(directory)
     manifest_path = path / _MANIFEST
     if not manifest_path.exists():
-        raise PersistenceError(f"no {_MANIFEST} in {path}")
-    symbols = SymbolTable.from_bytes((path / _SYMBOLS).read_bytes())
+        raise error(f"no {_MANIFEST} in {path}")
 
     scheme = CodewordScheme()
     modules: list[tuple[str, int, str]] = []
@@ -167,9 +196,7 @@ def load_kb(directory: str | pathlib.Path) -> KnowledgeBase:
         elif kind == "predicate":
             predicates.append((fields[1], int(fields[2]), fields[3], fields[4]))
         else:
-            raise PersistenceError(
-                f"{_MANIFEST}:{line_number}: unknown entry {kind!r}"
-            )
+            raise error(f"{_MANIFEST}:{line_number}: unknown entry {kind!r}")
 
     seen_stems: dict[str, tuple[str, int]] = {}
     for name, arity, _, stem in predicates:
@@ -178,13 +205,13 @@ def load_kb(directory: str | pathlib.Path) -> KnowledgeBase:
             # Two predicates sharing one clause file means the save
             # silently overwrote one with the other (pre-collision-check
             # writer); loading either image as both would corrupt the KB.
-            raise PersistenceError(
+            raise error(
                 f"manifest maps both {prior[0]}/{prior[1]} and "
                 f"{name}/{arity} to clause file stem {stem!r}"
             )
 
-    kb = KnowledgeBase(scheme=scheme)
-    kb.symbols = symbols
+    kb.scheme = scheme
+    kb.symbols = SymbolTable.from_bytes((path / _SYMBOLS).read_bytes())
     for name, threshold, pin in modules:
         module = kb.module(name)
         module.large_threshold_bytes = threshold
@@ -194,18 +221,93 @@ def load_kb(directory: str | pathlib.Path) -> KnowledgeBase:
         indicator = (name, arity)
         clause_path = path / f"{stem}.clauses"
         if not clause_path.exists():
-            raise PersistenceError(f"missing clause file {clause_path.name}")
-        image = clause_path.read_bytes()
-        clause_file = _clause_file_from_image(image, indicator, symbols)
-        store = PredicateStore(
+            raise error(f"missing clause file {clause_path.name}")
+        try:
+            clause_file = ClauseFile.from_image(
+                indicator, kb.symbols, read(clause_path)
+            )
+        except PIFDecodeError as exc:
+            raise error(f"{clause_path.name}: {exc}") from exc
+        index = _adopt_index(path, stem, clause_file, scheme, read, error)
+        if index is None:
+            kb.disk.obs.counter("storage.index_rebuilds").inc()
+            index = SecondaryIndexFile.build(clause_file, scheme)
+        kb._predicates[indicator] = PredicateStore(
             indicator=indicator,
             clause_file=clause_file,
             module_name=module_name,
             scheme=scheme,
+            index=index,
         )
-        kb._predicates[indicator] = store
         kb.module(module_name).add_procedure(indicator)
+    kb.publish_footprint()
     return kb
+
+
+def _adopt_index(
+    path: pathlib.Path,
+    stem: str,
+    clause_file: ClauseFile,
+    scheme: CodewordScheme,
+    read: Callable[[pathlib.Path], bytes | memoryview],
+    error: type[PersistenceError],
+) -> SecondaryIndexFile | None:
+    """The saved index image, if it describes ``clause_file``.
+
+    It does when it has one row per record and row ``i`` carries record
+    ``i``'s address; anything else (absent, short, written for another
+    clause file) is not adopted and the caller rebuilds.  A ``.cols``
+    file beside it is the packed columns of the same rows.
+    """
+    index_path = path / f"{stem}.index"
+    if not index_path.exists():
+        return None
+    rows = read(index_path)
+    if len(rows) != len(clause_file) * scheme.entry_bytes():
+        return None
+    packed = None
+    cols_path = path / f"{stem}.cols"
+    if cols_path.exists():
+        packed = _read_columns(read(cols_path), len(clause_file), scheme)
+        if packed is None:
+            raise error(f"{cols_path.name}: not the columns of {index_path.name}")
+    index = SecondaryIndexFile.from_image(
+        scheme, clause_file.indicator, rows, packed
+    )
+    if index.record_addresses() != clause_file.record_addresses():
+        return None
+    return index
+
+
+def write_columns(kb: KnowledgeBase, directory: str | pathlib.Path) -> list[str]:
+    """Write each index's packed bit-sliced columns beside a :func:`save_kb`.
+
+    ``<stem>.cols`` is the scheme's ``width`` columns then its
+    ``max_args`` mask planes, each a little-endian integer of
+    ``ceil(entries/8)`` bytes
+    (:meth:`~repro.scw.bitsliced.BitSlicedIndex.packed_columns`): a
+    reader rebuilds the columnar index with one ``int.from_bytes`` per
+    column instead of one pass over the rows.
+    """
+    path = pathlib.Path(directory)
+    written = []
+    for indicator, stem in _assign_stems(kb).items():
+        _, columns, planes = kb.store(indicator).index.bitsliced.packed_columns()
+        (path / f"{stem}.cols").write_bytes(columns + planes)
+        written.append(f"{stem}.cols")
+    return written
+
+
+def _read_columns(
+    image: bytes | memoryview, entries: int, scheme: CodewordScheme
+) -> tuple[int, bytes, bytes] | None:
+    """The ``packed`` triple of a ``.cols`` image, if it has the one
+    size the entry count and the scheme allow."""
+    column_bytes = max(1, (entries + 7) // 8)
+    columns_end = scheme.width * column_bytes
+    if len(image) != columns_end + scheme.max_args * column_bytes:
+        return None
+    return column_bytes, image[:columns_end], image[columns_end:]
 
 
 def kb_fingerprint(kb: KnowledgeBase) -> dict[str, list[str]]:
@@ -224,17 +326,3 @@ def kb_fingerprint(kb: KnowledgeBase) -> dict[str, list[str]]:
             str(clause) for clause in store.clauses()
         ]
     return fingerprint
-
-
-def _clause_file_from_image(
-    image: bytes, indicator: tuple[str, int], symbols: SymbolTable
-) -> ClauseFile:
-    """Rebuild a ClauseFile from its serialised record stream."""
-    from ..pif.clausefile import decode_compiled
-
-    clause_file = ClauseFile(indicator, symbols)
-    offset = 0
-    while offset < len(image):
-        compiled, offset = CompiledClause.from_bytes(image, indicator, offset)
-        clause_file.append(decode_compiled(compiled, symbols))
-    return clause_file

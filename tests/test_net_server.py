@@ -135,6 +135,32 @@ class TestServiceSurface:
         assert snapshot["engine_clauses"] == engine.clause_count()
         assert snapshot["draining"] is False
 
+    def test_stats_carry_the_stored_bytes_of_every_shard(self):
+        """Bytes stored (clause images, index rows) and splices made
+        are readable over the wire, to hold against the resident size."""
+        obs = Instrumentation()
+        engine = family_engine(obs=obs)
+        service = RetrievalService(engine, obs=obs)
+        with BackgroundService(service) as background:
+            host, port = background.start()
+            with RetrievalClient(host, port) as client:
+                client.mutate("asserta", read_term("parent(zed, tom)"))
+                client.mutate("retract", read_term("parent(bob, Who)"))
+                registry = client.stats()["registry"]
+        for shard in engine.shards:
+            label = f"{{shard={shard.shard_id}}}"
+            assert (
+                registry["kb.image_bytes" + label]["value"]
+                == shard.kb.size_bytes()
+            )
+            assert registry["kb.index_bytes" + label]["value"] == sum(
+                store.index.size_bytes() for store in shard.kb
+            )
+        assert sum(
+            entry["value"] for key, entry in registry.items()
+            if key.startswith("storage.splices")
+        ) == 2
+
     def test_counters_track_requests(self):
         obs = Instrumentation()
         engine = family_engine()

@@ -187,14 +187,6 @@ class TestSecondaryIndex:
         assert index.size_bytes() < cf.size_bytes()
 
 
-def _decode_back_index(clause_file, scheme) -> SecondaryIndexFile:
-    """The reference build: decompile every record to recover its head."""
-    index = SecondaryIndexFile(scheme, clause_file.indicator)
-    for position, address in enumerate(clause_file.record_addresses()):
-        index.add(clause_file.decode_clause(position).head, address)
-    return index
-
-
 def _rows(index) -> list[tuple[int, int, int]]:
     return [(e.codeword.bits, e.codeword.mask, e.address) for e in index]
 
@@ -220,36 +212,45 @@ _INDEX_EDGE_HEADS = [
 
 
 class TestIndexBuiltFromSources:
-    """``SecondaryIndexFile.build`` reads the clause file's retained
-    source heads; the decode-back build is the reference it must equal,
-    entry for entry."""
+    """A live index hashes each head as it is appended, from the clause
+    in hand; ``SecondaryIndexFile.build`` — decompile every record to
+    recover its head — is the reference it must equal, row for row."""
 
     @staticmethod
-    def _files(heads, first_body=()):
-        """One clause file per indicator among ``heads``, in order; the
-        first clause is a rule with ``first_body``, the rest are facts."""
+    def _files(heads, scheme, first_body=()):
+        """(clause file, live index) per indicator among ``heads``, in
+        order; the first clause is a rule with ``first_body``, the rest
+        are facts."""
         symbols = SymbolTable()
-        files: dict[tuple[str, int], ClauseFile] = {}
+        files: dict[tuple[str, int], tuple] = {}
         for position, head in enumerate(heads):
             clause = Clause(head, first_body if position == 0 else ())
-            cf = files.setdefault(
-                clause.indicator, ClauseFile(clause.indicator, symbols)
+            cf, live = files.setdefault(
+                clause.indicator,
+                (
+                    ClauseFile(clause.indicator, symbols),
+                    SecondaryIndexFile(scheme, clause.indicator),
+                ),
             )
             try:
                 cf.append(clause)
             except PIFError:
-                pass  # wider than a Result Memory slot: not storable
+                continue  # wider than a Result Memory slot: not storable
+            live.add(clause.head, cf.last_address())
         return list(files.values())
 
     @pytest.mark.parametrize("scheme", _INDEX_SCHEMES, ids=repr)
     def test_edge_heads(self, scheme):
         heads = [read_term(text) for text in _INDEX_EDGE_HEADS]
-        for cf in self._files(heads, first_body=(read_term("q(X)"),)):
-            built = SecondaryIndexFile.build(cf, scheme)
-            reference = _decode_back_index(cf, scheme)
-            assert _rows(built) == _rows(reference)
-            assert list(built) == list(reference)  # per-argument bits too
-            assert built.to_bytes() == reference.to_bytes()
+        for cf, live in self._files(heads, scheme, (read_term("q(X)"),)):
+            reference = SecondaryIndexFile.build(cf, scheme)
+            assert _rows(live) == _rows(reference)
+            assert live.to_bytes() == reference.to_bytes()
+            assert live.record_addresses() == cf.record_addresses()
+            assert (
+                live.bitsliced.packed_columns()
+                == reference.bitsliced.packed_columns()
+            )
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -260,11 +261,10 @@ class TestIndexBuiltFromSources:
         scheme=st.sampled_from(_INDEX_SCHEMES),
     )
     def test_equals_decode_back_build(self, heads, scheme):
-        for cf in self._files(heads):
-            built = SecondaryIndexFile.build(cf, scheme)
-            reference = _decode_back_index(cf, scheme)
-            assert list(built) == list(reference)
-            assert built.to_bytes() == reference.to_bytes()
+        for cf, live in self._files(heads, scheme):
+            reference = SecondaryIndexFile.build(cf, scheme)
+            assert list(live) == list(reference)
+            assert live.to_bytes() == reference.to_bytes()
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -272,10 +272,9 @@ class TestIndexBuiltFromSources:
         scheme=st.sampled_from(_INDEX_SCHEMES),
     )
     def test_segment_attached_files_agree(self, heads, scheme):
-        """A segment-backed file has no sources to retain (its
-        ``source_clause`` decodes): built over it, over the original, or
-        by decode-back, the index is the same — and equals the image
-        the segment shipped."""
+        """Built over the original file or over its segment-attached
+        twin, the decode-back index is the same — and equals both the
+        live index and the image the segment shipped."""
         from repro.parallel.segments import attach_kb, write_segments
         from repro.storage import KnowledgeBase
 
@@ -292,14 +291,60 @@ class TestIndexBuiltFromSources:
             try:
                 for store in kb:
                     attached = shared.store(store.indicator)
-                    reference = _decode_back_index(store.clause_file, scheme)
                     for clause_file in (store.clause_file,
                                         attached.clause_file):
                         built = SecondaryIndexFile.build(clause_file, scheme)
-                        assert list(built) == list(reference)
-                    assert attached.index.to_bytes() == reference.to_bytes()
+                        assert list(built) == list(store.index)
+                    assert attached.index.to_bytes() == store.index.to_bytes()
             finally:
                 shared.close()
+
+
+class TestKeyBitsMemo:
+    """``CodewordScheme._key_bits`` memoises the component hash; the
+    memo must be invisible in every codeword it serves."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        heads=st.lists(
+            st.one_of(clause_heads(arity=3), clause_heads(arity=14)),
+            min_size=1, max_size=10,
+        ),
+        scheme=st.sampled_from(_INDEX_SCHEMES),
+    )
+    def test_memoised_equals_unmemoised(self, heads, scheme):
+        class Unmemoised(CodewordScheme):
+            _key_bits = CodewordScheme._hash_key
+
+        memoised = CodewordScheme(
+            scheme.width, scheme.bits_per_key, scheme.max_args, scheme.max_depth
+        )
+        reference = Unmemoised(
+            scheme.width, scheme.bits_per_key, scheme.max_args, scheme.max_depth
+        )
+        for head in heads + heads:  # second pass is served from the memo
+            assert memoised.clause_codeword(head) == reference.clause_codeword(
+                head
+            )
+            assert memoised.query_codeword(head) == reference.query_codeword(
+                head
+            )
+        assert not reference._key_bits_memo
+
+    def test_memo_is_bounded_and_dropped_whole(self, monkeypatch):
+        from repro.scw import codeword
+
+        monkeypatch.setattr(codeword, "KEY_BITS_MEMO_SIZE", 8)
+        scheme = CodewordScheme()
+        expected = {}
+        for i in range(30):
+            head = read_term(f"p(k{i}, v{i % 3})")
+            expected[i] = scheme.clause_codeword(head)
+            assert len(scheme._key_bits_memo) <= 8
+        for i in range(30):  # across several drops, same codewords
+            assert scheme.clause_codeword(
+                read_term(f"p(k{i}, v{i % 3})")
+            ) == expected[i]
 
 
 class TestFirstStageFilter:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine import PrologMachine
+from repro.obs import Instrumentation
 from repro.storage import (
     KnowledgeBase,
     PersistenceError,
@@ -183,3 +184,140 @@ class TestStemCollisions:
         assert (
             tmp_path / "kb" / "P_1__2.clauses"
         ).read_bytes() == expected_upper
+
+
+def rec_kb(count: int = 300) -> KnowledgeBase:
+    """Big enough that the planner leaves software mode on disk."""
+    kb = KnowledgeBase()
+    kb.consult_text(
+        " ".join(f"rec(k{i % 40}, v{i % 7}, {i})." for i in range(count))
+        + " rec(X, shared, X) :- other(X). rec(-0.0, 0.0, f(-0.0))."
+    )
+    kb.module("user").pin(Residency.DISK)
+    return kb
+
+
+class TestMalformedClauseImages:
+    """A hostile ``.clauses`` image raises :class:`PersistenceError` —
+    at the parent a zero length looped forever, a cut header raised a
+    bare ``IndexError`` and an inflated length was silently accepted."""
+
+    def corrupt(self, path, edit):
+        image = bytearray(path.read_bytes())
+        edit(image)
+        path.write_bytes(bytes(image))
+
+    def test_zero_length_record_does_not_hang(self, tmp_path):
+        kb = KnowledgeBase()
+        kb.consult_text("flag. flag.")  # arity 0: the record never advances
+        save_kb(kb, tmp_path / "kb")
+        self.corrupt(
+            tmp_path / "kb" / "flag_0.clauses",
+            lambda image: image.__setitem__(slice(0, 2), b"\x00\x00"),
+        )
+        with pytest.raises(PersistenceError, match="flag_0.clauses"):
+            load_kb(tmp_path / "kb")
+
+    def test_truncated_trailing_header(self, saved_dir):
+        self.corrupt(
+            saved_dir / "parent_2.clauses", lambda image: image.extend(b"\x00")
+        )
+        with pytest.raises(PersistenceError, match="parent_2.clauses"):
+            load_kb(saved_dir)
+
+    def test_inflated_length_on_a_header_only_record(self, tmp_path):
+        kb = KnowledgeBase()
+        kb.consult_text("flag.")
+        save_kb(kb, tmp_path / "kb")
+        path = tmp_path / "kb" / "flag_0.clauses"
+        assert len(path.read_bytes()) == 9
+        self.corrupt(
+            path, lambda image: image.__setitem__(slice(0, 2), b"\xff\xff")
+        )
+        with pytest.raises(PersistenceError, match="flag_0.clauses"):
+            load_kb(tmp_path / "kb")
+
+
+class TestIndexAdoption:
+    """``load_kb`` adopts the ``.index`` image ``save_kb`` wrote."""
+
+    def test_loaded_store_equals_saved_store(self, tmp_path):
+        from repro.crs import ClauseRetrievalServer, SearchMode
+
+        kb = rec_kb()
+        save_kb(kb, tmp_path / "kb")
+        loaded = load_kb(tmp_path / "kb")
+        ours, theirs = loaded.store(("rec", 3)), kb.store(("rec", 3))
+        assert ours.clause_file.to_bytes() == theirs.clause_file.to_bytes()
+        assert ours.index.to_bytes() == theirs.index.to_bytes()
+        assert (
+            ours.index.bitsliced.packed_columns()
+            == theirs.index.bitsliced.packed_columns()
+        )
+        assert ours.fact_count == theirs.fact_count
+        for target in (kb, loaded):
+            target.sync_to_disk()
+        original = ClauseRetrievalServer(kb, cache_size=0)
+        restored = ClauseRetrievalServer(loaded, cache_size=0)
+        for text in ("rec(k3, V, N)", "rec(K, v2, 9)", "rec(S, T, S)",
+                     "rec(0.0, A, B)"):
+            goal = read_term(text)
+            for mode in SearchMode:
+                expected = original.retrieve(goal, mode=mode)
+                got = restored.retrieve(goal, mode=mode)
+                assert [str(c) for c in got.candidates] == [
+                    str(c) for c in expected.candidates
+                ], (text, mode)
+                assert got.stats == expected.stats, (text, mode)
+
+    def test_adoption_decodes_and_hashes_nothing(self, tmp_path, monkeypatch):
+        import repro.pif.clausefile as clausefile
+
+        save_kb(rec_kb(), tmp_path / "kb")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("load_kb must adopt the images as they are")
+
+        monkeypatch.setattr(clausefile, "decode_compiled", forbidden)
+        monkeypatch.setattr(clausefile, "compile_clause", forbidden)
+        monkeypatch.setattr(CodewordScheme, "_hash_key", forbidden)
+        obs = Instrumentation()
+        loaded = load_kb(tmp_path / "kb", obs=obs)
+        assert len(loaded.store(("rec", 3))) == 302
+        assert obs.registry.total("storage.index_rebuilds") == 0
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["missing", "short", "stale_addresses"],
+    )
+    def test_unusable_index_falls_back_and_says_so(self, tmp_path, damage):
+        kb = rec_kb(60)
+        save_kb(kb, tmp_path / "kb")
+        path = tmp_path / "kb" / "rec_3.index"
+        if damage == "missing":
+            path.unlink()
+        elif damage == "short":
+            path.write_bytes(path.read_bytes()[:-18])
+        else:  # an index written for a different clause file
+            other = rec_kb(60)
+            other.asserta(read_term("rec(front, f(longer, record), 0)"))
+            other.retract(read_term("rec(k1, v1, 1)"))
+            assert len(other.store(("rec", 3))) == len(kb.store(("rec", 3)))
+            path.write_bytes(other.store(("rec", 3)).index.to_bytes())
+        obs = Instrumentation()
+        loaded = load_kb(tmp_path / "kb", obs=obs)
+        assert obs.registry.total("storage.index_rebuilds") == 1
+        assert (
+            loaded.store(("rec", 3)).index.to_bytes()
+            == kb.store(("rec", 3)).index.to_bytes()
+        )
+
+    def test_footprint_gauges_are_published_at_load(self, tmp_path):
+        kb = rec_kb(60)
+        save_kb(kb, tmp_path / "kb")
+        obs = Instrumentation()
+        loaded = load_kb(tmp_path / "kb", obs=obs)
+        assert obs.registry.total("kb.image_bytes") == loaded.size_bytes()
+        assert obs.registry.total("kb.index_bytes") == sum(
+            store.index.size_bytes() for store in loaded
+        )

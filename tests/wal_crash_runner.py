@@ -2,7 +2,7 @@
 
 Run as::
 
-    python wal_crash_runner.py STORE_DIR ACKS_FILE POINT HITS COUNT [bulk]
+    python wal_crash_runner.py STORE_DIR ACKS_FILE POINT HITS COUNT [bulk|retract]
 
 Builds a durable two-shard engine over ``STORE_DIR``, arms crash point
 ``POINT`` to SIGKILL this process on its ``HITS``-th hit, then applies
@@ -26,7 +26,14 @@ group commit per chunk, not per clause) and the single ack line
 mid-batch must leave a contiguous prefix of the plan — whole chunks
 plus whatever reached the file — never a hole.
 
-The schedules (see :func:`mutation_plan`, :func:`bulk_plan`) are pure:
+With a trailing ``retract`` the run follows :func:`retract_plan`
+instead — templates with variables, rules retracted by head and body,
+``asserta`` in between — and compacts half way, so a crash in the second
+half is recovered from a snapshot's adopted images plus a WAL tail of
+splices.
+
+The schedules (see :func:`mutation_plan`, :func:`retract_plan`,
+:func:`bulk_plan`) are pure:
 the parent imports this module and replays the same plan against an
 in-memory oracle to decide exactly what the recovered KB must contain.
 """
@@ -65,6 +72,40 @@ def mutation_plan(count: int) -> list[tuple[str, str, str]]:
     return plan
 
 
+def retract_plan(count: int) -> list[tuple[str, str, str]]:
+    """A splice-heavy schedule: (op, clause_text, write_id).
+
+    Nine clauses go in first (six facts, three rules); after that every
+    second mutation retracts — the oldest surviving fact through a
+    template with two variables, or the oldest surviving rule through a
+    head-and-body template — and the others ``asserta`` a fact or
+    ``assertz`` a rule to keep both kinds in stock.  As in
+    :func:`mutation_plan`, every mutation changes the KB exactly once.
+    """
+    plan: list[tuple[str, str, str]] = []
+    facts: list[int] = []
+    rules: list[int] = []
+    for i in range(count):
+        write_id = f"splice:{i}"
+        loading = i < 9
+        if not loading and i % 2:
+            if i % 4 == 3:
+                text = f"crash_rec(r{rules.pop(0)}, A, B) :- Body"
+            else:
+                text = f"crash_rec(k{facts.pop(0)}, V, N)"
+            plan.append(("retract", text, write_id))
+        elif 6 <= i < 9 or not loading and i % 4 == 0:
+            rules.append(i)
+            plan.append(
+                ("assertz", f"crash_rec(r{i}, V, N) :- aux(V, N)", write_id)
+            )
+        else:
+            facts.append(i)
+            op = "assertz" if loading else "asserta"
+            plan.append((op, f"crash_rec(k{i}, v{i % 3}, {i})", write_id))
+    return plan
+
+
 def bulk_plan(count: int) -> list[str]:
     """The bulk-load schedule: ``count`` unique facts over two predicates."""
     return [
@@ -78,6 +119,7 @@ def main(argv: list[str]) -> int:
         argv[0], argv[1], argv[2], int(argv[3]), int(argv[4]),
     )
     bulk = argv[5:] == ["bulk"]
+    splice = argv[5:] == ["retract"]
     from repro.cluster import ShardedRetrievalServer
     from repro.storage import DurabilityOptions
     from repro.storage.wal import install_crash_point
@@ -105,7 +147,10 @@ def main(argv: list[str]) -> int:
         )
         ack("bulk")
     else:
-        for op, text, write_id in mutation_plan(count):
+        plan = retract_plan(count) if splice else mutation_plan(count)
+        for position, (op, text, write_id) in enumerate(plan):
+            if splice and position == count // 2:
+                engine.compact()
             term = read_term(text)
             if op == "assertz":
                 engine.assertz(term, write_id=write_id)
