@@ -185,10 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
         "streaming one solution frame per answer (repeatable)",
     )
     client.add_argument(
-        "--engine", choices=["zip", "interp"], default="zip",
-        help="resolution engine for --solve (default: zip)",
-    )
-    client.add_argument(
         "--max-solutions", type=int, default=0,
         help="per --solve query solution cap (0 = all)",
     )
@@ -644,7 +640,6 @@ def _cmd_client(args, out) -> int:
                 shown = 0
                 for solution in client.solve(
                     read_term(query_text),
-                    engine=args.engine,
                     mode=mode,
                     deadline_s=deadline_s,
                     max_solutions=args.max_solutions,

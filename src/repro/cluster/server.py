@@ -44,9 +44,9 @@ from ..storage.wal import (
     BULK_COMMIT_RECORDS,
     DurabilityOptions,
     DurableStore,
+    MutationRecord,
     RecoveredState,
     WalError,
-    WalRecord,
 )
 from ..terms import (
     Clause,
@@ -86,32 +86,6 @@ class WritesFrozen(RuntimeError):
     the write was not applied and may simply retry; the fleet client
     backs off briefly and re-routes under the post-flip manifest.
     """
-
-
-@dataclass(frozen=True)
-class MutationRecord:
-    """One logged KB mutation, replayable on a replica.
-
-    ``op`` is one of ``assertz``/``asserta``/``retract``/``reload``.
-    For the first three, ``clause`` is the exact clause added or removed
-    (for retract: the clause the *primary* removed, not the unification
-    template — replaying the template could remove a different clause on
-    the replica).  ``reload`` marks a wholesale KB replacement
-    (:meth:`ShardedRetrievalServer.adopt_kb`); it cannot be replayed
-    incrementally and forces delta readers back to a snapshot.
-
-    ``write_id`` is the client's idempotency stamp for the logical write
-    (``None`` for coordinator-originated mutations).  Replaying a record
-    onto a replica that already applied that id — because the client
-    re-routed the same write there after a manifest flip — is a no-op
-    instead of a duplicate.
-    """
-
-    seq: int
-    op: str
-    clause: Clause | None = None
-    module: str = "user"
-    write_id: str | None = None
 
 
 @dataclass
@@ -476,12 +450,11 @@ class ShardedRetrievalServer:
     ) -> int:
         with self._cache_lock:
             self.version += 1
-            self._mutation_log.append(
-                MutationRecord(
-                    seq=self.version, op=op, clause=clause, module=module,
-                    write_id=write_id,
-                )
+            record = MutationRecord(
+                seq=self.version, op=op, clause=clause, module=module,
+                write_id=write_id,
             )
+            self._mutation_log.append(record)
             if write_id is not None:
                 self._applied_writes[write_id] = (
                     clause if op == "retract" else None
@@ -500,15 +473,7 @@ class ShardedRetrievalServer:
                 and op != "reload"
                 and clause is not None
             ):
-                self._durable.stage(
-                    WalRecord(
-                        seq=self.version,
-                        op=op,
-                        clause=clause,
-                        module=module,
-                        write_id=write_id,
-                    )
-                )
+                self._durable.stage(record)
             return self.version
 
     def _wal_commit(self, seq: int | None) -> None:
@@ -631,20 +596,13 @@ class ShardedRetrievalServer:
             records = self._durable.records_since(seq)
         except WalError:
             return None
-        out = [
-            MutationRecord(
-                seq=r.seq, op=r.op, clause=r.clause, module=r.module,
-                write_id=r.write_id,
-            )
-            for r in records
-        ]
-        if not out or out[0].seq != seq + 1:
+        if not records or records[0].seq != seq + 1:
             return None
-        for prev, nxt in zip(out, out[1:]):
+        for prev, nxt in zip(records, records[1:]):
             if nxt.seq != prev.seq + 1:
                 return None
-        self.obs.counter("wal.shipped_records").inc(len(out))
-        return out
+        self.obs.counter("wal.shipped_records").inc(len(records))
+        return records
 
     def apply_mutations(self, records: Iterable[MutationRecord]) -> int:
         """Replay logged mutations from another node, in order.
@@ -810,15 +768,7 @@ class ShardedRetrievalServer:
         self._replaying = True
         try:
             for record in state.records:
-                self._apply_record(
-                    MutationRecord(
-                        seq=record.seq,
-                        op=record.op,
-                        clause=record.clause,
-                        module=record.module,
-                        write_id=record.write_id,
-                    )
-                )
+                self._apply_record(record)
                 if self.version != record.seq:
                     raise WalError(
                         f"replaying seq {record.seq} left the engine at "

@@ -309,10 +309,11 @@ class SolveStats:
 class SolveEngine:
     """Conjunctive queries against a sharded retrieval backend.
 
-    ``engine`` selects the default execution model: ``"zip"`` runs the
-    compiled ZIP machine (with per-predicate interpreter escapes),
-    ``"interp"`` the tree-walking interpreter.  Both produce identical
-    answer sequences — the differential suite enforces it.
+    ``engine`` fixes the execution model for the object's lifetime:
+    ``"zip"`` (what every serving path runs) is the compiled ZIP machine
+    with per-predicate interpreter escapes; ``"interp"``, the
+    tree-walking interpreter, is the oracle the differential suites
+    build to check it against — both produce identical answer sequences.
 
     Database mutation (``assert``/``retract`` goals) routes through the
     backend's front-door methods, so its version counter bumps and no
@@ -359,7 +360,6 @@ class SolveEngine:
         goal: Term,
         deadline_s: float | None = None,
         max_solutions: int = 0,
-        engine: str | None = None,
     ) -> Iterator[dict[str, Term]]:
         """Solutions as {variable name: value} dicts, streamed lazily.
 
@@ -367,16 +367,13 @@ class SolveEngine:
         the remaining budget; :class:`RetrievalTimeout` is raised when
         it runs out); ``max_solutions`` > 0 stops after that many.
         """
-        engine = engine or self.engine
-        if engine not in ("zip", "interp"):
-            raise ValueError("engine must be 'zip' or 'interp'")
         goal_vars = [v for v in variables(goal) if not v.is_anonymous()]
         goal = freshen_anonymous(goal)
         deadline = (
             None if deadline_s is None else time.monotonic() + deadline_s
         )
         self.retriever.set_deadline(deadline)
-        solutions = self._bindings_iter(goal, engine)
+        solutions = self._bindings_iter(goal)
         produced = 0
         try:
             for bindings in solutions:
@@ -393,8 +390,8 @@ class SolveEngine:
     def solve_text(self, text: str, **kwargs) -> Iterator[dict[str, Term]]:
         return self.solve(read_term(text), **kwargs)
 
-    def _bindings_iter(self, goal: Term, engine: str):
-        if engine == "interp":
+    def _bindings_iter(self, goal: Term):
+        if self.engine == "interp":
             solver = Solver(
                 self.retriever,
                 assertz=self._assert_hook(self._assertz),

@@ -5,7 +5,8 @@ package puts the in-process :class:`~repro.cluster.ShardedRetrievalServer`
 behind an actual socket.  ``protocol`` defines the length-prefixed frame
 format (reusing the PIF encoder and symbol table), ``server`` is the
 asyncio front-end with admission control and deadlines, and ``client``
-holds the pooled sync and async clients with retry/backoff.
+holds one request core (verb table, framing, retry/backoff, deadline,
+connection pool) under a blocking and an asyncio driver.
 """
 
 from .client import (

@@ -1,14 +1,16 @@
 """Deadline-aware clients for the CLARE wire protocol.
 
-Two clients share one behaviour contract:
+One request core, two I/O drivers.  :class:`_RequestCore` is everything
+about a call that is *policy* — verb table, framing, response
+validation, retries, deadline, connection pool — written once as
+coroutines that touch no socket.  :class:`RetrievalClient` (for host
+Prolog systems and scripts) runs them over blocking sockets,
+:class:`AsyncRetrievalClient` (for open-loop load generation and other
+event-loop drivers) over asyncio streams; :class:`FailoverClient`
+spreads reads over a replica group under the same :class:`_Budget`.
 
-* :class:`RetrievalClient` — blocking, socket-pooled, for host Prolog
-  systems and scripts;
-* :class:`AsyncRetrievalClient` — the same surface on asyncio streams,
-  for open-loop load generation and other event-loop drivers.
-
-Both mirror the in-process API — ``retrieve(goal, mode=...)`` and
-``retrieve_batch(goals, mode=...)`` return the very same
+Both clients mirror the in-process API — ``retrieve(goal, mode=...)``
+and ``retrieve_batch(goals, mode=...)`` return the very same
 :class:`~repro.crs.RetrievalResult` objects (candidates *and* stats)
 that :class:`~repro.cluster.ShardedRetrievalServer` hands back, which
 is what the loopback differential suite pins down.
@@ -26,12 +28,16 @@ budget exhausted client-side raises
 
 from __future__ import annotations
 
+import asyncio
 import random
 import socket
 import threading
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
+from operator import itemgetter
 
+from ..cluster.manifest import ClusterManifest
 from ..crs import RetrievalResult, SearchMode
 from ..obs import Instrumentation
 from ..obs import get_default as _default_obs
@@ -80,138 +86,325 @@ class BackoffPolicy:
         return rng.uniform(0.0, ceiling)
 
 
-def _remaining(deadline: float | None) -> float | None:
-    if deadline is None:
-        return None
-    return deadline - time.monotonic()
-
-
-def _deadline_ms(deadline: float | None) -> int:
-    """The whole-millisecond budget to advertise to the server."""
-    remaining = _remaining(deadline)
-    if remaining is None:
-        return 0
-    # Round up: a 0.4 ms budget must not be sent as "no deadline".
-    return max(1, int(remaining * 1000))
-
-
-_RETRYABLE = (ServerBusy, ServerDraining, ConnectError, ConnectionError, OSError)
-
-#: What a *mutation* may be retried on.  A connection that dropped after
-#: the request was sent leaves the server's state unknown — retrying an
-#: assert there could apply it twice — so only rejections that provably
-#: happened before any state change (busy, draining, a migration's
-#: write freeze) and failures to connect at all are safe to retry.
-_MUTATION_RETRYABLE = (ServerBusy, ServerDraining, ConnectError, WritesFrozen)
-
-
-
-class _ClientCore:
-    """Shared bookkeeping for the sync and async clients."""
+class _Budget:
+    """What one logical call may still spend: wall time and retries."""
 
     def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        pool_size: int,
-        backoff: BackoffPolicy,
-        max_frame_bytes: int,
-        obs: Instrumentation | None,
-        rng: random.Random | None,
+        self, backoff: BackoffPolicy, rng: random.Random, deadline_s: float | None
     ):
-        self.host = host
-        self.port = port
-        self.pool_size = pool_size
         self.backoff = backoff
-        self.max_frame_bytes = max_frame_bytes
-        self.obs = obs if obs is not None else _default_obs()
-        self.rng = rng if rng is not None else random.Random()
-        self._next_request_id = 1
-        self._id_lock = threading.Lock()
+        self.rng = rng
+        self.deadline = None if deadline_s is None else time.monotonic() + deadline_s
+        self.attempt = 0
 
-    def take_request_id(self) -> int:
-        with self._id_lock:
-            request_id = self._next_request_id
-            self._next_request_id = (self._next_request_id + 1) & 0xFFFFFFFF
-            return request_id
+    def remaining(self) -> float | None:
+        if self.deadline is None:
+            return None
+        return self.deadline - time.monotonic()
 
-    def next_delay(self, attempt: int, deadline: float | None) -> float:
-        """The backoff before retry ``attempt``, clipped to the deadline."""
-        delay = self.backoff.delay(attempt, self.rng)
-        remaining = _remaining(deadline)
+    def check(self, when: str) -> None:
+        remaining = self.remaining()
+        if remaining is not None and remaining <= 0:
+            raise DeadlineExceeded(f"deadline expired {when}")
+
+    def deadline_ms(self) -> int:
+        """The whole-millisecond budget to advertise to the server."""
+        remaining = self.remaining()
+        if remaining is None:
+            return 0
+        # Round up: a 0.4 ms budget must not be sent as "no deadline".
+        return max(1, int(remaining * 1000))
+
+    def io_timeout(self, request_timeout_s: float | None) -> float | None:
+        """The bound on each socket send and read of one attempt."""
+        remaining = self.remaining()
+        if remaining is None:
+            return request_timeout_s
+        # Pad the socket timeout slightly past the deadline so the
+        # *server's* DEADLINE_EXPIRED answer wins the race.
+        padded = max(remaining, 0.001) + 1.0
+        return padded if request_timeout_s is None else min(request_timeout_s, padded)
+
+    def next_delay(self, exc: Exception) -> float:
+        """The backoff before the next retry, clipped to the deadline;
+        raises ``exc`` (the failure being retried) when none is left."""
+        if self.attempt >= self.backoff.max_retries:
+            raise exc
+        delay = self.backoff.delay(self.attempt, self.rng)
+        remaining = self.remaining()
         if remaining is not None:
             if remaining <= 0:
                 raise DeadlineExceeded("deadline expired between attempts")
             delay = min(delay, remaining)
-        self.obs.counter("net.client.retries").inc()
+        self.attempt += 1
         return delay
 
-    def check_budget(self, deadline: float | None) -> None:
-        remaining = _remaining(deadline)
-        if remaining is not None and remaining <= 0:
-            raise DeadlineExceeded("deadline expired before the request left")
 
-    def decode_response(self, frame: protocol.Frame, request_id: int):
-        if frame.request_id != request_id:
+#: ``asyncio.TimeoutError`` is an alias of the builtin only from Python
+#: 3.11; on 3.10 ``except TimeoutError`` (or ``OSError``) lets it through.
+_TIMEOUTS = (TimeoutError, asyncio.TimeoutError)
+
+_RETRYABLE = (ServerBusy, ServerDraining, ConnectError, ConnectionError, OSError)
+
+#: What a *mutation* may be retried on: only what provably happened
+#: before any state change (why: :meth:`RetrievalClient.mutate`).
+_MUTATION_RETRYABLE = (ServerBusy, ServerDraining, ConnectError, WritesFrozen)
+
+
+@dataclass(frozen=True)
+class _Verb:
+    """One row of the verb table: how a call is framed and answered.
+
+    The codecs are named, not captured, and looked up on ``protocol``
+    per call, so a wrapper installed on the module attribute (outside-in
+    tracing, a monkeypatch) sees the client's calls too.
+    """
+
+    request: FrameType
+    encoder: str | None  # called (*args, deadline_ms=, **options); None: b""
+    response: FrameType
+    decoder: str | None  # None: nothing to decode, the answer is True
+    #: ends a streamed answer, after any number of ``response`` frames;
+    #: ``None``: one ``response`` frame is the whole answer
+    trailer: FrameType | None = None
+    retryable: tuple = _RETRYABLE
+
+
+_VERBS = {
+    "retrieve": _Verb(
+        FrameType.REQ_RETRIEVE, "encode_retrieve_request",
+        FrameType.RESP_RESULT, "decode_result_response",
+    ),
+    "retrieve_batch": _Verb(
+        FrameType.REQ_RETRIEVE_BATCH, "encode_batch_request",
+        FrameType.RESP_BATCH, "decode_batch_response",
+    ),
+    "solve": _Verb(
+        FrameType.REQ_SOLVE, "encode_solve_request",
+        FrameType.RESP_SOLUTION, "decode_solution",
+        trailer=FrameType.RESP_SOLVE_DONE,
+    ),
+    "mutate": _Verb(
+        FrameType.REQ_MUTATE, "encode_mutate_request",
+        FrameType.RESP_MUTATED, "decode_mutated_response",
+        retryable=_MUTATION_RETRYABLE,
+    ),
+    "manifest": _Verb(
+        FrameType.REQ_MANIFEST, None,
+        FrameType.RESP_MANIFEST, "decode_manifest_response",
+    ),
+    "ping": _Verb(FrameType.REQ_PING, None, FrameType.RESP_PONG, None),
+    "stats": _Verb(
+        FrameType.REQ_STATS, None,
+        FrameType.RESP_STATS, "decode_stats_response",
+    ),
+}
+
+
+@dataclass
+class _RequestCore:
+    """The I/O-free half of a client: every decision, no socket.
+
+    Coroutines over two awaitables the driver supplies: ``sleep(s)`` and
+    ``connect(host, port, timeout)``, which gives a connection with
+    awaitable ``send(data, timeout)`` (all of it) and ``read(timeout)``
+    (whatever bytes arrive next, ``b""`` once the peer has hung up) and
+    a synchronous ``close()``.  The asyncio driver's suspend; the
+    blocking driver's return without suspending, so :func:`_run`
+    finishes the same coroutine in one step.
+    """
+
+    host: str
+    port: int
+    pool_size: int
+    backoff: BackoffPolicy | None
+    connect_timeout_s: float | None
+    request_timeout_s: float | None
+    max_frame_bytes: int
+    obs: Instrumentation | None
+    rng: random.Random | None
+    connect: Callable
+    sleep: Callable
+
+    def __post_init__(self):
+        self.backoff = self.backoff or BackoffPolicy()
+        self.obs = self.obs if self.obs is not None else _default_obs()
+        self.rng = self.rng or random.Random()
+        self.closed = False
+        self._idle: list = []
+        self._next_request_id = 1
+        #: guards the pool and the id counter: a blocking client is
+        #: shared between threads (an event-loop driver never contends)
+        self._lock = threading.Lock()
+
+    # -- the request -----------------------------------------------------------
+
+    async def answers(self, name: str, *args, deadline_s=None, pick=None, **options):
+        """One call of verb ``name``, attempts and backoff included: its
+        answers (one for a unary verb), each decoded and ``pick``-ed."""
+        verb = _VERBS[name]
+        budget = _Budget(self.backoff, self.rng, deadline_s)
+        while True:
+            budget.check("before the request left")
+            payload = b""
+            if verb.encoder is not None:
+                payload = getattr(protocol, verb.encoder)(
+                    *args, deadline_ms=budget.deadline_ms(), **options
+                )
+            with self._lock:
+                request_id = self._next_request_id
+                self._next_request_id = (request_id + 1) & 0xFFFFFFFF
+            timeout = budget.io_timeout(self.request_timeout_s)
+            streaming = False  # an answer is out: no retry (see solve)
+            try:
+                conn = await self._checkout()
+                keep = False
+                try:
+                    request = protocol.encode_frame(verb.request, request_id, payload)
+                    await conn.send(request, timeout)
+                    while True:
+                        frame = await self._read_frame(conn, request_id, timeout)
+                        if frame.type is verb.trailer:
+                            keep = True
+                            return
+                        if frame.type is not verb.response:
+                            raise ProtocolError(
+                                f"expected {verb.response.name}, got {frame.type.name}"
+                            )
+                        answer = True
+                        if verb.decoder is not None:
+                            answer = getattr(protocol, verb.decoder)(frame.payload)
+                        if pick is not None:
+                            answer = pick(answer)
+                        if verb.trailer is None:
+                            keep = True
+                            break
+                        streaming = True
+                        yield answer
+                except (ServerBusy, ServerDraining):
+                    keep = True  # the connection itself is healthy
+                    raise
+                except _TIMEOUTS as exc:  # on the send or on a read
+                    raise DeadlineExceeded(
+                        f"no response within {timeout:.3f}s"
+                    ) from exc
+                finally:
+                    # An abandoned or failed exchange may leave frames
+                    # in flight; the connection cannot be pooled unless
+                    # its last frame arrived.
+                    self._settle(conn, keep)
+            except verb.retryable as exc:
+                if streaming:
+                    raise
+                delay = budget.next_delay(exc)
+                if isinstance(exc, ServerBusy):
+                    self.obs.counter("net.client.busy_retries").inc()
+                self.obs.counter("net.client.retries").inc()
+                await self.sleep(delay)
+                continue
+            yield answer
+            return
+
+    async def answer(self, name: str, *args, **kwargs):
+        """The one answer of a unary verb."""
+        answer = None
+        async for answer in self.answers(name, *args, **kwargs):
+            pass
+        return answer
+
+    async def _read(self, conn, count: int, timeout: float | None) -> bytes:
+        """Exactly ``count`` bytes; what arrived beyond them waits on the
+        connection (``unread``) for the next frame, pooled with it."""
+        while len(conn.unread) < count:
+            chunk = await conn.read(timeout)
+            if not chunk:
+                raise ConnectionError("connection closed mid-frame")
+            conn.unread += chunk
+        data = bytes(conn.unread[:count])
+        del conn.unread[:count]
+        return data
+
+    async def _read_frame(self, conn, request_id: int, timeout: float | None):
+        """The next frame, validated: framing, correlation id, and a
+        ``RESP_ERROR`` raised as the exception it maps to."""
+        header = await self._read(conn, protocol.HEADER.size, timeout)
+        frame_type, frame_id, length = protocol.decode_header(
+            header, self.max_frame_bytes
+        )
+        payload = await self._read(conn, length, timeout)
+        if frame_id != request_id:
             raise ProtocolError(
-                f"response for request {frame.request_id}, expected "
-                f"{request_id}"
+                f"response for request {frame_id}, expected {request_id}"
             )
-        if frame.type is FrameType.RESP_ERROR:
-            code, message = protocol.decode_error(frame.payload)
+        if frame_type is FrameType.RESP_ERROR:
+            code, message = protocol.decode_error(payload)
             raise protocol.error_to_exception(code, message)
-        return frame
+        return protocol.Frame(frame_type, frame_id, payload)
+
+    # -- the pool --------------------------------------------------------------
+
+    async def _checkout(self):
+        """An idle pooled connection, else a new one."""
+        with self._lock:
+            if self._idle:
+                return self._idle.pop()
+        self.obs.counter("net.client.connects").inc()
+        try:
+            conn = await self.connect(self.host, self.port, self.connect_timeout_s)
+        except (OSError, *_TIMEOUTS) as exc:
+            raise ConnectError(
+                f"cannot reach {self.host}:{self.port}: {exc}"
+            ) from exc
+        conn.unread = bytearray()
+        return conn
+
+    def _settle(self, conn, keep: bool) -> None:
+        """Pool ``conn`` if it is reusable and there is room; else close."""
+        with self._lock:
+            if keep and not self.closed and len(self._idle) < self.pool_size:
+                self._idle.append(conn)
+                return
+        conn.close()
+
+    def close(self) -> None:
+        with self._lock:
+            self.closed = True
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+
+def _run(step):
+    """Finish a core coroutine on the blocking driver.  Nothing it
+    awaits ever suspends there, so one ``send`` runs it to its result."""
+    try:
+        step.send(None)
+    except StopIteration as done:
+        return done.value
+    step.close()
+    raise RuntimeError("blocking I/O suspended its caller")
 
 
 class _SyncConnection:
-    """One framed TCP connection (blocking sockets)."""
+    """One TCP connection on a blocking socket.  Coroutines in form
+    only: each method blocks, then returns without having suspended."""
 
-    def __init__(self, host: str, port: int, connect_timeout: float | None):
-        try:
-            self.sock = socket.create_connection(
-                (host, port), timeout=connect_timeout
-            )
-        except OSError as exc:
-            raise ConnectError(f"cannot reach {host}:{port}: {exc}") from exc
-        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
 
-    def request(
-        self,
-        frame_type: FrameType,
-        request_id: int,
-        payload: bytes,
-        timeout: float | None,
-        max_frame_bytes: int,
-    ) -> protocol.Frame:
-        self.send_request(frame_type, request_id, payload, timeout)
-        return self.read_frame(max_frame_bytes)
+    @classmethod
+    async def open(cls, host: str, port: int, timeout: float | None):
+        sock = socket.create_connection((host, port), timeout=timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return cls(sock)
 
-    def send_request(
-        self,
-        frame_type: FrameType,
-        request_id: int,
-        payload: bytes,
-        timeout: float | None,
-    ) -> None:
+    async def send(self, data: bytes, timeout: float | None) -> None:
         self.sock.settimeout(timeout)
-        self.sock.sendall(protocol.encode_frame(frame_type, request_id, payload))
+        self.sock.sendall(data)
 
-    def read_frame(self, max_frame_bytes: int) -> protocol.Frame:
-        header = self._read_exact(protocol.HEADER.size)
-        resp_type, resp_id, length = protocol.decode_header(
-            header, max_frame_bytes
-        )
-        return protocol.Frame(resp_type, resp_id, self._read_exact(length))
-
-    def _read_exact(self, count: int) -> bytes:
-        chunks = bytearray()
-        while len(chunks) < count:
-            chunk = self.sock.recv(count - len(chunks))
-            if not chunk:
-                raise ConnectionError("connection closed mid-frame")
-            chunks += chunk
-        return bytes(chunks)
+    async def read(self, timeout: float | None) -> bytes:
+        self.sock.settimeout(timeout)
+        return self.sock.recv(65536)
 
     def close(self) -> None:
         try:
@@ -221,7 +414,12 @@ class _SyncConnection:
 
 
 class RetrievalClient:
-    """Blocking, pooled wire client mirroring the in-process API."""
+    """Blocking, pooled wire client mirroring the in-process API.
+
+    The verb methods are the public surface of *both* clients
+    (:class:`AsyncRetrievalClient` binds the same functions): each hands
+    its arguments to the core through ``_answer`` / ``_answers``.
+    """
 
     def __init__(
         self,
@@ -237,20 +435,14 @@ class RetrievalClient:
         rng: random.Random | None = None,
         sleep=time.sleep,
     ):
-        self._core = _ClientCore(
-            host, port,
-            pool_size=pool_size,
-            backoff=backoff if backoff is not None else BackoffPolicy(),
-            max_frame_bytes=max_frame_bytes,
-            obs=obs,
-            rng=rng,
+        async def pause(seconds: float) -> None:
+            sleep(seconds)
+
+        self._core = _RequestCore(
+            host, port, pool_size, backoff, connect_timeout_s,
+            request_timeout_s, max_frame_bytes, obs, rng,
+            _SyncConnection.open, pause,
         )
-        self.connect_timeout_s = connect_timeout_s
-        self.request_timeout_s = request_timeout_s
-        self._sleep = sleep
-        self._idle: list[_SyncConnection] = []
-        self._pool_lock = threading.Lock()
-        self._closed = False
 
     # -- public API ----------------------------------------------------------
 
@@ -260,16 +452,7 @@ class RetrievalClient:
         mode: SearchMode | None = None,
         deadline_s: float | None = None,
     ) -> RetrievalResult:
-        deadline = None if deadline_s is None else time.monotonic() + deadline_s
-        frame = self._request_with_retries(
-            FrameType.REQ_RETRIEVE,
-            lambda: protocol.encode_retrieve_request(
-                goal, mode, _deadline_ms(deadline)
-            ),
-            deadline,
-        )
-        self._expect(frame, FrameType.RESP_RESULT)
-        return protocol.decode_result_response(frame.payload)
+        return self._answer("retrieve", goal, mode, deadline_s=deadline_s)
 
     def retrieve_batch(
         self,
@@ -277,22 +460,12 @@ class RetrievalClient:
         mode: SearchMode | None = None,
         deadline_s: float | None = None,
     ) -> list[RetrievalResult]:
-        deadline = None if deadline_s is None else time.monotonic() + deadline_s
-        frame = self._request_with_retries(
-            FrameType.REQ_RETRIEVE_BATCH,
-            lambda: protocol.encode_batch_request(
-                goals, mode, _deadline_ms(deadline)
-            ),
-            deadline,
-        )
-        self._expect(frame, FrameType.RESP_BATCH)
-        return protocol.decode_batch_response(frame.payload)
+        return self._answer("retrieve_batch", goals, mode, deadline_s=deadline_s)
 
     def solve(
         self,
         goal: Term,
         *,
-        engine: str = "zip",
         mode: SearchMode | None = None,
         deadline_s: float | None = None,
         max_solutions: int = 0,
@@ -308,79 +481,10 @@ class RetrievalClient:
         A mid-stream ``RESP_ERROR`` (deadline expired, resource budget
         exhausted) raises the mapped exception after the partial stream.
         """
-        deadline = None if deadline_s is None else time.monotonic() + deadline_s
-        core = self._core
-        attempt = 0
-        while True:
-            core.check_budget(deadline)
-            stream = self._solve_attempt(
-                goal, engine, mode, deadline, max_solutions
-            )
-            try:
-                first = next(stream)
-            except StopIteration:
-                return
-            except _RETRYABLE as exc:
-                if attempt >= core.backoff.max_retries:
-                    raise
-                if isinstance(exc, ServerBusy):
-                    core.obs.counter("net.client.busy_retries").inc()
-                self._sleep(core.next_delay(attempt, deadline))
-                attempt += 1
-                continue
-            yield first
-            yield from stream  # post-first-frame failures are not retried
-            return
-
-    def _solve_attempt(
-        self,
-        goal: Term,
-        engine: str,
-        mode: SearchMode | None,
-        deadline: float | None,
-        max_solutions: int,
-    ):
-        """One connection's worth of the solve stream (no retries)."""
-        core = self._core
-        request_id = core.take_request_id()
-        payload = protocol.encode_solve_request(
-            goal, engine, mode, _deadline_ms(deadline), max_solutions
+        return self._answers(
+            "solve", goal, mode, max_solutions=max_solutions,
+            deadline_s=deadline_s, pick=itemgetter(1),
         )
-        conn = self._checkout()
-        keep = False
-        try:
-            timeout = self.request_timeout_s
-            remaining = _remaining(deadline)
-            if remaining is not None:
-                budget = max(remaining, 0.001) + 1.0
-                timeout = budget if timeout is None else min(timeout, budget)
-            try:
-                conn.send_request(
-                    FrameType.REQ_SOLVE, request_id, payload, timeout
-                )
-                while True:
-                    frame = conn.read_frame(core.max_frame_bytes)
-                    frame = core.decode_response(frame, request_id)
-                    if frame.type is FrameType.RESP_SOLVE_DONE:
-                        keep = True
-                        return
-                    self._expect(frame, FrameType.RESP_SOLUTION)
-                    _, bindings = protocol.decode_solution(frame.payload)
-                    yield bindings
-            except socket.timeout as exc:
-                raise DeadlineExceeded(
-                    f"no response within {timeout:.3f}s"
-                ) from exc
-        except (ServerBusy, ServerDraining):
-            keep = True  # the connection itself is healthy
-            raise
-        finally:
-            # An abandoned or failed stream may leave frames in flight;
-            # the connection cannot be pooled unless the trailer arrived.
-            if keep and not self._closed:
-                self._checkin(conn)
-            else:
-                conn.close()
 
     def mutate(
         self,
@@ -402,80 +506,51 @@ class RetrievalClient:
         track acknowledgements themselves and stamp each logical write
         with a ``write_id`` so re-deliveries dedupe server-side.
         """
-        clause = as_clause(clause_or_term)
-        deadline = None if deadline_s is None else time.monotonic() + deadline_s
-        frame = self._request_with_retries(
-            FrameType.REQ_MUTATE,
-            lambda: protocol.encode_mutate_request(
-                op, clause, module, manifest_version, _deadline_ms(deadline),
-                write_id,
-            ),
-            deadline,
-            retryable=_MUTATION_RETRYABLE,
+        return self._answer(
+            "mutate", op, as_clause(clause_or_term), module,
+            manifest_version=manifest_version, write_id=write_id,
+            deadline_s=deadline_s,
         )
-        self._expect(frame, FrameType.RESP_MUTATED)
-        return protocol.decode_mutated_response(frame.payload)
 
     def assertz(
         self, clause_or_term: Clause | Term, module: str = "user", **kwargs
     ) -> int:
         """Append a clause; returns the server's new engine version."""
-        version, _, _ = self.mutate("assertz", clause_or_term, module, **kwargs)
-        return version
+        return self._mutation("assertz", 0, clause_or_term, module, **kwargs)
 
     def asserta(
         self, clause_or_term: Clause | Term, module: str = "user", **kwargs
     ) -> int:
         """Prepend a clause; returns the server's new engine version."""
-        version, _, _ = self.mutate("asserta", clause_or_term, module, **kwargs)
-        return version
+        return self._mutation("asserta", 0, clause_or_term, module, **kwargs)
 
-    def retract(
-        self, clause_or_term: Clause | Term, **kwargs
-    ) -> Clause | None:
+    def retract(self, clause_or_term: Clause | Term, **kwargs) -> Clause | None:
         """Remove the first unifying clause; returns the one removed."""
-        _, _, removed = self.mutate("retract", clause_or_term, **kwargs)
-        return removed
+        return self._mutation("retract", 2, clause_or_term, **kwargs)
 
-    def retract_exact(
-        self, clause_or_term: Clause | Term, **kwargs
-    ) -> bool:
+    def retract_exact(self, clause_or_term: Clause | Term, **kwargs) -> bool:
         """Remove a structurally identical clause (replication replay)."""
-        _, applied, _ = self.mutate("retract_exact", clause_or_term, **kwargs)
-        return applied
+        return self._mutation("retract_exact", 1, clause_or_term, **kwargs)
 
-    def manifest(self):
-        """The node's current cluster manifest (a ``ClusterManifest``)."""
-        from ..cluster.manifest import ClusterManifest
+    def _mutation(self, op: str, field: int, clause_or_term, *args, **kwargs):
+        """:meth:`mutate` (and its keywords), answering one field."""
+        return self._answer(
+            "mutate", op, as_clause(clause_or_term), *args,
+            pick=itemgetter(field), **kwargs,
+        )
 
-        frame = self._request_with_retries(
-            FrameType.REQ_MANIFEST, lambda: b"", None
-        )
-        self._expect(frame, FrameType.RESP_MANIFEST)
-        return ClusterManifest.from_json(
-            protocol.decode_manifest_response(frame.payload)
-        )
+    def manifest(self) -> ClusterManifest:
+        """The node's current cluster manifest."""
+        return self._answer("manifest", pick=ClusterManifest.from_json)
 
     def ping(self) -> bool:
-        frame = self._request_with_retries(
-            FrameType.REQ_PING, lambda: b"", None
-        )
-        self._expect(frame, FrameType.RESP_PONG)
-        return True
+        return self._answer("ping")
 
     def stats(self) -> dict:
-        frame = self._request_with_retries(
-            FrameType.REQ_STATS, lambda: b"", None
-        )
-        self._expect(frame, FrameType.RESP_STATS)
-        return protocol.decode_stats_response(frame.payload)
+        return self._answer("stats")
 
     def close(self) -> None:
-        self._closed = True
-        with self._pool_lock:
-            idle, self._idle = self._idle, []
-        for conn in idle:
-            conn.close()
+        self._core.close()
 
     def __enter__(self) -> "RetrievalClient":
         return self
@@ -483,145 +558,44 @@ class RetrievalClient:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- transport -----------------------------------------------------------
+    # -- the driver ----------------------------------------------------------
 
-    @staticmethod
-    def _expect(frame: protocol.Frame, expected: FrameType) -> None:
-        if frame.type is not expected:
-            raise ProtocolError(
-                f"expected {expected.name}, got {frame.type.name}"
-            )
+    def _answer(self, name: str, *args, **kwargs):
+        return _run(self._core.answer(name, *args, **kwargs))
 
-    def _request_with_retries(
-        self,
-        frame_type: FrameType,
-        make_payload,
-        deadline: float | None,
-        retryable: tuple = _RETRYABLE,
-    ) -> protocol.Frame:
-        core = self._core
-        attempt = 0
-        while True:
-            core.check_budget(deadline)
-            try:
-                return self._attempt(frame_type, make_payload(), deadline)
-            except retryable as exc:
-                if attempt >= core.backoff.max_retries:
-                    raise
-                if isinstance(exc, ServerBusy):
-                    core.obs.counter("net.client.busy_retries").inc()
-                self._sleep(core.next_delay(attempt, deadline))
-                attempt += 1
-
-    def _attempt(
-        self, frame_type: FrameType, payload: bytes, deadline: float | None
-    ) -> protocol.Frame:
-        core = self._core
-        request_id = core.take_request_id()
-        conn = self._checkout()
-        keep = False
+    def _answers(self, name: str, *args, **kwargs):
+        stream = self._core.answers(name, *args, **kwargs)
         try:
-            timeout = self.request_timeout_s
-            remaining = _remaining(deadline)
-            if remaining is not None:
-                # Pad the socket timeout slightly past the deadline so
-                # the *server's* DEADLINE_EXPIRED answer wins the race.
-                budget = max(remaining, 0.001) + 1.0
-                timeout = budget if timeout is None else min(timeout, budget)
-            try:
-                frame = conn.request(
-                    frame_type, request_id, payload, timeout,
-                    core.max_frame_bytes,
-                )
-            except socket.timeout as exc:
-                raise DeadlineExceeded(
-                    f"no response within {timeout:.3f}s"
-                ) from exc
-            response = core.decode_response(frame, request_id)
-            keep = True
-            return response
-        except (ServerBusy, ServerDraining):
-            keep = True  # the connection itself is healthy
-            raise
+            while True:
+                yield _run(stream.__anext__())
+        except StopAsyncIteration:
+            return
         finally:
-            if keep and not self._closed:
-                self._checkin(conn)
-            else:
-                conn.close()
-
-    def _checkout(self) -> _SyncConnection:
-        with self._pool_lock:
-            if self._idle:
-                return self._idle.pop()
-        self._core.obs.counter("net.client.connects").inc()
-        return _SyncConnection(
-            self._core.host, self._core.port, self.connect_timeout_s
-        )
-
-    def _checkin(self, conn: _SyncConnection) -> None:
-        with self._pool_lock:
-            if len(self._idle) < self._core.pool_size:
-                self._idle.append(conn)
-                return
-        conn.close()
+            _run(stream.aclose())  # abandoned mid-stream: closes the socket
 
 
 class _AsyncConnection:
-    """One framed TCP connection (asyncio streams)."""
+    """One TCP connection on asyncio streams."""
 
     def __init__(self, reader, writer):
         self.reader = reader
         self.writer = writer
 
     @classmethod
-    async def open(cls, host: str, port: int, connect_timeout: float | None):
-        import asyncio
+    async def open(cls, host: str, port: int, timeout: float | None):
+        return cls(
+            *await asyncio.wait_for(asyncio.open_connection(host, port), timeout)
+        )
 
-        try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(host, port), connect_timeout
-            )
-        except (OSError, TimeoutError) as exc:
-            raise ConnectError(f"cannot reach {host}:{port}: {exc}") from exc
-        return cls(reader, writer)
+    async def send(self, data: bytes, timeout: float | None) -> None:
+        self.writer.write(data)
+        # Bounded like the reads: a peer that stops reading must not
+        # park the caller in drain() past its deadline.
+        if self.writer.transport.get_write_buffer_size():  # else all is sent
+            await asyncio.wait_for(self.writer.drain(), timeout)
 
-    async def request(
-        self,
-        frame_type: FrameType,
-        request_id: int,
-        payload: bytes,
-        timeout: float | None,
-        max_frame_bytes: int,
-    ) -> protocol.Frame:
-        await self.send_request(frame_type, request_id, payload)
-        return await self.read_frame(timeout, max_frame_bytes)
-
-    async def send_request(
-        self, frame_type: FrameType, request_id: int, payload: bytes
-    ) -> None:
-        self.writer.write(protocol.encode_frame(frame_type, request_id, payload))
-        await self.writer.drain()
-
-    async def read_frame(
-        self, timeout: float | None, max_frame_bytes: int
-    ) -> protocol.Frame:
-        import asyncio
-
-        async def _read():
-            header = await self.reader.readexactly(protocol.HEADER.size)
-            resp_type, resp_id, length = protocol.decode_header(
-                header, max_frame_bytes
-            )
-            return protocol.Frame(
-                resp_type, resp_id, await self.reader.readexactly(length)
-            )
-
-        try:
-            return await asyncio.wait_for(_read(), timeout)
-        except asyncio.IncompleteReadError as exc:
-            raise ConnectionError("connection closed mid-frame") from exc
-        except TimeoutError as exc:
-            raise DeadlineExceeded(f"no response within {timeout}s") from exc
+    async def read(self, timeout: float | None) -> bytes:
+        return await asyncio.wait_for(self.reader.read(65536), timeout)
 
     def close(self) -> None:
         try:
@@ -631,7 +605,12 @@ class _AsyncConnection:
 
 
 class AsyncRetrievalClient:
-    """The same contract as :class:`RetrievalClient`, on asyncio streams."""
+    """The same contract as :class:`RetrievalClient`, on asyncio streams.
+
+    The verbs *are* :class:`RetrievalClient`'s functions over the core's
+    own coroutine and async generator, so every unary verb returns an
+    awaitable and ``solve`` an async iterator.
+    """
 
     def __init__(
         self,
@@ -646,261 +625,35 @@ class AsyncRetrievalClient:
         obs: Instrumentation | None = None,
         rng: random.Random | None = None,
     ):
-        self._core = _ClientCore(
-            host, port,
-            pool_size=pool_size,
-            backoff=backoff if backoff is not None else BackoffPolicy(),
-            max_frame_bytes=max_frame_bytes,
-            obs=obs,
-            rng=rng,
+        self._core = _RequestCore(
+            host, port, pool_size, backoff, connect_timeout_s,
+            request_timeout_s, max_frame_bytes, obs, rng,
+            _AsyncConnection.open, asyncio.sleep,
         )
-        self.connect_timeout_s = connect_timeout_s
-        self.request_timeout_s = request_timeout_s
-        self._idle: list[_AsyncConnection] = []
-        self._closed = False
+        self._answer = self._core.answer
+        self._answers = self._core.answers
 
-    async def retrieve(
-        self,
-        goal: Term,
-        mode: SearchMode | None = None,
-        deadline_s: float | None = None,
-    ) -> RetrievalResult:
-        deadline = None if deadline_s is None else time.monotonic() + deadline_s
-        frame = await self._request_with_retries(
-            FrameType.REQ_RETRIEVE,
-            lambda: protocol.encode_retrieve_request(
-                goal, mode, _deadline_ms(deadline)
-            ),
-            deadline,
-        )
-        RetrievalClient._expect(frame, FrameType.RESP_RESULT)
-        return protocol.decode_result_response(frame.payload)
-
-    async def retrieve_batch(
-        self,
-        goals: list[Term],
-        mode: SearchMode | None = None,
-        deadline_s: float | None = None,
-    ) -> list[RetrievalResult]:
-        deadline = None if deadline_s is None else time.monotonic() + deadline_s
-        frame = await self._request_with_retries(
-            FrameType.REQ_RETRIEVE_BATCH,
-            lambda: protocol.encode_batch_request(
-                goals, mode, _deadline_ms(deadline)
-            ),
-            deadline,
-        )
-        RetrievalClient._expect(frame, FrameType.RESP_BATCH)
-        return protocol.decode_batch_response(frame.payload)
-
-    async def solve(
-        self,
-        goal: Term,
-        *,
-        engine: str = "zip",
-        mode: SearchMode | None = None,
-        deadline_s: float | None = None,
-        max_solutions: int = 0,
-    ):
-        """Async counterpart of :meth:`RetrievalClient.solve`."""
-        import asyncio
-
-        deadline = None if deadline_s is None else time.monotonic() + deadline_s
-        core = self._core
-        attempt = 0
-        while True:
-            core.check_budget(deadline)
-            stream = self._solve_attempt(
-                goal, engine, mode, deadline, max_solutions
-            )
-            try:
-                first = await stream.__anext__()
-            except StopAsyncIteration:
-                return
-            except _RETRYABLE as exc:
-                if attempt >= core.backoff.max_retries:
-                    raise
-                if isinstance(exc, ServerBusy):
-                    core.obs.counter("net.client.busy_retries").inc()
-                await asyncio.sleep(core.next_delay(attempt, deadline))
-                attempt += 1
-                continue
-            yield first
-            async for bindings in stream:
-                yield bindings
-            return
-
-    async def _solve_attempt(
-        self,
-        goal: Term,
-        engine: str,
-        mode: SearchMode | None,
-        deadline: float | None,
-        max_solutions: int,
-    ):
-        core = self._core
-        request_id = core.take_request_id()
-        payload = protocol.encode_solve_request(
-            goal, engine, mode, _deadline_ms(deadline), max_solutions
-        )
-        conn = await self._checkout()
-        keep = False
-        try:
-            timeout = self.request_timeout_s
-            remaining = _remaining(deadline)
-            if remaining is not None:
-                budget = max(remaining, 0.001) + 1.0
-                timeout = budget if timeout is None else min(timeout, budget)
-            await conn.send_request(FrameType.REQ_SOLVE, request_id, payload)
-            while True:
-                frame = await conn.read_frame(timeout, core.max_frame_bytes)
-                frame = core.decode_response(frame, request_id)
-                if frame.type is FrameType.RESP_SOLVE_DONE:
-                    keep = True
-                    return
-                RetrievalClient._expect(frame, FrameType.RESP_SOLUTION)
-                _, bindings = protocol.decode_solution(frame.payload)
-                yield bindings
-        except (ServerBusy, ServerDraining):
-            keep = True
-            raise
-        finally:
-            if keep and not self._closed:
-                self._checkin(conn)
-            else:
-                conn.close()
-
-    async def mutate(
-        self,
-        op: str,
-        clause_or_term: Clause | Term,
-        module: str = "user",
-        *,
-        manifest_version: int = 0,
-        deadline_s: float | None = None,
-        write_id: str = "",
-    ) -> tuple[int, bool, Clause | None]:
-        """Async counterpart of :meth:`RetrievalClient.mutate`.
-
-        Same retry discipline: only rejections that provably preceded
-        any state change (busy/draining/frozen) and connect failures are
-        retried — a drop after the frame went out leaves the mutation's
-        fate unknown, and ``write_id`` is the caller's dedupe handle.
-        """
-        clause = as_clause(clause_or_term)
-        deadline = None if deadline_s is None else time.monotonic() + deadline_s
-        frame = await self._request_with_retries(
-            FrameType.REQ_MUTATE,
-            lambda: protocol.encode_mutate_request(
-                op, clause, module, manifest_version, _deadline_ms(deadline),
-                write_id,
-            ),
-            deadline,
-            retryable=_MUTATION_RETRYABLE,
-        )
-        RetrievalClient._expect(frame, FrameType.RESP_MUTATED)
-        return protocol.decode_mutated_response(frame.payload)
-
-    async def assertz(
-        self, clause_or_term: Clause | Term, module: str = "user", **kwargs
-    ) -> int:
-        version, _, _ = await self.mutate(
-            "assertz", clause_or_term, module, **kwargs
-        )
-        return version
-
-    async def ping(self) -> bool:
-        frame = await self._request_with_retries(
-            FrameType.REQ_PING, lambda: b"", None
-        )
-        RetrievalClient._expect(frame, FrameType.RESP_PONG)
-        return True
-
-    async def stats(self) -> dict:
-        frame = await self._request_with_retries(
-            FrameType.REQ_STATS, lambda: b"", None
-        )
-        RetrievalClient._expect(frame, FrameType.RESP_STATS)
-        return protocol.decode_stats_response(frame.payload)
+    retrieve = RetrievalClient.retrieve
+    retrieve_batch = RetrievalClient.retrieve_batch
+    solve = RetrievalClient.solve
+    mutate = RetrievalClient.mutate
+    assertz = RetrievalClient.assertz
+    asserta = RetrievalClient.asserta
+    retract = RetrievalClient.retract
+    retract_exact = RetrievalClient.retract_exact
+    _mutation = RetrievalClient._mutation
+    manifest = RetrievalClient.manifest
+    ping = RetrievalClient.ping
+    stats = RetrievalClient.stats
 
     async def close(self) -> None:
-        self._closed = True
-        idle, self._idle = self._idle, []
-        for conn in idle:
-            conn.close()
+        self._core.close()
 
     async def __aenter__(self) -> "AsyncRetrievalClient":
         return self
 
     async def __aexit__(self, *exc_info) -> None:
         await self.close()
-
-    # -- transport -----------------------------------------------------------
-
-    async def _request_with_retries(
-        self,
-        frame_type: FrameType,
-        make_payload,
-        deadline: float | None,
-        retryable: tuple = _RETRYABLE,
-    ) -> protocol.Frame:
-        import asyncio
-
-        core = self._core
-        attempt = 0
-        while True:
-            core.check_budget(deadline)
-            try:
-                return await self._attempt(frame_type, make_payload(), deadline)
-            except retryable as exc:
-                if attempt >= core.backoff.max_retries:
-                    raise
-                if isinstance(exc, ServerBusy):
-                    core.obs.counter("net.client.busy_retries").inc()
-                await asyncio.sleep(core.next_delay(attempt, deadline))
-                attempt += 1
-
-    async def _attempt(
-        self, frame_type: FrameType, payload: bytes, deadline: float | None
-    ) -> protocol.Frame:
-        core = self._core
-        request_id = core.take_request_id()
-        conn = await self._checkout()
-        keep = False
-        try:
-            timeout = self.request_timeout_s
-            remaining = _remaining(deadline)
-            if remaining is not None:
-                budget = max(remaining, 0.001) + 1.0
-                timeout = budget if timeout is None else min(timeout, budget)
-            frame = await conn.request(
-                frame_type, request_id, payload, timeout, core.max_frame_bytes
-            )
-            response = core.decode_response(frame, request_id)
-            keep = True
-            return response
-        except (ServerBusy, ServerDraining):
-            keep = True
-            raise
-        finally:
-            if keep and not self._closed:
-                self._checkin(conn)
-            else:
-                conn.close()
-
-    async def _checkout(self) -> _AsyncConnection:
-        if self._idle:
-            return self._idle.pop()
-        self._core.obs.counter("net.client.connects").inc()
-        return await _AsyncConnection.open(
-            self._core.host, self._core.port, self.connect_timeout_s
-        )
-
-    def _checkin(self, conn: _AsyncConnection) -> None:
-        if len(self._idle) < self._core.pool_size:
-            self._idle.append(conn)
-            return
-        conn.close()
 
 
 # -- replica failover ---------------------------------------------------------
@@ -911,10 +664,9 @@ class AddressHealth:
     """One address's recent behaviour, as seen by a failover client.
 
     Health is *per address*: a SERVER_BUSY from one replica quarantines
-    only that replica, never its siblings — before this bookkeeping
-    existed, the pooled client's retry counter conflated "this replica
-    is busy" with "the service is busy" and a single overloaded replica
-    masked perfectly healthy ones.
+    only that replica, never its siblings — "this replica is busy" is
+    not "the service is busy", and one overloaded replica must not mask
+    perfectly healthy ones.
     """
 
     consecutive_failures: int = 0
@@ -959,9 +711,8 @@ class FailoverClient:
     healthy-first (preserving the given order among equally healthy
     replicas), *moving to the next address immediately* on busy,
     draining, connect, or drop failures — the backoff sleep happens only
-    after a full pass found no willing replica.  That is the difference
-    between same-target retry (PR 5's client) and true failover: a dead
-    or busy replica costs one probe, not a retry budget.
+    after a full pass found no willing replica: a dead or busy replica
+    costs one probe, not a retry budget.
 
     Non-transport answers (wrong-predicate errors, stale-manifest
     rejections, deadline expiry) surface immediately — another replica
@@ -1004,7 +755,6 @@ class FailoverClient:
             request_timeout_s=request_timeout_s,
             max_frame_bytes=max_frame_bytes,
             obs=obs,
-            rng=rng,
         )
         self._addresses: list[str] = []
         self._clients: dict[str, RetrievalClient] = {}
@@ -1055,12 +805,9 @@ class FailoverClient:
         mode: SearchMode | None = None,
         deadline_s: float | None = None,
     ) -> RetrievalResult:
-        deadline = None if deadline_s is None else time.monotonic() + deadline_s
         return self._with_failover(
-            lambda client, remaining: client.retrieve(
-                goal, mode=mode, deadline_s=remaining
-            ),
-            deadline,
+            lambda client, left: client.retrieve(goal, mode, deadline_s=left),
+            deadline_s,
         )
 
     def retrieve_batch(
@@ -1069,19 +816,14 @@ class FailoverClient:
         mode: SearchMode | None = None,
         deadline_s: float | None = None,
     ) -> list[RetrievalResult]:
-        deadline = None if deadline_s is None else time.monotonic() + deadline_s
         return self._with_failover(
-            lambda client, remaining: client.retrieve_batch(
-                goals, mode=mode, deadline_s=remaining
-            ),
-            deadline,
+            lambda client, left: client.retrieve_batch(goals, mode, deadline_s=left),
+            deadline_s,
         )
 
     def manifest(self):
         """The freshest manifest any replica will serve."""
-        return self._with_failover(
-            lambda client, remaining: client.manifest(), None
-        )
+        return self._with_failover(lambda client, left: client.manifest(), None)
 
     def close(self) -> None:
         with self._lock:
@@ -1113,12 +855,10 @@ class FailoverClient:
         )
         return available + quarantined
 
-    def _with_failover(self, call, deadline: float | None):
-        attempt = 0
+    def _with_failover(self, call, deadline_s: float | None):
+        budget = _Budget(self.backoff, self.rng, deadline_s)
         while True:
-            remaining = _remaining(deadline)
-            if remaining is not None and remaining <= 0:
-                raise DeadlineExceeded("deadline expired between attempts")
+            budget.check("between attempts")
             last_exc: Exception | None = None
             for address in self._ordered_addresses():
                 try:
@@ -1126,7 +866,7 @@ class FailoverClient:
                 except KeyError:
                     continue  # membership changed under us
                 try:
-                    result = call(client, _remaining(deadline))
+                    result = call(client, budget.remaining())
                 except ServerBusy as exc:
                     # Penalise *this* address only and probe the next
                     # replica immediately — no backoff sleep yet.
@@ -1152,15 +892,7 @@ class FailoverClient:
                 else:
                     self.health_of(address).note_success()
                     return result
-            if attempt >= self.backoff.max_retries:
-                assert last_exc is not None
-                raise last_exc
-            delay = self.backoff.delay(attempt, self.rng)
-            remaining = _remaining(deadline)
-            if remaining is not None:
-                if remaining <= 0:
-                    raise DeadlineExceeded("deadline expired between attempts")
-                delay = min(delay, remaining)
+            assert last_exc is not None
+            delay = budget.next_delay(last_exc)
             self.obs.counter("net.failover.passes").inc()
             self._sleep(delay)
-            attempt += 1

@@ -495,22 +495,18 @@ def decode_batch_request(
     return goals, mode, deadline_ms
 
 
-#: Engine selectors for a ``REQ_SOLVE`` frame.
-_SOLVE_ENGINES = ("zip", "interp")
-
-
 def encode_solve_request(
     goal: Term,
-    engine: str = "zip",
     mode: SearchMode | None = None,
     deadline_ms: int = 0,
     max_solutions: int = 0,
 ) -> bytes:
-    """A ``REQ_SOLVE`` payload: resolve ``goal`` and stream every answer."""
-    if engine not in _SOLVE_ENGINES:
-        raise ValueError(f"unknown solve engine {engine!r}")
+    """A ``REQ_SOLVE`` payload: resolve ``goal`` and stream every answer.
+
+    The first body byte is reserved and must be zero: which engine
+    resolves the goal is the server's choice, never the request's."""
     encoder = PayloadEncoder()
-    encoder.body.u8(_SOLVE_ENGINES.index(engine))
+    encoder.body.u8(0)
     encoder.body.u8(_mode_byte(mode))
     encoder.body.u32(max(0, deadline_ms))
     encoder.body.u32(max(0, max_solutions))
@@ -520,15 +516,15 @@ def encode_solve_request(
 
 def decode_solve_request(
     payload: bytes,
-) -> tuple[Term, str, SearchMode | None, int, int]:
+) -> tuple[Term, SearchMode | None, int, int]:
     decoder = PayloadDecoder(payload)
-    engine_index = decoder.body.u8()
-    if engine_index >= len(_SOLVE_ENGINES):
-        raise ProtocolError(f"unknown solve engine index {engine_index}")
+    reserved = decoder.body.u8()
+    if reserved != 0:
+        raise ProtocolError(f"reserved solve byte is {reserved}, must be 0")
     mode = _mode_from_byte(decoder.body.u8())
     deadline_ms = decoder.body.u32()
     max_solutions = decoder.body.u32()
-    return decoder.goal(), _SOLVE_ENGINES[engine_index], mode, deadline_ms, max_solutions
+    return decoder.goal(), mode, deadline_ms, max_solutions
 
 
 def encode_solution(index: int, bindings: dict[str, Term]) -> bytes:

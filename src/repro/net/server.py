@@ -559,7 +559,7 @@ class RetrievalService:
         loop = asyncio.get_running_loop()
         try:
             try:
-                goal, engine_name, mode, deadline_ms, max_solutions = (
+                goal, mode, deadline_ms, max_solutions = (
                     protocol.decode_solve_request(payload)
                 )
             except Exception as exc:
@@ -602,13 +602,9 @@ class RetrievalService:
                             f"deadline expired after {queue_wait_s * 1e3:.1f}"
                             "ms in the accept queue"
                         )
-                solver = SolveEngine(self.engine, mode=mode, engine=engine_name)
+                solver = SolveEngine(self.engine, mode=mode)
                 count = 0
-                with self.obs.span(
-                    "net.solve",
-                    engine=engine_name,
-                    request_id=request_id,
-                ) as span:
+                with self.obs.span("net.solve", request_id=request_id) as span:
                     span.set(queue_wait_ms=round(queue_wait_s * 1e3, 3))
                     for solution in solver.solve(
                         goal,

@@ -6,9 +6,9 @@ from .persist import PersistenceError, kb_fingerprint, load_kb, save_kb
 from .wal import (
     DurabilityOptions,
     DurableStore,
+    MutationRecord,
     RecoveredState,
     WalError,
-    WalRecord,
     WriteAheadLog,
     wal_dump,
 )
@@ -19,13 +19,13 @@ __all__ = [
     "DurableStore",
     "KnowledgeBase",
     "Module",
+    "MutationRecord",
     "PersistenceError",
     "PredicateStore",
     "RecoveredState",
     "Residency",
     "UnknownPredicateError",
     "WalError",
-    "WalRecord",
     "WriteAheadLog",
     "kb_fingerprint",
     "load_kb",

@@ -61,9 +61,9 @@ __all__ = [
     "BULK_COMMIT_RECORDS",
     "DurabilityOptions",
     "DurableStore",
+    "MutationRecord",
     "RecoveredState",
     "WalError",
-    "WalRecord",
     "WriteAheadLog",
     "clear_crash_points",
     "install_crash_point",
@@ -133,19 +133,36 @@ def _maybe_crash(point: str) -> None:
 
 
 @dataclass(frozen=True)
-class WalRecord:
-    """One durable mutation: the storage-level twin of ``MutationRecord``."""
+class MutationRecord:
+    """One logged KB mutation: what the WAL stores, what the engine's
+    in-memory log holds, and what a replica replays.
+
+    ``op`` is one of ``assertz``/``asserta``/``retract``/``reload``.
+    For the first three, ``clause`` is the exact clause added or removed
+    (for retract: the clause the *primary* removed, not the unification
+    template — replaying the template could remove a different clause on
+    the replica).  ``reload`` marks a wholesale KB replacement
+    (``ShardedRetrievalServer.adopt_kb``) and carries no clause; it is
+    never written to the WAL, cannot be replayed incrementally, and
+    forces delta readers back to a snapshot.
+
+    ``write_id`` is the client's idempotency stamp for the logical write
+    (``None`` for coordinator-originated mutations).  Replaying a record
+    onto a replica that already applied that id — because the client
+    re-routed the same write there after a manifest flip — is a no-op
+    instead of a duplicate.
+    """
 
     seq: int
     op: str
-    clause: Clause
+    clause: Clause | None = None
     module: str = "user"
     write_id: str | None = None
 
 
-def encode_record(record: WalRecord) -> bytes:
+def encode_record(record: MutationRecord) -> bytes:
     """Frame one record: ``u32 len | u32 crc | body`` (self-contained)."""
-    if record.op not in _OP_CODE:
+    if record.op not in _OP_CODE or record.clause is None:
         raise WalError(f"op {record.op!r} is not WAL-encodable")
     symbols = SymbolTable()
     compiled = compile_clause(record.clause, symbols)
@@ -166,7 +183,7 @@ def encode_record(record: WalRecord) -> bytes:
     return _FRAME.pack(len(body), zlib.crc32(bytes(body))) + bytes(body)
 
 
-def _decode_body(body: bytes) -> WalRecord:
+def _decode_body(body: bytes) -> MutationRecord:
     seq, op_code, has_id = struct.unpack_from("<QBB", body, 0)
     offset = 10
     if op_code >= len(_OPS):
@@ -194,7 +211,7 @@ def _decode_body(body: bytes) -> WalRecord:
         body[offset:offset + rec_len], (name, arity)
     )
     clause = decode_compiled(compiled, symbols)
-    return WalRecord(
+    return MutationRecord(
         seq=seq,
         op=_OPS[op_code],
         clause=clause,
@@ -222,7 +239,7 @@ def _list_segments(directory: pathlib.Path) -> list[pathlib.Path]:
 @dataclass
 class _SegmentScan:
     base_seq: int
-    records: list[WalRecord]
+    records: list[MutationRecord]
     valid_bytes: int  # offset of the first torn/invalid byte (= durable end)
     torn: bool  # a torn tail was found (short frame or CRC mismatch)
 
@@ -238,7 +255,7 @@ def _scan_segment(path: pathlib.Path) -> _SegmentScan:
         raise WalError(f"{path.name}: bad WAL header")
     if base_seq != _segment_base(path):
         raise WalError(f"{path.name}: header base_seq {base_seq} mismatch")
-    records: list[WalRecord] = []
+    records: list[MutationRecord] = []
     offset = _HEADER.size
     while offset < len(data):
         if offset + _FRAME.size > len(data):
@@ -349,7 +366,7 @@ class WriteAheadLog:
 
     # -- appending -----------------------------------------------------------
 
-    def stage(self, record: WalRecord) -> None:
+    def stage(self, record: MutationRecord) -> None:
         """Queue one encoded record (caller serialises seq order)."""
         frame = encode_record(record)
         with self._cond:
@@ -433,7 +450,7 @@ class WriteAheadLog:
                 self._flushing = False
                 self._cond.notify_all()
 
-    def records_since(self, seq: int) -> list[WalRecord]:
+    def records_since(self, seq: int) -> list[MutationRecord]:
         """Every durable-or-staged record with ``seq`` greater, from disk.
 
         Staged bytes are pushed into the file (no fsync — this is a
@@ -450,7 +467,7 @@ class WriteAheadLog:
                 self._file.write(b"".join(batch))
             assert self._file is not None
             self._file.flush()
-        out: list[WalRecord] = []
+        out: list[MutationRecord] = []
         for path in _list_segments(self.directory):
             scan = _scan_segment(path)
             if scan.torn:
@@ -511,7 +528,7 @@ class RecoveredState:
     snapshot_dir: pathlib.Path | None = None
     shard_dirs: list[pathlib.Path] = field(default_factory=list)
     write_ids: list[str] = field(default_factory=list)
-    records: list[WalRecord] = field(default_factory=list)
+    records: list[MutationRecord] = field(default_factory=list)
     #: torn-tail records discarded (and truncated) during the scan.
     discarded_bytes: int = 0
 
@@ -637,13 +654,13 @@ class DurableStore:
 
     # -- the write path (delegated) -------------------------------------------
 
-    def stage(self, record: WalRecord) -> None:
+    def stage(self, record: MutationRecord) -> None:
         self._wal.stage(record)
 
     def wait_durable(self, seq: int) -> None:
         self._wal.wait_durable(seq)
 
-    def records_since(self, seq: int) -> list[WalRecord]:
+    def records_since(self, seq: int) -> list[MutationRecord]:
         """Log-shipping read: records after ``seq`` from the durable log.
 
         Returns an empty list when ``seq`` predates the oldest retained

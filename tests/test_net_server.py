@@ -202,6 +202,50 @@ class TestServiceSurface:
         assert result.stats == local.stats
         assert len(batch) == 2
 
+    def test_async_client_speaks_every_verb_the_sync_client_does(self):
+        # asserta / retract / retract_exact / manifest used to exist on
+        # the blocking client only; one verb table now serves both.
+        import asyncio
+
+        from repro.cluster import ClusterManifest, ManifestHolder
+
+        engine = family_engine()
+        manifest = ClusterManifest(
+            engine.num_shards, "first_arg", version=3,
+            replicas={i: ("127.0.0.1:1",) for i in range(engine.num_shards)},
+        )
+        service = RetrievalService(engine, manifest_holder=ManifestHolder(manifest))
+        goal = read_term("tag(X, new)")
+
+        async def run(host, port):
+            async with AsyncRetrievalClient(host, port) as client:
+                base = engine.version
+                assert await client.assertz(read_term("tag(zed, new)")) == base + 1
+                assert await client.asserta(
+                    read_term("tag(amy, new)"), "user", write_id="w:1"
+                ) == base + 2
+                names = [
+                    str(c.head.args[0])
+                    for c in (await client.retrieve(goal)).candidates
+                ]
+                removed = await client.retract(read_term("tag(amy, What)"))
+                assert await client.retract_exact(read_term("tag(zed, new)"))
+                assert not await client.retract_exact(read_term("tag(zed, new)"))
+                fetched = await client.manifest()
+                answers = [s async for s in client.solve(goal, max_solutions=5)]
+                stats = await client.stats()
+                return names, removed, fetched, answers, stats
+
+        with BackgroundService(service) as background:
+            names, removed, fetched, answers, stats = asyncio.run(
+                run(*background.start())
+            )
+        assert sorted(names) == ["amy", "zed"]
+        assert str(removed) == "tag(amy,new)."
+        assert fetched.version == 3 and fetched.num_shards == engine.num_shards
+        assert "zed" not in [str(a["X"]) for a in answers]
+        assert stats["engine_clauses"] == engine.clause_count()
+
 
 class SlowEngine:
     """An engine whose every retrieval takes a fixed host time."""

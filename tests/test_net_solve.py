@@ -51,14 +51,12 @@ class TestProtocolRoundTrip:
     def test_solve_request_codec(self):
         goal = read_term("path(a, X)")
         payload = protocol.encode_solve_request(
-            goal, engine="interp", mode=SearchMode.BOTH,
-            deadline_ms=1500, max_solutions=7,
+            goal, mode=SearchMode.BOTH, deadline_ms=1500, max_solutions=7,
         )
-        decoded, engine, mode, deadline_ms, max_solutions = (
+        decoded, mode, deadline_ms, max_solutions = (
             protocol.decode_solve_request(payload)
         )
         assert term_to_string(decoded) == term_to_string(goal)
-        assert engine == "interp"
         assert mode is SearchMode.BOTH
         assert deadline_ms == 1500
         assert max_solutions == 7
@@ -81,12 +79,17 @@ class TestProtocolRoundTrip:
         )
         assert (count, completed, reason) == (41, False, "solution cap reached")
 
-    def test_unknown_engine_rejected_at_encode_and_decode(self):
-        with pytest.raises(ValueError):
-            protocol.encode_solve_request(read_term("p(X)"), engine="warp")
+    def test_engine_selector_is_gone_and_its_byte_reserved(self):
+        # A remote caller cannot opt a request into another engine: the
+        # encoder takes no selector, and the byte that carried it must
+        # stay zero (index 1 was ``interp``).
+        with pytest.raises(TypeError):
+            protocol.encode_solve_request(read_term("p(X)"), engine="interp")
         payload = bytearray(protocol.encode_solve_request(read_term("p(X)")))
-        payload[4] = 0x7F  # engine selector byte, just past the table length
-        with pytest.raises(protocol.ProtocolError):
+        table_len = int.from_bytes(payload[:4], "big")
+        assert payload[4 + table_len] == 0
+        payload[4 + table_len] = 1
+        with pytest.raises(protocol.ProtocolError, match="reserved"):
             protocol.decode_solve_request(bytes(payload))
 
     def test_resolution_errors_map_to_dedicated_codes(self):
@@ -128,6 +131,26 @@ class TestStreaming:
                     )
                 ]
         assert got == ["z", "s(z)", "s(s(z))", "s(s(s(z)))"]
+
+    def test_nonzero_reserved_byte_is_a_typed_bad_request(self):
+        import socket
+
+        payload = bytearray(protocol.encode_solve_request(read_term("nat(N)")))
+        payload[4 + int.from_bytes(payload[:4], "big")] = 1
+        with BackgroundService(make_service(NATS)) as background:
+            raw = socket.create_connection(background.service.address)
+            raw.settimeout(10)
+            raw.sendall(
+                protocol.encode_frame(FrameType.REQ_SOLVE, 5, bytes(payload))
+            )
+            frame_type, request_id, length = protocol.decode_header(
+                raw.recv(protocol.HEADER.size)
+            )
+            code, message = protocol.decode_error(raw.recv(length))
+            raw.close()
+        assert (frame_type, request_id) == (FrameType.RESP_ERROR, 5)
+        assert code is ErrorCode.BAD_REQUEST
+        assert "reserved" in message
 
     def test_abandoning_an_infinite_stream_does_not_wedge_drain(self):
         # The client walks away mid-stream with no cap; the server must

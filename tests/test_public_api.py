@@ -149,6 +149,7 @@ for info in pkgutil.walk_packages(repro.__path__, "repro."):
             ["serve", "kb.pl", "--fs1-mode", "vector"],
             ["consult", "kb.pl", "--fs2-mode", "microcoded"],
             ["serve", "kb.pl", "--result-transport", "pipe"],
+            ["client", "--port", "1", "--solve", "p(X)", "--engine", "zip"],
         ],
     )
     def test_removed_selector_flags_are_usage_errors(self, argv, capsys):
@@ -158,3 +159,63 @@ for info in pkgutil.walk_packages(repro.__path__, "repro."):
             main(argv)
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestOneClientSurface:
+    """The blocking and asyncio clients are one surface over one core."""
+
+    @staticmethod
+    def public_methods(cls):
+        import inspect
+
+        return {
+            name: inspect.signature(member)
+            for name, member in inspect.getmembers(cls, callable)
+            if not name.startswith("_")
+        }
+
+    def test_both_clients_expose_the_same_verbs_and_signatures(self):
+        from repro.net import AsyncRetrievalClient, RetrievalClient
+
+        blocking = self.public_methods(RetrievalClient)
+        on_asyncio = self.public_methods(AsyncRetrievalClient)
+        assert set(blocking) == set(on_asyncio) == {
+            "retrieve", "retrieve_batch", "solve", "mutate", "assertz",
+            "asserta", "retract", "retract_exact", "manifest", "ping",
+            "stats", "close",
+        }
+        for name, signature in blocking.items():
+            assert signature == on_asyncio[name], name
+
+    def test_solve_takes_no_engine_selector(self):
+        import inspect
+
+        from repro.engine import SolveEngine
+        from repro.net import RetrievalClient, protocol
+
+        assert "engine" not in inspect.signature(RetrievalClient.solve).parameters
+        assert "engine" not in inspect.signature(SolveEngine.solve).parameters
+        assert not hasattr(protocol, "_SOLVE_ENGINES")
+        # The oracle hook stays, on the constructor only.
+        assert "engine" in inspect.signature(SolveEngine).parameters
+
+    def test_net_all_is_unchanged(self):
+        import repro.net
+
+        assert sorted(repro.net.__all__) == [
+            "AddressHealth", "AsyncRetrievalClient", "BackgroundService",
+            "BackoffPolicy", "ConnectError", "DEFAULT_MAX_FRAME_BYTES",
+            "DeadlineExceeded", "ErrorCode", "FailoverClient", "FrameType",
+            "NetError", "ProtocolError", "RemoteError", "RetrievalClient",
+            "RetrievalService", "ServerBusy", "ServerDraining", "StaleManifest",
+        ]
+
+    def test_tracing_targets_stay_defined_on_the_blocking_client(self):
+        # bench/tracing.py patches ``cls.__dict__[attr]``: the three
+        # traced verbs may not move to a base class.
+        import inspect
+
+        from repro.net import RetrievalClient
+
+        for name in ("retrieve", "solve", "mutate"):
+            assert inspect.isfunction(vars(RetrievalClient)[name])

@@ -8,9 +8,11 @@ paths:
 1. the tree-walking interpreter over a single KnowledgeBase;
 2. the compiled ZIP machine over the same KB;
 3. ``SolveEngine`` pulling candidates through a predicate-sharded
-   cluster (both engine selectors);
-4. the ``solve`` verb over the wire protocol, answers streamed one
-   frame at a time.
+   cluster (the serving ``zip`` engine and the constructor-only
+   ``interp`` oracle);
+4. the ``solve`` verb over the wire protocol — which runs ``zip`` and
+   takes no engine selector — answers streamed one frame at a time and
+   compared against the in-process interpreter.
 
 Predicate sharding keeps each procedure whole on one shard, so the
 cluster's candidate order equals single-KB clause order and sequence
@@ -114,12 +116,10 @@ def test_net_solve_streams_the_interpreter_sequence(program):
                 reference = [
                     render(s) for s in machine.solve(read_term(query))
                 ]
-                for engine in ("zip", "interp"):
-                    streamed = [
-                        render(s)
-                        for s in client.solve(read_term(query), engine=engine)
-                    ]
-                    assert streamed == reference, f"net {engine}: {query}"
+                streamed = [
+                    render(s) for s in client.solve(read_term(query))
+                ]
+                assert streamed == reference, f"net zip: {query}"
 
 
 @pytest.mark.parametrize("seed_nodes", [3, 4, 5])

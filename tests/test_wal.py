@@ -30,7 +30,6 @@ from repro.storage import (
 from repro.storage.wal import (
     BULK_COMMIT_RECORDS,
     WalError,
-    WalRecord,
     WriteAheadLog,
     _scan_segment,
     encode_record,
@@ -54,10 +53,10 @@ def _durable(tmp_path, name="store", **kwargs) -> DurabilityOptions:
 
 class TestRecordCodec:
     RECORDS = [
-        WalRecord(1, "assertz", _clause("f(a)")),
-        WalRecord(2, "asserta", _clause("g(X, [1, 2.5, 'odd atom'])")),
-        WalRecord(3, "retract", _clause("f(a)"), write_id="w:1"),
-        WalRecord(4, "assertz", _clause("p(X) :- q(X), r(X)"),
+        MutationRecord(1, "assertz", _clause("f(a)")),
+        MutationRecord(2, "asserta", _clause("g(X, [1, 2.5, 'odd atom'])")),
+        MutationRecord(3, "retract", _clause("f(a)"), write_id="w:1"),
+        MutationRecord(4, "assertz", _clause("p(X) :- q(X), r(X)"),
                   module="aux"),
     ]
 
@@ -92,14 +91,22 @@ class TestRecordCodec:
         # the adopted KB exists only in memory, so the engine snapshots
         # synchronously instead of logging.
         with pytest.raises(WalError):
-            encode_record(WalRecord(1, "reload", _clause("f(a)")))
+            encode_record(MutationRecord(1, "reload", _clause("f(a)")))
+        with pytest.raises(WalError):
+            encode_record(MutationRecord(1, "reload"))  # as adopt_kb logs it
+
+    def test_one_record_type_for_the_log_and_the_wal(self):
+        import repro.storage
+
+        assert repro.storage.MutationRecord is MutationRecord
+        assert not hasattr(repro.storage, "WalRecord")
 
     def test_stage_out_of_order_rejected(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
         wal.open_at(0, None)
-        wal.stage(WalRecord(1, "assertz", _clause("f(a)")))
+        wal.stage(MutationRecord(1, "assertz", _clause("f(a)")))
         with pytest.raises(WalError):
-            wal.stage(WalRecord(1, "assertz", _clause("f(b)")))
+            wal.stage(MutationRecord(1, "assertz", _clause("f(b)")))
         wal.close()
 
 
@@ -108,7 +115,7 @@ class TestTornTail:
         wal = WriteAheadLog(tmp_path)
         wal.open_at(0, None)
         for i in range(1, count + 1):
-            wal.stage(WalRecord(i, "assertz", _clause(f"f(k{i})")))
+            wal.stage(MutationRecord(i, "assertz", _clause(f"f(k{i})")))
         wal.wait_durable(count)
         wal.close()
         (segment,) = tmp_path.glob("wal-*.log")
