@@ -35,7 +35,7 @@ import threading
 import zlib
 from enum import Enum
 
-from ..crs.keys import canonical_goal_key, first_arg_index_key
+from ..keys import canonical_goal_key, first_arg_index_key
 from ..storage import UnknownPredicateError
 from ..terms import Term, functor_indicator
 
@@ -194,7 +194,7 @@ class ShardRouter:
         """The canonical identity routing decisions are derived from.
 
         This is exactly the cache key's canonical encoding
-        (:func:`repro.crs.keys.canonical_goal_key`): a ground goal's
+        (:func:`repro.keys.canonical_goal_key`): a ground goal's
         routing and caching can never disagree about goal identity.
         """
         return canonical_goal_key(goal)

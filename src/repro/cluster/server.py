@@ -24,7 +24,7 @@ import pathlib
 import threading
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from ..crs import (
@@ -34,8 +34,7 @@ from ..crs import (
     RetrievalTimeout,
     SearchMode,
 )
-from ..crs.keys import canonical_goal_key
-from ..crs.server import ClauseRetrievalServer
+from ..crs.server import CachedFrontDoor, ClauseRetrievalServer
 from ..obs import Instrumentation
 from ..obs import get_default as _default_obs
 from ..scw import CodewordScheme, DEFAULT_SCHEME
@@ -55,9 +54,7 @@ from ..terms import (
     clause_from_term,
     functor_indicator,
     read_program,
-    rename_apart,
 )
-from ..unify import Bindings, unify
 from .routing import ShardingPolicy, ShardRouter
 
 __all__ = [
@@ -120,6 +117,10 @@ class MergedRetrievalStats(RetrievalStats):
         """What the same retrieval would cost on one device at a time."""
         return sum(s.filter_time_s for s in self.per_shard.values())
 
+    def without_cost(self) -> MergedRetrievalStats:
+        """A hit touches no shard hardware: ``per_shard`` empties too."""
+        return replace(super().without_cost(), per_shard={})
+
 
 @dataclass
 class ClusterShard:
@@ -131,8 +132,10 @@ class ClusterShard:
     lock: threading.Lock = field(default_factory=threading.Lock)
 
 
-class ShardedRetrievalServer:
+class ShardedRetrievalServer(CachedFrontDoor):
     """N CLARE engines behind one single-engine-compatible front door."""
+
+    _family = "cluster"
 
     def __init__(
         self,
@@ -184,12 +187,10 @@ class ShardedRetrievalServer:
         #: when set, mutations are refused with :class:`WritesFrozen`
         #: before touching any state (see :meth:`freeze_writes`).
         self.writes_frozen = False
-        self.cache_size = cache_size
-        self._cache: "OrderedDict[tuple, RetrievalResult]" = OrderedDict()
-        self._cache_lock = threading.Lock()
-        self._cache_version = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
+        #: guards ``version``, the mutation log and the write-id memo: a
+        #: seq, its log record and its WAL frame are assigned together.
+        self._log_lock = threading.Lock()
+        self._init_result_cache(cache_size)
         #: write-ahead durability (``repro.storage.wal``).  ``None`` keeps
         #: the historical in-memory behaviour.  When set, every acked
         #: mutation is staged in the WAL under the same lock that assigns
@@ -448,7 +449,7 @@ class ShardedRetrievalServer:
         module: str = "user",
         write_id: str | None = None,
     ) -> int:
-        with self._cache_lock:
+        with self._log_lock:
             self.version += 1
             record = MutationRecord(
                 seq=self.version, op=op, clause=clause, module=module,
@@ -499,7 +500,7 @@ class ShardedRetrievalServer:
         against a concurrent delivery of the same id (e.g. a client
         re-route racing the migration coordinator's delta replay).
         """
-        with self._cache_lock:
+        with self._log_lock:
             if write_id in self._applied_writes:
                 return True, self._applied_writes[write_id]
         return False, None
@@ -529,7 +530,7 @@ class ShardedRetrievalServer:
 
     def applied_write_ids(self) -> list[str]:
         """The memoised idempotency stamps, oldest first (for snapshots)."""
-        with self._cache_lock:
+        with self._log_lock:
             return list(self._applied_writes)
 
     def adopt_write_ids(self, write_ids: Iterable[str]) -> None:
@@ -541,7 +542,7 @@ class ShardedRetrievalServer:
         are not persisted; a duplicate retract after a restore reports
         "nothing matched" rather than removing a second clause.
         """
-        with self._cache_lock:
+        with self._log_lock:
             self._applied_writes.clear()
             for write_id in write_ids:
                 self._applied_writes[write_id] = None
@@ -563,7 +564,7 @@ class ShardedRetrievalServer:
         deque wrapped.  A seq older than the last compaction still
         overflows (the records were folded into the snapshot).
         """
-        with self._cache_lock:
+        with self._log_lock:
             if seq > self.version:
                 raise MutationLogOverflow(
                     f"seq {seq} is ahead of version {self.version}"
@@ -704,7 +705,7 @@ class ShardedRetrievalServer:
                 # The memo describes content this engine no longer holds;
                 # the restorer installs the snapshot's own ids afterwards
                 # (:meth:`adopt_write_ids`).
-                with self._cache_lock:
+                with self._log_lock:
                     self._applied_writes.clear()
                 self._bump_version(op="reload")
                 self._on_shard_mutation(shard, "reload", None)
@@ -762,7 +763,6 @@ class ShardedRetrievalServer:
                     )
                 self._install_recovered_kb(shard_id, shard_dir)
         self.version = state.snapshot_seq
-        self._cache_version = state.snapshot_seq
         if state.write_ids:
             self.adopt_write_ids(state.write_ids)
         self._replaying = True
@@ -895,16 +895,10 @@ class ShardedRetrievalServer:
 
         deadline = None if timeout is None else time.monotonic() + timeout
         with self.obs.span("cluster.retrieve", goal=term_to_string(goal)) as span:
-            cache_key = None
-            version_snapshot = None
-            if self.cache_size > 0:
-                cache_key = (canonical_goal_key(goal), mode)
-                cached, version_snapshot = self._cache_probe(cache_key)
-                if cached is not None:
-                    hit = self._cache_hit_view(cached)
-                    span.set(cache="hit", candidates=len(hit.candidates))
-                    self._account_retrieval(hit)
-                    return hit
+            cache_key, hit = self._cache_probe(goal, mode)
+            if hit is not None:
+                span.set(cache="hit", candidates=len(hit.candidates))
+                return hit
             targets, effective_mode = self._route_and_plan(goal, mode)
             shard_results: dict[int, RetrievalResult] = {}
             for shard_id in targets:
@@ -918,7 +912,7 @@ class ShardedRetrievalServer:
                     shard.lock.release()
             result = self._merge(goal, effective_mode, shard_results)
             if cache_key is not None:
-                self._cache_insert(cache_key, version_snapshot, result)
+                self._cache.put(cache_key, result)
             span.set(
                 shards=len(targets),
                 broadcast=len(targets) > 1,
@@ -953,30 +947,24 @@ class ShardedRetrievalServer:
         deadline = None if timeout is None else time.monotonic() + timeout
 
         results: list[RetrievalResult | None] = [None] * len(goals)
-        # (position, goal, cache_key, snapshot, targets, effective mode)
+        # (position, goal, cache_key, targets, effective mode)
         pending: list[tuple] = []
         with self.obs.span("cluster.retrieve_batch", goals=len(goals)) as span:
             for position, goal in enumerate(goals):
-                cache_key = version_snapshot = None
-                if self.cache_size > 0:
-                    cache_key = (canonical_goal_key(goal), mode)
-                    cached, version_snapshot = self._cache_probe(cache_key)
-                    if cached is not None:
-                        hit = self._cache_hit_view(cached)
-                        self._account_retrieval(hit)
-                        results[position] = hit
-                        continue
+                cache_key, hit = self._cache_probe(goal, mode)
+                if hit is not None:
+                    results[position] = hit
+                    continue
                 targets, effective_mode = self._route_and_plan(goal, mode)
                 pending.append(
-                    (position, goal, cache_key, version_snapshot,
-                     targets, effective_mode)
+                    (position, goal, cache_key, targets, effective_mode)
                 )
             # Per-shard worklists: a shard sees all of its sub-queries,
             # grouped by effective mode so each group is one engine-level
             # batch (modes must not mix inside a batched FS1 scan).
             shard_work: dict[int, dict[SearchMode, list[int]]] = {}
             for item, plan in enumerate(pending):
-                _, _, _, _, targets, effective_mode = plan
+                _, _, _, targets, effective_mode = plan
                 for shard_id in targets:
                     shard_work.setdefault(shard_id, {}).setdefault(
                         effective_mode, []
@@ -1032,11 +1020,10 @@ class ShardedRetrievalServer:
                 for shard_id in busy_shards:
                     run_shard(shard_id)
             for plan, per_goal in zip(pending, shard_results):
-                (position, goal, cache_key, version_snapshot,
-                 _, effective_mode) = plan
+                position, goal, cache_key, _, effective_mode = plan
                 result = self._merge(goal, effective_mode, per_goal)
                 if cache_key is not None:
-                    self._cache_insert(cache_key, version_snapshot, result)
+                    self._cache.put(cache_key, result)
                 self._account_retrieval(result)
                 results[position] = result
             span.set(
@@ -1107,59 +1094,6 @@ class ShardedRetrievalServer:
             # merged stream matches the single device's exactly.
             targets = self.router.route_goal(goal, prune=False)
         return targets, effective_mode
-
-    def _cache_probe(
-        self, cache_key: tuple
-    ) -> tuple[RetrievalResult | None, int]:
-        with self._cache_lock:
-            if self.version != self._cache_version:
-                self._cache.clear()
-                self._cache_version = self.version
-            version_snapshot = self._cache_version
-            cached = self._cache.get(cache_key)
-            if cached is not None:
-                self._cache.move_to_end(cache_key)
-                self.cache_hits += 1
-            else:
-                self.cache_misses += 1
-        if cached is not None:
-            self.obs.counter("cluster.cache.hits").inc()
-        else:
-            self.obs.counter("cluster.cache.misses").inc()
-        return cached, version_snapshot
-
-    def _cache_insert(
-        self, cache_key: tuple, version_snapshot: int | None,
-        result: RetrievalResult,
-    ) -> None:
-        with self._cache_lock:
-            # Insert only if no update intervened since this thread's
-            # start-of-retrieval snapshot — comparing the monotonic
-            # counter to the snapshot (not to the moving
-            # ``_cache_version``) closes the window where a concurrently
-            # re-synced cache would re-admit a result computed against
-            # the pre-update KB.
-            if self.version == version_snapshot:
-                self._cache[cache_key] = result
-                while len(self._cache) > self.cache_size:
-                    self._cache.popitem(last=False)
-
-    def solutions(
-        self, goal: Term, mode: SearchMode | None = None
-    ) -> list[tuple[Clause, Bindings]]:
-        """Full unification over the merged candidates."""
-        result = self.retrieve(goal, mode=mode)
-        matches = []
-        for clause in result.candidates:
-            renamed_head = rename_apart(clause.head, keep_anonymous=False)
-            bindings = unify(goal, renamed_head)
-            if bindings is not None:
-                matches.append((clause, bindings))
-        self.obs.counter("cluster.true_matches").inc(len(matches))
-        self.obs.counter("cluster.false_drops").inc(
-            len(result.candidates) - len(matches)
-        )
-        return matches
 
     def _plan_mode(self, goal: Term) -> SearchMode:
         """Select one search mode for the whole cluster.
@@ -1233,27 +1167,6 @@ class ShardedRetrievalServer:
                     stats.fs1_candidates or 0
                 ) + shard_stats.fs1_candidates
         return RetrievalResult(goal=goal, candidates=candidates, stats=stats)
-
-    @staticmethod
-    def _cache_hit_view(result: RetrievalResult) -> RetrievalResult:
-        """A cached cluster result: same candidates, no physical cost."""
-        original = result.stats
-        stats = None
-        if isinstance(original, MergedRetrievalStats):
-            stats = MergedRetrievalStats(
-                mode=original.mode,
-                residency=original.residency,
-                clauses_total=original.clauses_total,
-                fs1_candidates=original.fs1_candidates,
-                final_candidates=original.final_candidates,
-                shards_queried=original.shards_queried,
-                broadcast=original.broadcast,
-                # per_shard stays empty: filter_time_s is 0.0 — a hit
-                # touches no shard hardware at all.
-            )
-        return RetrievalResult(
-            goal=result.goal, candidates=list(result.candidates), stats=stats
-        )
 
     def _account_retrieval(self, result: RetrievalResult) -> None:
         stats = result.stats

@@ -19,13 +19,14 @@ host cost model for the software path.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable
 
+from ..cache import LruCache
 from ..disk import TransferStats
 from ..fs2 import SecondStageFilter
+from ..keys import canonical_goal_key
 from ..obs import Instrumentation
 from ..obs import get_default as _default_obs
 from ..pif import CompiledClause
@@ -35,7 +36,6 @@ from ..storage import KnowledgeBase, PredicateStore, Residency
 from ..terms import Clause, Term, functor_indicator, rename_apart
 from ..unify import Bindings, PartialMatcher, unify
 from ..fs2.result import MAX_SATISFIERS
-from .keys import canonical_goal_key
 
 __all__ = [
     "SearchMode",
@@ -120,6 +120,13 @@ class RetrievalStats:
             return 0.0
         return self.final_candidates / self.clauses_total
 
+    def without_cost(self) -> RetrievalStats:
+        """What a cache hit reports: the logical volumes, no physical work."""
+        return replace(
+            self, disk_time_s=0.0, fs1_time_s=0.0, fs2_time_s=0.0,
+            fs2_search_calls=0, software_time_s=0.0, bytes_from_disk=0,
+        )
+
 
 @dataclass
 class RetrievalResult:
@@ -138,9 +145,87 @@ class RetrievalResult:
     def __len__(self) -> int:
         return len(self.candidates)
 
+    def hit_view(self) -> RetrievalResult:
+        """A cached result as served: a copy, at no physical cost."""
+        return replace(
+            self,
+            candidates=list(self.candidates),
+            stats=None if self.stats is None else self.stats.without_cost(),
+        )
 
-class ClauseRetrievalServer:
+
+class CachedFrontDoor:
+    """What the single engine and the sharded cluster share above ``retrieve``.
+
+    Both present one contract, so its host-side parts are written once:
+    the result cache and :meth:`solutions`.  A subclass supplies
+    ``retrieve``, ``_account_retrieval``, ``obs``, the counter family
+    ``_family`` (``crs`` / ``cluster``) and ``version`` — the generation
+    the cached results are keyed by (:class:`repro.cache.LruCache` holds
+    the argument for why that is the whole invalidation rule).
+    """
+
+    _family: str
+
+    def _init_result_cache(self, cache_size: int) -> None:
+        self.cache_size = cache_size
+        self._cache = LruCache(
+            cache_size, obs=self.obs, prefix=f"{self._family}.cache"
+        )
+
+    @property
+    def cache_hits(self) -> int:
+        return self._cache.hits
+
+    @property
+    def cache_misses(self) -> int:
+        return self._cache.misses
+
+    def _cache_probe(
+        self, goal: Term, mode: SearchMode | None
+    ) -> tuple[tuple | None, RetrievalResult | None]:
+        """``(key, hit)`` for one goal; ``(None, None)`` with caching off.
+
+        The key carries the generation as read *now*, before any work,
+        and is what the caller stores the computed result under.  A hit
+        is already accounted: hits count as retrievals (as in
+        QueryStats), and the view's zeroed times keep the sim counters
+        honest.
+        """
+        if self.cache_size <= 0:
+            return None, None
+        key = (self.version, canonical_goal_key(goal), mode)
+        cached = self._cache.get(key)
+        if cached is None:
+            return key, None
+        hit = cached.hit_view()
+        self._account_retrieval(hit)
+        return key, hit
+
+    def solutions(
+        self, goal: Term, mode: SearchMode | None = None
+    ) -> list[tuple[Clause, Bindings]]:
+        """Full unification over the candidates: the true resolvent set."""
+        result = self.retrieve(goal, mode=mode)
+        matches = []
+        for clause in result.candidates:
+            renamed_head = rename_apart(clause.head, keep_anonymous=False)
+            bindings = unify(goal, renamed_head)
+            if bindings is not None:
+                matches.append((clause, bindings))
+        # Ground truth is available here: candidates that failed full
+        # unification are the pipeline's end-to-end false drops.
+        self.obs.counter(f"{self._family}.true_matches").inc(len(matches))
+        self.obs.counter(f"{self._family}.false_drops").inc(
+            len(result.candidates) - len(matches)
+        )
+        return matches
+
+
+class ClauseRetrievalServer(CachedFrontDoor):
     """Retrieve candidate clauses for goals through one of four modes."""
+
+    _family = "crs"
 
     def __init__(
         self,
@@ -151,7 +236,6 @@ class ClauseRetrievalServer:
         obs: Instrumentation | None = None,
         fs2_mode: str = "compiled",
         decode_cache_size: int = 4096,
-        decode_cache_bytes: int = 8 << 20,
     ):
         self.kb = kb
         self.cost_model = cost_model or HostCostModel()
@@ -162,36 +246,26 @@ class ClauseRetrievalServer:
             kb.symbols, cross_binding=cross_binding, obs=self.obs, mode=fs2_mode
         )
         self.fs2.load_microprogram()
-        # Optional retrieval cache (LRU), invalidated by KB updates.
-        # Guarded by a lock: the server itself is stateful (FS1/FS2 are
-        # one piece of simulated hardware) and callers serialise whole
-        # retrievals, but cache bookkeeping must stay consistent even
-        # when a front-end probes it from several client threads.
-        from collections import OrderedDict
-
-        self.cache_size = cache_size
-        self._cache: "OrderedDict[tuple, RetrievalResult]" = OrderedDict()
-        self._cache_lock = threading.Lock()
-        self._cache_version = kb.version
-        self.cache_hits = 0
-        self.cache_misses = 0
+        # Optional retrieval cache, keyed by ``kb.version``.  The server
+        # itself is stateful (FS1/FS2 are one piece of simulated
+        # hardware) and callers serialise whole retrievals; the cache
+        # keeps its own bookkeeping consistent when a front-end probes
+        # it from several client threads.
+        self._init_result_cache(cache_size)
         # Decoded-clause cache, keyed by (clause-file generation, record
         # address).  Appends never move a record and every mutation that
         # does (a splice) takes a fresh generation, so entries never go
-        # stale — the LRU bound just caps memory.  FS2 re-runs over
-        # recurring candidate sets skip the PIF re-decode entirely.
-        # The cache is bounded by *resident bytes* (each entry charged
-        # its serialised record length, a stable proxy for the decoded
-        # term graph) so a worker process has a predictable memory
-        # ceiling regardless of clause size; ``decode_cache_size`` still
-        # caps entries as a secondary bound.
-        self.decode_cache_size = decode_cache_size
-        self.decode_cache_bytes = decode_cache_bytes
-        self._decode_cache: "OrderedDict[tuple[int, int], tuple[Clause, int]]" = (
-            OrderedDict()
+        # stale.  FS2 re-runs over recurring candidate sets skip the PIF
+        # re-decode entirely.  Bounded by entries only: a record is at
+        # most ``MAX_RECORD_BYTES``, so the entry cap is the memory cap.
+        self._decode_cache = LruCache(
+            decode_cache_size, obs=self.obs, prefix="crs.decode_cache"
         )
-        self._decode_cache_bytes = 0
-        self._decode_lock = threading.Lock()
+
+    @property
+    def version(self) -> int:
+        """The result cache's generation: the knowledge base's version."""
+        return self.kb.version
 
     # -- public API --------------------------------------------------------
 
@@ -206,18 +280,10 @@ class ClauseRetrievalServer:
         from .planner import select_mode  # local import avoids a cycle
 
         with self.obs.span("crs.retrieve", goal=term_to_string(goal)) as span:
-            cache_key = None
-            version_snapshot = None
-            if self.cache_size > 0:
-                cache_key = (canonical_goal_key(goal), mode)
-                cached, version_snapshot = self._cache_probe(cache_key)
-                if cached is not None:
-                    hit = self._cache_hit_view(cached)
-                    span.set(cache="hit", candidates=len(hit.candidates))
-                    # Hits count as retrievals (as in QueryStats); the
-                    # view's zeroed times keep the sim counters honest.
-                    self._account_retrieval(hit)
-                    return hit
+            cache_key, hit = self._cache_probe(goal, mode)
+            if hit is not None:
+                span.set(cache="hit", candidates=len(hit.candidates))
+                return hit
             indicator = functor_indicator(goal)
             store = self.kb.store(indicator)
             residency = self.kb.residency(indicator)
@@ -225,7 +291,7 @@ class ClauseRetrievalServer:
                 mode = select_mode(goal, store, residency)
             result = self._dispatch(goal, store, residency, mode)
             if cache_key is not None:
-                self._cache_insert(cache_key, version_snapshot, result)
+                self._cache.put(cache_key, result)
             span.set(
                 mode=mode.value,
                 residency=residency,
@@ -253,19 +319,14 @@ class ClauseRetrievalServer:
         from .planner import select_mode  # local import avoids a cycle
 
         results: list[RetrievalResult | None] = [None] * len(goals)
-        # (index, goal, store, residency, mode, cache_key, snapshot)
+        # (index, goal, store, residency, mode, cache_key)
         planned: list[tuple] = []
         with self.obs.span("crs.retrieve_batch", goals=len(goals)):
             for position, goal in enumerate(goals):
-                cache_key = version_snapshot = None
-                if self.cache_size > 0:
-                    cache_key = (canonical_goal_key(goal), mode)
-                    cached, version_snapshot = self._cache_probe(cache_key)
-                    if cached is not None:
-                        hit = self._cache_hit_view(cached)
-                        self._account_retrieval(hit)
-                        results[position] = hit
-                        continue
+                cache_key, hit = self._cache_probe(goal, mode)
+                if hit is not None:
+                    results[position] = hit
+                    continue
                 indicator = functor_indicator(goal)
                 store = self.kb.store(indicator)
                 residency = self.kb.residency(indicator)
@@ -274,14 +335,13 @@ class ClauseRetrievalServer:
                     else select_mode(goal, store, residency)
                 )
                 planned.append(
-                    (position, goal, store, residency, effective,
-                     cache_key, version_snapshot)
+                    (position, goal, store, residency, effective, cache_key)
                 )
             # Group FS1-involving goals by predicate: one batched scan
             # per (indicator, mode) group; everything else runs solo.
             groups: dict[tuple, list[tuple]] = {}
             for plan in planned:
-                _, _, store, _, effective, _, _ = plan
+                _, _, store, _, effective, _ = plan
                 if effective in (SearchMode.FS1_ONLY, SearchMode.BOTH):
                     groups.setdefault(
                         (store.indicator, effective), []
@@ -296,8 +356,7 @@ class ClauseRetrievalServer:
                         store.index, [plan[1] for plan in members]
                     ))
                 for plan, fs1_result in zip(members, fs1_results):
-                    (position, goal, store, residency, effective,
-                     cache_key, version_snapshot) = plan
+                    position, goal, store, residency, effective, cache_key = plan
                     with self.obs.span(
                         "crs.retrieve", goal=term_to_string(goal), batch="1"
                     ) as span:
@@ -315,7 +374,7 @@ class ClauseRetrievalServer:
                             candidates=len(result.candidates),
                         )
                     if cache_key is not None:
-                        self._cache_insert(cache_key, version_snapshot, result)
+                        self._cache.put(cache_key, result)
                     self._account_retrieval(result)
                     results[position] = result
         return results  # type: ignore[return-value]
@@ -341,45 +400,6 @@ class ClauseRetrievalServer:
             return self._retrieve_fs2(goal, store, residency)
         return self._retrieve_software(goal, store, residency)
 
-    def _cache_probe(
-        self, cache_key: tuple
-    ) -> tuple[RetrievalResult | None, int]:
-        """Look up the retrieval LRU; returns (hit, version snapshot)."""
-        with self._cache_lock:
-            if self.kb.version != self._cache_version:
-                self._cache.clear()
-                self._cache_version = self.kb.version
-            version_snapshot = self._cache_version
-            cached = self._cache.get(cache_key)
-            if cached is not None:
-                self._cache.move_to_end(cache_key)
-                self.cache_hits += 1
-            else:
-                self.cache_misses += 1
-        if cached is not None:
-            self.obs.counter("crs.cache.hits").inc()
-        else:
-            self.obs.counter("crs.cache.misses").inc()
-        return cached, version_snapshot
-
-    def _cache_insert(
-        self, cache_key: tuple, version_snapshot: int | None,
-        result: RetrievalResult,
-    ) -> None:
-        with self._cache_lock:
-            # A KB update during the retrieval makes this result stale;
-            # insert only while the version this thread started from
-            # still holds.  The comparison is against the
-            # start-of-retrieval snapshot, not the current
-            # ``_cache_version``: the version counter is monotonic, so
-            # equality proves no update intervened (comparing the moving
-            # ``_cache_version`` would re-admit a stale result after
-            # another thread re-synced it past an update).
-            if self.kb.version == version_snapshot:
-                self._cache[cache_key] = result
-                while len(self._cache) > self.cache_size:
-                    self._cache.popitem(last=False)
-
     def _account_retrieval(self, result: RetrievalResult) -> None:
         stats = result.stats
         if stats is None:
@@ -395,45 +415,6 @@ class ClauseRetrievalServer:
             "crs.selectivity",
             buckets=(0.0, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0),
         ).observe(stats.selectivity)
-
-    @staticmethod
-    def _cache_hit_view(result: RetrievalResult) -> RetrievalResult:
-        """A cached result: same candidates, no physical retrieval cost."""
-        original = result.stats
-        stats = None
-        if original is not None:
-            stats = RetrievalStats(
-                mode=original.mode,
-                residency=original.residency,
-                clauses_total=original.clauses_total,
-                fs1_candidates=original.fs1_candidates,
-                final_candidates=original.final_candidates,
-            )
-        return RetrievalResult(
-            goal=result.goal,
-            candidates=list(result.candidates),
-            stats=stats,
-            addresses=result.addresses,
-        )
-
-    def solutions(
-        self, goal: Term, mode: SearchMode | None = None
-    ) -> list[tuple[Clause, Bindings]]:
-        """Full unification over the candidates: the true resolvent set."""
-        result = self.retrieve(goal, mode=mode)
-        matches = []
-        for clause in result.candidates:
-            renamed_head = rename_apart(clause.head, keep_anonymous=False)
-            bindings = unify(goal, renamed_head)
-            if bindings is not None:
-                matches.append((clause, bindings))
-        # Ground truth is available here: candidates that failed full
-        # unification are the pipeline's end-to-end false drops.
-        self.obs.counter("crs.true_matches").inc(len(matches))
-        self.obs.counter("crs.false_drops").inc(
-            len(result.candidates) - len(matches)
-        )
-        return matches
 
     # -- mode (a): software only ----------------------------------------------
 
@@ -737,35 +718,12 @@ class ClauseRetrievalServer:
         file under a fresh generation, so a cached decode can never be
         served for changed bytes.
         """
-        if address is None or self.decode_cache_size <= 0:
-            compiled, _ = CompiledClause.from_bytes(record, store.indicator)
-            return decode_compiled(compiled, self.kb.symbols)
+        cacheable = address is not None and self._decode_cache.max_entries > 0
         key = (store.clause_file.generation, address)
-        with self._decode_lock:
-            entry = self._decode_cache.get(key)
-            if entry is not None:
-                self._decode_cache.move_to_end(key)
-        if entry is not None:
-            self.obs.counter("crs.decode_cache.hits").inc()
-            return entry[0]
-        self.obs.counter("crs.decode_cache.misses").inc()
-        compiled, _ = CompiledClause.from_bytes(record, store.indicator)
-        clause = decode_compiled(compiled, self.kb.symbols)
-        cost = len(record)
-        with self._decode_lock:
-            self._decode_cache[key] = (clause, cost)
-            self._decode_cache_bytes += cost
-            while self._decode_cache and (
-                self._decode_cache_bytes > self.decode_cache_bytes
-                or len(self._decode_cache) > self.decode_cache_size
-            ):
-                _, (_, evicted) = self._decode_cache.popitem(last=False)
-                self._decode_cache_bytes -= evicted
-            self.obs.gauge("crs.decode_cache.bytes").set(self._decode_cache_bytes)
+        clause = self._decode_cache.get(key) if cacheable else None
+        if clause is None:
+            compiled, _ = CompiledClause.from_bytes(record, store.indicator)
+            clause = decode_compiled(compiled, self.kb.symbols)
+            if cacheable:
+                self._decode_cache.put(key, clause)
         return clause
-
-
-#: Backwards-compatible alias; the canonicalisation lives in
-#: :mod:`repro.crs.keys` so the cache and the cluster shard router share
-#: one definition of goal identity.
-_canonical_goal_key = canonical_goal_key

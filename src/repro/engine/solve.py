@@ -15,11 +15,10 @@ What the adapter adds over a bare ``retrieve`` call:
   unbound first argument broadcasts.  The retriever tracks both so a
   ``solve`` can report how often its candidate pulls stayed on one
   engine.
-* **Choice-point-aware caching** — candidates are cached per canonical
-  goal key and invalidated by the cluster's version counter, so
-  re-entering a choice point (or retrying a goal after backtracking)
-  re-pulls candidates only when an ``assert``/``retract`` actually
-  changed the database mid-search.
+* **Choice-point-aware caching** — candidates are cached per (backend
+  version, canonical goal key), so re-entering a choice point (or
+  retrying a goal after backtracking) re-pulls candidates only when an
+  ``assert``/``retract`` actually changed the database mid-search.
 * **Batched sibling prefetch** — when the compiled machine calls a
   predicate, the *ground* user-predicate goals sitting next on its goal
   stack are fetched in the same :meth:`retrieve_batch` round trip, so
@@ -35,13 +34,13 @@ from __future__ import annotations
 
 import inspect
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
+from ..cache import LruCache
 from ..crs import SearchMode
-from ..crs.keys import canonical_goal_key
 from ..crs.server import RetrievalTimeout
+from ..keys import canonical_goal_key
 from ..storage import UnknownPredicateError
 from ..terms import (
     Atom,
@@ -93,17 +92,15 @@ class ClusterRetriever:
             raise ValueError("unknown must be 'fail' or 'error'")
         self._backend = backend
         self.mode = mode
-        self.cache_size = cache_size
-        self.cache_bytes = cache_bytes
         self.prefetch_width = prefetch_width
         self.unknown = unknown
         self.stats = RetrieverStats()
-        # key -> (candidates, estimated bytes); bounded by entry count
-        # AND by estimated resident bytes, so a few huge candidate lists
-        # can't pin the whole predicate set in memory.
-        self._cache: "OrderedDict[tuple, tuple[list[Clause], int]]" = OrderedDict()
-        self._cache_bytes = 0
-        self._version = self._backend_version()
+        # (backend version, goal key) -> candidates; bounded by entry
+        # count AND by estimated resident bytes, so a few huge candidate
+        # lists can't pin the whole predicate set in memory.
+        self._cache = LruCache(
+            cache_size, max_bytes=cache_bytes, cost=_candidates_cost
+        )
         self._deadline: float | None = None
         self._supports_timeout = _accepts_timeout(backend.retrieve)
         self._batch = getattr(backend, "retrieve_batch", None)
@@ -124,17 +121,20 @@ class ClusterRetriever:
         the cache for the engine's next goal dispatch; only the primary
         goal's candidates are returned.
         """
-        self._sync_version()
-        key = canonical_goal_key(goal)
-        cached = self._cache_probe(key)
+        # One reading of the backend's generation keys the probe and
+        # every store of this pull (see ``LruCache``).
+        version = getattr(self._backend, "version", 0)
+        key = (version, canonical_goal_key(goal))
+        cached = self._cache.get(key)
         if cached is not None:
+            self.stats.cache_hits += 1
             return list(cached)
         extras: list[Term] = []
         extra_keys: list[tuple] = []
         if self._batch is not None:
             seen = {key}
             for sibling in siblings:
-                sibling_key = canonical_goal_key(sibling)
+                sibling_key = (version, canonical_goal_key(sibling))
                 if sibling_key in seen or sibling_key in self._cache:
                     continue
                 seen.add(sibling_key)
@@ -144,7 +144,6 @@ class ClusterRetriever:
                     break
         self.stats.retrievals += 1
         self._note_routing(goal)
-        version_snapshot = self._backend_version()
         try:
             if extras:
                 self.stats.prefetch_batches += 1
@@ -159,9 +158,8 @@ class ClusterRetriever:
                 name, arity = _goal_indicator(goal)
                 raise ExistenceError(f"unknown predicate {name}/{arity}") from None
             batches = [[] for _ in range(1 + len(extras))]
-        self._cache_insert(key, batches[0], version_snapshot)
-        for sibling_key, candidates in zip(extra_keys, batches[1:]):
-            self._cache_insert(sibling_key, candidates, version_snapshot)
+        for batch_key, candidates in zip([key, *extra_keys], batches):
+            self._cache.put(batch_key, candidates)
         return list(batches[0])
 
     def set_deadline(self, deadline: float | None) -> None:
@@ -194,52 +192,6 @@ class ClusterRetriever:
 
     def _check_deadline(self) -> None:
         self._remaining()
-
-    def _backend_version(self) -> int:
-        version = getattr(self._backend, "version", None)
-        if version is not None:
-            return version
-        kb = getattr(self._backend, "kb", None)
-        return getattr(kb, "version", 0)
-
-    def _sync_version(self) -> None:
-        version = self._backend_version()
-        if version != self._version:
-            self._cache.clear()
-            self._cache_bytes = 0
-            self._version = version
-
-    def _cache_probe(self, key: tuple) -> list[Clause] | None:
-        if self.cache_size <= 0:
-            return None
-        entry = self._cache.get(key)
-        if entry is None:
-            return None
-        self._cache.move_to_end(key)
-        self.stats.cache_hits += 1
-        return entry[0]
-
-    def _cache_insert(
-        self, key: tuple, candidates: list[Clause], version_snapshot: int
-    ) -> None:
-        # A mutation during the pull makes this candidate list stale for
-        # the *next* probe even though it was correct for this one.
-        if self.cache_size <= 0 or self._backend_version() != version_snapshot:
-            return
-        cost = _candidates_cost(candidates)
-        if cost > self.cache_bytes:
-            return  # would evict everything else and still not fit
-        previous = self._cache.pop(key, None)
-        if previous is not None:
-            self._cache_bytes -= previous[1]
-        self._cache[key] = (candidates, cost)
-        self._cache_bytes += cost
-        while self._cache and (
-            len(self._cache) > self.cache_size
-            or self._cache_bytes > self.cache_bytes
-        ):
-            _, (_, evicted) = self._cache.popitem(last=False)
-            self._cache_bytes -= evicted
 
     def _note_routing(self, goal: Term) -> None:
         if self._router is None:

@@ -17,10 +17,12 @@ which accrues the Table 1 execution times.
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from ..cache import LruCache
+from ..keys import canonical_goal_key
 from ..obs import Instrumentation
 from ..obs import get_default as _default_obs
 from ..pif import CompiledClause, PIFEncoder, tags
@@ -111,11 +113,10 @@ class SecondStageFilter:
         # time from the mechanically derived cycle costs), the current
         # match plan, and the per-(canonical goal key, indicator) LRU of
         # (encoded query, plan) pairs.
-        self.plan_cache_size = plan_cache_size
         self._matcher: CompiledMatcher | None = None
         self._plan: tuple[PlanNode, ...] | None = None
-        self._plan_cache: "OrderedDict[tuple, tuple[EncodedArgs, tuple[PlanNode, ...]]]" = (
-            OrderedDict()
+        self._plan_cache = LruCache(
+            plan_cache_size, obs=self.obs, prefix="fs2.plan_cache"
         )
         # Per-clause datapath state.
         self._db_cursor: ItemCursor | None = None
@@ -168,25 +169,14 @@ class SecondStageFilter:
         one retrieval share a plan: the match outcome and every stat are
         name-independent (names only key the TUE binding memories).
         """
-        from ..crs.keys import canonical_goal_key  # local import avoids a cycle
-
         key = (canonical_goal_key(query), indicator)
         cached = self._plan_cache.get(key)
-        if cached is not None:
-            self._plan_cache.move_to_end(key)
-            self.obs.counter("fs2.plan_cache.hits").inc()
-            self._query_encoded, self._plan = cached
-            return
-        self.obs.counter("fs2.plan_cache.misses").inc()
-        encoder = PIFEncoder(self.symbols, side="query")
-        encoded = encoder.encode_head(query)
-        plan = compile_plan(encoded, self.symbols)
-        self._query_encoded = encoded
-        self._plan = plan
-        self._plan_cache[key] = (encoded, plan)
-        while len(self._plan_cache) > self.plan_cache_size:
-            self._plan_cache.popitem(last=False)
-            self.obs.counter("fs2.plan_cache.evictions").inc()
+        if cached is None:
+            encoder = PIFEncoder(self.symbols, side="query")
+            encoded = encoder.encode_head(query)
+            cached = (encoded, compile_plan(encoded, self.symbols))
+            self._plan_cache.put(key, cached)
+        self._query_encoded, self._plan = cached
 
     def rearm(self) -> None:
         """Re-enter Set Query mode for the query already loaded.

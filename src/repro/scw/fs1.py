@@ -23,10 +23,10 @@ cluster's batch executor amortises.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
+from ..cache import LruCache
+from ..keys import canonical_goal_key
 from ..obs import Instrumentation
 from ..obs import get_default as _default_obs
 from ..terms import Term
@@ -47,19 +47,6 @@ FS1_SCAN_RATE_BYTES_PER_SEC = 4_500_000
 #: Query codewords are cached per canonical goal key; repeated and
 #: batched retrievals of equivalent goals skip the BLAKE2 hashing.
 QUERY_CODEWORD_CACHE_SIZE = 1024
-
-_canonical_goal_key = None
-
-
-def _goal_key(goal: Term):
-    # Imported lazily: repro.crs imports repro.scw at package-init time,
-    # so a module-level import here would be circular.
-    global _canonical_goal_key
-    if _canonical_goal_key is None:
-        from ..crs.keys import canonical_goal_key
-
-        _canonical_goal_key = canonical_goal_key
-    return _canonical_goal_key(goal)
 
 
 class SchemeMismatchError(ValueError):
@@ -94,8 +81,12 @@ class FirstStageFilter:
         self.scheme = scheme
         self.scan_rate = scan_rate_bytes_per_sec
         self.obs = obs if obs is not None else _default_obs()
-        self._codeword_cache: "OrderedDict[tuple, Codeword]" = OrderedDict()
-        self._codeword_lock = threading.Lock()
+        # Key: the canonical goal key alone — a codeword is a pure
+        # function of the goal under this filter's fixed scheme.
+        self._codeword_cache = LruCache(
+            QUERY_CODEWORD_CACHE_SIZE, obs=self.obs,
+            prefix="fs1.codeword_cache",
+        )
 
     def query_codeword(self, query: Term) -> Codeword:
         """``scheme.query_codeword`` behind a canonical-goal-key LRU.
@@ -104,20 +95,11 @@ class FirstStageFilter:
         with ``X`` a singleton) produce identical codewords, so repeated
         and batched queries re-hash nothing.
         """
-        key = _goal_key(query)
-        with self._codeword_lock:
-            cached = self._codeword_cache.get(key)
-            if cached is not None:
-                self._codeword_cache.move_to_end(key)
-        if cached is not None:
-            self.obs.counter("fs1.codeword_cache.hits").inc()
-            return cached
-        self.obs.counter("fs1.codeword_cache.misses").inc()
-        codeword = self.scheme.query_codeword(query)
-        with self._codeword_lock:
-            self._codeword_cache[key] = codeword
-            while len(self._codeword_cache) > QUERY_CODEWORD_CACHE_SIZE:
-                self._codeword_cache.popitem(last=False)
+        key = canonical_goal_key(query)
+        codeword = self._codeword_cache.get(key)
+        if codeword is None:
+            codeword = self.scheme.query_codeword(query)
+            self._codeword_cache.put(key, codeword)
         return codeword
 
     def search(self, index: SecondaryIndexFile, query: Term) -> FS1Result:

@@ -72,6 +72,7 @@ class TestDocumentationCoverage:
 
     MODULES = [
         "repro", "repro.clare", "repro.cli", "repro.report",
+        "repro.cache", "repro.keys",
         "repro.terms", "repro.terms.term", "repro.terms.reader",
         "repro.terms.writer", "repro.terms.clause",
         "repro.unify", "repro.unify.bindings", "repro.unify.unify",
@@ -219,3 +220,56 @@ class TestOneClientSurface:
 
         for name in ("retrieve", "solve", "mutate"):
             assert inspect.isfunction(vars(RetrievalClient)[name])
+
+
+class TestOneCachePrimitive:
+    """Every LRU in ``src/repro`` is a ``repro.cache.LruCache``."""
+
+    def test_no_hand_rolled_lru_outside_the_primitive(self):
+        import re
+        from pathlib import Path
+
+        package = Path(repro.__file__).resolve().parent
+        offenders = []
+        for path in sorted(package.rglob("*.py")):
+            if path == package / "cache.py":
+                continue
+            for number, line in enumerate(path.read_text().splitlines(), 1):
+                if not re.search(r"OrderedDict|move_to_end|popitem", line):
+                    continue
+                # The idempotency memo is not a cache (losing an entry
+                # is a correctness event, not a miss) and keeps its own
+                # ordered dict in cluster/server.py.
+                memo = path == package / "cluster" / "server.py" and (
+                    "_applied_writes" in line or line.startswith("from collections")
+                )
+                if not memo:
+                    offenders.append(f"{path.relative_to(package)}:{number}")
+        assert not offenders, offenders
+
+    def test_the_version_plumbing_is_gone(self):
+        from pathlib import Path
+
+        package = Path(repro.__file__).resolve().parent
+        source = "".join(p.read_text() for p in package.rglob("*.py"))
+        for name in ("_cache_version", "_sync_version", "version_snapshot"):
+            assert name not in source, name
+
+    def test_goal_keys_import_without_the_crs_package(self):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(repro.__file__).resolve().parents[1]
+        code = (
+            "import sys, repro.keys, repro.cache; "
+            "assert 'repro.crs' not in sys.modules; "
+            "import repro.scw, repro.crs, repro.crs.keys; "
+            "assert repro.crs.canonical_goal_key is repro.keys.canonical_goal_key; "
+            "assert repro.crs.keys.canonical_goal_key is repro.keys.canonical_goal_key"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env={"PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
