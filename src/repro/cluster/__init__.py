@@ -2,9 +2,10 @@
 
 :mod:`repro.cluster.routing` places clauses and fans goals out;
 :mod:`repro.cluster.server` runs N complete engine instances behind the
-single-server ``retrieve``/``solutions`` contract; and
-:mod:`repro.cluster.batch` executes goal batches on a thread pool under
-the parallel-disk (max-over-shards) timing model.
+single-server ``retrieve``/``solutions`` contract, its mutations in one
+:mod:`repro.cluster.replog`; and :mod:`repro.cluster.batch` executes
+goal batches on a thread pool under the parallel-disk (max-over-shards)
+timing model.
 
 Elasticity lives in three more modules: :mod:`repro.cluster.manifest`
 (the versioned shard→replica→address placement and its CAS holder),
@@ -21,14 +22,13 @@ from .manifest import (
     ManifestHolder,
     ManifestVersionError,
 )
+from .replog import MutationLogOverflow, ReplicationLog, WritesFrozen
 from .routing import ShardingPolicy, ShardRouter, stable_shard_hash
 from .server import (
     ClusterShard,
     MergedRetrievalStats,
-    MutationLogOverflow,
     MutationRecord,
     ShardedRetrievalServer,
-    WritesFrozen,
 )
 
 __all__ = [
@@ -48,6 +48,7 @@ __all__ = [
     "MigrationError",
     "MutationLogOverflow",
     "MutationRecord",
+    "ReplicationLog",
     "ShardRouter",
     "ShardedRetrievalServer",
     "ShardingPolicy",

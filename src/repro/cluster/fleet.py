@@ -155,10 +155,9 @@ class Fleet:
         self._service_opts = dict(service_opts or {})
         self._engine_opts = dict(engine_opts or {})
         #: with a durability root, every node gets its own WAL-backed
-        #: store under ``<root>/shard<k>-node<n>`` — acked writes survive
-        #: node process death, and replica resync/migration catch-up
-        #: rides the durable log (WAL-shipping) instead of only the
-        #: capped in-memory mutation deque.
+        #: store under ``<root>/shard<k>-node<n>``: acked writes survive
+        #: node process death, and its replication log serves catch-up
+        #: deltas past the in-memory tail.
         self._durability_root = (
             pathlib.Path(durability_root)
             if durability_root is not None else None
@@ -257,9 +256,8 @@ class Fleet:
         would hand out wrong answers.  Restart therefore resyncs from a
         live replica of the same shard *before* the socket reopens —
         incrementally when the peer's delta replays cleanly over the
-        node's own state (served from the peer's mutation log or, past
-        the deque, by WAL-shipping), with a full snapshot copy as the
-        fallback (see :func:`repro.cluster.migrate.resync_replica`).
+        node's own state, with a full snapshot copy as the fallback
+        (see :func:`repro.cluster.migrate.resync_replica`).
         With no live peer the engine is served as-is — nothing fresher
         exists anywhere.
         """
@@ -322,7 +320,7 @@ class Fleet:
             )
         return opts
 
-    def _build_node(self, shard_id: int) -> ClusterNode:
+    def _build_node(self, shard_id: int, seed: bool = True) -> ClusterNode:
         """A one-shard engine seeded with the shard's clause partition."""
         engine = ShardedRetrievalServer(
             1,
@@ -331,7 +329,7 @@ class Fleet:
             obs=self.obs.labelled(node_shard=str(shard_id)),
             **self._node_engine_opts(shard_id),
         )
-        if engine.recovered is None or engine.recovered.empty:
+        if seed and (engine.recovered is None or engine.recovered.empty):
             # One bulk load: a durable node group-commits the partition
             # and is only handed out (and started) once all of it is on
             # disk.
@@ -346,18 +344,7 @@ class Fleet:
         """An *empty* started node for a migration target; the caller
         loads a snapshot into it (``engine.adopt_kb``) before it is
         added to the manifest."""
-        engine = ShardedRetrievalServer(
-            1,
-            policy=self.policy,
-            scheme=self.scheme,
-            obs=self.obs.labelled(node_shard=str(shard_id)),
-            **self._node_engine_opts(shard_id),
-        )
-        node = ClusterNode(
-            shard_id=shard_id,
-            engine=engine,
-            service_opts=dict(self._service_opts),
-        )
+        node = self._build_node(shard_id, seed=False)
         node.start(self.holder)
         self.nodes[node.address] = node
         return node
@@ -769,7 +756,7 @@ class FleetClient:
         Reused verbatim across stale-manifest re-routes, replica
         fan-out, and both retract phases, so any node that sees the
         same write twice — directly and via a migration delta replay —
-        applies it once (see ``ShardedRetrievalServer._applied_before``).
+        applies it once (see ``ReplicationLog.seen``).
         """
         with self._lock:
             self._write_seq += 1

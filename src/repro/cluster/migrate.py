@@ -13,8 +13,8 @@ machinery that already exists elsewhere in the tree:
 2. **Catch-up** — the writes that landed on the source after ``seq``
    stream over as mutation-log deltas
    (:meth:`~repro.cluster.ShardedRetrievalServer.mutations_since`),
-   round after round, until the target has drawn level.  A delta that
-   fell off the capped log (:class:`~repro.cluster.MutationLogOverflow`)
+   round after round, until the target has drawn level.  A delta the
+   log can no longer serve (:class:`~repro.cluster.MutationLogOverflow`)
    forces a fresh snapshot instead of a silently incomplete replay.
 3. **Freeze + final delta** — every live replica of the shard briefly
    refuses mutations (:class:`~repro.cluster.WritesFrozen`; clients
@@ -40,13 +40,18 @@ client also re-routed to the target a no-op instead of a duplicate.
 
 from __future__ import annotations
 
-import json
 import pathlib
 
 from ..obs import get_default as _default_obs
-from ..storage import kb_fingerprint, load_kb, save_kb
+from ..storage import (
+    kb_fingerprint,
+    load_kb,
+    load_write_ids,
+    save_kb,
+    save_write_ids,
+)
 from .fleet import ClusterNode, Fleet
-from .server import MutationLogOverflow
+from .replog import MutationLogOverflow
 
 __all__ = ["MigrationError", "migrate_shard", "resync_replica",
            "snapshot_node", "catch_up"]
@@ -64,13 +69,6 @@ class MigrationError(RuntimeError):
     """A shard migration or replica resync could not complete."""
 
 
-#: Sidecar file a snapshot directory carries next to the clause files:
-#: the source engine's applied write-id memo at the cut.  A restored
-#: replica needs it to dedupe a client re-route of a write that is
-#: already *inside* the snapshot content.
-WRITE_IDS_FILE = "write_ids.json"
-
-
 def snapshot_node(node: ClusterNode, directory: str | pathlib.Path) -> int:
     """Save a node's KB under its shard lock; returns the cut ``seq``.
 
@@ -80,17 +78,16 @@ def snapshot_node(node: ClusterNode, directory: str | pathlib.Path) -> int:
     returned sequence number precisely — the delta from ``seq`` neither
     misses a write the snapshot lacks nor doubles one it already holds.
     The applied write-id memo is captured under the same lock and saved
-    alongside (:data:`WRITE_IDS_FILE`).
+    alongside (:func:`~repro.storage.save_write_ids`): a restored
+    replica needs it to dedupe a client re-route of a write that is
+    already *inside* the snapshot content.
     """
     engine = node.engine
     shard = engine.shards[0]
     with shard.lock:
         seq = engine.version
         save_kb(shard.kb, directory)
-        applied = engine.applied_write_ids()
-    (pathlib.Path(directory) / WRITE_IDS_FILE).write_text(
-        json.dumps(applied), encoding="utf-8"
-    )
+        save_write_ids(directory, engine.applied_write_ids())
     return seq
 
 
@@ -100,8 +97,8 @@ def catch_up(source: ClusterNode, target: ClusterNode, seq: int) -> int:
     Runs in rounds (new writes may land while a round replays) until a
     round comes back empty; returns the sequence the target has now
     caught up to.  Raises :class:`~repro.cluster.MutationLogOverflow`
-    (via ``mutations_since``) when the delta fell off the capped log,
-    and :class:`MigrationError` when the source out-writes the chase.
+    (via ``mutations_since``) when the source's log no longer holds the
+    delta, and :class:`MigrationError` when the source out-writes the chase.
     """
     for _ in range(_MAX_CATCH_UP_ROUNDS):
         records = source.engine.mutations_since(seq)
@@ -126,17 +123,12 @@ def _snapshot_into(
     for attempt in range(_MAX_SNAPSHOT_ATTEMPTS):
         snapdir = workdir / f"snapshot-{attempt}"
         seq = snapshot_node(source, snapdir)
-        target.engine.adopt_kb(load_kb(snapdir))
-        sidecar = snapdir / WRITE_IDS_FILE
-        if sidecar.exists():
-            target.engine.adopt_write_ids(
-                json.loads(sidecar.read_text(encoding="utf-8"))
-            )
+        target.engine.adopt_kb(load_kb(snapdir), load_write_ids(snapdir))
         try:
             return catch_up(source, target, seq)
         except MutationLogOverflow as exc:
-            # The source's write rate evicted our delta (or a reload
-            # intervened); the snapshot is stale — take a fresh one.
+            # The source can no longer serve our delta (out-written,
+            # compacted or itself adopted); the snapshot is stale.
             last_exc = exc
     raise MigrationError(
         f"catch-up delta kept falling off the mutation log after "
@@ -254,11 +246,10 @@ def resync_replica(
     Used on restart-after-crash.  A durable node comes back holding its
     own recovered prefix of the shard's history, so resync first tries
     the cheap path: replay just the peer's delta past the stale node's
-    version (``mutations_since`` serves it from the in-memory log or,
-    past the deque, by WAL-shipping).  The replay is only trusted if the
+    version (``mutations_since``).  The replay is only trusted if the
     content fingerprints come out equal — replicas apply the same writes
     but their version counters are node-local, so a divergent history
-    (e.g. a ``reload``) shows up as a mismatch and falls back to the
+    (e.g. an adoption) shows up as a mismatch and falls back to the
     authoritative snapshot copy.  The stale node must not be serving
     while this runs (its reads would be wrong mid-copy); the caller
     readmits it afterwards.

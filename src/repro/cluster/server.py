@@ -23,7 +23,6 @@ from __future__ import annotations
 import pathlib
 import threading
 import time
-from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
@@ -38,9 +37,14 @@ from ..crs.server import CachedFrontDoor, ClauseRetrievalServer
 from ..obs import Instrumentation
 from ..obs import get_default as _default_obs
 from ..scw import CodewordScheme, DEFAULT_SCHEME
-from ..storage import KnowledgeBase, Residency, UnknownPredicateError, load_kb
+from ..storage import (
+    KnowledgeBase,
+    Residency,
+    UnknownPredicateError,
+    load_kb,
+    save_kb,
+)
 from ..storage.wal import (
-    BULK_COMMIT_RECORDS,
     DurabilityOptions,
     DurableStore,
     MutationRecord,
@@ -55,6 +59,7 @@ from ..terms import (
     functor_indicator,
     read_program,
 )
+from .replog import MutationLogOverflow, ReplicationLog, WritesFrozen
 from .routing import ShardingPolicy, ShardRouter
 
 __all__ = [
@@ -65,24 +70,6 @@ __all__ = [
     "ShardedRetrievalServer",
     "WritesFrozen",
 ]
-
-
-class MutationLogOverflow(RuntimeError):
-    """The requested delta fell off the capped mutation log.
-
-    A catch-up reader that asks for "everything since seq N" after the
-    log has evicted N+1 cannot be given a correct delta; it must take a
-    fresh snapshot instead of a silently incomplete replay.
-    """
-
-
-class WritesFrozen(RuntimeError):
-    """Mutations are temporarily refused (a migration is finalising).
-
-    Raised *before* any state changes, so a caller that sees it knows
-    the write was not applied and may simply retry; the fleet client
-    backs off briefly and re-routes under the post-flip manifest.
-    """
 
 
 @dataclass
@@ -155,76 +142,64 @@ class ShardedRetrievalServer(CachedFrontDoor):
         self.router = ShardRouter(num_shards, policy)
         self.shards: list[ClusterShard] = []
         for shard_id in range(num_shards):
-            # Every existing counter/histogram/span the shard's engine
-            # emits is stamped with its shard label; family totals still
-            # aggregate across the whole cluster.
-            shard_obs = self.obs.labelled(shard=str(shard_id))
-            kb = KnowledgeBase(scheme=scheme, obs=shard_obs)
-            server = ClauseRetrievalServer(
-                kb,
-                cost_model=cost_model,
-                cross_binding=cross_binding,
-                cache_size=0,  # caching happens once, at the cluster level
-                obs=shard_obs,
+            # Everything a shard's KB and engine emit carries its shard
+            # label; family totals still aggregate across the cluster.
+            kb = KnowledgeBase(
+                scheme=scheme, obs=self.obs.labelled(shard=str(shard_id))
             )
-            self.shards.append(ClusterShard(shard_id, kb, server))
-        #: bumped on every mutation through this front-end; the cluster
-        #: cache keys on it exactly as the single server keys on
-        #: ``KnowledgeBase.version``.
-        self.version = 0
-        #: the last ``mutation_log_size`` mutations, seq-stamped with the
-        #: version they produced — the catch-up transport for migration
-        #: and replica resync (see :meth:`mutations_since`).
-        self._mutation_log: deque[MutationRecord] = deque(
-            maxlen=mutation_log_size
-        )
-        #: idempotency memo: write_id -> clause removed (retracts) or
-        #: ``None``, for the ids most recently applied.  Bounded like
-        #: the mutation log — a duplicate can only arrive within one
-        #: catch-up/re-route window, which the log cap already limits.
-        self._applied_writes: "OrderedDict[str, Clause | None]" = OrderedDict()
-        self._applied_writes_cap = mutation_log_size
-        #: when set, mutations are refused with :class:`WritesFrozen`
-        #: before touching any state (see :meth:`freeze_writes`).
-        self.writes_frozen = False
-        #: guards ``version``, the mutation log and the write-id memo: a
-        #: seq, its log record and its WAL frame are assigned together.
-        self._log_lock = threading.Lock()
+            self.shards.append(
+                ClusterShard(shard_id, kb, self._engine_over(shard_id, kb))
+            )
         self._init_result_cache(cache_size)
-        #: write-ahead durability (``repro.storage.wal``).  ``None`` keeps
-        #: the historical in-memory behaviour.  When set, every acked
-        #: mutation is staged in the WAL under the same lock that assigns
-        #: its seq and group-committed after the shard lock is released;
-        #: :meth:`mutations_since` falls back to the durable log when the
-        #: in-memory deque has evicted the requested range.
-        self._durable: DurableStore | None = None
-        #: what recovery found on disk (``None`` without durability) —
-        #: callers use :attr:`recovered` to decide whether to re-consult
-        #: source programs after a restart.
+        #: what recovery found on disk (``None`` without durability):
+        #: callers decide by it whether to re-consult source programs.
         self.recovered: RecoveredState | None = None
-        self._replaying = False
-        self._compact_stop = threading.Event()
-        self._compact_thread: threading.Thread | None = None
-        self._compact_serial = threading.Lock()
-        self._closed = False
-        if durability is not None:
-            options = DurabilityOptions.coerce(durability)
-            self._durable = DurableStore(
-                options,
-                obs=self.obs,
-                meta={
-                    "num_shards": num_shards,
-                    "policy": self.router.policy.value,
-                },
-            )
+        store = None if durability is None else DurableStore(
+            durability,
+            obs=self.obs,
+            meta={"num_shards": num_shards, "policy": self.router.policy.value},
+        )
+        #: seq order, catch-up tail, WAL hand-off, write-id memo and
+        #: freeze flag (:mod:`repro.cluster.replog`): ``version`` is its
+        #: seq and ``mutation_log_size`` its capacity.
+        self.log = ReplicationLog(mutation_log_size, store, self.obs)
+        if store is not None:
             self._recover()
-            if options.auto_compact:
-                self._compact_thread = threading.Thread(
-                    target=self._compact_loop,
-                    name="repro-wal-compact",
-                    daemon=True,
-                )
-                self._compact_thread.start()
+            if store.options.auto_compact:
+                # Looked up per call, not bound here: a tracer that
+                # patches ``compact`` on the class must still see these.
+                self.log.start_compactor(lambda: self.compact())
+
+    def _engine_over(
+        self, shard_id: int, kb: KnowledgeBase
+    ) -> ClauseRetrievalServer:
+        """A shard engine over ``kb``, its clauses' placement recorded —
+        verbatim (:meth:`ShardRouter.observe`), never re-hashed: under
+        round-robin the original placement was positional."""
+        for store in kb:
+            for clause in store.clauses():
+                self.router.observe(clause.head, shard_id)
+        return ClauseRetrievalServer(
+            kb,
+            cost_model=self._cost_model,
+            cross_binding=self._cross_binding,
+            cache_size=0,  # caching happens once, at the cluster level
+            obs=kb.disk.obs,
+        )
+
+    @property
+    def version(self) -> int:
+        """Bumped on every mutation through this front-end; the cluster
+        cache keys on it as the single server keys on ``kb.version``."""
+        return self.log.seq
+
+    @property
+    def writes_frozen(self) -> bool:
+        return self.log.frozen
+
+    @property
+    def durable_store(self) -> DurableStore | None:
+        return self.log.durable
 
     # -- cluster shape -------------------------------------------------------
 
@@ -255,26 +230,22 @@ class ShardedRetrievalServer(CachedFrontDoor):
             module=module,
         )
 
-    def consult_clauses(
-        self, clauses: Iterable[Clause], module: str = "user"
-    ) -> int:
-        return self.add_clauses(clauses, module=module)
-
     def add_clauses(
         self, clauses: Iterable[Clause], module: str = "user"
     ) -> int:
         """Bulk load: append every clause, one group commit per chunk.
 
         Each clause is routed, applied and logged exactly as
-        :meth:`add_clause` would (own seq, own :class:`MutationRecord`,
-        own WAL record); only the durability wait is shared.  The call
-        returns — and so the load is acknowledged — once the last
-        clause's record is durable.  Returns the number of clauses.
+        :meth:`add_clause` would (own seq, own WAL record); only the
+        durability wait is shared, and the load is acknowledged once the
+        last record is durable.  Returns the number of clauses.
         """
-        return self._group_commit(
+        return self.log.group_commit(
             self._apply_assert("assertz", clause, module, None)[1]
             for clause in clauses
         )
+
+    consult_clauses = add_clauses
 
     def add_clause(
         self,
@@ -284,7 +255,7 @@ class ShardedRetrievalServer(CachedFrontDoor):
     ) -> int:
         """Append a clause on its home shard; returns the shard id."""
         shard_id, seq = self._apply_assert("assertz", clause, module, write_id)
-        self._wal_commit(seq)
+        self.log.wait_durable(seq)
         return shard_id
 
     def assertz(
@@ -303,16 +274,13 @@ class ShardedRetrievalServer(CachedFrontDoor):
         module: str = "user",
         write_id: str | None = None,
     ) -> None:
-        """Prepend within the clause's home shard.
-
-        Cross-shard clause order is not defined by the cluster (the
-        candidate *set* is what the contract guarantees); within a shard
-        the usual Prolog ordering semantics hold.
-        """
+        """Prepend within the clause's home shard: Prolog order holds
+        within a shard; across shards only the candidate *set* is
+        defined."""
         _, seq = self._apply_assert(
             "asserta", as_clause(clause_or_term), module, write_id
         )
-        self._wal_commit(seq)
+        self.log.wait_durable(seq)
 
     def _apply_assert(
         self, op: str, clause: Clause, module: str, write_id: str | None
@@ -321,23 +289,16 @@ class ShardedRetrievalServer(CachedFrontDoor):
 
         Returns ``(shard_id, seq)``; ``seq`` is ``None`` for a duplicate
         delivery of an already applied ``write_id``.  The caller owes a
-        :meth:`_wal_commit` of the seq before acknowledging.
-
-        Mutations hold the shard lock: ``retract_matching`` swaps in a
-        rebuilt clause file after snapshotting the old one, so an
-        unlocked concurrent append would land on the file being
-        replaced and vanish with it (a lost update).
+        ``log.wait_durable(seq)`` before acknowledging.  The log append
+        happens with the shard lock still held: a snapshot taken under
+        that lock sees KB state and log cut at exactly the same seq.
         """
         shard_id = self.router.route_clause(clause.head)
         shard = self.shards[shard_id]
-        # The version bump (and its mutation-log append) happens while
-        # the shard lock is still held: a snapshot taken under that lock
-        # then sees KB state and log cut at exactly the same seq, so a
-        # snapshot + delta replay neither misses nor doubles a mutation.
         with shard.lock:
-            if write_id is not None and self._applied_before(write_id)[0]:
+            if self.log.seen(write_id)[0]:
                 return shard_id, None
-            self._check_frozen()
+            self.log.check_writable()
             if op == "assertz":
                 shard.kb.add_clause(clause, module=module)
                 self.obs.counter(
@@ -345,82 +306,76 @@ class ShardedRetrievalServer(CachedFrontDoor):
                 ).inc()
             else:
                 shard.kb.asserta(clause, module=module)
-            seq = self._bump_version(
-                op=op, clause=clause, module=module, write_id=write_id
-            )
-            self._on_shard_mutation(shard, op, clause, module)
-        return shard_id, seq
+            return shard_id, self._logged(shard, op, clause, module, write_id)
 
-    def _group_commit(self, staged: Iterable[int | None]) -> int:
-        """Drain a stream of applied mutations, one durability wait per chunk.
-
-        ``staged`` applies one mutation per item and yields its seq
-        (``None`` when nothing was logged).  The waits are this call's
-        own: a concurrent single writer still blocks on its own seq in
-        :meth:`_wal_commit` and rides whichever commit is in flight.  If
-        ``staged`` raises part-way, everything it already applied is
-        made durable before the exception propagates, so after a failed
-        bulk load memory and disk agree on the same prefix.  Returns the
-        number of items drained.
-        """
-        count = 0
-        pending: int | None = None
-        try:
-            for seq in staged:
-                count += 1
-                if seq is not None:
-                    pending = seq
-                if count % BULK_COMMIT_RECORDS == 0:
-                    self._wal_commit(pending)
-                    pending = None
-        finally:
-            self._wal_commit(pending)
-        return count
+    def _logged(
+        self, shard: ClusterShard, op: str, clause: Clause, module: str,
+        write_id: str | None,
+    ) -> int:
+        """Log a mutation just applied to ``shard`` (lock held); its seq."""
+        seq = self.log.append(op, clause, module, write_id, shard.kb)
+        self._on_shard_mutation(
+            shard, "remove_exact" if op == "retract" else op, clause, module
+        )
+        return seq
 
     def retract(self, clause_or_term: Clause | Term) -> bool:
         """Remove the first matching clause, probing shards in id order."""
         return self.retract_matching(clause_or_term) is not None
 
     def retract_matching(
-        self,
-        clause_or_term: Clause | Term,
-        write_id: str | None = None,
+        self, clause_or_term: Clause | Term, write_id: str | None = None
     ) -> Clause | None:
         """Like :meth:`retract` but returns the clause actually removed.
 
-        The resolution engines need the removed clause to bind a
-        ``retract/1`` template against; version bumping here is what
-        keeps the cluster cache (and every retriever layered on it) from
-        serving the retracted clause to later choice points.
+        The resolution engines bind a ``retract/1`` template against
+        it; the seq bump keeps the cluster cache (and every retriever
+        layered on it) from serving the retracted clause to later choice
+        points.  A duplicate delivery reports the first one's clause.
         """
-        template = as_clause(clause_or_term)
+        removed, seq = self._apply_retract(
+            as_clause(clause_or_term), write_id, exact=False
+        )
+        self.log.wait_durable(seq)
+        return removed
+
+    def remove_exact(self, clause: Clause, write_id: str | None = None) -> bool:
+        """Remove the first structurally identical clause (replica replay)."""
+        removed, seq = self._apply_retract(clause, write_id, exact=True)
+        self.log.wait_durable(seq)
+        return removed is not None
+
+    def _apply_retract(
+        self, clause: Clause, write_id: str | None, exact: bool
+    ) -> tuple[Clause | None, int | None]:
+        """Remove one clause, probing shards in id order; not yet durable.
+
+        ``(clause removed, seq)``; ``seq`` is ``None`` when nothing was
+        logged (no match, or a duplicate ``write_id``).
+        """
         try:
-            targets = self.router.route_goal(template.head)
+            targets = self.router.route_goal(clause.head)
         except UnknownPredicateError:
-            return None
+            return None, None
         for shard_id in targets:
             shard = self.shards[shard_id]
             with shard.lock:
-                if write_id is not None:
-                    hit, memo = self._applied_before(write_id)
-                    if hit:
-                        # Duplicate delivery: report the clause the
-                        # first application removed, not a second one.
-                        return memo
-                self._check_frozen()
-                removed = shard.kb.retract_matching(template)
+                hit, memo = self.log.seen(write_id)
+                if hit:
+                    return (clause if exact else memo), None
+                self.log.check_writable()
+                if not exact:
+                    removed = shard.kb.retract_matching(clause)
+                else:
+                    removed = clause if shard.kb.remove_exact(clause) else None
                 if removed is not None:
-                    seq = self._bump_version(
-                        op="retract", clause=removed, write_id=write_id
+                    # Log (and forward) the clause actually removed, not
+                    # the template: replaying the template elsewhere
+                    # could remove a different, more general clause.
+                    return removed, self._logged(
+                        shard, "retract", removed, "user", write_id
                     )
-                    # Forward the clause actually removed, not the
-                    # template: replaying the template on the worker
-                    # could remove a different (more general) clause.
-                    self._on_shard_mutation(shard, "remove_exact", removed)
-            if removed is not None:
-                self._wal_commit(seq)
-                return removed
-        return None
+        return None, None
 
     def pin_module(self, name: str, residency: str) -> None:
         """Pin one module's residency on every shard (e.g. to disk)."""
@@ -432,246 +387,65 @@ class ShardedRetrievalServer(CachedFrontDoor):
         self._on_pin_module(name, residency)
 
     def _on_pin_module(self, name: str, residency: str) -> None:
-        """Hook: a residency pin was applied to every shard.
-
-        Process-backed subclasses forward the pin so worker engines
-        plan and account disk residency identically to the parent.
-        """
+        """Hook: a residency pin was applied to every shard (process
+        workers must plan and account residency as the parent does)."""
 
     def sync_to_disk(self) -> dict[int, list[str]]:
         """Write each shard's disk-resident extents; extents per shard."""
         return {s.shard_id: s.kb.sync_to_disk() for s in self.shards}
 
-    def _bump_version(
-        self,
-        op: str = "reload",
-        clause: Clause | None = None,
-        module: str = "user",
-        write_id: str | None = None,
-    ) -> int:
-        with self._log_lock:
-            self.version += 1
-            record = MutationRecord(
-                seq=self.version, op=op, clause=clause, module=module,
-                write_id=write_id,
-            )
-            self._mutation_log.append(record)
-            if write_id is not None:
-                self._applied_writes[write_id] = (
-                    clause if op == "retract" else None
-                )
-                self._applied_writes.move_to_end(write_id)
-                while len(self._applied_writes) > self._applied_writes_cap:
-                    self._applied_writes.popitem(last=False)
-            # Stage the WAL record under the same lock that assigned its
-            # seq: log order is exactly seq order by construction.  The
-            # fsync happens later, in _wal_commit, after the caller drops
-            # the shard lock.  ``reload`` is not staged — the adopted KB
-            # exists only in memory, so adopt_kb snapshots it instead.
-            if (
-                self._durable is not None
-                and not self._replaying
-                and op != "reload"
-                and clause is not None
-            ):
-                self._durable.stage(record)
-            return self.version
-
-    def _wal_commit(self, seq: int | None) -> None:
-        """Block until WAL record ``seq`` is durable (volatile: no-op).
-
-        Called *after* the shard lock is released, so concurrent writers
-        ride one group commit instead of serialising an fsync each under
-        the lock.  ``None`` (nothing was logged) returns at once.  During
-        recovery replay the records are already on disk and the wait is
-        skipped.
-        """
-        if (
-            seq is not None
-            and self._durable is not None
-            and not self._replaying
-        ):
-            self._durable.wait_durable(seq)
-
-    def _applied_before(self, write_id: str) -> tuple[bool, Clause | None]:
-        """(seen, memoised removed clause) for one idempotency stamp.
-
-        Callers hold the shard lock, so check-then-apply is atomic
-        against a concurrent delivery of the same id (e.g. a client
-        re-route racing the migration coordinator's delta replay).
-        """
-        with self._log_lock:
-            if write_id in self._applied_writes:
-                return True, self._applied_writes[write_id]
-        return False, None
-
-    def _check_frozen(self) -> None:
-        if self.writes_frozen:
-            raise WritesFrozen(
-                "writes are frozen while a migration finalises; retry"
-            )
+    # -- replication: freeze, deltas, exact replay, wholesale adoption -------
+    #
+    # The state lives in :attr:`log`; what stays here is the shard side.
 
     def freeze_writes(self) -> None:
-        """Refuse mutations until :meth:`thaw_writes` (migration finale).
-
-        The flag is checked *inside* the shard lock, so acquiring every
-        shard lock once after setting it is a quiescence barrier: any
-        mutation admitted before the freeze has finished and logged by
-        the time this returns, and none can start after — a delta read
-        next is provably the last.
-        """
-        self.writes_frozen = True
-        for shard in self.shards:
-            with shard.lock:
-                pass
+        """Refuse mutations until :meth:`thaw_writes`; returns once every
+        admitted one has logged (:meth:`ReplicationLog.freeze`)."""
+        self.log.freeze(shard.lock for shard in self.shards)
 
     def thaw_writes(self) -> None:
-        self.writes_frozen = False
+        self.log.thaw()
 
     def applied_write_ids(self) -> list[str]:
         """The memoised idempotency stamps, oldest first (for snapshots)."""
-        with self._log_lock:
-            return list(self._applied_writes)
-
-    def adopt_write_ids(self, write_ids: Iterable[str]) -> None:
-        """Install a snapshot's write-id memo (after :meth:`adopt_kb`).
-
-        Without this, a write inside the snapshot that the client also
-        re-routes here after a manifest flip would apply twice — the
-        memo travels with the content it describes.  Retract memo values
-        are not persisted; a duplicate retract after a restore reports
-        "nothing matched" rather than removing a second clause.
-        """
-        with self._log_lock:
-            self._applied_writes.clear()
-            for write_id in write_ids:
-                self._applied_writes[write_id] = None
-            while len(self._applied_writes) > self._applied_writes_cap:
-                self._applied_writes.popitem(last=False)
-
-    # -- replication: deltas, exact replay, wholesale adoption ---------------
+        return self.log.write_ids()
 
     def mutations_since(self, seq: int) -> list[MutationRecord]:
-        """Every mutation after ``seq``, in order, or raise on a gap.
-
-        ``seq`` is a value previously read from :attr:`version` (e.g. at
-        snapshot time).  Raises :class:`MutationLogOverflow` when the
-        capped log has already evicted records the caller would need —
-        unless the engine is durable, in which case the delta is served
-        from the write-ahead log itself (WAL-shipping): every acked
-        mutation since the last compaction is on disk, so catch-up no
-        longer degrades to a fresh snapshot just because the in-memory
-        deque wrapped.  A seq older than the last compaction still
-        overflows (the records were folded into the snapshot).
-        """
-        with self._log_lock:
-            if seq > self.version:
-                raise MutationLogOverflow(
-                    f"seq {seq} is ahead of version {self.version}"
-                )
-            if seq == self.version:
-                return []
-            records = [r for r in self._mutation_log if r.seq > seq]
-            if records and records[0].seq == seq + 1:
-                return records
-            log_start = records[0].seq if records else self.version + 1
-        shipped = self._wal_mutations_since(seq)
-        if shipped is not None:
-            return shipped
-        raise MutationLogOverflow(
-            f"mutations after seq {seq} have been evicted "
-            f"(log starts at {log_start})"
-        )
-
-    def _wal_mutations_since(self, seq: int) -> list[MutationRecord] | None:
-        """Read a catch-up delta from the durable log (WAL-shipping).
-
-        Returns ``None`` when the WAL cannot serve a contiguous delta —
-        no durable store, ``seq`` predates the retained segments, or a
-        ``reload`` punched a hole in the sequence — and the caller falls
-        back to :class:`MutationLogOverflow` / snapshot semantics.
-        """
-        if self._durable is None:
-            return None
-        try:
-            records = self._durable.records_since(seq)
-        except WalError:
-            return None
-        if not records or records[0].seq != seq + 1:
-            return None
-        for prev, nxt in zip(records, records[1:]):
-            if nxt.seq != prev.seq + 1:
-                return None
-        self.obs.counter("wal.shipped_records").inc(len(records))
-        return records
+        """Every mutation after ``seq`` (a :attr:`version` read earlier) or
+        :class:`MutationLogOverflow`: :meth:`ReplicationLog.since`."""
+        return self.log.since(seq)
 
     def apply_mutations(self, records: Iterable[MutationRecord]) -> int:
         """Replay logged mutations from another node, in order.
 
-        The replay twin of :meth:`add_clauses`: every record is applied
-        and re-logged under this node's own seq, and durability is
-        awaited once per chunk rather than once per record.  Each
-        record's ``write_id`` rides along, so a replay of a write this
+        The replay twin of :meth:`add_clauses`: every record is
+        re-logged under this node's own seq, durability awaited once per
+        chunk.  Each record's ``write_id`` rides along, so a write this
         node already applied directly (the client re-routed it here
         after a manifest flip) dedupes instead of doubling the clause.
         Returns the number of records consumed.
         """
-        return self._group_commit(
+        return self.log.group_commit(
             self._apply_record(record) for record in records
         )
 
     def _apply_record(self, record: MutationRecord) -> int | None:
         """Apply one logged mutation; its new seq, not yet durable."""
-        if record.clause is None or record.op not in (
-            "assertz", "asserta", "retract"
-        ):
-            raise MutationLogOverflow(
-                f"mutation op {record.op!r} is not incrementally "
-                "replayable; take a fresh snapshot"
-            )
         if record.op == "retract":
-            return self._apply_remove_exact(record.clause, record.write_id)[1]
+            return self._apply_retract(record.clause, record.write_id, True)[1]
         return self._apply_assert(
             record.op, record.clause, record.module, record.write_id
         )[1]
 
-    def remove_exact(
-        self, clause: Clause, write_id: str | None = None
-    ) -> bool:
-        """Remove the first structurally identical clause (replica replay)."""
-        removed, seq = self._apply_remove_exact(clause, write_id)
-        self._wal_commit(seq)
-        return removed
-
-    def _apply_remove_exact(
-        self, clause: Clause, write_id: str | None
-    ) -> tuple[bool, int | None]:
-        """:meth:`remove_exact` up to, not including, the durability wait."""
-        try:
-            targets = self.router.route_goal(clause.head)
-        except UnknownPredicateError:
-            return False, None
-        for shard_id in targets:
-            shard = self.shards[shard_id]
-            with shard.lock:
-                if write_id is not None and self._applied_before(write_id)[0]:
-                    return True, None
-                self._check_frozen()
-                if shard.kb.remove_exact(clause):
-                    seq = self._bump_version(
-                        op="retract", clause=clause, write_id=write_id
-                    )
-                    self._on_shard_mutation(shard, "remove_exact", clause)
-                    return True, seq
-        return False, None
-
-    def adopt_kb(self, kb: KnowledgeBase) -> None:
+    def adopt_kb(self, kb: KnowledgeBase, write_ids: Iterable[str] = ()) -> None:
         """Replace a single-shard node's knowledge base (snapshot restore).
 
-        Builds a fresh engine over ``kb``, registers every clause's
-        placement with the router, and swaps both in under the shard
-        lock.  Logged as a ``reload`` — readers of the mutation log
-        cannot replay across an adoption and must re-snapshot.  Only
+        Swaps in ``kb`` and a fresh engine over it under the shard lock,
+        together with a log :meth:`~ReplicationLog.barrier` installing
+        ``write_ids`` — the memo travels with the content it describes,
+        so a write inside the snapshot that a client also re-routes here
+        dedupes, before and (a durable node checkpoints the adopted
+        state, memo included, before returning) after a restart.  Only
         single-shard servers (cluster *nodes*) adopt: on a multi-shard
         server the clauses' hash placement need not be the adopted
         shard, and the router would record a lie.
@@ -679,193 +453,64 @@ class ShardedRetrievalServer(CachedFrontDoor):
         if self.num_shards != 1:
             raise ValueError("adopt_kb is for single-shard nodes only")
         shard = self.shards[0]
-        shard_obs = self.obs.labelled(shard="0")
-        kb.disk.obs = shard_obs
+        kb.disk.obs = self.obs.labelled(shard="0")
         kb.publish_footprint()
-        server = ClauseRetrievalServer(
-            kb,
-            cost_model=self._cost_model,
-            cross_binding=self._cross_binding,
-            cache_size=0,
-            obs=shard_obs,
-        )
-        for store in kb:
-            for clause in store.clauses():
-                self.router.route_clause(clause.head)
-        if self._durable is not None:
-            # Same order as compact(): the serialiser before the shard
-            # lock, so an in-flight background compaction (which holds
-            # the serialiser while waiting for shard locks) cannot
-            # deadlock against the adoption.
-            self._compact_serial.acquire()
-        try:
-            with shard.lock:
-                shard.kb = kb
-                shard.server = server
-                # The memo describes content this engine no longer holds;
-                # the restorer installs the snapshot's own ids afterwards
-                # (:meth:`adopt_write_ids`).
-                with self._log_lock:
-                    self._applied_writes.clear()
-                self._bump_version(op="reload")
-                self._on_shard_mutation(shard, "reload", None)
-                if self._durable is not None:
-                    # A reload is not WAL-encodable (the adopted KB exists
-                    # only in memory), so durability requires snapshotting
-                    # it before the adoption returns.  Holding the shard
-                    # lock through the CURRENT flip keeps the WAL gap-free:
-                    # no mutation lands between the rotation and the flip,
-                    # so a crash anywhere in this window recovers either
-                    # the full pre-adoption or full post-adoption state.
-                    from ..storage import save_kb
-
-                    seq = self.version
-                    snapshot_dir = self._durable.begin_compaction(seq)
-                    save_kb(kb, snapshot_dir / "shard0", durable=False)
-                    self._durable.write_snapshot_meta(
-                        snapshot_dir, seq, self.applied_write_ids()
-                    )
-                    self._durable.finish_compaction(seq, snapshot_dir)
-        finally:
-            if self._durable is not None:
-                self._compact_serial.release()
+        server = self._engine_over(0, kb)
+        # Checkpoint serialiser first, as compact() takes them: a
+        # background compaction waiting for shard locks cannot deadlock.
+        with self.log.checkpointing, shard.lock:
+            shard.kb = kb
+            shard.server = server
+            self.log.barrier(write_ids)
+            self._on_shard_reload(shard)
+            if self.log.durable is not None:
+                # The adopted KB exists only in memory.  Holding the
+                # shard lock through the CURRENT flip keeps the WAL
+                # gap-free: a crash anywhere in this window recovers the
+                # full pre- or the full post-adoption state.
+                self.log.checkpoint(self._save_shards)
 
     # -- durability: recovery, compaction, shutdown ---------------------------
 
-    @property
-    def durable(self) -> bool:
-        return self._durable is not None
-
-    @property
-    def durable_store(self) -> DurableStore | None:
-        return self._durable
-
     def _recover(self) -> None:
-        """Rebuild in-memory state from the durable store (constructor).
-
-        Loads the ``CURRENT`` snapshot's per-shard ``save_kb`` trees,
-        restores the write-id memo from the snapshot sidecar, then
-        replays the WAL tail through the ordinary mutation path with
-        staging disabled (the records are already on disk).  Each replay
-        must land on exactly its logged seq — a stall (e.g. a retract
-        whose clause is absent) means the log and snapshot disagree, and
-        recovery refuses to continue silently wrong.
-        """
-        assert self._durable is not None
-        state = self._durable.open()
-        if state.shard_dirs:
-            for shard_dir in state.shard_dirs:
-                shard_id = int(shard_dir.name[len("shard"):])
-                if shard_id >= self.num_shards:
-                    raise WalError(
-                        f"snapshot has {shard_dir.name} but the engine "
-                        f"only has {self.num_shards} shard(s)"
-                    )
-                self._install_recovered_kb(shard_id, shard_dir)
-        self.version = state.snapshot_seq
-        if state.write_ids:
-            self.adopt_write_ids(state.write_ids)
-        self._replaying = True
-        try:
-            for record in state.records:
-                self._apply_record(record)
-                if self.version != record.seq:
-                    raise WalError(
-                        f"replaying seq {record.seq} left the engine at "
-                        f"version {self.version}; snapshot and WAL disagree"
-                    )
-        finally:
-            self._replaying = False
+        """Load the ``CURRENT`` snapshot's per-shard trees, then let
+        :meth:`ReplicationLog.replay` re-apply the WAL tail through the
+        ordinary mutation path (constructor only)."""
+        state = self.log.durable.open()
+        for shard_dir in state.shard_dirs:
+            shard_id = int(shard_dir.name[len("shard"):])
+            if shard_id >= self.num_shards:
+                raise WalError(
+                    f"snapshot has {shard_dir.name} but the engine "
+                    f"only has {self.num_shards} shard(s)"
+                )
+            shard = self.shards[shard_id]
+            shard.kb = load_kb(shard_dir, self.obs.labelled(shard=str(shard_id)))
+            shard.server = self._engine_over(shard_id, shard.kb)
+        self.log.replay(state, self._apply_record)
         self.recovered = state
 
-    def _install_recovered_kb(
-        self, shard_id: int, shard_dir: pathlib.Path
-    ) -> None:
-        """Load a snapshot tree into one shard (constructor only).
-
-        Placement is recorded verbatim via :meth:`ShardRouter.observe`
-        rather than re-hashed — under round-robin the original placement
-        was positional, and re-routing would record a lie.
-        """
-        shard = self.shards[shard_id]
-        shard_obs = self.obs.labelled(shard=str(shard_id))
-        kb = load_kb(shard_dir, shard_obs)
-        server = ClauseRetrievalServer(
-            kb,
-            cost_model=self._cost_model,
-            cross_binding=self._cross_binding,
-            cache_size=0,
-            obs=shard_obs,
-        )
-        for store in kb:
-            for clause in store.clauses():
-                self.router.observe(clause.head, shard_id)
-        shard.kb = kb
-        shard.server = server
-        self._on_shard_mutation(shard, "reload", None)
+    def _save_shards(self, snapshot_dir: pathlib.Path) -> None:
+        for shard in self.shards:
+            save_kb(
+                shard.kb,
+                snapshot_dir / f"shard{shard.shard_id}",
+                durable=False,  # the checkpoint fsyncs the whole tree
+            )
 
     def compact(self) -> int:
         """Fold the WAL into a fresh snapshot; returns the pinned seq.
 
-        Under every shard lock (a point-in-time cut): pins the current
-        version, rotates the WAL at it, and writes one ``save_kb`` tree
-        per shard into the new snapshot directory.  The expensive part —
-        fsyncing the tree and flipping ``CURRENT`` — happens after the
-        locks are released; mutations admitted in between land in the
-        fresh WAL segment, so the log stays contiguous whether or not
-        the flip survives a crash.
+        The cut is every shard lock at once; what happens inside and
+        after it is :meth:`ReplicationLog.checkpoint`.
         """
-        if self._durable is None:
-            raise WalError("engine has no durable store to compact")
-        from ..storage import save_kb
-
-        with self._compact_serial:
-            acquired: list[ClusterShard] = []
-            try:
-                for shard in self.shards:
-                    shard.lock.acquire()
-                    acquired.append(shard)
-                seq = self.version
-                if seq == self._durable.snapshot_seq:
-                    return seq  # nothing new since the last snapshot
-                snapshot_dir = self._durable.begin_compaction(seq)
-                for shard in self.shards:
-                    save_kb(
-                        shard.kb,
-                        snapshot_dir / f"shard{shard.shard_id}",
-                        durable=False,  # finish_compaction fsyncs the tree
-                    )
-                write_ids = self.applied_write_ids()
-            finally:
-                for shard in reversed(acquired):
-                    shard.lock.release()
-            self._durable.write_snapshot_meta(snapshot_dir, seq, write_ids)
-            self._durable.finish_compaction(seq, snapshot_dir)
-            return seq
-
-    def _compact_loop(self) -> None:
-        assert self._durable is not None
-        interval = self._durable.options.compact_interval_s
-        while not self._compact_stop.wait(interval):
-            try:
-                if self._durable.should_compact():
-                    self.compact()
-            except Exception:
-                # Compaction is an optimisation; the WAL keeps growing
-                # and stays authoritative.  Count it, try again later.
-                self.obs.counter("wal.compact_errors").inc()
+        return self.log.checkpoint(
+            self._save_shards, [shard.lock for shard in self.shards]
+        )
 
     def close(self) -> None:
-        """Flush and release the durable store (idempotent; volatile no-op)."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._compact_thread is not None:
-            self._compact_stop.set()
-            self._compact_thread.join(timeout=10.0)
-            self._compact_thread = None
-        if self._durable is not None:
-            self._durable.close()
+        """Stop compacting, flush and release the durable store (idempotent)."""
+        self.log.close()
 
     # -- retrieval -----------------------------------------------------------
 
@@ -879,17 +524,14 @@ class ShardedRetrievalServer(CachedFrontDoor):
 
         The contract matches the single-engine server: the merged
         candidate set is identical (the differential suite holds the two
-        implementations against each other), stats itemise where the
-        time went, and with ``cache_size > 0`` repeats are served from
-        the cluster-level LRU until any shard's KB changes.
+        against each other), stats itemise where the time went, and
+        ``cache_size > 0`` serves repeats until any shard's KB changes.
 
         ``timeout`` (host seconds) bounds the whole fan-out: a shard
         whose lock cannot be acquired before the deadline raises
-        :class:`~repro.crs.RetrievalTimeout` instead of blocking forever
-        behind a stuck retrieval.  Each shard's own execution runs
-        uninterrupted once its lock is held (the simulated hardware has
-        no preemption); queue wait is where a wedged shard stalls every
-        other request, and that is what the deadline cuts off.
+        :class:`~repro.crs.RetrievalTimeout`.  A shard's own execution
+        runs uninterrupted once its lock is held (the simulated hardware
+        has no preemption); queue wait is what the deadline cuts off.
         """
         from ..terms import term_to_string
 
@@ -937,10 +579,9 @@ class ShardedRetrievalServer(CachedFrontDoor):
         concurrently, one thread per shard, exactly as the parallel-disk
         timing model assumes.
 
-        ``timeout`` bounds the whole fan-out: if any shard worker is
-        still running (or still queued behind a stuck shard lock) at the
-        deadline, the batch raises :class:`~repro.crs.RetrievalTimeout`
-        rather than blocking on the slowest shard forever.
+        ``timeout`` bounds the whole fan-out: a shard worker still
+        running (or queued behind a stuck shard lock) at the deadline
+        raises :class:`~repro.crs.RetrievalTimeout` for the batch.
         """
         from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 
@@ -1034,12 +675,11 @@ class ShardedRetrievalServer(CachedFrontDoor):
 
     # -- shard execution seam -------------------------------------------------
     #
-    # All engine work funnels through these two methods (called with the
-    # shard's lock held), so an execution backend that hosts the engine
-    # elsewhere — e.g. the process workers in :mod:`repro.parallel` —
-    # only overrides *where* the retrieval runs.  Routing, planning,
-    # caching, merging and accounting stay in this class, which is what
-    # keeps the two backends' results and modelled stats bit-identical.
+    # All engine work funnels through these methods (shard lock held),
+    # so a backend that hosts the engine elsewhere — the process workers
+    # in :mod:`repro.parallel` — only overrides *where* it runs.
+    # Routing, planning, caching, merging and accounting stay in this
+    # class: the backends' results and modelled stats are bit-identical.
 
     def _shard_retrieve(
         self, shard: ClusterShard, goal: Term, mode: SearchMode
@@ -1052,27 +692,22 @@ class ShardedRetrievalServer(CachedFrontDoor):
         return shard.server.retrieve_batch(goals, mode=mode)
 
     def _on_shard_mutation(
-        self,
-        shard: ClusterShard,
-        op: str,
-        clause: Clause | None,
-        module: str = "user",
+        self, shard: ClusterShard, op: str, clause: Clause, module: str
     ) -> None:
         """Hook: one mutation just applied to ``shard`` (lock held).
 
-        The base server mutates the shard's engine in place, so there is
-        nothing to do; a process-backed subclass forwards the mutation to
-        the shard's worker before releasing the lock, so whichever
-        reader acquires the lock next sees post-mutation worker state.
+        Nothing to do here (the engine was mutated in place); a
+        process-backed subclass forwards it to the shard's worker, so
+        whoever takes the lock next sees post-mutation worker state.
         """
+
+    def _on_shard_reload(self, shard: ClusterShard) -> None:
+        """Hook: ``shard``'s whole KB was just replaced (lock held)."""
 
     @staticmethod
     def _acquire_shard(shard: ClusterShard, deadline: float | None) -> None:
-        """Take a shard's lock, or raise :class:`RetrievalTimeout`.
-
-        With no deadline this blocks exactly like the old ``with
-        shard.lock:`` — unbounded, preserving the in-process contract.
-        """
+        """Take a shard's lock (unbounded with no deadline), or raise
+        :class:`RetrievalTimeout`."""
         if deadline is None:
             shard.lock.acquire()
             return
@@ -1098,13 +733,12 @@ class ShardedRetrievalServer(CachedFrontDoor):
     def _plan_mode(self, goal: Term) -> SearchMode:
         """Select one search mode for the whole cluster.
 
-        Mode planning is a *front-end* decision: a shard deciding alone
-        would see only its slice of the predicate (a different size, a
-        different fact fraction) and shards could disagree — merging one
-        shard's raw FS1 candidate stream with another's FS2-refined one.
-        Planning once over an aggregate view of the predicate makes the
-        choice identical to what the single engine's planner would pick
-        over the unpartitioned store.
+        A shard deciding alone would see only its slice of the predicate
+        (a different size, a different fact fraction) and shards could
+        disagree — one raw FS1 candidate stream merged with another's
+        FS2-refined one.  Planning once over an aggregate view makes the
+        choice what the single engine's planner would pick over the
+        unpartitioned store.
         """
         from ..crs.planner import select_mode
 

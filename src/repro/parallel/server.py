@@ -349,19 +349,14 @@ class ProcessShardedRetrievalServer(ShardedRetrievalServer):
             self.obs.counter("parallel.shm.fallbacks").inc()
 
     def _on_shard_mutation(
-        self,
-        shard: ClusterShard,
-        op: str,
-        clause: Clause | None,
-        module: str = "user",
+        self, shard: ClusterShard, op: str, clause: Clause, module: str
     ) -> None:
-        handle = self._handles.get(shard.shard_id)
-        if handle is None:
-            return
-        if op == "reload":
-            self._call_worker(shard, "reload", self._export_shard(shard))
-        else:
+        if shard.shard_id in self._handles:
             self._call_worker(shard, "mutate", op, clause, module)
+
+    def _on_shard_reload(self, shard: ClusterShard) -> None:
+        if shard.shard_id in self._handles:
+            self._call_worker(shard, "reload", self._export_shard(shard))
 
     def _on_pin_module(self, name: str, residency: str) -> None:
         for shard in self.shards:

@@ -2,7 +2,14 @@
 
 from .kb import KnowledgeBase, PredicateStore, UnknownPredicateError
 from .module import DEFAULT_LARGE_THRESHOLD_BYTES, Module, Residency
-from .persist import PersistenceError, kb_fingerprint, load_kb, save_kb
+from .persist import (
+    PersistenceError,
+    kb_fingerprint,
+    load_kb,
+    load_write_ids,
+    save_kb,
+    save_write_ids,
+)
 from .wal import (
     DurabilityOptions,
     DurableStore,
@@ -29,6 +36,8 @@ __all__ = [
     "WriteAheadLog",
     "kb_fingerprint",
     "load_kb",
+    "load_write_ids",
     "save_kb",
+    "save_write_ids",
     "wal_dump",
 ]

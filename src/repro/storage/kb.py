@@ -97,6 +97,9 @@ class KnowledgeBase:
         self._modules: dict[str, Module] = {"user": Module("user")}
         #: bumped on every clause addition/removal; caches key on it.
         self.version = 0
+        #: the record the last retract cut out: the replication log keeps
+        #: it in place of the decoded clause, and nothing can read it back.
+        self.last_cut = b""
         #: per-predicate (generation, clause count) as of the last disk
         #: write, so retrieval paths can tell a fresh extent from one
         #: that predates an assert/retract.  Appends keep the clause
@@ -217,6 +220,7 @@ class KnowledgeBase:
 
     def _cut(self, store: PredicateStore, position: int) -> None:
         """Splice one clause out of a store's file and index."""
+        self.last_cut = bytes(store.clause_file.record_bytes(position))
         length = store.clause_file.delete(position)
         store.index.delete(position, length)
         self._spliced()

@@ -24,6 +24,7 @@ rebuilt from the decoded heads (counted in ``storage.index_rebuilds``).
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
 from typing import Callable
@@ -33,10 +34,12 @@ from ..pif import ClauseFile, PIFDecodeError, SymbolTable
 from ..scw import CodewordScheme, SecondaryIndexFile
 from .kb import KnowledgeBase, PredicateStore
 
-__all__ = ["save_kb", "load_kb", "kb_fingerprint", "PersistenceError"]
+__all__ = ["save_kb", "load_kb", "kb_fingerprint", "PersistenceError",
+           "save_write_ids", "load_write_ids"]
 
 _MANIFEST = "manifest.txt"
 _SYMBOLS = "symbols.bin"
+_WRITE_IDS = "write_ids.json"
 
 
 class PersistenceError(RuntimeError):
@@ -145,6 +148,31 @@ def save_kb(
         _fsync_dir(path)
     written.append(_MANIFEST)
     return written
+
+
+def save_write_ids(directory: str | pathlib.Path, write_ids: list[str]) -> None:
+    """Write the sidecar a snapshot carries beside its clause files: the
+    applied write-id memo at the cut, which whoever restores the content
+    needs to dedupe a redelivery of a write already *inside* it."""
+    (pathlib.Path(directory) / _WRITE_IDS).write_text(
+        json.dumps(write_ids), encoding="utf-8"
+    )
+
+
+def load_write_ids(directory: str | pathlib.Path) -> list[str]:
+    """The memo :func:`save_write_ids` wrote (empty when there is none)."""
+    path = pathlib.Path(directory) / _WRITE_IDS
+    if not path.exists():
+        return []
+    try:
+        write_ids = json.loads(path.read_text(encoding="utf-8"))
+        if type(write_ids) is not list or not all(
+            type(write_id) is str for write_id in write_ids
+        ):
+            raise ValueError(type(write_ids).__name__)
+    except ValueError as exc:
+        raise PersistenceError(f"{path}: not a write-id list") from exc
+    return write_ids
 
 
 def load_kb(

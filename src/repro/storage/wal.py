@@ -55,7 +55,8 @@ from ..obs import Instrumentation
 from ..obs import get_default as _default_obs
 from ..pif import CompiledClause, SymbolTable, compile_clause
 from ..pif.clausefile import decode_compiled
-from ..terms import Clause, functor_indicator
+from ..terms import Clause
+from .persist import load_write_ids, save_write_ids
 
 __all__ = [
     "BULK_COMMIT_RECORDS",
@@ -77,7 +78,6 @@ _FRAME = struct.Struct("<II")  # body length, crc32(body)
 _CURRENT = "CURRENT"
 _STORE_META = "store.json"
 _SNAPSHOT_META = "meta.json"
-_WRITE_IDS = "write_ids.json"
 
 #: How many records a bulk writer stages between two group commits (the
 #: engine's batched ingest path).  A frame is one clause record (at most
@@ -134,17 +134,13 @@ def _maybe_crash(point: str) -> None:
 
 @dataclass(frozen=True)
 class MutationRecord:
-    """One logged KB mutation: what the WAL stores, what the engine's
-    in-memory log holds, and what a replica replays.
+    """One logged KB mutation: what the WAL stores, what the replication
+    log's ``since()`` ships, and what a replica replays.
 
-    ``op`` is one of ``assertz``/``asserta``/``retract``/``reload``.
-    For the first three, ``clause`` is the exact clause added or removed
-    (for retract: the clause the *primary* removed, not the unification
-    template — replaying the template could remove a different clause on
-    the replica).  ``reload`` marks a wholesale KB replacement
-    (``ShardedRetrievalServer.adopt_kb``) and carries no clause; it is
-    never written to the WAL, cannot be replayed incrementally, and
-    forces delta readers back to a snapshot.
+    ``op`` is one of ``assertz``/``asserta``/``retract`` and ``clause``
+    the exact clause added or removed (for retract: the clause the
+    *primary* removed, not the unification template — replaying the
+    template could remove a different clause on the replica).
 
     ``write_id`` is the client's idempotency stamp for the logical write
     (``None`` for coordinator-originated mutations).  Replaying a record
@@ -155,14 +151,14 @@ class MutationRecord:
 
     seq: int
     op: str
-    clause: Clause | None = None
+    clause: Clause
     module: str = "user"
     write_id: str | None = None
 
 
 def encode_record(record: MutationRecord) -> bytes:
     """Frame one record: ``u32 len | u32 crc | body`` (self-contained)."""
-    if record.op not in _OP_CODE or record.clause is None:
+    if record.op not in _OP_CODE:
         raise WalError(f"op {record.op!r} is not WAL-encodable")
     symbols = SymbolTable()
     compiled = compile_clause(record.clause, symbols)
@@ -469,7 +465,11 @@ class WriteAheadLog:
             self._file.flush()
         out: list[MutationRecord] = []
         for path in _list_segments(self.directory):
-            scan = _scan_segment(path)
+            try:
+                scan = _scan_segment(path)
+            except FileNotFoundError as exc:
+                # A concurrent compaction purged it after the listing.
+                raise WalError(f"{path.name}: purged mid-read") from exc
             if scan.torn:
                 raise WalError(f"{path.name}: torn segment in a live store")
             out.extend(r for r in scan.records if r.seq > seq)
@@ -525,7 +525,6 @@ class RecoveredState:
     """What :meth:`DurableStore.open` found on disk."""
 
     snapshot_seq: int = 0
-    snapshot_dir: pathlib.Path | None = None
     shard_dirs: list[pathlib.Path] = field(default_factory=list)
     write_ids: list[str] = field(default_factory=list)
     records: list[MutationRecord] = field(default_factory=list)
@@ -604,16 +603,11 @@ class DurableStore:
                 )
             snap_meta = json.loads(meta_path.read_text(encoding="utf-8"))
             state.snapshot_seq = int(snap_meta["seq"])
-            state.snapshot_dir = snapshot_dir
             state.shard_dirs = sorted(
                 snapshot_dir.glob("shard*"),
                 key=lambda p: int(p.name[len("shard"):]),
             )
-            ids_path = snapshot_dir / _WRITE_IDS
-            if ids_path.exists():
-                state.write_ids = json.loads(
-                    ids_path.read_text(encoding="utf-8")
-                )
+            state.write_ids = load_write_ids(snapshot_dir)
         self.snapshot_seq = state.snapshot_seq
 
         expected = state.snapshot_seq
@@ -677,14 +671,6 @@ class DurableStore:
             >= self.options.compact_min_records
         )
 
-    @property
-    def wal_bytes_since_compact(self) -> int:
-        return self._wal.bytes_since_rotate
-
-    @property
-    def wal_records_since_compact(self) -> int:
-        return self._wal.records_since_rotate
-
     # -- compaction -----------------------------------------------------------
 
     def begin_compaction(self, seq: int) -> pathlib.Path:
@@ -710,9 +696,7 @@ class DurableStore:
     def write_snapshot_meta(
         self, snapshot_dir: pathlib.Path, seq: int, write_ids: list[str]
     ) -> None:
-        (snapshot_dir / _WRITE_IDS).write_text(
-            json.dumps(write_ids), encoding="utf-8"
-        )
+        save_write_ids(snapshot_dir, write_ids)
         (snapshot_dir / _SNAPSHOT_META).write_text(
             json.dumps({"seq": seq, **self.meta}), encoding="utf-8"
         )

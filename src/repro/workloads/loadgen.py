@@ -167,7 +167,7 @@ async def _run_loadgen_async(
         # A unique generated fact per write: asserts never collide with
         # the read goal set, and the KB (and any WAL behind it) grows by
         # exactly the acked write count — easy to assert on.
-        from ..cluster.server import WritesFrozen
+        from ..cluster import WritesFrozen
 
         clause = read_term(f"{write_template}(w{seed}_{index})")
         begin = clock()

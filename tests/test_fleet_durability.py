@@ -169,3 +169,160 @@ class TestFleetDurability:
                 # And the recovered fleet keeps taking writes.
                 client.assertz(read_term("w(k5)"))
                 assert len(_candidate_set(client, "w(X)")) == 6
+
+
+class TestAdoptedMemoSurvivesRestart:
+    """The memo travels with the content — onto disk too.
+
+    A write that is *inside* an adopted snapshot must stay deduped after
+    the adopting node restarts from its own durable store: the sidecar
+    the adoption writes has to carry the ids it adopted.
+    """
+
+    @staticmethod
+    def _copies(engine, text):
+        clauses = engine.shards[0].kb.clauses(("p", 1))
+        return [str(c) for c in clauses].count(text)
+
+    def test_adopt_restart_redeliver(self, tmp_path):
+        import json
+
+        from repro.cluster import ShardedRetrievalServer
+        from repro.cluster.fleet import ClusterNode
+        from repro.cluster.migrate import snapshot_node
+        from repro.storage import load_kb, load_write_ids
+
+        source = ShardedRetrievalServer(1)
+        source.assertz(read_term("p(a)"), write_id="w-1")
+        snapdir = tmp_path / "snap"
+        snapshot_node(ClusterNode(0, source), snapdir)
+
+        store = tmp_path / "store"
+        node = ShardedRetrievalServer(1, durability=store)
+        node.adopt_kb(load_kb(snapdir), load_write_ids(snapdir))
+        assert node.applied_write_ids() == ["w-1"]
+        node.close()
+
+        (current,) = store.glob("snapshot-*")
+        assert json.loads((current / "write_ids.json").read_text()) == ["w-1"]
+        reopened = ShardedRetrievalServer(1, durability=store)
+        try:
+            assert reopened.applied_write_ids() == ["w-1"]
+            reopened.assertz(read_term("p(a)"), write_id="w-1")  # redelivery
+            assert self._copies(reopened, "p(a).") == 1
+        finally:
+            reopened.close()
+
+    def test_migrate_restart_redeliver(self, tmp_path):
+        from repro.cluster import ShardedRetrievalServer
+        from repro.cluster.migrate import migrate_shard
+
+        root = tmp_path / "fleet"
+        with Fleet(
+            "p(seed).", num_shards=1, replicas=2, durability_root=root,
+            durability_opts={"auto_compact": False},
+        ) as fleet:
+            with FleetClient(fleet.manifest, fleet.router) as client:
+                client.assertz(read_term("p(racer)"))
+            source = fleet.manifest.replicas_for(0)[0]
+            write_id = next(
+                r.write_id
+                for r in fleet.nodes[source].engine.mutations_since(0)
+                if str(r.clause) == "p(racer)."
+            )
+            target = migrate_shard(fleet, 0, source, tmp_path / "work")
+            store = fleet.nodes[target].engine.durable_store.directory
+        # The fleet is stopped; the target restarts from its own store.
+        reopened = ShardedRetrievalServer(1, durability=store)
+        try:
+            assert write_id in reopened.applied_write_ids()
+            reopened.assertz(read_term("p(racer)"), write_id=write_id)
+            assert self._copies(reopened, "p(racer).") == 1
+        finally:
+            reopened.close()
+
+
+class TestCompactionRacesTheDeltaRead:
+    """A delta whose WAL segment a compaction purges mid-read overflows
+    (the reader re-snapshots); it never dies on a bare ``OSError``."""
+
+    @staticmethod
+    def _engine(tmp_path, **durability):
+        from repro.cluster import ShardedRetrievalServer
+        from repro.storage import DurabilityOptions
+
+        return ShardedRetrievalServer(
+            1, mutation_log_size=4,
+            durability=DurabilityOptions(tmp_path / "store", **durability),
+        )
+
+    def test_segment_purged_between_listing_and_reading(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.cluster import MutationLogOverflow
+        from repro.storage import wal
+
+        engine = self._engine(tmp_path, auto_compact=False)
+        try:
+            for i in range(12):
+                engine.assertz(read_term(f"p(k{i})"))
+            real_scan = wal._scan_segment
+            fired = []
+
+            def compact_then_scan(path):
+                if not fired:
+                    fired.append(path)
+                    engine.compact()  # purges the segment just listed
+                return real_scan(path)
+
+            monkeypatch.setattr(wal, "_scan_segment", compact_then_scan)
+            with pytest.raises(MutationLogOverflow):
+                engine.mutations_since(2)
+            assert fired and not fired[0].exists()
+            # The log is intact for a reader the tail still serves.
+            assert [r.seq for r in engine.mutations_since(10)] == [11, 12]
+        finally:
+            engine.close()
+
+    def test_catch_up_against_a_compacting_writer(self, tmp_path):
+        import threading
+        from types import SimpleNamespace
+
+        from repro.cluster import MutationLogOverflow, ShardedRetrievalServer
+        from repro.cluster.migrate import MigrationError, catch_up
+
+        source = self._engine(
+            tmp_path, compact_min_records=8, compact_interval_s=0.001
+        )
+        stop = threading.Event()
+
+        def write():
+            i = 0
+            while not stop.is_set():
+                source.assertz(read_term(f"p(k{i})"))
+                i += 1
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        outcomes = {"delta": 0, "overflow": 0}
+        try:
+            for _ in range(60):
+                target = ShardedRetrievalServer(1)
+                seq = max(0, source.version - 6)
+                try:
+                    reached = catch_up(
+                        SimpleNamespace(engine=source),
+                        SimpleNamespace(engine=target), seq,
+                    )
+                except (MutationLogOverflow, MigrationError):
+                    outcomes["overflow"] += 1  # typed: re-snapshot
+                else:
+                    # A contiguous delta: exactly the seqs asked for.
+                    assert target.version == reached - seq
+                    outcomes["delta"] += 1
+        finally:
+            stop.set()
+            writer.join(timeout=60)
+            source.close()
+        assert not writer.is_alive()
+        assert sum(outcomes.values()) == 60

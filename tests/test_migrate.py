@@ -500,8 +500,8 @@ class TestMigrateShard:
                 client.assertz(fact("p", "racer"))
             source = fleet.manifest.replicas_for(0)[0]
             record = next(
-                r for r in fleet.nodes[source].engine._mutation_log
-                if r.clause is not None and str(r.clause) == "p(racer)."
+                r for r in fleet.nodes[source].engine.mutations_since(0)
+                if str(r.clause) == "p(racer)."
             )
             assert record.write_id  # fleet writes are stamped
             target = migrate_shard(fleet, 0, source, tmp_path, verify=True)

@@ -212,14 +212,51 @@ class TestOneClientSurface:
         ]
 
     def test_tracing_targets_stay_defined_on_the_blocking_client(self):
-        # bench/tracing.py patches ``cls.__dict__[attr]``: the three
-        # traced verbs may not move to a base class.
+        # bench/tracing.py patches ``cls.__dict__[attr]``: the traced
+        # verbs may not move to a base class (or, for the engine's
+        # write path, into the replication log).
         import inspect
 
+        from repro.cluster import ShardedRetrievalServer
         from repro.net import RetrievalClient
+        from repro.storage import DurableStore
 
-        for name in ("retrieve", "solve", "mutate"):
-            assert inspect.isfunction(vars(RetrievalClient)[name])
+        for cls, names in (
+            (RetrievalClient, ("retrieve", "solve", "mutate")),
+            (ShardedRetrievalServer, (
+                "retrieve", "retrieve_batch", "assertz", "retract_matching",
+                "remove_exact", "compact",
+            )),
+            (DurableStore, ("stage", "wait_durable")),
+        ):
+            for name in names:
+                assert inspect.isfunction(vars(cls)[name]), (cls, name)
+
+    def test_traced_wal_calls_are_looked_up_per_call(self, tmp_path):
+        # ...and a patch installed after construction must still bite:
+        # the log may not capture bound ``stage`` / ``wait_durable``.
+        from repro.cluster import ShardedRetrievalServer
+        from repro.storage import DurableStore
+        from repro.terms import read_term
+
+        engine = ShardedRetrievalServer(1, durability=tmp_path / "store")
+        calls = []
+        originals = {
+            name: vars(DurableStore)[name]
+            for name in ("stage", "wait_durable")
+        }
+        try:
+            for name, original in originals.items():
+                def traced(self, *args, _name=name, _original=original):
+                    calls.append(_name)
+                    return _original(self, *args)
+                setattr(DurableStore, name, traced)
+            engine.assertz(read_term("p(a)"))
+        finally:
+            for name, original in originals.items():
+                setattr(DurableStore, name, original)
+            engine.close()
+        assert calls == ["stage", "wait_durable"]
 
 
 class TestOneCachePrimitive:
@@ -239,9 +276,9 @@ class TestOneCachePrimitive:
                     continue
                 # The idempotency memo is not a cache (losing an entry
                 # is a correctness event, not a miss) and keeps its own
-                # ordered dict in cluster/server.py.
-                memo = path == package / "cluster" / "server.py" and (
-                    "_applied_writes" in line or line.startswith("from collections")
+                # ordered dict in cluster/replog.py.
+                memo = path == package / "cluster" / "replog.py" and (
+                    "memo" in line.lower() or line.startswith("from collections")
                 )
                 if not memo:
                     offenders.append(f"{path.relative_to(package)}:{number}")
@@ -273,3 +310,51 @@ class TestOneCachePrimitive:
             capture_output=True, text=True, timeout=60,
         )
         assert done.returncode == 0, done.stderr
+
+
+class TestOneReplicationLog:
+    """Seq, tail, memo, freeze flag and log lock live in ``ReplicationLog``."""
+
+    def test_the_scattered_log_is_gone(self):
+        from pathlib import Path
+
+        package = Path(repro.__file__).resolve().parent
+        source = "".join(p.read_text() for p in package.rglob("*.py"))
+        for name in (
+            "_mutation_log", "_applied_writes", "_log_lock", "_replaying",
+            "_wal_mutations_since", "_bump_version", "adopt_write_ids",
+        ):
+            assert name not in source, name
+        server = (package / "cluster" / "server.py").read_text()
+        assert "deque" not in server
+        for private in ("self._lock", "self._tail", "self._memo"):
+            assert private not in server, private
+
+    def test_reload_is_not_a_record_op(self):
+        # An adoption is a barrier; ``"reload"`` survives only as the
+        # process backend's worker-pipe verb.
+        from pathlib import Path
+
+        from repro.storage import wal
+
+        package = Path(repro.__file__).resolve().parent
+        for sub in ("cluster", "storage"):
+            for path in (package / sub).glob("*.py"):
+                assert '"reload"' not in path.read_text(), path
+        assert wal._OPS == ("assertz", "asserta", "retract")
+
+    def test_the_engine_reads_the_log(self):
+        from repro.cluster import ReplicationLog, ShardedRetrievalServer
+        from repro.terms import read_term
+
+        engine = ShardedRetrievalServer(2, mutation_log_size=8)
+        assert isinstance(engine.log, ReplicationLog)
+        assert not hasattr(engine, "adopt_write_ids")
+        engine.assertz(read_term("p(a)"), write_id="w-1")
+        assert engine.version == engine.log.seq == 1
+        assert engine.applied_write_ids() == engine.log.write_ids() == ["w-1"]
+        engine.freeze_writes()
+        assert engine.writes_frozen and engine.log.frozen
+        engine.thaw_writes()
+        assert not engine.writes_frozen
+        assert engine.durable_store is None and engine.recovered is None

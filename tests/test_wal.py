@@ -86,14 +86,13 @@ class TestRecordCodec:
         assert [r.seq for r in wal.records_since(2)] == [3, 4]
         wal.close()
 
-    def test_reload_is_not_encodable(self):
-        # ``reload`` (adopt_kb) is deliberately outside the record set:
-        # the adopted KB exists only in memory, so the engine snapshots
-        # synchronously instead of logging.
+    def test_only_the_three_replayable_ops_encode(self):
+        # An adoption is a log barrier, not a record: there is no fourth
+        # op, and a record always carries its clause.
         with pytest.raises(WalError):
-            encode_record(MutationRecord(1, "reload", _clause("f(a)")))
-        with pytest.raises(WalError):
-            encode_record(MutationRecord(1, "reload"))  # as adopt_kb logs it
+            encode_record(MutationRecord(1, "adopt", _clause("f(a)")))
+        with pytest.raises(TypeError):
+            MutationRecord(1, "assertz")
 
     def test_one_record_type_for_the_log_and_the_wal(self):
         import repro.storage
