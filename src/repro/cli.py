@@ -124,8 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--executor-workers", type=int, default=None,
-        help="service thread-pool size (default: --max-in-flight); "
-        "raise it with --workers processes:N so fan-out overlaps",
+        help="service thread-pool size (default: --max-in-flight)",
     )
     serve.add_argument(
         "--queue-limit", type=int, default=16,
@@ -207,25 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadgen.add_argument("--host", default="127.0.0.1")
     loadgen.add_argument(
-        "--port", type=int, default=None,
-        help="port of a running `serve` instance (omit with --cores)",
+        "--port", type=int, required=True,
+        help="port of a running `serve` instance",
     )
     loadgen.add_argument(
         "--goal", action="append", default=[], required=True,
         help="goal pool, issued round-robin (repeatable)",
-    )
-    loadgen.add_argument(
-        "--cores", default=None, metavar="N[,N...]",
-        help="self-hosting sweep: serve --file at each core count with "
-        "process shard workers and print a percentile table",
-    )
-    loadgen.add_argument(
-        "--file", default=None,
-        help="Prolog source to self-host (required with --cores)",
-    )
-    loadgen.add_argument(
-        "--workers", choices=["processes", "threads"], default="processes",
-        help="shard backend for the --cores sweep",
     )
     loadgen.add_argument("--qps", type=float, default=200.0)
     loadgen.add_argument("--duration-s", type=float, default=1.0)
@@ -491,7 +477,7 @@ def _cmd_sharded(args, out, obs: Instrumentation | None, cache_size: int = 0) ->
     if goals:
         # The batch goes through the per-shard batched-FS1 path: each
         # shard amortises its sub-queries over one columnar index pass.
-        batch = BatchExecutor(server).run(goals, mode=mode, batch_fs1=True)
+        batch = BatchExecutor(server).run(goals, mode=mode)
         stats = batch.stats
         busy = " ".join(
             f"s{k}={v * 1e3:.3f}ms" for k, v in sorted(stats.shard_busy_s.items())
@@ -711,30 +697,6 @@ def _cmd_loadgen(args, out) -> int:
     mode = SearchMode(args.mode) if args.mode else None
     deadline_s = args.deadline_ms / 1000.0 if args.deadline_ms > 0 else None
     goals = [read_term(text) for text in args.goal]
-    if args.cores is not None:
-        from .workloads import format_cores_table, run_cores_sweep
-
-        if args.file is None:
-            out.write("error: --cores needs --file (the program to self-host)\n")
-            return 1
-        cores = tuple(int(part) for part in args.cores.split(","))
-        with open(args.file, encoding="utf-8") as handle:
-            program_text = handle.read()
-        rows = run_cores_sweep(
-            program_text,
-            goals,
-            cores=cores,
-            qps=args.qps,
-            duration_s=args.duration_s,
-            mode=mode,
-            deadline_s=deadline_s,
-            workers=args.workers,
-        )
-        out.write(format_cores_table(rows) + "\n")
-        return 0
-    if args.port is None:
-        out.write("error: --port is required without --cores\n")
-        return 1
     result = run_loadgen(
         args.host,
         args.port,

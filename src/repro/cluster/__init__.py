@@ -3,8 +3,8 @@
 :mod:`repro.cluster.routing` places clauses and fans goals out;
 :mod:`repro.cluster.server` runs N complete engine instances behind the
 single-server ``retrieve``/``solutions`` contract, its mutations in one
-:mod:`repro.cluster.replog`; and :mod:`repro.cluster.batch` executes
-goal batches on a thread pool under the parallel-disk (max-over-shards)
+:mod:`repro.cluster.replog`; and :mod:`repro.cluster.batch` folds a
+goal batch's per-shard stats into the parallel-disk (max-over-shards)
 timing model.
 
 Elasticity lives in three more modules: :mod:`repro.cluster.manifest`

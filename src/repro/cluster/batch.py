@@ -1,23 +1,19 @@
 """Batched query execution over the shard cluster.
 
 A production front-end does not retrieve one goal at a time: it drains a
-queue of goals against the cluster, keeping every CLARE device busy.
-The :class:`BatchExecutor` fans a batch out on a thread pool — shard
-locks serialise access to each stateful engine, different shards run in
-parallel — and models the batch's wall clock the way the hardware
-would run it: each shard works through its sub-queries serially, all
-shards concurrently, so the batch takes as long as its busiest shard
-(max-over-shards), not the sum of every device's work.
+queue of goals against the cluster.  :class:`BatchExecutor` hands the
+batch to :meth:`ShardedRetrievalServer.retrieve_batch` and models its
+wall clock the way the hardware would run it: each shard works through
+its sub-queries serially, all shards concurrently, so the batch takes as
+long as its busiest shard (max-over-shards), not the sum of every
+device's work.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
-from ..crs import RetrievalResult, RetrievalTimeout, SearchMode
+from ..crs import RetrievalResult, SearchMode
 from ..obs import Instrumentation
 from ..terms import Term
 from .server import MergedRetrievalStats, ShardedRetrievalServer
@@ -64,109 +60,41 @@ class BatchResult:
 
 
 class BatchExecutor:
-    """Fan a batch of goals across the cluster on a thread pool."""
+    """``retrieve_batch`` plus the parallel-disk timing fold."""
 
     def __init__(
         self,
         server: ShardedRetrievalServer,
-        max_workers: int | None = None,
         obs: Instrumentation | None = None,
-        clock=time.monotonic,
     ):
         self.server = server
-        # One worker per shard saturates the simulated hardware: each
-        # shard admits one retrieval at a time anyway.
-        self.max_workers = max_workers or max(2, server.num_shards)
         self.obs = obs if obs is not None else server.obs
-        # Injectable so deadline tests can drive time deterministically
-        # instead of racing real sleeps against real thread scheduling.
-        self._clock = clock
 
     def run(
         self,
         goals: list[Term],
         mode: SearchMode | None = None,
-        batch_fs1: bool = False,
         timeout: float | None = None,
     ) -> BatchResult:
         """Retrieve every goal; results come back in input order.
 
-        With ``batch_fs1=False`` goals fan out on the pool; each worker
-        routes its goal and takes the relevant shard locks, so two goals
-        touching disjoint shards proceed fully in parallel while
-        contention on one hot shard queues behind its lock.  With
-        ``batch_fs1=True`` the whole batch goes through
-        :meth:`ShardedRetrievalServer.retrieve_batch` instead: each
-        shard receives all of its sub-queries at once and amortises
-        them as batched (bit-sliced) FS1 scans — same results, same
-        modelled times, less host wall clock.  Shard busy time is
-        accumulated from the merged per-shard stats either way (cluster
-        cache hits cost nothing).
-
-        ``timeout`` (host seconds) bounds the whole batch: a stuck
-        shard no longer wedges the run forever — the batch raises
-        :class:`~repro.crs.RetrievalTimeout` at the deadline, and each
-        fanned-out goal carries the remaining budget into its own
-        shard-lock waits.
+        Shard busy time is accumulated from the merged per-shard stats
+        (cluster cache hits cost nothing).  ``timeout`` is
+        :meth:`ShardedRetrievalServer.retrieve_batch`'s: a stuck shard
+        raises :class:`~repro.crs.RetrievalTimeout` at the deadline.
         """
-        deadline = None if timeout is None else self._clock() + timeout
         stats = BatchStats(goals=len(goals))
-        busy_lock = threading.Lock()
-
-        def account(result: RetrievalResult) -> RetrievalResult:
-            merged = result.stats
-            if isinstance(merged, MergedRetrievalStats):
-                with busy_lock:
-                    for shard_id, shard_stats in merged.per_shard.items():
+        with self.obs.span("cluster.batch", goals=len(goals)) as span:
+            results = self.server.retrieve_batch(
+                goals, mode=mode, timeout=timeout
+            )
+            for result in results:
+                if isinstance(result.stats, MergedRetrievalStats):
+                    for shard_id, shard_stats in result.stats.per_shard.items():
                         stats.shard_busy_s[shard_id] = (
                             stats.shard_busy_s.get(shard_id, 0.0)
                             + shard_stats.filter_time_s
                         )
-            return result
-
-        def one(goal: Term) -> RetrievalResult:
-            remaining = (
-                None if deadline is None
-                else max(0.0, deadline - self._clock())
-            )
-            return account(
-                self.server.retrieve(goal, mode=mode, timeout=remaining)
-            )
-
-        with self.obs.span(
-            "cluster.batch", goals=len(goals), fs1_batched=str(batch_fs1)
-        ) as span:
-            if batch_fs1 and len(goals) > 1:
-                results = [
-                    account(result)
-                    for result in self.server.retrieve_batch(
-                        goals, mode=mode, timeout=timeout
-                    )
-                ]
-            elif len(goals) <= 1:
-                results = [one(goal) for goal in goals]
-            else:
-                pool = ThreadPoolExecutor(max_workers=self.max_workers)
-                try:
-                    futures = [pool.submit(one, goal) for goal in goals]
-                    remaining = (
-                        None if deadline is None
-                        else max(0.0, deadline - self._clock())
-                    )
-                    done, not_done = wait(
-                        futures, timeout=remaining,
-                        return_when=FIRST_EXCEPTION,
-                    )
-                    for future in done:
-                        future.result()
-                    if not_done:
-                        raise RetrievalTimeout(
-                            f"{len(not_done)} goal(s) still running at "
-                            "the batch deadline"
-                        )
-                    results = [future.result() for future in futures]
-                finally:
-                    pool.shutdown(wait=deadline is None, cancel_futures=True)
             span.set(
                 wall_clock_s=stats.wall_clock_s,
                 serial_time_s=stats.serial_time_s,

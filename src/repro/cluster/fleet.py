@@ -48,7 +48,7 @@ import time
 import uuid
 from dataclasses import dataclass, field
 
-from ..crs import RetrievalResult, RetrievalStats, SearchMode
+from ..crs import RetrievalResult, SearchMode
 from ..obs import Instrumentation
 from ..obs import get_default as _default_obs
 from ..scw import CodewordScheme, DEFAULT_SCHEME
@@ -63,11 +63,7 @@ from ..terms import (
 )
 from .manifest import ClusterManifest, ManifestHolder
 from .routing import ShardingPolicy, ShardRouter
-from .server import (
-    MergedRetrievalStats,
-    ShardedRetrievalServer,
-    WritesFrozen,
-)
+from .server import ShardedRetrievalServer, WritesFrozen
 
 __all__ = ["ClusterNode", "Fleet", "FleetClient", "FleetWriteError"]
 
@@ -589,7 +585,7 @@ class FleetClient:
                 goal, mode=mode, deadline_s=deadline_s
             )
         self.obs.counter("cluster.fleet.reads").inc()
-        result = self._merge(goal, shard_results)
+        result = ShardedRetrievalServer._merge(goal, None, shard_results)
         if degraded:
             # Some queried shard had every replica stale-marked: the
             # answer may be missing acknowledged writes.  Availability
@@ -632,7 +628,7 @@ class FleetClient:
             raise UnknownPredicateError(f"unknown predicate {name}/{arity}")
         self.obs.counter("cluster.fleet.discoveries").inc()
         self.obs.counter("cluster.fleet.reads").inc()
-        return self._merge(goal, shard_results)
+        return ShardedRetrievalServer._merge(goal, None, shard_results)
 
     def _route(
         self, goal: Term, mode: SearchMode | None
@@ -642,52 +638,6 @@ class FleetClient:
         if mode is SearchMode.FS1_ONLY:
             return self.router.route_goal(goal, prune=False)
         return self.router.route_goal(goal)
-
-    def _merge(
-        self, goal: Term, shard_results: dict[int, RetrievalResult]
-    ) -> RetrievalResult:
-        candidates: list[Clause] = []
-        per_shard: dict[int, RetrievalStats] = {}
-        mode = SearchMode.SOFTWARE
-        residencies: set[str] = set()
-        for shard_id in sorted(shard_results):
-            result = shard_results[shard_id]
-            candidates.extend(result.candidates)
-            stats = result.stats
-            if stats is None:
-                continue
-            mode = stats.mode
-            residencies.add(stats.residency)
-            if isinstance(stats, MergedRetrievalStats) and stats.per_shard:
-                # A node is a one-shard cluster; unwrap its inner stats
-                # so the fleet's per_shard is keyed by *cluster* shard.
-                per_shard[shard_id] = next(iter(stats.per_shard.values()))
-            elif not isinstance(stats, MergedRetrievalStats):
-                per_shard[shard_id] = stats
-        merged = MergedRetrievalStats(
-            mode=mode,
-            residency=(
-                residencies.pop() if len(residencies) == 1
-                else "mixed" if residencies else "memory"
-            ),
-            shards_queried=len(shard_results),
-            broadcast=len(shard_results) > 1,
-            per_shard=per_shard,
-        )
-        for stats in per_shard.values():
-            merged.clauses_total += stats.clauses_total
-            merged.final_candidates += stats.final_candidates
-            merged.fs2_search_calls += stats.fs2_search_calls
-            merged.bytes_from_disk += stats.bytes_from_disk
-            merged.disk_time_s += stats.disk_time_s
-            merged.fs1_time_s += stats.fs1_time_s
-            merged.fs2_time_s += stats.fs2_time_s
-            merged.software_time_s += stats.software_time_s
-            if stats.fs1_candidates is not None:
-                merged.fs1_candidates = (
-                    merged.fs1_candidates or 0
-                ) + stats.fs1_candidates
-        return RetrievalResult(goal=goal, candidates=candidates, stats=merged)
 
     # -- writes ----------------------------------------------------------------
 

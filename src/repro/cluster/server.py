@@ -24,7 +24,7 @@ import pathlib
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from ..crs import (
     HostCostModel,
@@ -108,6 +108,57 @@ class MergedRetrievalStats(RetrievalStats):
         """A hit touches no shard hardware: ``per_shard`` empties too."""
         return replace(super().without_cost(), per_shard={})
 
+    @classmethod
+    def over(
+        cls,
+        shard_stats: dict[int, RetrievalStats | None],
+        mode: SearchMode | None = None,
+    ) -> MergedRetrievalStats:
+        """Fold one goal's per-shard stats (keyed by cluster shard id).
+
+        ``mode`` is the mode planned for the whole cluster; without one
+        the first shard's own is reported.  A fleet node answers as a
+        one-shard cluster: its merged stats are unwrapped to the engine
+        stats inside (none, when the node served a cache hit).
+        """
+        per_shard: dict[int, RetrievalStats] = {}
+        residencies: set[str] = set()
+        for shard_id in sorted(shard_stats):
+            stats = shard_stats[shard_id]
+            if stats is None:
+                continue
+            residencies.add(stats.residency)
+            if mode is None:
+                mode = stats.mode
+            if not isinstance(stats, MergedRetrievalStats):
+                per_shard[shard_id] = stats
+            elif stats.per_shard:
+                per_shard[shard_id] = next(iter(stats.per_shard.values()))
+        merged = cls(
+            mode=mode if mode is not None else SearchMode.SOFTWARE,
+            residency=(
+                residencies.pop() if len(residencies) == 1
+                else "mixed" if residencies else Residency.MEMORY
+            ),
+            shards_queried=len(shard_stats),
+            broadcast=len(shard_stats) > 1,
+            per_shard=per_shard,
+        )
+        for stats in per_shard.values():
+            merged.clauses_total += stats.clauses_total
+            merged.final_candidates += stats.final_candidates
+            merged.fs2_search_calls += stats.fs2_search_calls
+            merged.bytes_from_disk += stats.bytes_from_disk
+            merged.disk_time_s += stats.disk_time_s
+            merged.fs1_time_s += stats.fs1_time_s
+            merged.fs2_time_s += stats.fs2_time_s
+            merged.software_time_s += stats.software_time_s
+            if stats.fs1_candidates is not None:
+                merged.fs1_candidates = (
+                    merged.fs1_candidates or 0
+                ) + stats.fs1_candidates
+        return merged
+
 
 @dataclass
 class ClusterShard:
@@ -117,6 +168,20 @@ class ClusterShard:
     kb: KnowledgeBase
     server: ClauseRetrievalServer
     lock: threading.Lock = field(default_factory=threading.Lock)
+
+
+class GoalPlan(NamedTuple):
+    """One cache-missed goal of a batch on its way through the shards."""
+
+    position: int
+    goal: Term
+    cache_key: tuple | None
+    mode: SearchMode
+    shard_results: dict[int, RetrievalResult]
+
+
+#: per busy shard, its plans grouped by effective mode
+ShardWork = dict[int, dict[SearchMode, list[GoalPlan]]]
 
 
 class ShardedRetrievalServer(CachedFrontDoor):
@@ -520,48 +585,9 @@ class ShardedRetrievalServer(CachedFrontDoor):
         mode: SearchMode | None = None,
         timeout: float | None = None,
     ) -> RetrievalResult:
-        """Candidates for ``goal`` merged across its routed shards.
-
-        The contract matches the single-engine server: the merged
-        candidate set is identical (the differential suite holds the two
-        against each other), stats itemise where the time went, and
-        ``cache_size > 0`` serves repeats until any shard's KB changes.
-
-        ``timeout`` (host seconds) bounds the whole fan-out: a shard
-        whose lock cannot be acquired before the deadline raises
-        :class:`~repro.crs.RetrievalTimeout`.  A shard's own execution
-        runs uninterrupted once its lock is held (the simulated hardware
-        has no preemption); queue wait is what the deadline cuts off.
-        """
-        from ..terms import term_to_string
-
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self.obs.span("cluster.retrieve", goal=term_to_string(goal)) as span:
-            cache_key, hit = self._cache_probe(goal, mode)
-            if hit is not None:
-                span.set(cache="hit", candidates=len(hit.candidates))
-                return hit
-            targets, effective_mode = self._route_and_plan(goal, mode)
-            shard_results: dict[int, RetrievalResult] = {}
-            for shard_id in targets:
-                shard = self.shards[shard_id]
-                self._acquire_shard(shard, deadline)
-                try:
-                    shard_results[shard_id] = self._shard_retrieve(
-                        shard, goal, effective_mode
-                    )
-                finally:
-                    shard.lock.release()
-            result = self._merge(goal, effective_mode, shard_results)
-            if cache_key is not None:
-                self._cache.put(cache_key, result)
-            span.set(
-                shards=len(targets),
-                broadcast=len(targets) > 1,
-                candidates=len(result.candidates),
-            )
-            self._account_retrieval(result)
-            return result
+        """Candidates for ``goal`` merged across its routed shards: a
+        batch of one."""
+        return self.retrieve_batch([goal], mode, timeout)[0]
 
     def retrieve_batch(
         self,
@@ -569,27 +595,29 @@ class ShardedRetrievalServer(CachedFrontDoor):
         mode: SearchMode | None = None,
         timeout: float | None = None,
     ) -> list[RetrievalResult]:
-        """Retrieve many goals, batching each shard's FS1 work.
+        """Candidates for every goal, merged across each one's shards.
 
-        Element-wise equivalent to ``[self.retrieve(g, mode) for g in
-        goals]`` — same merged candidate sets, same per-goal modelled
-        stats, same cache behaviour — but executed as per-shard goal
-        batches: every shard receives all of its sub-queries at once (so
-        its engine can amortise batched FS1 scans), and the shards run
-        concurrently, one thread per shard, exactly as the parallel-disk
-        timing model assumes.
+        The contract matches the single-engine server: per goal the
+        merged candidate set is identical (the differential suite holds
+        the two against each other), stats itemise where the time went,
+        and ``cache_size > 0`` serves repeats until any shard's KB
+        changes.  Every shard receives all of its sub-queries at once,
+        so its engine can amortise batched FS1 scans.
 
-        ``timeout`` bounds the whole fan-out: a shard worker still
-        running (or queued behind a stuck shard lock) at the deadline
-        raises :class:`~repro.crs.RetrievalTimeout` for the batch.
+        ``timeout`` (host seconds) bounds the whole fan-out: a shard
+        whose lock cannot be acquired before the deadline raises
+        :class:`~repro.crs.RetrievalTimeout`.  A shard's own execution
+        runs uninterrupted once its lock is held (the simulated hardware
+        has no preemption); queue wait is what the deadline cuts off.
         """
-        from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-
         deadline = None if timeout is None else time.monotonic() + timeout
-
         results: list[RetrievalResult | None] = [None] * len(goals)
-        # (position, goal, cache_key, targets, effective mode)
-        pending: list[tuple] = []
+        # The goals to execute, and the same plans as per-shard
+        # worklists: a shard sees all of its sub-queries, grouped by
+        # effective mode so each group is one engine-level batch (modes
+        # must not mix inside a batched FS1 scan).
+        pending: list[GoalPlan] = []
+        shard_work: ShardWork = {}
         with self.obs.span("cluster.retrieve_batch", goals=len(goals)) as span:
             for position, goal in enumerate(goals):
                 cache_key, hit = self._cache_probe(goal, mode)
@@ -597,99 +625,52 @@ class ShardedRetrievalServer(CachedFrontDoor):
                     results[position] = hit
                     continue
                 targets, effective_mode = self._route_and_plan(goal, mode)
-                pending.append(
-                    (position, goal, cache_key, targets, effective_mode)
-                )
-            # Per-shard worklists: a shard sees all of its sub-queries,
-            # grouped by effective mode so each group is one engine-level
-            # batch (modes must not mix inside a batched FS1 scan).
-            shard_work: dict[int, dict[SearchMode, list[int]]] = {}
-            for item, plan in enumerate(pending):
-                _, _, _, targets, effective_mode = plan
+                plan = GoalPlan(position, goal, cache_key, effective_mode, {})
+                pending.append(plan)
                 for shard_id in targets:
                     shard_work.setdefault(shard_id, {}).setdefault(
                         effective_mode, []
-                    ).append(item)
-            shard_results: list[dict[int, RetrievalResult]] = [
-                {} for _ in pending
-            ]
-
-            def run_shard(shard_id: int) -> None:
-                shard = self.shards[shard_id]
-                self._acquire_shard(shard, deadline)
-                try:
-                    for effective_mode, items in shard_work[shard_id].items():
-                        sub = self._shard_retrieve_batch(
-                            shard,
-                            [pending[i][1] for i in items],
-                            effective_mode,
-                        )
-                        for item, result in zip(items, sub):
-                            shard_results[item][shard_id] = result
-                finally:
-                    shard.lock.release()
-
-            busy_shards = sorted(shard_work)
-            if len(busy_shards) > 1:
-                pool = ThreadPoolExecutor(max_workers=len(busy_shards))
-                try:
-                    futures = [
-                        pool.submit(run_shard, shard_id)
-                        for shard_id in busy_shards
-                    ]
-                    remaining = (
-                        None if deadline is None
-                        else max(0.0, deadline - time.monotonic())
-                    )
-                    done, not_done = wait(
-                        futures, timeout=remaining,
-                        return_when=FIRST_EXCEPTION,
-                    )
-                    for future in done:
-                        future.result()  # re-raise worker failures
-                    if not_done:
-                        # Workers still blocked on a shard lock will
-                        # time themselves out via _acquire_shard; the
-                        # pool is released without joining them.
-                        raise RetrievalTimeout(
-                            f"{len(not_done)} shard batch(es) still "
-                            "running at the deadline"
-                        )
-                finally:
-                    pool.shutdown(wait=deadline is None, cancel_futures=True)
-            else:
-                for shard_id in busy_shards:
-                    run_shard(shard_id)
-            for plan, per_goal in zip(pending, shard_results):
-                position, goal, cache_key, _, effective_mode = plan
-                result = self._merge(goal, effective_mode, per_goal)
-                if cache_key is not None:
-                    self._cache.put(cache_key, result)
+                    ).append(plan)
+            self._run_shards(shard_work, deadline)
+            for plan in pending:
+                result = self._merge(plan.goal, plan.mode, plan.shard_results)
+                if plan.cache_key is not None:
+                    self._cache.put(plan.cache_key, result)
                 self._account_retrieval(result)
-                results[position] = result
-            span.set(
-                executed=len(pending),
-                shards=len(busy_shards),
-            )
+                results[plan.position] = result
+            span.set(executed=len(pending), shards=len(shard_work))
         return results  # type: ignore[return-value]
 
     # -- shard execution seam -------------------------------------------------
     #
-    # All engine work funnels through these methods (shard lock held),
-    # so a backend that hosts the engine elsewhere — the process workers
-    # in :mod:`repro.parallel` — only overrides *where* it runs.
-    # Routing, planning, caching, merging and accounting stay in this
-    # class: the backends' results and modelled stats are bit-identical.
+    # All engine work funnels through :meth:`_run_shards`, so a backend
+    # that hosts the engines elsewhere — the process workers in
+    # :mod:`repro.parallel` — only overrides *where* the worklists run
+    # and whether shards overlap.  Routing, planning, caching, merging
+    # and accounting stay in this class: the backends' results and
+    # modelled stats are bit-identical.
 
-    def _shard_retrieve(
-        self, shard: ClusterShard, goal: Term, mode: SearchMode
-    ) -> RetrievalResult:
-        return shard.server.retrieve(goal, mode=mode)
+    def _run_shards(
+        self, shard_work: ShardWork, deadline: float | None
+    ) -> None:
+        """Run every busy shard's worklist, filing each result in its
+        plan's ``shard_results``.
 
-    def _shard_retrieve_batch(
-        self, shard: ClusterShard, goals: list[Term], mode: SearchMode
-    ) -> list[RetrievalResult]:
-        return shard.server.retrieve_batch(goals, mode=mode)
+        One shard at a time, in id order, each under its own lock: the
+        engines share one interpreter lock, so parent threads would buy
+        no overlap, only their start-up cost on every broadcast goal.
+        """
+        for shard_id in sorted(shard_work):
+            shard = self.shards[shard_id]
+            self._acquire_shard(shard, deadline)
+            try:
+                for mode, plans in shard_work[shard_id].items():
+                    for plan, result in zip(plans, shard.server.retrieve_batch(
+                        [plan.goal for plan in plans], mode=mode
+                    )):
+                        plan.shard_results[shard_id] = result
+            finally:
+                shard.lock.release()
 
     def _on_shard_mutation(
         self, shard: ClusterShard, op: str, clause: Clause, module: str
@@ -753,53 +734,19 @@ class ShardedRetrievalServer(CachedFrontDoor):
 
     # -- merging and accounting -----------------------------------------------
 
+    @staticmethod
     def _merge(
-        self,
         goal: Term,
         mode: SearchMode | None,
         shard_results: dict[int, RetrievalResult],
     ) -> RetrievalResult:
         """One result from many: concatenate candidates, fold stats."""
-        per_shard: dict[int, RetrievalStats] = {}
         candidates: list[Clause] = []
-        merged_mode = mode
-        residencies: set[str] = set()
         for shard_id in sorted(shard_results):
-            shard_result = shard_results[shard_id]
-            candidates.extend(shard_result.candidates)
-            stats = shard_result.stats
-            if stats is None:
-                continue
-            per_shard[shard_id] = stats
-            residencies.add(stats.residency)
-            if merged_mode is None:
-                merged_mode = stats.mode
-        if merged_mode is None:
-            merged_mode = SearchMode.SOFTWARE
-        residency = (
-            residencies.pop() if len(residencies) == 1
-            else "mixed" if residencies else Residency.MEMORY
+            candidates.extend(shard_results[shard_id].candidates)
+        stats = MergedRetrievalStats.over(
+            {sid: result.stats for sid, result in shard_results.items()}, mode
         )
-        stats = MergedRetrievalStats(
-            mode=merged_mode,
-            residency=residency,
-            shards_queried=len(shard_results),
-            broadcast=len(shard_results) > 1,
-            per_shard=per_shard,
-        )
-        for shard_stats in per_shard.values():
-            stats.clauses_total += shard_stats.clauses_total
-            stats.final_candidates += shard_stats.final_candidates
-            stats.fs2_search_calls += shard_stats.fs2_search_calls
-            stats.bytes_from_disk += shard_stats.bytes_from_disk
-            stats.disk_time_s += shard_stats.disk_time_s
-            stats.fs1_time_s += shard_stats.fs1_time_s
-            stats.fs2_time_s += shard_stats.fs2_time_s
-            stats.software_time_s += shard_stats.software_time_s
-            if shard_stats.fs1_candidates is not None:
-                stats.fs1_candidates = (
-                    stats.fs1_candidates or 0
-                ) + shard_stats.fs1_candidates
         return RetrievalResult(goal=goal, candidates=candidates, stats=stats)
 
     def _account_retrieval(self, result: RetrievalResult) -> None:

@@ -50,12 +50,10 @@ __all__ = [
 class RetrievalTimeout(TimeoutError):
     """A retrieval exceeded its deadline before completing.
 
-    Raised by the deadline-aware cluster fan-out paths
-    (:meth:`repro.cluster.ShardedRetrievalServer.retrieve`,
-    :meth:`~repro.cluster.ShardedRetrievalServer.retrieve_batch`,
-    :meth:`repro.cluster.BatchExecutor.run`) when a shard cannot be
-    acquired — or a fanned-out batch cannot complete — within the
-    caller's budget.  The network service layer maps it to a
+    Raised by the cluster fan-out
+    (:meth:`repro.cluster.ShardedRetrievalServer.retrieve_batch` and
+    everything that enters through it) when a shard cannot be acquired
+    within the caller's budget.  The network service layer maps it to a
     ``DEADLINE_EXPIRED`` error frame.
     """
 
@@ -270,57 +268,31 @@ class ClauseRetrievalServer(CachedFrontDoor):
     # -- public API --------------------------------------------------------
 
     def retrieve(self, goal: Term, mode: SearchMode | None = None) -> RetrievalResult:
-        """All candidate clauses for ``goal`` under the chosen mode.
-
-        With ``cache_size > 0``, repeated retrievals of the same goal are
-        served from an LRU cache until the knowledge base changes; cache
-        hits report zero filter time (no physical work happened).
-        """
-        from ..terms import term_to_string
-        from .planner import select_mode  # local import avoids a cycle
-
-        with self.obs.span("crs.retrieve", goal=term_to_string(goal)) as span:
-            cache_key, hit = self._cache_probe(goal, mode)
-            if hit is not None:
-                span.set(cache="hit", candidates=len(hit.candidates))
-                return hit
-            indicator = functor_indicator(goal)
-            store = self.kb.store(indicator)
-            residency = self.kb.residency(indicator)
-            if mode is None:
-                mode = select_mode(goal, store, residency)
-            result = self._dispatch(goal, store, residency, mode)
-            if cache_key is not None:
-                self._cache.put(cache_key, result)
-            span.set(
-                mode=mode.value,
-                residency=residency,
-                clauses=result.stats.clauses_total if result.stats else 0,
-                candidates=len(result.candidates),
-            )
-            self._account_retrieval(result)
-            return result
+        """All candidate clauses for ``goal``: a batch of one."""
+        return self.retrieve_batch([goal], mode)[0]
 
     def retrieve_batch(
         self, goals: list[Term], mode: SearchMode | None = None
     ) -> list[RetrievalResult]:
-        """Candidates for many goals, amortising FS1 index passes.
+        """Candidates for every goal under the chosen (or planned) mode.
 
-        Results come back in input order and are element-wise identical
-        to ``[self.retrieve(g, mode) for g in goals]`` — same candidate
-        sets, same per-goal simulated accounting, same cache behaviour.
-        The difference is host wall clock: goals of the same predicate
-        whose planned mode involves FS1 are evaluated as one *batched*
-        bit-sliced scan (every distinct signature column the batch needs
-        is loaded once), and the query-codeword and decoded-clause
-        caches do the rest.
+        Results come back in input order.  With ``cache_size > 0``,
+        repeats are served from an LRU cache until the knowledge base
+        changes; cache hits report zero filter time (no physical work
+        happened).  Goals of one predicate whose mode involves FS1 share
+        one *batched* bit-sliced scan (every distinct signature column
+        the batch needs is loaded once); candidate sets and per-goal
+        simulated accounting are those of the goals retrieved one by
+        one.
         """
         from ..terms import term_to_string
         from .planner import select_mode  # local import avoids a cycle
 
         results: list[RetrievalResult | None] = [None] * len(goals)
-        # (index, goal, store, residency, mode, cache_key)
-        planned: list[tuple] = []
+        # One batched scan per FS1-involving (predicate, mode); every
+        # other plan is a group of its own.  Members are
+        # (position, goal, store, residency, mode, cache_key).
+        groups: dict[object, list[tuple]] = {}
         with self.obs.span("crs.retrieve_batch", goals=len(goals)):
             for position, goal in enumerate(goals):
                 cache_key, hit = self._cache_probe(goal, mode)
@@ -334,35 +306,27 @@ class ClauseRetrievalServer(CachedFrontDoor):
                     mode if mode is not None
                     else select_mode(goal, store, residency)
                 )
-                planned.append(
+                group = (
+                    (indicator, effective)
+                    if effective in (SearchMode.FS1_ONLY, SearchMode.BOTH)
+                    else position
+                )
+                groups.setdefault(group, []).append(
                     (position, goal, store, residency, effective, cache_key)
                 )
-            # Group FS1-involving goals by predicate: one batched scan
-            # per (indicator, mode) group; everything else runs solo.
-            groups: dict[tuple, list[tuple]] = {}
-            for plan in planned:
-                _, _, store, _, effective, _ = plan
-                if effective in (SearchMode.FS1_ONLY, SearchMode.BOTH):
-                    groups.setdefault(
-                        (store.indicator, effective), []
-                    ).append(plan)
-                else:
-                    groups.setdefault((id(plan), None), []).append(plan)
             for members in groups.values():
                 fs1_results: list[FS1Result | None] = [None] * len(members)
                 if len(members) > 1:
-                    store = members[0][2]
                     fs1_results = list(self.fs1.search_batch(
-                        store.index, [plan[1] for plan in members]
+                        members[0][2].index, [plan[1] for plan in members]
                     ))
                 for plan, fs1_result in zip(members, fs1_results):
                     position, goal, store, residency, effective, cache_key = plan
                     with self.obs.span(
-                        "crs.retrieve", goal=term_to_string(goal), batch="1"
+                        "crs.retrieve", goal=term_to_string(goal)
                     ) as span:
                         result = self._dispatch(
-                            goal, store, residency, effective,
-                            fs1_result=fs1_result,
+                            goal, store, residency, effective, fs1_result
                         )
                         span.set(
                             mode=effective.value,

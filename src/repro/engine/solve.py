@@ -73,10 +73,10 @@ class RetrieverStats:
 class ClusterRetriever:
     """A cluster (or single CRS) behind the engines' retriever contract.
 
-    ``backend`` needs ``retrieve(goal, mode=...)`` returning an object
-    with a ``candidates`` list; ``retrieve_batch``, ``version`` and
+    ``backend`` needs ``retrieve_batch(goals, mode=...)`` returning one
+    object with a ``candidates`` list per goal; ``version`` and
     ``router`` are picked up when present (the sharded front door has
-    all three).  Not thread-safe: one retriever per running query.
+    both).  Not thread-safe: one retriever per running query.
     """
 
     def __init__(
@@ -102,11 +102,8 @@ class ClusterRetriever:
             cache_size, max_bytes=cache_bytes, cost=_candidates_cost
         )
         self._deadline: float | None = None
-        self._supports_timeout = _accepts_timeout(backend.retrieve)
-        self._batch = getattr(backend, "retrieve_batch", None)
-        self._batch_supports_timeout = (
-            self._batch is not None and _accepts_timeout(self._batch)
-        )
+        self._batch = backend.retrieve_batch
+        self._supports_timeout = _accepts_timeout(self._batch)
         self._router = getattr(backend, "router", None)
 
     # -- the Retriever contract ---------------------------------------------
@@ -131,28 +128,26 @@ class ClusterRetriever:
             return list(cached)
         extras: list[Term] = []
         extra_keys: list[tuple] = []
-        if self._batch is not None:
-            seen = {key}
-            for sibling in siblings:
-                sibling_key = (version, canonical_goal_key(sibling))
-                if sibling_key in seen or sibling_key in self._cache:
-                    continue
-                seen.add(sibling_key)
-                extras.append(sibling)
-                extra_keys.append(sibling_key)
-                if len(extras) >= self.prefetch_width:
-                    break
+        seen = {key}
+        for sibling in siblings:
+            sibling_key = (version, canonical_goal_key(sibling))
+            if sibling_key in seen or sibling_key in self._cache:
+                continue
+            seen.add(sibling_key)
+            extras.append(sibling)
+            extra_keys.append(sibling_key)
+            if len(extras) >= self.prefetch_width:
+                break
         self.stats.retrievals += 1
         self._note_routing(goal)
+        if extras:
+            self.stats.prefetch_batches += 1
+            self.stats.prefetched_goals += len(extras)
         try:
-            if extras:
-                self.stats.prefetch_batches += 1
-                self.stats.prefetched_goals += len(extras)
-                results = self._retrieve_batch([goal, *extras])
-                batches = [list(r.candidates) for r in results]
-            else:
-                result = self._retrieve_one(goal)
-                batches = [list(result.candidates)]
+            batches = [
+                list(result.candidates)
+                for result in self._retrieve([goal, *extras])
+            ]
         except UnknownPredicateError:
             if self.unknown == "error":
                 name, arity = _goal_indicator(goal)
@@ -168,18 +163,10 @@ class ClusterRetriever:
 
     # -- internals -----------------------------------------------------------
 
-    def _retrieve_one(self, goal: Term):
+    def _retrieve(self, goals: list[Term]):
         if self._supports_timeout:
-            return self._backend.retrieve(
-                goal, mode=self.mode, timeout=self._remaining()
-            )
-        self._check_deadline()
-        return self._backend.retrieve(goal, mode=self.mode)
-
-    def _retrieve_batch(self, goals: list[Term]):
-        if self._batch_supports_timeout:
             return self._batch(goals, mode=self.mode, timeout=self._remaining())
-        self._check_deadline()
+        self._remaining()  # the deadline check a timeout-less backend lacks
         return self._batch(goals, mode=self.mode)
 
     def _remaining(self) -> float | None:
@@ -189,9 +176,6 @@ class ClusterRetriever:
         if remaining <= 0:
             raise RetrievalTimeout("solve deadline expired before retrieval")
         return remaining
-
-    def _check_deadline(self) -> None:
-        self._remaining()
 
     def _note_routing(self, goal: Term) -> None:
         if self._router is None:

@@ -28,7 +28,7 @@ from ..obs import get_default as _default_obs
 from ..pif import CompiledClause, PIFEncoder, tags
 from ..pif.decoder import Item
 from ..pif.encoder import EncodedArgs
-from ..pif.symbols import SymbolTable
+from ..pif.symbols import QuerySymbols, SymbolTable
 from ..terms import Term, functor_indicator
 from ..unify.match import HardwareOp
 from .buffer import DoubleBuffer
@@ -108,6 +108,8 @@ class SecondStageFilter:
         self.result = ResultMemory()
         self._program: MicroProgram | None = None
         self._query_encoded: EncodedArgs | None = None
+        #: the microcoded path's query-side table (see ``QuerySymbols``)
+        self._query_symbols: SymbolTable = symbols
         self._indicator: tuple[str, int] | None = None
         # Compiled fast path: the matcher (built at microprogram-load
         # time from the mechanically derived cycle costs), the current
@@ -155,7 +157,8 @@ class SecondStageFilter:
         if self._matcher is not None:
             self._set_query_compiled(query, indicator)
         else:
-            encoder = PIFEncoder(self.symbols, side="query")
+            self._query_symbols = QuerySymbols(self.symbols)
+            encoder = PIFEncoder(self._query_symbols, side="query")
             self._query_encoded = encoder.encode_head(query)
         self._indicator = indicator
         self.tue.reset_query_memory()
@@ -172,10 +175,14 @@ class SecondStageFilter:
         key = (canonical_goal_key(query), indicator)
         cached = self._plan_cache.get(key)
         if cached is None:
-            encoder = PIFEncoder(self.symbols, side="query")
-            encoded = encoder.encode_head(query)
-            cached = (encoded, compile_plan(encoded, self.symbols))
-            self._plan_cache.put(key, cached)
+            # Lookup only: a read never grows the shard's symbol table.
+            symbols = QuerySymbols(self.symbols)
+            encoded = PIFEncoder(symbols, side="query").encode_head(query)
+            cached = (encoded, compile_plan(encoded, symbols))
+            if not symbols.extended:
+                # A plan naming a constant the table lacks dies with the
+                # next symbol interned (the constant may be the one).
+                self._plan_cache.put(key, cached)
         self._query_encoded, self._plan = cached
 
     def rearm(self) -> None:
@@ -322,7 +329,7 @@ class SecondStageFilter:
     def _stage_clause(self, compiled: CompiledClause) -> None:
         assert self._query_encoded is not None
         self._db_cursor = ItemCursor(compiled.head_encoded, self.symbols)
-        self._q_cursor = ItemCursor(self._query_encoded, self.symbols)
+        self._q_cursor = ItemCursor(self._query_encoded, self._query_symbols)
         self._latched = None
         self._hit = True
         self._entered = False

@@ -83,11 +83,8 @@ class RetrievalService:
         self.default_deadline_s = default_deadline_s
         self.max_frame_bytes = max_frame_bytes
         self.obs = obs if obs is not None else _default_obs()
-        # With a process-backed engine the pool threads mostly block in
-        # ``Connection.recv`` (GIL released), so sizing the pool above
-        # ``max_in_flight`` lets broadcast fan-out overlap across worker
-        # processes; admission control still bounds concurrency at
-        # ``max_in_flight`` requests.
+        # Admission control bounds concurrency at ``max_in_flight``
+        # requests whatever the pool size.
         self.executor_workers = (
             executor_workers if executor_workers is not None else max_in_flight
         )
@@ -377,17 +374,13 @@ class RetrievalService:
                     goals=len(goals),
                 ) as span:
                     span.set(queue_wait_ms=round(queue_wait_s * 1e3, 3))
-                    if batch:
-                        return self.engine.retrieve_batch(
-                            goals, mode=mode, timeout=remaining
-                        )
-                    return self.engine.retrieve(
-                        goals[0], mode=mode, timeout=remaining
+                    return self.engine.retrieve_batch(
+                        goals, mode=mode, timeout=remaining
                     )
 
             loop = asyncio.get_running_loop()
             try:
-                outcome = await loop.run_in_executor(self._executor, work)
+                results = await loop.run_in_executor(self._executor, work)
             except Exception as exc:
                 code, message = protocol.exception_to_error(exc)
                 if code is ErrorCode.DEADLINE_EXPIRED:
@@ -396,18 +389,16 @@ class RetrievalService:
                     writer, write_lock, request_id, code, message
                 )
                 return
+            # One execution path; only the two frame formats differ.
             if batch:
-                response = protocol.encode_batch_response(outcome)
-                await self._send(
-                    writer, write_lock, FrameType.RESP_BATCH, request_id,
-                    response,
-                )
+                response = protocol.encode_batch_response(results)
+                response_type = FrameType.RESP_BATCH
             else:
-                response = protocol.encode_result_response(outcome)
-                await self._send(
-                    writer, write_lock, FrameType.RESP_RESULT, request_id,
-                    response,
-                )
+                response = protocol.encode_result_response(results[0])
+                response_type = FrameType.RESP_RESULT
+            await self._send(
+                writer, write_lock, response_type, request_id, response
+            )
         finally:
             self._admitted -= 1
             self._handled += 1

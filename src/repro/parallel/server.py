@@ -1,13 +1,13 @@
 """A process-backed :class:`~repro.cluster.ShardedRetrievalServer`.
 
 ``ProcessShardedRetrievalServer`` keeps the entire cluster front-end —
-routing, front-end mode planning, the cluster LRU, the mutation log and
-idempotency memo, stat merging — in the parent, and moves only the
-*engine execution* into one worker process per shard.  The parent
-remains authoritative: its in-process shard engines hold the canonical
-KB (so snapshots, migration and the mutation log keep working
-unchanged), and :meth:`start` exports each shard into an mmap segment
-directory that the workers attach zero-copy.
+routing, front-end mode planning, the cluster LRU, the replication log,
+stat merging — in the parent, and moves only the *engine execution*
+into one worker process per shard.  The parent remains authoritative:
+its in-process shard engines hold the canonical KB (so snapshots,
+migration and the replication log keep working unchanged), and
+:meth:`start` exports each shard into an mmap segment directory that the
+workers attach zero-copy.
 
 Why this shape gives bit-identical accounting with the threaded path:
 
@@ -20,19 +20,19 @@ Why this shape gives bit-identical accounting with the threaded path:
   same records, and simulated time is a pure function of those inputs.
 
 The GIL is what changes: each worker owns its own interpreter, so the
-per-record Python work of a broadcast ``retrieve_batch`` runs on N
-cores instead of interleaving on one.  The parent-side threads spend
-their time blocked in ``Connection.recv`` (GIL released).
+per-record Python work of a broadcast runs on N cores instead of
+interleaving on one.  The fan-out is pipelined, not threaded: the
+parent posts one request to every busy worker, then collects the
+replies, blocked in ``Connection.recv`` (GIL released) while they run.
 
-Result transport: each worker owns a ring of shared-memory slots and
-replies to the retrieve verbs with a ``("__shm__", slot, length)``
-reference instead of a pickled result — the parent decodes candidates
-off the slab through its own clause cache (:mod:`repro.parallel.shm`).
-The pipe stays the control channel and the overflow path: a result
-that outgrows its slot is pickled (``parallel.shm.fallbacks``), and on
-a host where the slab cannot be created at all (no ``/dev/shm``) the
-worker is launched without one and pickles everything
-(``parallel.shm.unavailable`` counts those launches).
+Result transport: each worker owns a shared-memory slab and replies
+with a ``("__shm__", length)`` reference instead of pickled results —
+the parent decodes candidates off the slab through its own clause cache
+(:mod:`repro.parallel.shm`).  The pipe stays the control channel and
+the overflow path: a reply that outgrows the slab is pickled
+(``parallel.shm.fallbacks``), and on a host where the slab cannot be
+created at all (no ``/dev/shm``) the worker is launched without one and
+pickles everything (``parallel.shm.unavailable`` counts those launches).
 
 Fault tolerance: a worker that dies mid-call is respawned in place —
 segments are re-exported from the parent's authoritative shard (which
@@ -49,17 +49,15 @@ from multiprocessing import get_context
 from multiprocessing.shared_memory import SharedMemory
 from pathlib import Path
 
-from ..cluster.server import ClusterShard, ShardedRetrievalServer
-from ..crs import RetrievalResult, SearchMode
-from ..terms import Clause, Term
-from .segments import write_segments
-from .shm import (
-    DEFAULT_SLOT_BYTES,
-    DEFAULT_SLOTS,
-    decode_batch,
-    decode_result,
-    is_shm_ref,
+from ..cluster.server import (
+    ClusterShard,
+    GoalPlan,
+    ShardedRetrievalServer,
+    ShardWork,
 )
+from ..terms import Clause
+from .segments import write_segments
+from .shm import DEFAULT_SLOT_BYTES, decode_results, is_shm_ref
 from .worker import WorkerConfig, worker_main
 
 __all__ = ["ProcessShardedRetrievalServer", "WorkerError"]
@@ -83,10 +81,18 @@ class _WorkerHandle:
         #: repeated pulls advance by delta instead of double-counting.
         self.last_metrics: dict | None = None
 
-    def call(self, *message):
-        """One RPC round-trip.  Caller holds the shard lock."""
+    def send(self, *message) -> None:
+        """Post one request.  Caller holds the shard lock."""
         try:
             self.conn.send(message)
+        except (OSError, BrokenPipeError) as exc:
+            raise WorkerError(
+                f"shard worker {self.shard_id} died before the call"
+            ) from exc
+
+    def receive(self):
+        """The reply to the request just posted."""
+        try:
             status, payload = self.conn.recv()
         except (EOFError, OSError, BrokenPipeError) as exc:
             raise WorkerError(
@@ -95,15 +101,6 @@ class _WorkerHandle:
         if status == "err":
             raise payload
         return payload
-
-    #: per-slot capacity, stamped at launch so ``slab_view`` can do the
-    #: offset math without re-deriving it from the config.
-    slot_bytes: int = DEFAULT_SLOT_BYTES
-
-    def slab_view(self, slot: int, length: int) -> memoryview:
-        """A zero-copy view of one slab payload (release after decode)."""
-        offset = slot * self.slot_bytes
-        return self.shm.buf[offset : offset + length]
 
     def stop(self, timeout: float = 5.0) -> None:
         try:
@@ -145,7 +142,6 @@ class ProcessShardedRetrievalServer(ShardedRetrievalServer):
         *args,
         spool_dir: str | None = None,
         start_method: str = "spawn",
-        shm_slots: int = DEFAULT_SLOTS,
         shm_slot_bytes: int = DEFAULT_SLOT_BYTES,
         **kwargs,
     ):
@@ -155,7 +151,6 @@ class ProcessShardedRetrievalServer(ShardedRetrievalServer):
         self._spool_dir = spool_dir
         self._owns_spool = False
         self._start_method = start_method
-        self._shm_slots = shm_slots
         self._shm_slot_bytes = shm_slot_bytes
         self._handles: dict[int, _WorkerHandle] = {}
         self._reload_counter = 0
@@ -210,9 +205,7 @@ class ProcessShardedRetrievalServer(ShardedRetrievalServer):
         ctx = get_context(self._start_method)
         segments_dir = self._export_shard(shard)
         try:
-            shm = SharedMemory(
-                create=True, size=self._shm_slots * self._shm_slot_bytes
-            )
+            shm = SharedMemory(create=True, size=self._shm_slot_bytes)
         except OSError:
             # No shared memory on this host: the worker pickles every
             # result through the pipe, as it does for slot overflow.
@@ -225,7 +218,6 @@ class ProcessShardedRetrievalServer(ShardedRetrievalServer):
             cross_binding=self._cross_binding,
             cost_model=self._cost_model,
             shm_name=shm.name if shm is not None else None,
-            shm_slots=self._shm_slots,
             shm_slot_bytes=self._shm_slot_bytes,
         )
         process = ctx.Process(
@@ -236,9 +228,7 @@ class ProcessShardedRetrievalServer(ShardedRetrievalServer):
         )
         process.start()
         child_conn.close()
-        handle = _WorkerHandle(shard.shard_id, process, parent_conn, shm)
-        handle.slot_bytes = self._shm_slot_bytes
-        return handle
+        return _WorkerHandle(shard.shard_id, process, parent_conn, shm)
 
     def _await_ready(self, handle: _WorkerHandle) -> None:
         try:
@@ -274,15 +264,31 @@ class ProcessShardedRetrievalServer(ShardedRetrievalServer):
         re-export.  A second failure (the respawned worker also died)
         propagates — each *call* still gets its own retry, so the
         cluster degrades per-request instead of failing permanently.
+        Returns ``(handle, payload)``; :meth:`_run_shards` runs the two
+        halves apart to keep every busy worker working at once.
         """
+        self._post(shard, *message)
+        return self._collect(shard, *message)
+
+    def _post(self, shard: ClusterShard, *message) -> None:
+        try:
+            self._handles[shard.shard_id].send(*message)
+        except WorkerError:
+            self._restart(shard).send(*message)
+
+    def _collect(self, shard: ClusterShard, *message):
         handle = self._handles[shard.shard_id]
         try:
-            return handle, handle.call(*message)
+            return handle, handle.receive()
         except WorkerError:
-            self.obs.counter("parallel.worker.restarts").inc()
-            handle.stop(timeout=1.0)
-            handle = self._respawn(shard)
-            return handle, handle.call(*message)
+            handle = self._restart(shard)
+            handle.send(*message)
+            return handle, handle.receive()
+
+    def _restart(self, shard: ClusterShard) -> _WorkerHandle:
+        self.obs.counter("parallel.worker.restarts").inc()
+        self._handles[shard.shard_id].stop(timeout=1.0)
+        return self._respawn(shard)
 
     def _export_shard(self, shard: ClusterShard) -> str:
         """Write one shard's segments under a fresh generation directory.
@@ -300,53 +306,79 @@ class ProcessShardedRetrievalServer(ShardedRetrievalServer):
         write_segments(shard.kb, directory)
         return directory
 
-    # -- execution seam overrides -------------------------------------------
+    # -- execution seam override --------------------------------------------
 
-    def _shard_retrieve(
-        self, shard: ClusterShard, goal: Term, mode: SearchMode
-    ) -> RetrievalResult:
-        handle = self._handles.get(shard.shard_id)
-        if handle is None:
-            return super()._shard_retrieve(shard, goal, mode)
-        handle, payload = self._call_worker(shard, "retrieve", goal, mode)
-        if is_shm_ref(payload):
-            return self._decode_slab(
-                handle, payload, lambda view: decode_result(view, goal, shard)
-            )
-        self._count_fallback(handle)
-        return payload
-
-    def _shard_retrieve_batch(
-        self, shard: ClusterShard, goals: list[Term], mode: SearchMode
-    ) -> list[RetrievalResult]:
-        handle = self._handles.get(shard.shard_id)
-        if handle is None:
-            return super()._shard_retrieve_batch(shard, goals, mode)
-        handle, payload = self._call_worker(
-            shard, "retrieve_batch", goals, mode
-        )
-        if is_shm_ref(payload):
-            return self._decode_slab(
-                handle, payload, lambda view: decode_batch(view, goals, shard)
-            )
-        self._count_fallback(handle)
-        return payload
-
-    def _decode_slab(self, handle: _WorkerHandle, payload, decode):
-        _, slot, length = payload
-        view = handle.slab_view(slot, length)
+    def _run_shards(
+        self, shard_work: ShardWork, deadline: float | None
+    ) -> None:
+        """The base fan-out, overlapped: every busy shard's lock (in id
+        order, as every multi-lock holder takes them), one request to
+        each worker, then the replies — the workers run side by side
+        while the parent waits."""
+        if not self._handles:
+            return super()._run_shards(shard_work, deadline)
+        held: list[ClusterShard] = []
+        # Every posted request is collected, whatever went wrong in
+        # between: an unread reply would answer that worker's *next*
+        # request.  The first failure is raised once all are in.
+        posted: list[tuple[ClusterShard, tuple, list[GoalPlan]]] = []
+        failures: list[Exception] = []
         try:
-            decoded = decode(view)
+            for shard_id in sorted(shard_work):
+                self._acquire_shard(self.shards[shard_id], deadline)
+                held.append(self.shards[shard_id])
+            for shard in held:
+                work = shard_work[shard.shard_id]
+                message = ("retrieve_batch", [
+                    ([plan.goal for plan in plans], mode)
+                    for mode, plans in work.items()
+                ])
+                try:
+                    self._post(shard, *message)
+                except Exception as exc:  # noqa: BLE001 - raised below
+                    failures.append(exc)
+                    break
+                posted.append((
+                    shard, message,
+                    [plan for plans in work.values() for plan in plans],
+                ))
+            for shard, message, plans in posted:
+                try:
+                    self._file_reply(
+                        shard, plans, *self._collect(shard, *message)
+                    )
+                except Exception as exc:  # noqa: BLE001 - raised below
+                    failures.append(exc)
         finally:
-            view.release()
-        self.obs.counter("parallel.shm.results").inc()
-        self.obs.counter("parallel.shm.bytes").inc(length)
-        return decoded
+            for shard in held:
+                shard.lock.release()
+        if failures:
+            raise failures[0]
 
-    def _count_fallback(self, handle: _WorkerHandle) -> None:
-        """A retrieve verb came back pickled from a worker with a slab."""
-        if handle.shm is not None:
+    def _file_reply(
+        self,
+        shard: ClusterShard,
+        plans: list[GoalPlan],
+        handle: _WorkerHandle,
+        payload,
+    ) -> None:
+        """File one worker's reply (results parallel to ``plans``, or a
+        slab reference to them) in the plans' ``shard_results``."""
+        if is_shm_ref(payload):
+            length = payload[1]
+            view = handle.shm.buf[:length]
+            try:
+                payload = decode_results(
+                    view, [plan.goal for plan in plans], shard
+                )
+            finally:
+                view.release()
+            self.obs.counter("parallel.shm.results").inc()
+            self.obs.counter("parallel.shm.bytes").inc(length)
+        elif handle.shm is not None:
             self.obs.counter("parallel.shm.fallbacks").inc()
+        for plan, result in zip(plans, payload):
+            plan.shard_results[shard.shard_id] = result
 
     def _on_shard_mutation(
         self, shard: ClusterShard, op: str, clause: Clause, module: str

@@ -1,36 +1,31 @@
-"""Shared-memory result slabs for the process data plane.
+"""The shared-memory result slab of the process data plane.
 
-PR 8's workers ship every retrieval result back to the parent as a
-pickled :class:`~repro.crs.RetrievalResult` — for a broadcast-heavy
-``retrieve_batch`` that is a serialize/copy/deserialize triple over
-every candidate term graph, per result, per shard.  But the candidate
-*records* already exist as bytes in the worker's mmap'd segment, and
-the parent holds a byte-identical store (segments are written from it
-and every mutation is forwarded under the same shard lock), so the
-parent can rebuild each candidate from ``(address, record bytes)``
-through its own decode cache.
+A worker's candidate *records* already exist as bytes in its mmap'd
+segment, and the parent holds a byte-identical store (segments are
+written from it and every mutation is forwarded under the same shard
+lock), so a retrieve reply need not pickle candidate term graphs: the
+parent rebuilds each candidate from ``(address, record bytes)`` through
+its own decode cache.
 
-Each worker therefore gets a ring of fixed-size slots inside one
-:class:`multiprocessing.shared_memory.SharedMemory` slab.  A result is
-encoded as a fixed-header payload::
+Each worker owns one :class:`multiprocessing.shared_memory.SharedMemory`
+slab.  A reply is ``u32 n`` followed by ``n`` length-prefixed results,
+each::
 
     u32 stats_len | u32 count          (_RESULT)
     stats_len × u8                      pickled RetrievalStats
     count × (u32 address, u32 length)   (_PAIR, candidate directory)
     concatenated record bytes           (PIF records, segment order)
 
-and a batch as ``u32 n`` followed by ``n`` length-prefixed result
-payloads.  The worker copies the payload into the next ring slot and
-sends only ``("__shm__", slot, length)`` over the pipe; the parent
-decodes straight off a ``memoryview`` of the slab.  The pipe stays the
-control channel, and strict request-reply per worker means a slot is
-never overwritten before the parent has consumed it (a ring of
-``DEFAULT_SLOTS`` just keeps recently-read slots intact for debugging).
+The worker copies the payload to the start of the slab and sends only
+``("__shm__", length)`` over the pipe; the parent decodes straight off a
+``memoryview`` of the slab.  One slot suffices: a worker has at most one
+request outstanding, so the payload is consumed before the next is
+written.
 
-Fallback: when a payload outgrows the slot, the candidate addresses are
+Fallback: when a payload outgrows the slab, the candidate addresses are
 unknown (merged results), or a record address is missing from the
-worker's clause file, the worker silently falls back to the pickled
-pipe — the parent counts those in ``parallel.shm.fallbacks``.
+worker's clause file, the worker falls back to the pickled pipe — the
+parent counts those in ``parallel.shm.fallbacks``.
 """
 
 from __future__ import annotations
@@ -46,38 +41,32 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..crs import RetrievalResult
 
 __all__ = [
-    "DEFAULT_SLOTS",
     "DEFAULT_SLOT_BYTES",
     "SHM_MARKER",
     "SlabWriter",
     "attach_slab",
-    "decode_batch",
-    "decode_result",
-    "encode_batch",
-    "encode_result",
+    "decode_results",
+    "encode_results",
     "is_shm_ref",
 ]
 
-#: ring depth per worker; one slot would suffice under strict
-#: request-reply, the ring keeps the last few payloads inspectable.
-DEFAULT_SLOTS = 4
-#: per-slot capacity; payloads above this fall back to the pipe.
+#: slab capacity; payloads above this fall back to the pipe.
 DEFAULT_SLOT_BYTES = 1 << 20
 
 #: first element of a slab reference riding the pipe in place of the
-#: pickled result: ``(SHM_MARKER, slot, payload_length)``.
+#: pickled results: ``(SHM_MARKER, payload_length)``.
 SHM_MARKER = "__shm__"
 
 _RESULT = struct.Struct("<II")  # stats_len, candidate count
 _PAIR = struct.Struct("<II")  # record address, record length
-_COUNT = struct.Struct("<I")  # batch size / per-result length prefix
+_COUNT = struct.Struct("<I")  # result count / per-result length prefix
 
 
 def is_shm_ref(payload) -> bool:
-    """True when a worker reply is a slab reference, not a result."""
+    """True when a worker reply is a slab reference, not a result list."""
     return (
         isinstance(payload, tuple)
-        and len(payload) == 3
+        and len(payload) == 2
         and payload[0] == SHM_MARKER
     )
 
@@ -85,7 +74,7 @@ def is_shm_ref(payload) -> bool:
 # -- worker side -------------------------------------------------------------
 
 
-def encode_result(result: "RetrievalResult", kb) -> bytes | None:
+def _encode_one(result: "RetrievalResult", kb) -> bytes | None:
     """Serialise one result as a candidate directory over ``kb``'s records.
 
     Returns ``None`` when the result cannot ride the slab (no address
@@ -113,11 +102,12 @@ def encode_result(result: "RetrievalResult", kb) -> bytes | None:
     return bytes(out)
 
 
-def encode_batch(results: Sequence["RetrievalResult"], kb) -> bytes | None:
-    """Length-prefixed concatenation of :func:`encode_result` payloads."""
+def encode_results(results: Sequence["RetrievalResult"], kb) -> bytes | None:
+    """The slab payload for a worker's results, or ``None`` when some
+    result cannot ride the slab."""
     out = bytearray(_COUNT.pack(len(results)))
     for result in results:
-        encoded = encode_result(result, kb)
+        encoded = _encode_one(result, kb)
         if encoded is None:
             return None
         out += _COUNT.pack(len(encoded))
@@ -126,23 +116,18 @@ def encode_batch(results: Sequence["RetrievalResult"], kb) -> bytes | None:
 
 
 class SlabWriter:
-    """The worker's end of the slab: copy a payload into the next slot."""
+    """The worker's end of the slab: copy a payload in, hand out its ref."""
 
-    def __init__(self, shm, slots: int, slot_bytes: int):
+    def __init__(self, shm, slot_bytes: int):
         self.shm = shm
-        self.slots = slots
         self.slot_bytes = slot_bytes
-        self._cursor = 0
 
-    def write(self, encoded: bytes) -> tuple[str, int, int] | None:
-        """Place ``encoded`` into the ring; ``None`` when it won't fit."""
+    def write(self, encoded: bytes) -> tuple[str, int] | None:
+        """Place ``encoded`` in the slab; ``None`` when it won't fit."""
         if len(encoded) > self.slot_bytes:
             return None
-        slot = self._cursor
-        self._cursor = (slot + 1) % self.slots
-        offset = slot * self.slot_bytes
-        self.shm.buf[offset : offset + len(encoded)] = encoded
-        return (SHM_MARKER, slot, len(encoded))
+        self.shm.buf[: len(encoded)] = encoded
+        return (SHM_MARKER, len(encoded))
 
     def close(self) -> None:
         self.shm.close()
@@ -166,10 +151,11 @@ def attach_slab(name: str):
 # -- parent side -------------------------------------------------------------
 
 
-def decode_result(
-    view: memoryview, goal: Term, shard: "ClusterShard"
-) -> "RetrievalResult":
-    """Rebuild a result from its slab payload against the parent shard.
+def decode_results(
+    view: memoryview, goals: Sequence[Term], shard: "ClusterShard"
+) -> "list[RetrievalResult]":
+    """Rebuild a worker's results (parallel to ``goals``) against the
+    parent shard.
 
     The records decode through ``shard.server``'s decoded-clause cache
     under the *parent's* clause-file generation: worker and parent
@@ -177,18 +163,10 @@ def decode_result(
     from the parent, mutations are forwarded under the shard lock), so
     a repeated broadcast answer costs a cache probe, not a decode.
     """
-    result, _ = _decode_one(view, 0, goal, shard)
-    return result
-
-
-def decode_batch(
-    view: memoryview, goals: Sequence[Term], shard: "ClusterShard"
-) -> "list[RetrievalResult]":
-    """Rebuild a ``retrieve_batch`` reply (parallel to ``goals``)."""
     (count,) = _COUNT.unpack_from(view, 0)
     if count != len(goals):
         raise ValueError(
-            f"slab batch has {count} results for {len(goals)} goals"
+            f"slab holds {count} results for {len(goals)} goals"
         )
     offset = _COUNT.size
     results = []
@@ -197,7 +175,7 @@ def decode_batch(
         offset += _COUNT.size
         result, consumed = _decode_one(view, offset, goal, shard)
         if consumed != length:
-            raise ValueError("slab batch payload length mismatch")
+            raise ValueError("slab payload length mismatch")
         offset += length
         results.append(result)
     return results

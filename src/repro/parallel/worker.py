@@ -5,12 +5,15 @@ that behaves identically across platforms and never inherits locks or
 mmaps mid-operation) with a picklable :class:`WorkerConfig`, attaches
 the shard's segment directory zero-copy, builds the same
 :class:`~repro.crs.ClauseRetrievalServer` the threaded path uses, and
-then serves a tiny pickled-tuple RPC over its pipe:
+then serves a tiny pickled-tuple RPC over its pipe, one request at a
+time:
 
-``("retrieve", goal, mode)`` / ``("retrieve_batch", goals, mode)``
-    Execute with the mode the parent planned — the worker never plans,
-    which is one half of the bit-identical-stats guarantee (the other
-    half is identical shard content and identical engine code).
+``("retrieve_batch", [(goals, mode), ...])``
+    Run each group through the engine's ``retrieve_batch`` with the mode
+    the parent planned — the worker never plans, which is one half of
+    the bit-identical-stats guarantee (the other half is identical shard
+    content and identical engine code) — and reply with every group's
+    results, concatenated in order.
 ``("mutate", op, clause, module)``
     Apply one forwarded mutation (``assertz``/``asserta``/
     ``remove_exact``); the touched predicate leaves its segment via
@@ -25,15 +28,14 @@ then serves a tiny pickled-tuple RPC over its pipe:
 ``("ping", )`` / ``("stop", )``
     Liveness and orderly shutdown.
 
-Replies are ``("ok", payload)`` or ``("err", exception)``; results and
-stats ride the pipe as pickled dataclasses (terms are frozen slotted
-dataclasses with value equality, so transport is loss-free).  The
-retrieve verbs instead write an ``(address, record bytes)`` directory
-into the worker's shared-memory slab ring and reply with a
-``("__shm__", slot, length)`` reference — see :mod:`repro.parallel.shm`;
-payloads that cannot ride the slab (outgrown slot, unknown addresses)
-and workers launched without one (``shm_name=None``: the host could
-not create shared memory) fall back to the pickled pipe transparently.
+Replies are ``("ok", payload)`` or ``("err", exception)``.  Results are
+written to the worker's shared-memory slab as an ``(address, record
+bytes)`` directory and answered with a ``("__shm__", length)``
+reference — see :mod:`repro.parallel.shm`; payloads that cannot ride the
+slab (outgrown, unknown addresses) and workers launched without one
+(``shm_name=None``: the host could not create shared memory) fall back
+to pickled dataclasses on the pipe (terms are frozen slotted dataclasses
+with value equality, so that transport is loss-free too).
 """
 
 from __future__ import annotations
@@ -46,14 +48,7 @@ from ..crs.server import ClauseRetrievalServer
 from ..obs import Instrumentation
 from ..storage import Residency
 from .segments import attach_kb
-from .shm import (
-    DEFAULT_SLOT_BYTES,
-    DEFAULT_SLOTS,
-    SlabWriter,
-    attach_slab,
-    encode_batch,
-    encode_result,
-)
+from .shm import DEFAULT_SLOT_BYTES, SlabWriter, attach_slab, encode_results
 
 __all__ = ["WorkerConfig", "worker_main"]
 
@@ -69,7 +64,6 @@ class WorkerConfig:
     #: the worker's result slab; ``None`` when the parent could not
     #: create one, and every result is pickled through the pipe.
     shm_name: str | None = None
-    shm_slots: int = DEFAULT_SLOTS
     shm_slot_bytes: int = DEFAULT_SLOT_BYTES
 
 
@@ -114,9 +108,7 @@ def worker_main(conn, config: WorkerConfig) -> None:
         writer = None
         if config.shm_name:
             writer = SlabWriter(
-                attach_slab(config.shm_name),
-                config.shm_slots,
-                config.shm_slot_bytes,
+                attach_slab(config.shm_name), config.shm_slot_bytes
             )
     except BaseException as exc:  # surface attach failures to the parent
         _send(conn, "err", exc)
@@ -124,15 +116,15 @@ def worker_main(conn, config: WorkerConfig) -> None:
         return
     _send(conn, "ok", "ready")
 
-    def _via_slab(result_payload, encode):
-        """Slab reference for a retrieve reply, or the result itself."""
+    def _via_slab(results):
+        """Slab reference for a retrieve reply, or the results themselves."""
         if writer is None:
-            return result_payload
-        encoded = encode(result_payload, kb)
+            return results
+        encoded = encode_results(results, kb)
         if encoded is None:
-            return result_payload
+            return results
         ref = writer.write(encoded)
-        return result_payload if ref is None else ref
+        return results if ref is None else ref
 
     while True:
         try:
@@ -141,16 +133,12 @@ def worker_main(conn, config: WorkerConfig) -> None:
             break  # parent went away; nothing left to serve
         verb = message[0]
         try:
-            if verb == "retrieve":
-                payload = _via_slab(
-                    server.retrieve(message[1], mode=message[2]),
-                    encode_result,
-                )
-            elif verb == "retrieve_batch":
-                payload = _via_slab(
-                    server.retrieve_batch(message[1], mode=message[2]),
-                    encode_batch,
-                )
+            if verb == "retrieve_batch":
+                payload = _via_slab([
+                    result
+                    for goals, mode in message[1]
+                    for result in server.retrieve_batch(goals, mode=mode)
+                ])
             elif verb == "mutate":
                 _apply_mutation(kb, message[1], message[2], message[3])
                 payload = kb.version

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ..terms import Atom, Float
 
-__all__ = ["SymbolTable", "SymbolTableFull"]
+__all__ = ["QuerySymbols", "SymbolTable", "SymbolTableFull"]
 
 #: Content fields are 24 bits wide.
 MAX_SYMBOLS = 1 << 24
@@ -129,3 +129,48 @@ class SymbolTable:
     def size_bytes(self) -> int:
         """Serialised size, used by the index-vs-data size benchmark."""
         return len(self.to_bytes())
+
+
+class QuerySymbols(SymbolTable):
+    """A lookup-only view of ``table`` for encoding one query.
+
+    A retrieval must not grow the table it searches: a client could fill
+    the 24-bit space with fresh atoms, and a worker process that interned
+    a goal's constants would number its next stored symbol differently
+    from the parent it shares records with.  Constants ``table`` lacks
+    are numbered in this view's own entries instead, from ``len(table)``
+    up — an offset no stored record can hold, so they never match, while
+    two distinct absent constants stay distinct (``p(X, X)`` must still
+    reject ``p(new1, new2)``) and decode back to their terms.  Offsets
+    handed out that way are only good until ``table`` next grows:
+    :attr:`extended` tells the caller not to keep the encoding.
+    """
+
+    __slots__ = ("_table", "_floor")
+
+    def __init__(self, table: SymbolTable) -> None:
+        super().__init__()
+        self._table = table
+        self._floor = len(table)
+
+    @property
+    def extended(self) -> bool:
+        """True once some constant was absent from the table."""
+        return bool(self._entries)
+
+    def intern_atom(self, name: str) -> int:
+        offset = self._table._atom_index.get(name)
+        if offset is None:
+            offset = self._floor + super().intern_atom(name)
+        return offset
+
+    def intern_float(self, value: float) -> int:
+        offset = self._table._float_index.get(value)
+        if offset is None:
+            offset = self._floor + super().intern_float(value)
+        return offset
+
+    def lookup(self, offset: int) -> tuple[str, str | float]:
+        if offset < self._floor:
+            return self._table.lookup(offset)
+        return super().lookup(offset - self._floor)

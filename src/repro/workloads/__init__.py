@@ -10,9 +10,7 @@ from .graphs import (
 )
 from .loadgen import (
     LoadgenResult,
-    format_cores_table,
     percentile,
-    run_cores_sweep,
     run_loadgen,
 )
 from .synthetic import (
@@ -46,8 +44,6 @@ __all__ = [
     "LoadgenResult",
     "percentile",
     "run_loadgen",
-    "run_cores_sweep",
-    "format_cores_table",
     "open_query",
     "shared_variable_query",
     "warren_kb_spec",

@@ -38,9 +38,7 @@ from ..terms import Term, read_term
 
 __all__ = [
     "LoadgenResult",
-    "format_cores_table",
     "percentile",
-    "run_cores_sweep",
     "run_loadgen",
 ]
 
@@ -266,90 +264,3 @@ def run_loadgen(
             sleep=sleep,
         )
     )
-
-
-def run_cores_sweep(
-    program_text: str,
-    goals: list[Term],
-    *,
-    cores: tuple[int, ...] = (1, 2, 4),
-    qps: float = 200.0,
-    duration_s: float = 1.0,
-    mode: SearchMode | None = None,
-    deadline_s: float | None = None,
-    shard_by: str = "round_robin",
-    workers: str = "processes",
-    clock=time.monotonic,
-    sleep=asyncio.sleep,
-) -> list[tuple[int, LoadgenResult]]:
-    """Self-hosting core sweep: serve ``program_text`` at each core count.
-
-    For every entry in ``cores`` this builds an N-shard cluster
-    (``workers="processes"`` puts each shard in its own worker process
-    via the multi-core data plane; ``"threads"`` is the GIL-bound
-    baseline), serves it over loopback TCP, drives it open-loop, and
-    tears everything down.  Round-robin sharding is the default so the
-    same program broadcasts across all N engines — that is the layout
-    where cores matter.  ``clock``/``sleep`` pass straight through to
-    :func:`run_loadgen` so deterministic-pacing tests keep their
-    injected time source at every core count.
-    """
-    from ..cluster import ShardedRetrievalServer
-    from ..net import BackgroundService, RetrievalService
-
-    if workers not in ("processes", "threads"):
-        raise ValueError("workers must be 'processes' or 'threads'")
-    rows: list[tuple[int, LoadgenResult]] = []
-    for n in cores:
-        if workers == "processes":
-            from ..parallel import ProcessShardedRetrievalServer
-
-            engine = ProcessShardedRetrievalServer(n, shard_by)
-        else:
-            engine = ShardedRetrievalServer(n, shard_by)
-        try:
-            engine.consult_text(program_text)
-            if workers == "processes":
-                engine.start()
-            service = RetrievalService(
-                engine, max_in_flight=max(4, n), executor_workers=max(4, n)
-            )
-            background = BackgroundService(service)
-            host, port = background.start()
-            try:
-                result = run_loadgen(
-                    host,
-                    port,
-                    goals,
-                    qps=qps,
-                    duration_s=duration_s,
-                    mode=mode,
-                    deadline_s=deadline_s,
-                    clock=clock,
-                    sleep=sleep,
-                )
-            finally:
-                background.stop()
-        finally:
-            close = getattr(engine, "close", None)
-            if close is not None:
-                close()
-        rows.append((n, result))
-    return rows
-
-
-def format_cores_table(rows: list[tuple[int, LoadgenResult]]) -> str:
-    """Render a core sweep as a fixed-width percentile table."""
-    lines = [
-        f"{'cores':>5} {'qps':>8} {'p50_ms':>8} {'p90_ms':>8} "
-        f"{'p99_ms':>8} {'ok':>6} {'busy':>6} {'err':>5}"
-    ]
-    for n, result in rows:
-        lines.append(
-            f"{n:>5} {result.achieved_qps:>8.1f} "
-            f"{result.latency_s(0.50) * 1e3:>8.2f} "
-            f"{result.latency_s(0.90) * 1e3:>8.2f} "
-            f"{result.latency_s(0.99) * 1e3:>8.2f} "
-            f"{result.ok:>6} {result.busy:>6} {result.errors:>5}"
-        )
-    return "\n".join(lines)

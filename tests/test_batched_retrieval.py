@@ -10,7 +10,7 @@ The decoded-clause cache likewise must be invisible except in the
 
 import pytest
 
-from repro.cluster import BatchExecutor, ShardedRetrievalServer
+from repro.cluster import ShardedRetrievalServer
 from repro.crs import ClauseRetrievalServer, SearchMode
 from repro.obs import Instrumentation
 from repro.storage import KnowledgeBase, Residency
@@ -196,18 +196,3 @@ class TestClusterBatch:
         hits_before = cluster.cache_hits
         cluster.retrieve_batch(goal_terms(), mode=SearchMode.BOTH)
         assert cluster.cache_hits > hits_before
-
-    def test_executor_batch_fs1_matches_fanout(self):
-        cluster = self.make_cluster(3)
-        executor = BatchExecutor(cluster)
-        fanout = executor.run(goal_terms())
-        batched = executor.run(goal_terms(), batch_fs1=True)
-        assert len(fanout.results) == len(batched.results)
-        for left, right in zip(fanout.results, batched.results):
-            assert candidate_keys(left) == candidate_keys(right)
-        assert batched.stats.wall_clock_s == pytest.approx(
-            fanout.stats.wall_clock_s
-        )
-        assert batched.stats.serial_time_s == pytest.approx(
-            fanout.stats.serial_time_s
-        )

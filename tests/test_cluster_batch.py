@@ -51,7 +51,7 @@ class TestBatchExecutor:
         assert len(batch.results[1]) == 1
         assert len(batch.results[2]) == 24
 
-    def test_single_goal_skips_the_pool(self):
+    def test_single_goal(self):
         server, _ = build()
         batch = BatchExecutor(server).run([read_term("q(c5)")])
         assert len(batch) == 1 and len(batch.results[0]) == 1
@@ -105,44 +105,3 @@ class TestBatchExecutor:
             [read_term("p(a1, X)")], mode=SearchMode.BOTH
         )
         assert batch.results[0].stats.mode is SearchMode.BOTH
-
-
-class TestInjectedClock:
-    """The batch deadline is computed from the injected clock, so tests
-    can drive time deterministically instead of racing real sleeps."""
-
-    class RecordingServer:
-        num_shards = 2
-
-        def __init__(self):
-            self.obs = Instrumentation()
-            self.timeouts = []
-
-        def retrieve(self, goal, mode=None, timeout=None):
-            from repro.crs import RetrievalResult
-
-            self.timeouts.append(timeout)
-            return RetrievalResult(goal=goal, candidates=[], stats=None)
-
-    def test_expired_clock_zeroes_the_goal_budget(self):
-        server = self.RecordingServer()
-        ticks = iter([0.0, 7.0])  # deadline calc, then the goal's check
-        executor = BatchExecutor(server, clock=lambda: next(ticks))
-        executor.run([read_term("p(a, X)")], timeout=5.0)
-        assert server.timeouts == [0.0]
-
-    def test_frozen_clock_passes_the_full_budget_through(self):
-        server = self.RecordingServer()
-        executor = BatchExecutor(server, clock=lambda: 0.0)
-        executor.run([read_term("p(a, X)")], timeout=5.0)
-        assert server.timeouts == [5.0]
-
-    def test_no_timeout_never_consults_the_clock(self):
-        server = self.RecordingServer()
-
-        def explode():
-            raise AssertionError("clock must not be read without a timeout")
-
-        executor = BatchExecutor(server, clock=explode)
-        executor.run([read_term("p(a, X)")])
-        assert server.timeouts == [None]

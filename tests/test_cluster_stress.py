@@ -183,7 +183,7 @@ def test_batch_stress_no_lost_results():
     """A large shuffled batch returns every goal's answer, in order."""
     expected = expected_counts()
     server, obs = build_server(ShardingPolicy.PREDICATE, cache_size=0)
-    executor = BatchExecutor(server, max_workers=8)
+    executor = BatchExecutor(server)
     rng = random.Random(1234)
     goal_order = GOAL_TEXTS * 25
     rng.shuffle(goal_order)

@@ -1,13 +1,13 @@
 """Deadline enforcement inside the cluster fan-out.
 
 The simulated engines are uninterruptible once a retrieval starts, so
-the place a stuck cluster actually wedges callers is the per-shard
-lock queue and the fan-out join.  ``timeout=`` must bound both:
-``retrieve`` gives up waiting for a held shard lock, ``retrieve_batch``
-and :meth:`BatchExecutor.run` give up at the batch deadline, and all of
-them raise the typed :class:`~repro.crs.RetrievalTimeout` (a
-``TimeoutError`` subclass, so generic handlers still catch it) instead
-of hanging or returning partial results.
+the place a stuck cluster actually wedges callers is the per-shard lock
+queue.  ``timeout=`` must bound it on every entry: ``retrieve``,
+``retrieve_batch`` and :meth:`BatchExecutor.run` all give up waiting for
+a held shard lock at the deadline and raise the typed
+:class:`~repro.crs.RetrievalTimeout` (a ``TimeoutError`` subclass, so
+generic handlers still catch it) instead of hanging or returning partial
+results.
 """
 
 import threading
@@ -118,14 +118,6 @@ class TestBatchExecutorTimeout:
         with HeldLock(server.shards[0]):
             with pytest.raises(RetrievalTimeout):
                 executor.run(goals, timeout=0.05)
-
-    def test_batched_fs1_path_times_out(self):
-        server = small_cluster()
-        executor = BatchExecutor(server)
-        goals = [read_term("p(X, Y)"), read_term("q(A, B)")]
-        with HeldLock(server.shards[0]):
-            with pytest.raises(RetrievalTimeout):
-                executor.run(goals, batch_fs1=True, timeout=0.05)
 
     def test_run_with_timeout_matches_untimed_results(self):
         server = small_cluster()

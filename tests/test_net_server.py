@@ -489,36 +489,6 @@ class TestLoadgenInjectedClock:
         assert result.wall_clock_s == 0.0
         assert result.latencies_s == [0.0] * 10
 
-    def test_cores_sweep_threads_the_injected_clock(self, monkeypatch):
-        """``run_cores_sweep`` must hand its clock/sleep pair to every
-        per-core ``run_loadgen`` call, or a deterministic sweep silently
-        reverts to wall time at core counts > the first."""
-        from repro.workloads import loadgen as loadgen_module
-        from repro.workloads.loadgen import LoadgenResult, run_cores_sweep
-
-        seen = []
-
-        def fake_run_loadgen(host, port, goals, *, clock, sleep, **kwargs):
-            seen.append((clock, sleep))
-            return LoadgenResult(offered=1, ok=1, wall_clock_s=1.0)
-
-        monkeypatch.setattr(loadgen_module, "run_loadgen", fake_run_loadgen)
-        frozen_clock = lambda: 0.0  # noqa: E731
-
-        async def no_sleep(delay):
-            return None
-
-        rows = run_cores_sweep(
-            "parent(tom, bob).",
-            [read_term("parent(tom, X)")],
-            cores=(1, 2),
-            workers="threads",
-            clock=frozen_clock,
-            sleep=no_sleep,
-        )
-        assert [n for n, _ in rows] == [1, 2]
-        assert seen == [(frozen_clock, no_sleep)] * 2
-
 
 class TestLoadgenMixedWorkload:
     def test_write_fraction_mixes_and_measures_separately(self, tmp_path):

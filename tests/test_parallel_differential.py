@@ -115,7 +115,18 @@ class TestMutationIdentity:
                 ("retract", Clause(Struct("edge", (Atom("a"), Var("Q"))))),
                 ("assertz", Clause(Struct("fresh", (Atom("n1"),)))),
             ]
-            for op, clause in steps:
+            for number, (op, clause) in enumerate(steps):
+                # Goals naming constants no shard has stored run through
+                # the workers' FS2 before every write: a read that grew
+                # a worker's symbol table would number the write's new
+                # symbols differently from the parent's.
+                for goal_text in (f"edge(novel{number}, Y)",
+                                  f"edge(X, {number}.5)"):
+                    goal = read_term(goal_text)
+                    for mode in (SearchMode.FS2_ONLY, SearchMode.BOTH):
+                        assert fingerprint(
+                            process.retrieve(goal, mode=mode)
+                        ) == fingerprint(threaded.retrieve(goal, mode=mode))
                 if op == "assertz":
                     threaded.add_clause(clause)
                     process.add_clause(clause)
@@ -135,6 +146,47 @@ class TestMutationIdentity:
                             process.retrieve(goal)
                         continue
                     assert fingerprint(process.retrieve(goal)) == expected
+        finally:
+            process.close()
+
+    def test_a_read_never_grows_the_symbol_table(self):
+        """Novel-constant goals, then writes: parent and workers keep
+        numbering symbols alike, and a plan that encoded an absent
+        constant is not served once an assert interns it."""
+        text = " ".join(f"p(k{i}, v{i % 9})." for i in range(200))
+        threaded, process = build_pair(
+            text=text, num_shards=2, policy=ShardingPolicy.FIRST_ARG
+        )
+        try:
+            def both(goal_text, mode=SearchMode.FS2_ONLY):
+                goal = read_term(goal_text)
+                expected = threaded.retrieve(goal, mode=mode)
+                got = process.retrieve(goal, mode=mode)
+                assert fingerprint(got) == fingerprint(expected), goal_text
+                return len(got.candidates)
+
+            assert both("p(zzz, Y)") == 0
+            assert both("p(X, yyy)") == 0
+            for fact in ("p(c, 3.5)", "p(d, foo)", "p(zzz, yyy)"):
+                for backend in (threaded, process):
+                    backend.assertz(read_term(fact))
+            for mode in SearchMode:
+                assert both("p(X, Y)", mode) == 203
+            assert both("p(zzz, Y)") == 1  # not the stale empty plan
+            assert both("p(X, yyy)") == 1
+            assert both("p(X, foo)") == 1
+            assert both("p(X, 3.5)") == 1
+            before = [len(shard.kb.symbols) for shard in process.shards]
+            for i in range(1000):
+                process.retrieve(
+                    read_term(f"p(fresh{i}, {i}.25)"), mode=SearchMode.BOTH
+                )
+                threaded.retrieve(
+                    read_term(f"p(fresh{i}, g({i}.25))"),
+                    mode=SearchMode.FS2_ONLY,
+                )
+            assert [len(s.kb.symbols) for s in process.shards] == before
+            assert [len(s.kb.symbols) for s in threaded.shards] == before
         finally:
             process.close()
 

@@ -1,14 +1,13 @@
 """The shared-memory result transport and worker fault tolerance.
 
-PR 9 moves worker→parent result traffic off the pickled pipe onto a
-ring of :class:`multiprocessing.shared_memory` slabs (see
-:mod:`repro.parallel.shm`).  The contract is the same as PR 8's: bit
-identity with the threaded cluster — candidates element-wise, full
-stats tuple — for every goal, mode, and mutation.  This suite drives
-the slab path differentially against the pickled pipe (forced by
-absurdly small slots, or by a host that cannot create shared memory)
-and the threaded reference, and proves the respawn path by killing a
-worker mid-traffic.
+Worker→parent result traffic rides a :class:`multiprocessing.
+shared_memory` slab instead of the pickled pipe (see
+:mod:`repro.parallel.shm`).  The contract is bit identity with the
+threaded cluster — candidates element-wise, full stats tuple — for
+every goal, mode, and mutation.  This suite drives the slab path
+differentially against the pickled pipe (forced by an absurdly small
+slab, or by a host that cannot create shared memory) and the threaded
+reference, and proves the respawn path by killing a worker mid-traffic.
 """
 
 import dataclasses
@@ -24,7 +23,7 @@ from repro.crs import SearchMode
 from repro.obs import Instrumentation
 from repro.parallel import ProcessShardedRetrievalServer
 from repro.parallel import server as parallel_server
-from repro.parallel.shm import encode_result, is_shm_ref
+from repro.parallel.shm import encode_results, is_shm_ref
 from repro.terms import Atom, Clause, Struct, Var, read_term
 
 PROGRAM = """
@@ -74,7 +73,7 @@ def kill_one_worker(process):
 def transport_trio():
     """Threaded reference + slab path + pickled pipe over one program.
 
-    Eight-byte slots hold no payload at all, so every result of the
+    An eight-byte slab holds no payload at all, so every result of the
     ``pipe`` server takes the overflow path.
     """
     threaded = ShardedRetrievalServer(3, ShardingPolicy.PREDICATE)
@@ -237,6 +236,62 @@ class TestWorkerRespawn:
         finally:
             process.close()
 
+    def test_every_worker_killed_under_one_fan_out(self):
+        """The pipelined fan-out retries per handle and stays in step:
+        every dead worker is replaced inside one broadcast batch, and no
+        reply is left unread to answer a later request."""
+        threaded = ShardedRetrievalServer(3, ShardingPolicy.PREDICATE)
+        threaded.consult_text(PROGRAM)
+        process = build_process()
+        try:
+            goals = [read_term(text) for text in GOALS]
+            expected = [fingerprint(r) for r in threaded.retrieve_batch(goals)]
+            for handle in list(process._handles.values()):
+                os.kill(handle.process.pid, signal.SIGKILL)
+                handle.process.join(timeout=5.0)
+            results = process.retrieve_batch(goals)
+            assert [fingerprint(r) for r in results] == expected
+            busy = {shard for r in results for shard in r.stats.per_shard}
+            assert len(busy) > 1
+            assert process.obs.registry.total(
+                "parallel.worker.restarts"
+            ) == len(busy)
+            for goal in goals:
+                assert fingerprint(process.retrieve(goal)) == fingerprint(
+                    threaded.retrieve(goal)
+                )
+        finally:
+            process.close()
+
+    def test_a_stuck_shard_times_the_fan_out_out(self):
+        """Deadline contract on the process backend: queue wait is cut
+        off, and the locks taken before the stuck one are given back."""
+        from repro.crs import RetrievalTimeout
+
+        process = ProcessShardedRetrievalServer(
+            2, ShardingPolicy.ROUND_ROBIN, obs=Instrumentation()
+        )
+        process.consult_text("q(a). q(b). q(c). q(d).")
+        process.start()
+        try:
+            goal = read_term("q(X)")
+            stuck = process.shards[1].lock
+            stuck.acquire()
+            try:
+                for entry in (
+                    lambda: process.retrieve(goal, timeout=0.05),
+                    lambda: process.retrieve_batch([goal], timeout=0.05),
+                ):
+                    with pytest.raises(RetrievalTimeout):
+                        entry()
+                    assert process.shards[0].lock.acquire(timeout=1.0)
+                    process.shards[0].lock.release()
+            finally:
+                stuck.release()
+            assert len(process.retrieve(goal, timeout=5.0).candidates) == 4
+        finally:
+            process.close()
+
     def test_mutations_survive_a_respawn(self):
         """The replacement re-exports from the parent's mutated shard."""
         threaded = ShardedRetrievalServer(3, ShardingPolicy.PREDICATE)
@@ -266,10 +321,10 @@ class TestCodec:
             stats=RetrievalStats(mode=SearchMode.FS1_ONLY, residency="main"),
             addresses=None,
         )
-        assert encode_result(result, kb=None) is None
+        assert encode_results([result], kb=None) is None
 
     def test_is_shm_ref_discriminates(self):
-        assert is_shm_ref(("__shm__", 0, 128))
-        assert not is_shm_ref(("__shm__", 0))
-        assert not is_shm_ref(["__shm__", 0, 128])
-        assert not is_shm_ref(pickle.dumps(("__shm__", 0, 128)))
+        assert is_shm_ref(("__shm__", 128))
+        assert not is_shm_ref(("__shm__", 0, 128))
+        assert not is_shm_ref(["__shm__", 128])
+        assert not is_shm_ref(pickle.dumps(("__shm__", 128)))

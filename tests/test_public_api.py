@@ -151,6 +151,8 @@ for info in pkgutil.walk_packages(repro.__path__, "repro."):
             ["consult", "kb.pl", "--fs2-mode", "microcoded"],
             ["serve", "kb.pl", "--result-transport", "pipe"],
             ["client", "--port", "1", "--solve", "p(X)", "--engine", "zip"],
+            ["loadgen", "--port", "1", "--goal", "p(X)", "--cores", "1,2"],
+            ["loadgen", "--port", "1", "--goal", "p(X)", "--workers", "threads"],
         ],
     )
     def test_removed_selector_flags_are_usage_errors(self, argv, capsys):
@@ -358,3 +360,126 @@ class TestOneReplicationLog:
         engine.thaw_writes()
         assert not engine.writes_frozen
         assert engine.durable_store is None and engine.recovered is None
+
+
+class TestOneRetrievalPath:
+    """``retrieve`` is a batch of one; the shard fan-out is written once."""
+
+    @staticmethod
+    def statements(function):
+        """The function's body, docstring aside, as AST statements."""
+        import ast
+        import inspect
+        import textwrap
+
+        (definition,) = ast.parse(
+            textwrap.dedent(inspect.getsource(function))
+        ).body
+        body = definition.body
+        if isinstance(body[0], ast.Expr) and isinstance(
+            body[0].value, ast.Constant
+        ):
+            body = body[1:]
+        return body
+
+    def test_retrieve_bodies_are_delegations(self):
+        import ast
+
+        from repro.cluster import ShardedRetrievalServer
+        from repro.crs import ClauseRetrievalServer
+
+        for cls in (ShardedRetrievalServer, ClauseRetrievalServer):
+            (only,) = self.statements(cls.retrieve)
+            assert isinstance(only, ast.Return), cls
+            assert ast.unparse(only.value).startswith(
+                "self.retrieve_batch([goal], mode"
+            ), cls
+            assert ast.unparse(only.value).endswith(")[0]"), cls
+
+    def test_the_single_goal_seam_and_its_options_are_gone(self):
+        import inspect
+
+        from repro.cluster import BatchExecutor, ShardedRetrievalServer
+        from repro.parallel import ProcessShardedRetrievalServer, WorkerConfig
+        from repro.parallel import shm
+
+        for cls in (ShardedRetrievalServer, ProcessShardedRetrievalServer):
+            assert not hasattr(cls, "_shard_retrieve")
+        assert list(inspect.signature(BatchExecutor.run).parameters) == [
+            "self", "goals", "mode", "timeout",
+        ]
+        assert list(inspect.signature(BatchExecutor).parameters) == [
+            "server", "obs",
+        ]
+        assert "shm_slots" not in inspect.signature(
+            ProcessShardedRetrievalServer
+        ).parameters
+        assert "shm_slots" not in inspect.signature(WorkerConfig).parameters
+        assert list(inspect.signature(shm.SlabWriter).parameters) == [
+            "shm", "slot_bytes",
+        ]
+        assert {"encode_results", "decode_results"} <= set(shm.__all__)
+        assert not {"encode_result", "decode_result", "encode_batch",
+                    "decode_batch"} & set(dir(shm))
+
+    def test_the_worker_has_one_retrieve_verb(self, tmp_path):
+        import threading
+        from multiprocessing import Pipe
+
+        from repro.parallel import WorkerConfig, worker_main, write_segments
+        from repro.storage import KnowledgeBase
+        from repro.terms import read_term
+
+        kb = KnowledgeBase()
+        kb.consult_text("p(a). p(b).")
+        write_segments(kb, str(tmp_path / "segments"))
+        parent, child = Pipe()
+        worker = threading.Thread(
+            target=worker_main,
+            args=(child, WorkerConfig(0, str(tmp_path / "segments"))),
+            daemon=True,
+        )
+        worker.start()
+        try:
+            assert parent.recv() == ("ok", "ready")
+            goal = read_term("p(X)")
+            parent.send(("retrieve", goal, None))
+            status, error = parent.recv()
+            assert status == "err" and "unknown worker verb" in str(error)
+            parent.send(("retrieve_batch", [([goal], None), ([goal], None)]))
+            status, results = parent.recv()
+            assert status == "ok"
+            assert [len(r.candidates) for r in results] == [2, 2]
+        finally:
+            parent.send(("stop",))
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+
+    def test_no_thread_pool_is_built_to_answer_a_retrieval(self, monkeypatch):
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.cluster import (
+            BatchExecutor,
+            ShardedRetrievalServer,
+            ShardingPolicy,
+        )
+        from repro.terms import read_term
+
+        built = []
+        genuine = ThreadPoolExecutor.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            genuine(self, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "__init__", counting)
+        server = ShardedRetrievalServer(4, ShardingPolicy.FIRST_ARG)
+        server.consult_text(" ".join(f"p(k{i}, v{i % 5})." for i in range(40)))
+        broadcast = server.retrieve(read_term("p(X, v3)"))
+        assert broadcast.stats.shards_queried == 4
+        assert len(broadcast.candidates) == 8
+        mixed = [read_term(t) for t in ("p(k7, V)", "p(X, v1)", "p(k9, v4)")]
+        results = server.retrieve_batch(mixed)
+        assert [len(r.candidates) for r in results] == [1, 8, 1]
+        assert len(BatchExecutor(server).run(mixed, timeout=5.0)) == 3
+        assert not built

@@ -82,6 +82,8 @@ GOALS = [
     for text in (
         "p(A, B, C)", "p(a, B, C)", "p(S, S, C)", "p(0.0, B, C)",
         "w(a0, " + ", ".join(f"V{i}" for i in range(13)) + ")",
+        # constants no step ever stores: a read must not intern them
+        "p(never_stored, B, 6.125)", "p(S, S, never(stored))",
     )
 ]
 
@@ -462,17 +464,6 @@ def run_process_pair(steps, num_shards=2) -> None:
     for backend in (threaded, process):
         backend.consult_clauses(seed + EDGE_CLAUSES)
         backend.pin_module("user", Residency.DISK)
-        # FS2's query encoder interns a goal's constants into the symbol
-        # table of the shard it runs on.  Load every goal into every
-        # shard's FS2 once before the export, so no worker ever interns
-        # a symbol its parent has not: the parent decodes the workers'
-        # records with its own tables, and a table that drifted would
-        # misread every symbol interned after (a gap in the process
-        # backend that predates this suite — see ROADMAP — and is not
-        # what is under test here).
-        for shard in backend.shards:
-            for goal in GOALS:
-                shard.server.fs2.set_query(goal)
     process.start()
     try:
         model = Model()
