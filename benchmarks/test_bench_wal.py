@@ -54,7 +54,7 @@ def test_bench_wal_mixed_workload(tmp_path, quick):
         engine = build_engine(tmp_path / f"mix{index}", facts)
         baseline = engine.clause_count()
         service = RetrievalService(
-            engine, max_in_flight=8, executor_workers=8, queue_limit=64
+            engine, max_in_flight=8, queue_limit=64
         )
         with BackgroundService(service) as background:
             host, port = background.start()

@@ -30,7 +30,7 @@ from .engine import PrologMachine
 from .fs2 import assemble_search_program, table1, worst_case_rate_bytes_per_sec
 from .fs2.microcode import disassemble
 from .obs import Instrumentation
-from .storage import KnowledgeBase, Residency
+from .storage import KnowledgeBase, Residency, UnknownPredicateError
 from .terms import ReaderError, read_term, term_to_string
 
 __all__ = ["main", "build_parser"]
@@ -121,10 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-in-flight", type=int, default=4,
         help="concurrent retrievals executing (worker threads)",
-    )
-    serve.add_argument(
-        "--executor-workers", type=int, default=None,
-        help="service thread-pool size (default: --max-in-flight)",
     )
     serve.add_argument(
         "--queue-limit", type=int, default=16,
@@ -290,7 +286,9 @@ def _dispatch(args: argparse.Namespace, out) -> int:
         machine = PrologMachine(
             KnowledgeBase(), unknown_predicates="fail", output=out
         )
-        _run_goal(machine, args.text, args.max_solutions, out)
+        _print_answers(
+            args.text, machine.solve_text(args.text), args.max_solutions, out
+        )
         return 0
     if args.command == "stats":
         return _cmd_stats(args, out)
@@ -390,7 +388,9 @@ def _cmd_consult(args, out) -> int:
         return _cmd_sharded(args, out, obs)
     machine = _load_machine(args, out, obs)
     for goal_text in args.goal:
-        _run_goal(machine, goal_text, args.max_solutions, out)
+        _print_answers(
+            goal_text, machine.solve_text(goal_text), args.max_solutions, out
+        )
     if args.goal:
         stats = machine.stats
         modes = ", ".join(
@@ -418,22 +418,23 @@ def _cmd_stats(args, out) -> int:
         return code
     machine = _load_machine(args, out, obs, cache_size=args.cache)
     for goal_text in args.goal:
-        _run_goal(machine, goal_text, args.max_solutions, out)
+        _print_answers(
+            goal_text, machine.solve_text(goal_text), args.max_solutions, out
+        )
     out.write(format_metrics(obs) + "\n")
     _write_trace(args, obs, out)
     return 0
 
 
 def _cmd_sharded(args, out, obs: Instrumentation | None, cache_size: int = 0) -> int:
-    """Consult a program into an N-shard cluster and batch the goals.
+    """Consult a program into an N-shard cluster and run the goals.
 
-    The sharded path is a *retrieval* front-end: goals are clause
-    retrievals answered by full unification over the merged candidates
-    (no builtin evaluation), and the whole goal list also runs as one
-    batch so per-shard busy time and the parallel-disk speedup can be
-    reported.
+    A goal means what it means at ``--shards 1``: it is *resolved* (the
+    solve engine over the cluster's merged candidates).  The goal list
+    also runs once as one retrieval batch, so per-shard busy time and
+    the parallel-disk speedup can be reported.
     """
-    from .terms import variables
+    from .engine.solve import SolveEngine
 
     server = ShardedRetrievalServer(
         args.shards,
@@ -455,43 +456,37 @@ def _cmd_sharded(args, out, obs: Instrumentation | None, cache_size: int = 0) ->
         out.write("shard programs pinned to the simulated disks\n")
     mode = SearchMode(args.mode) if args.mode else None
     goals = [read_term(text) for text in args.goal]
+    solver = SolveEngine(server, mode=mode)
     for goal_text, goal in zip(args.goal, goals):
-        out.write(f"?- {goal_text}.\n")
-        shown = 0
-        for _, bindings in server.solutions(goal, mode=mode):
-            named = [v for v in variables(goal) if not v.is_anonymous()]
-            if not named:
-                out.write("   true\n")
-            else:
-                rendered = ", ".join(
-                    f"{v.name} = {term_to_string(bindings.resolve(v))}"
-                    for v in named
-                )
-                out.write(f"   {rendered}\n")
-            shown += 1
-            if shown >= args.max_solutions:
-                out.write("   ... (solution limit reached)\n")
-                break
-        if shown == 0:
-            out.write("   false\n")
+        _print_answers(goal_text, solver.solve(goal), args.max_solutions, out)
     if goals:
-        # The batch goes through the per-shard batched-FS1 path: each
-        # shard amortises its sub-queries over one columnar index pass.
-        batch = BatchExecutor(server).run(goals, mode=mode)
-        stats = batch.stats
-        busy = " ".join(
-            f"s{k}={v * 1e3:.3f}ms" for k, v in sorted(stats.shard_busy_s.items())
-        )
-        out.write(
-            f"[batch] goals={stats.goals} "
-            f"wall={stats.wall_clock_s * 1e3:.3f}ms "
-            f"serial={stats.serial_time_s * 1e3:.3f}ms "
-            f"speedup={stats.speedup:.2f}x\n"
-        )
-        if busy:
-            out.write(f"[batch] shard busy: {busy}\n")
+        _print_batch(server, goals, mode, out)
     _write_trace(args, obs, out)
     return 0
+
+
+def _print_batch(server, goals, mode, out) -> None:
+    """The ``[batch]`` accounting lines: the goals as one retrieval batch."""
+    try:
+        # The batch goes through the per-shard batched-FS1 path: each
+        # shard amortises its sub-queries over one columnar index pass.
+        stats = BatchExecutor(server).run(goals, mode=mode).stats
+    except UnknownPredicateError as exc:
+        # A conjunction or a builtin resolves (above) but is not a
+        # retrieval of one stored predicate: there is nothing to batch.
+        out.write(f"[batch] skipped: {exc.args[0]}\n")
+        return
+    busy = " ".join(
+        f"s{k}={v * 1e3:.3f}ms" for k, v in sorted(stats.shard_busy_s.items())
+    )
+    out.write(
+        f"[batch] goals={stats.goals} "
+        f"wall={stats.wall_clock_s * 1e3:.3f}ms "
+        f"serial={stats.serial_time_s * 1e3:.3f}ms "
+        f"speedup={stats.speedup:.2f}x\n"
+    )
+    if busy:
+        out.write(f"[batch] shard busy: {busy}\n")
 
 
 def _cmd_serve(args, out) -> int:
@@ -557,7 +552,6 @@ def _cmd_serve(args, out) -> int:
         args.host,
         args.port,
         max_in_flight=args.max_in_flight,
-        executor_workers=args.executor_workers,
         queue_limit=args.queue_limit,
         default_deadline_s=(
             args.default_deadline_ms / 1000.0
@@ -622,25 +616,18 @@ def _cmd_client(args, out) -> int:
     try:
         with RetrievalClient(args.host, args.port) as client:
             for query_text in args.solve:
-                out.write(f"?- {query_text}.\n")
-                shown = 0
-                for solution in client.solve(
-                    read_term(query_text),
-                    mode=mode,
-                    deadline_s=deadline_s,
-                    max_solutions=args.max_solutions,
-                ):
-                    if not solution:
-                        out.write("   true\n")
-                    else:
-                        rendered = ", ".join(
-                            f"{name} = {term_to_string(value)}"
-                            for name, value in sorted(solution.items())
-                        )
-                        out.write(f"   {rendered}\n")
-                    shown += 1
-                if shown == 0:
-                    out.write("   false\n")
+                # The server applies the cap; a solution frame carries
+                # its bindings sorted by name.
+                _print_answers(
+                    query_text,
+                    client.solve(
+                        read_term(query_text),
+                        mode=mode,
+                        deadline_s=deadline_s,
+                        max_solutions=args.max_solutions,
+                    ),
+                    None, out,
+                )
             for text in args.assert_clauses:
                 version, _, _ = client.mutate(
                     "assertz", read_term(text), deadline_s=deadline_s
@@ -749,10 +736,11 @@ def _write_trace(args, obs: Instrumentation | None, out) -> None:
     out.write(f"wrote {count} spans to {path}\n")
 
 
-def _run_goal(machine: PrologMachine, goal_text: str, limit: int, out) -> None:
+def _print_answers(goal_text: str, solutions, limit: int | None, out) -> None:
+    """Render a goal and its answers; ``limit`` caps how many are shown."""
     out.write(f"?- {goal_text}.\n")
     shown = 0
-    for solution in machine.solve_text(goal_text):
+    for solution in solutions:
         if not solution:
             out.write("   true\n")
         else:
@@ -762,7 +750,7 @@ def _run_goal(machine: PrologMachine, goal_text: str, limit: int, out) -> None:
             )
             out.write(f"   {rendered}\n")
         shown += 1
-        if shown >= limit:
+        if limit is not None and shown >= limit:
             out.write("   ... (solution limit reached)\n")
             break
     if shown == 0:

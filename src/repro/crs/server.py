@@ -53,7 +53,8 @@ class RetrievalTimeout(TimeoutError):
     Raised by the cluster fan-out
     (:meth:`repro.cluster.ShardedRetrievalServer.retrieve_batch` and
     everything that enters through it) when a shard cannot be acquired
-    within the caller's budget.  The network service layer maps it to a
+    within the caller's budget, and by a single engine handed a budget
+    already spent.  The network service layer maps it to a
     ``DEADLINE_EXPIRED`` error frame.
     """
 
@@ -267,12 +268,20 @@ class ClauseRetrievalServer(CachedFrontDoor):
 
     # -- public API --------------------------------------------------------
 
-    def retrieve(self, goal: Term, mode: SearchMode | None = None) -> RetrievalResult:
+    def retrieve(
+        self,
+        goal: Term,
+        mode: SearchMode | None = None,
+        timeout: float | None = None,
+    ) -> RetrievalResult:
         """All candidate clauses for ``goal``: a batch of one."""
-        return self.retrieve_batch([goal], mode)[0]
+        return self.retrieve_batch([goal], mode, timeout)[0]
 
     def retrieve_batch(
-        self, goals: list[Term], mode: SearchMode | None = None
+        self,
+        goals: list[Term],
+        mode: SearchMode | None = None,
+        timeout: float | None = None,
     ) -> list[RetrievalResult]:
         """Candidates for every goal under the chosen (or planned) mode.
 
@@ -284,10 +293,17 @@ class ClauseRetrievalServer(CachedFrontDoor):
         the batch needs is loaded once); candidate sets and per-goal
         simulated accounting are those of the goals retrieved one by
         one.
+
+        ``timeout`` (host seconds) is the cluster front door's deadline
+        contract on one engine: a budget already spent raises
+        :class:`RetrievalTimeout` before any work, and a retrieval that
+        has started is not pre-empted.
         """
         from ..terms import term_to_string
         from .planner import select_mode  # local import avoids a cycle
 
+        if timeout is not None and timeout <= 0:
+            raise RetrievalTimeout("retrieval deadline expired before any work")
         results: list[RetrievalResult | None] = [None] * len(goals)
         # One batched scan per FS1-involving (predicate, mode); every
         # other plan is a group of its own.  Members are

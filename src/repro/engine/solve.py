@@ -32,7 +32,6 @@ What the adapter adds over a bare ``retrieve`` call:
 
 from __future__ import annotations
 
-import inspect
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -73,8 +72,9 @@ class RetrieverStats:
 class ClusterRetriever:
     """A cluster (or single CRS) behind the engines' retriever contract.
 
-    ``backend`` needs ``retrieve_batch(goals, mode=...)`` returning one
-    object with a ``candidates`` list per goal; ``version`` and
+    ``backend`` needs ``retrieve_batch(goals, mode=..., timeout=...)``
+    returning one object with a ``candidates`` list per goal (``timeout``
+    is the budget left, in seconds, or ``None``); ``version`` and
     ``router`` are picked up when present (the sharded front door has
     both).  Not thread-safe: one retriever per running query.
     """
@@ -102,8 +102,6 @@ class ClusterRetriever:
             cache_size, max_bytes=cache_bytes, cost=_candidates_cost
         )
         self._deadline: float | None = None
-        self._batch = backend.retrieve_batch
-        self._supports_timeout = _accepts_timeout(self._batch)
         self._router = getattr(backend, "router", None)
 
     # -- the Retriever contract ---------------------------------------------
@@ -146,7 +144,9 @@ class ClusterRetriever:
         try:
             batches = [
                 list(result.candidates)
-                for result in self._retrieve([goal, *extras])
+                for result in self._backend.retrieve_batch(
+                    [goal, *extras], mode=self.mode, timeout=self._remaining()
+                )
             ]
         except UnknownPredicateError:
             if self.unknown == "error":
@@ -162,12 +162,6 @@ class ClusterRetriever:
         self._deadline = deadline
 
     # -- internals -----------------------------------------------------------
-
-    def _retrieve(self, goals: list[Term]):
-        if self._supports_timeout:
-            return self._batch(goals, mode=self.mode, timeout=self._remaining())
-        self._remaining()  # the deadline check a timeout-less backend lacks
-        return self._batch(goals, mode=self.mode)
 
     def _remaining(self) -> float | None:
         if self._deadline is None:
@@ -211,13 +205,6 @@ def _candidates_cost(candidates: list[Clause]) -> int:
             elif isinstance(term, (Atom, Var)):
                 total += len(term.name)
     return total
-
-
-def _accepts_timeout(callable_) -> bool:
-    try:
-        return "timeout" in inspect.signature(callable_).parameters
-    except (TypeError, ValueError):  # builtins, C callables
-        return False
 
 
 def _goal_indicator(goal: Term) -> tuple[str, int]:

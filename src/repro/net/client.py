@@ -1,8 +1,9 @@
 """Deadline-aware clients for the CLARE wire protocol.
 
 One request core, two I/O drivers.  :class:`_RequestCore` is everything
-about a call that is *policy* — verb table, framing, response
-validation, retries, deadline, connection pool — written once as
+about a call that is *policy* — framing by the shared verb table
+(:data:`repro.net.protocol.VERBS`), response validation, retries,
+deadline, connection pool — written once as
 coroutines that touch no socket.  :class:`RetrievalClient` (for host
 Prolog systems and scripts) runs them over blocking sockets,
 :class:`AsyncRetrievalClient` (for open-loop load generation and other
@@ -151,56 +152,6 @@ _RETRYABLE = (ServerBusy, ServerDraining, ConnectError, ConnectionError, OSError
 _MUTATION_RETRYABLE = (ServerBusy, ServerDraining, ConnectError, WritesFrozen)
 
 
-@dataclass(frozen=True)
-class _Verb:
-    """One row of the verb table: how a call is framed and answered.
-
-    The codecs are named, not captured, and looked up on ``protocol``
-    per call, so a wrapper installed on the module attribute (outside-in
-    tracing, a monkeypatch) sees the client's calls too.
-    """
-
-    request: FrameType
-    encoder: str | None  # called (*args, deadline_ms=, **options); None: b""
-    response: FrameType
-    decoder: str | None  # None: nothing to decode, the answer is True
-    #: ends a streamed answer, after any number of ``response`` frames;
-    #: ``None``: one ``response`` frame is the whole answer
-    trailer: FrameType | None = None
-    retryable: tuple = _RETRYABLE
-
-
-_VERBS = {
-    "retrieve": _Verb(
-        FrameType.REQ_RETRIEVE, "encode_retrieve_request",
-        FrameType.RESP_RESULT, "decode_result_response",
-    ),
-    "retrieve_batch": _Verb(
-        FrameType.REQ_RETRIEVE_BATCH, "encode_batch_request",
-        FrameType.RESP_BATCH, "decode_batch_response",
-    ),
-    "solve": _Verb(
-        FrameType.REQ_SOLVE, "encode_solve_request",
-        FrameType.RESP_SOLUTION, "decode_solution",
-        trailer=FrameType.RESP_SOLVE_DONE,
-    ),
-    "mutate": _Verb(
-        FrameType.REQ_MUTATE, "encode_mutate_request",
-        FrameType.RESP_MUTATED, "decode_mutated_response",
-        retryable=_MUTATION_RETRYABLE,
-    ),
-    "manifest": _Verb(
-        FrameType.REQ_MANIFEST, None,
-        FrameType.RESP_MANIFEST, "decode_manifest_response",
-    ),
-    "ping": _Verb(FrameType.REQ_PING, None, FrameType.RESP_PONG, None),
-    "stats": _Verb(
-        FrameType.REQ_STATS, None,
-        FrameType.RESP_STATS, "decode_stats_response",
-    ),
-}
-
-
 @dataclass
 class _RequestCore:
     """The I/O-free half of a client: every decision, no socket.
@@ -242,13 +193,16 @@ class _RequestCore:
     async def answers(self, name: str, *args, deadline_s=None, pick=None, **options):
         """One call of verb ``name``, attempts and backoff included: its
         answers (one for a unary verb), each decoded and ``pick``-ed."""
-        verb = _VERBS[name]
+        verb = protocol.VERBS[name]
+        # Which failures may be retried is the one column only a client
+        # reads, so it lives here and not in the table.
+        retryable = _MUTATION_RETRYABLE if name == "mutate" else _RETRYABLE
         budget = _Budget(self.backoff, self.rng, deadline_s)
         while True:
             budget.check("before the request left")
             payload = b""
-            if verb.encoder is not None:
-                payload = getattr(protocol, verb.encoder)(
+            if verb.encode_request is not None:
+                payload = getattr(protocol, verb.encode_request)(
                     *args, deadline_ms=budget.deadline_ms(), **options
                 )
             with self._lock:
@@ -272,8 +226,9 @@ class _RequestCore:
                                 f"expected {verb.response.name}, got {frame.type.name}"
                             )
                         answer = True
-                        if verb.decoder is not None:
-                            answer = getattr(protocol, verb.decoder)(frame.payload)
+                        if verb.decode_response is not None:
+                            decode = getattr(protocol, verb.decode_response)
+                            answer = decode(frame.payload)
                         if pick is not None:
                             answer = pick(answer)
                         if verb.trailer is None:
@@ -293,7 +248,7 @@ class _RequestCore:
                     # in flight; the connection cannot be pooled unless
                     # its last frame arrived.
                     self._settle(conn, keep)
-            except verb.retryable as exc:
+            except retryable as exc:
                 if streaming:
                     raise
                 delay = budget.next_delay(exc)

@@ -174,6 +174,80 @@ class Frame:
     payload: bytes
 
 
+@dataclass(frozen=True)
+class Verb:
+    """One row of the verb table: the wire facts of one verb.
+
+    Both ends read it — the client frames a call and checks the answer
+    against the row, the server admits, decodes and answers by it.  The
+    codecs are *named*, not captured, and looked up on this module per
+    call, so a wrapper installed on the module attribute (outside-in
+    tracing, a monkeypatch) sees either side's calls.
+    """
+
+    name: str
+    request: FrameType
+    encode_request: str | None  # called (*args, deadline_ms=, **options); None: b""
+    decode_request: str | None  # None: the request carries nothing
+    response: FrameType
+    encode_response: str | None  # None: the answer carries nothing
+    decode_response: str | None  # None: nothing to decode, the answer is True
+    #: ends a streamed answer, after any number of ``response`` frames;
+    #: ``None``: one ``response`` frame is the whole answer
+    trailer: FrameType | None = None
+    #: ``False``: answered inline on the event loop, outside admission
+    #: control — a health probe must get through a saturated server
+    admitted: bool = True
+
+
+_ROWS = (
+    Verb(
+        "retrieve",
+        FrameType.REQ_RETRIEVE, "encode_retrieve_request", "decode_retrieve_request",
+        FrameType.RESP_RESULT, "encode_result_response", "decode_result_response",
+    ),
+    Verb(
+        "retrieve_batch",
+        FrameType.REQ_RETRIEVE_BATCH, "encode_batch_request", "decode_batch_request",
+        FrameType.RESP_BATCH, "encode_batch_response", "decode_batch_response",
+    ),
+    Verb(
+        "solve",
+        FrameType.REQ_SOLVE, "encode_solve_request", "decode_solve_request",
+        FrameType.RESP_SOLUTION, "encode_solution", "decode_solution",
+        trailer=FrameType.RESP_SOLVE_DONE,
+    ),
+    Verb(
+        "mutate",
+        FrameType.REQ_MUTATE, "encode_mutate_request", "decode_mutate_request",
+        FrameType.RESP_MUTATED, "encode_mutated_response", "decode_mutated_response",
+    ),
+    Verb(
+        "manifest",
+        FrameType.REQ_MANIFEST, None, None,
+        FrameType.RESP_MANIFEST, "encode_manifest_response", "decode_manifest_response",
+        admitted=False,
+    ),
+    Verb(
+        "ping",
+        FrameType.REQ_PING, None, None,
+        FrameType.RESP_PONG, None, None,
+        admitted=False,
+    ),
+    Verb(
+        "stats",
+        FrameType.REQ_STATS, None, None,
+        FrameType.RESP_STATS, "encode_stats_response", "decode_stats_response",
+        admitted=False,
+    ),
+)
+
+#: the table by verb name (how a client finds the row of a call) and by
+#: request frame type (how a server finds the row of a frame)
+VERBS = {verb.name: verb for verb in _ROWS}
+VERB_OF_REQUEST = {verb.request: verb for verb in _ROWS}
+
+
 def encode_frame(frame_type: FrameType, request_id: int, payload: bytes) -> bytes:
     return HEADER.pack(
         MAGIC, VERSION, int(frame_type), request_id, len(payload)
@@ -714,46 +788,42 @@ def decode_stats_response(payload: bytes) -> dict:
 # -- error mapping ------------------------------------------------------------
 
 
+#: The ``(code, exception class)`` pairs, written once.  A server
+#: reports the code of the first row its failure is an instance of, so a
+#: subclass sits above its base (``ResourceError`` above ``PrologError``);
+#: a client raises the class of the first row of the code it is sent
+#: (``RetrievalTimeout`` folds into ``DEADLINE_EXPIRED`` one way only).
+_ERRORS = (
+    (ErrorCode.SERVER_BUSY, ServerBusy),
+    (ErrorCode.DEADLINE_EXPIRED, DeadlineExceeded),
+    (ErrorCode.DEADLINE_EXPIRED, RetrievalTimeout),
+    (ErrorCode.UNKNOWN_PREDICATE, UnknownPredicateError),
+    (ErrorCode.SHUTTING_DOWN, ServerDraining),
+    (ErrorCode.RESOURCE_EXHAUSTED, ResourceError),
+    (ErrorCode.RESOLUTION_ERROR, PrologError),
+    (ErrorCode.STALE_MANIFEST, StaleManifest),
+    (ErrorCode.WRITE_FROZEN, WritesFrozen),
+)
+
+
 def error_to_exception(code: ErrorCode, message: str) -> Exception:
-    """The client-side exception for a ``RESP_ERROR`` frame."""
-    if code is ErrorCode.SERVER_BUSY:
-        return ServerBusy(message)
-    if code is ErrorCode.DEADLINE_EXPIRED:
-        return DeadlineExceeded(message)
-    if code is ErrorCode.UNKNOWN_PREDICATE:
-        return UnknownPredicateError(message)
-    if code is ErrorCode.SHUTTING_DOWN:
-        return ServerDraining(message)
-    if code is ErrorCode.RESOURCE_EXHAUSTED:
-        return ResourceError(message)
-    if code is ErrorCode.RESOLUTION_ERROR:
-        return PrologError(message)
-    if code is ErrorCode.STALE_MANIFEST:
-        return StaleManifest(message)
-    if code is ErrorCode.WRITE_FROZEN:
-        return WritesFrozen(message)
+    """The client-side exception for a ``RESP_ERROR`` frame.
+
+    ``BAD_REQUEST`` and ``INTERNAL`` have no class of their own: both
+    surface as a :class:`RemoteError` naming the code."""
+    for row_code, exception_class in _ERRORS:
+        if row_code is code:
+            return exception_class(message)
     return RemoteError(f"{code.name}: {message}")
 
 
 def exception_to_error(exc: BaseException) -> tuple[ErrorCode, str]:
     """The wire (code, message) a server reports for a handler failure."""
-    if isinstance(exc, ServerBusy):
-        return ErrorCode.SERVER_BUSY, str(exc)
-    if isinstance(exc, (DeadlineExceeded, RetrievalTimeout)):
-        return ErrorCode.DEADLINE_EXPIRED, str(exc)
-    if isinstance(exc, UnknownPredicateError):
-        # KeyError reprs quote the message; unwrap the original text.
-        return ErrorCode.UNKNOWN_PREDICATE, str(exc.args[0] if exc.args else exc)
-    if isinstance(exc, ServerDraining):
-        return ErrorCode.SHUTTING_DOWN, str(exc)
-    if isinstance(exc, ResourceError):
-        return ErrorCode.RESOURCE_EXHAUSTED, str(exc)
-    if isinstance(exc, PrologError):
-        return ErrorCode.RESOLUTION_ERROR, str(exc)
-    if isinstance(exc, StaleManifest):
-        return ErrorCode.STALE_MANIFEST, str(exc)
-    if isinstance(exc, WritesFrozen):
-        return ErrorCode.WRITE_FROZEN, str(exc)
+    for code, exception_class in _ERRORS:
+        if isinstance(exc, exception_class):
+            # KeyError reprs quote the message; unwrap the original text.
+            unquoted = isinstance(exc, KeyError) and exc.args
+            return code, str(exc.args[0] if unquoted else exc)
     if isinstance(exc, (ProtocolError, ValueError, KeyError)):
         return ErrorCode.BAD_REQUEST, str(exc)
     return ErrorCode.INTERNAL, f"{type(exc).__name__}: {exc}"

@@ -13,11 +13,17 @@ them), and an explicit admission controller:
   instead of unbounded queueing latency — the p99 of admitted requests
   stays bounded by design, which the overload test asserts.
 
+What a request frame *is* — its codecs, its response and trailer
+frames, whether it is admitted or answered inline — is a row of
+:data:`repro.net.protocol.VERBS`, the table the clients frame their
+calls by; how an admitted request *lives* is written once, in
+:meth:`RetrievalService._serve`, for every verb.
+
 Deadlines are enforced twice: a request that spent its whole budget
 waiting for a worker fails with ``DEADLINE_EXPIRED`` before touching an
 engine, and the remaining budget rides into the engine fan-out as the
-:meth:`~repro.cluster.ShardedRetrievalServer.retrieve` ``timeout`` (a
-stuck shard raises :class:`~repro.crs.RetrievalTimeout`, reported on
+:meth:`~repro.cluster.ShardedRetrievalServer.retrieve_batch` ``timeout``
+(a stuck shard raises :class:`~repro.crs.RetrievalTimeout`, reported on
 the same error frame).
 
 Shutdown is a *drain*: stop accepting connections, refuse new requests
@@ -29,6 +35,7 @@ pool.  Nothing admitted is ever dropped.
 from __future__ import annotations
 
 import asyncio
+import functools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -43,18 +50,49 @@ from .protocol import (
     ErrorCode,
     FrameType,
     ProtocolError,
+    StaleManifest,
 )
 
 __all__ = ["RetrievalService", "BackgroundService"]
 
 
+class _ClientGone(Exception):
+    """The peer hung up before its answer was flushed."""
+
+
+#: Wire mutation op -> the public engine method that applies it, whether
+#: that method takes ``module``, and how its return value reads as the
+#: ``(applied, removed clause)`` of a ``RESP_MUTATED`` frame.
+_MUTATORS = {
+    "assertz": ("assertz", True, lambda _: (True, None)),
+    "asserta": ("asserta", True, lambda _: (True, None)),
+    "retract": (
+        "retract_matching", False, lambda removed: (removed is not None, removed)
+    ),
+    "retract_exact": ("remove_exact", False, lambda applied: (applied, None)),
+}
+
+
+def _answer(verb: protocol.Verb, *args) -> tuple[FrameType, str | None, tuple]:
+    """One answer of ``verb``, not yet encoded: its response frame type,
+    the codec its row names and the codec's arguments."""
+    return verb.response, verb.encode_response, args
+
+
+def _encoded(answer) -> tuple[FrameType, bytes]:
+    """The frame of an answer, encoded where it is about to be written."""
+    frame_type, codec, args = answer
+    return frame_type, getattr(protocol, codec)(*args) if codec else b""
+
+
 class RetrievalService:
-    """Serve ``retrieve``/``retrieve_batch`` over the wire protocol.
+    """Serve every verb of the wire protocol against one engine.
 
     ``engine`` is anything honouring the sharded server's contract —
-    ``retrieve(goal, mode=..., timeout=...)`` and ``retrieve_batch`` —
-    which in practice means a :class:`~repro.cluster.ShardedRetrievalServer`
-    (a one-shard cluster wraps a single CLARE engine).
+    ``retrieve_batch(goals, mode=..., timeout=...)``, ``clause_count()``
+    and, to take writes, the mutators and ``version`` — which in
+    practice means a :class:`~repro.cluster.ShardedRetrievalServer` (a
+    one-shard cluster wraps a single CLARE engine).
     """
 
     def __init__(
@@ -64,7 +102,6 @@ class RetrievalService:
         port: int = 0,
         *,
         max_in_flight: int = 4,
-        executor_workers: int | None = None,
         queue_limit: int = 16,
         default_deadline_s: float | None = None,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
@@ -83,19 +120,25 @@ class RetrievalService:
         self.default_deadline_s = default_deadline_s
         self.max_frame_bytes = max_frame_bytes
         self.obs = obs if obs is not None else _default_obs()
-        # Admission control bounds concurrency at ``max_in_flight``
-        # requests whatever the pool size.
-        self.executor_workers = (
-            executor_workers if executor_workers is not None else max_in_flight
-        )
-        if self.executor_workers < max_in_flight:
-            raise ValueError(
-                "executor_workers must be >= max_in_flight or admitted "
-                "requests would starve in the pool queue"
-            )
+        # One worker per admitted-and-executing request: admission
+        # control is what bounds concurrency.
         self._executor = ThreadPoolExecutor(
-            max_workers=self.executor_workers, thread_name_prefix="clare-net"
+            max_workers=max_in_flight, thread_name_prefix="clare-net"
         )
+        # The server's half of the verb table, by row name.  An inline
+        # row's entry gives the arguments of its response encoder; an
+        # admitted row's is described under "the admitted verbs".
+        self._inline = {
+            "ping": tuple,
+            "stats": lambda: (self.stats_snapshot(),),
+            "manifest": self._manifest_json,
+        }
+        self._verbs = {
+            "retrieve": self._retrieve,
+            "retrieve_batch": self._retrieve,
+            "solve": self._solve,
+            "mutate": self._mutate,
+        }
         self._server: asyncio.AbstractServer | None = None
         self._admitted = 0  # queued + executing requests
         self._handled = 0  # admitted requests fully responded to
@@ -210,6 +253,11 @@ class RetrievalService:
         self.obs.counter("net.connections").inc()
         self._connections.add(writer)
         write_lock = asyncio.Lock()
+
+        def reply_to(request_id: int):
+            """Where a request's frames go: ``await reply(frame)``."""
+            return functools.partial(self._send, writer, write_lock, request_id)
+
         try:
             while True:
                 try:
@@ -225,7 +273,7 @@ class RetrievalService:
                     # Framing is unrecoverable: report and hang up.
                     self.obs.counter("net.bad_frames").inc()
                     await self._send_error(
-                        writer, write_lock, 0, ErrorCode.BAD_REQUEST, str(exc)
+                        reply_to(0), ErrorCode.BAD_REQUEST, str(exc)
                     )
                     break
                 except (asyncio.IncompleteReadError, ConnectionError, OSError):
@@ -235,7 +283,7 @@ class RetrievalService:
                     protocol.HEADER.size + length
                 )
                 await self._dispatch(
-                    writer, write_lock, frame_type, request_id, payload
+                    reply_to(request_id), frame_type, request_id, payload
                 )
         finally:
             self._connections.discard(writer)
@@ -247,158 +295,131 @@ class RetrievalService:
                 pass
 
     async def _dispatch(
-        self,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        frame_type: FrameType,
-        request_id: int,
-        payload: bytes,
+        self, reply, frame_type: FrameType, request_id: int, payload: bytes
     ) -> None:
-        if frame_type is FrameType.REQ_PING:
-            await self._send(writer, write_lock, FrameType.RESP_PONG,
-                             request_id, b"")
-            return
-        if frame_type is FrameType.REQ_STATS:
-            await self._send(
-                writer, write_lock, FrameType.RESP_STATS, request_id,
-                protocol.encode_stats_response(self.stats_snapshot()),
-            )
-            return
-        if frame_type is FrameType.REQ_MANIFEST:
-            if self.manifest_holder is None:
-                await self._send_error(
-                    writer, write_lock, request_id, ErrorCode.BAD_REQUEST,
-                    "this node serves no cluster manifest",
-                )
-                return
-            await self._send(
-                writer, write_lock, FrameType.RESP_MANIFEST, request_id,
-                protocol.encode_manifest_response(
-                    self.manifest_holder.current.to_json()
-                ),
-            )
-            return
-        if frame_type not in (
-            FrameType.REQ_RETRIEVE, FrameType.REQ_RETRIEVE_BATCH,
-            FrameType.REQ_SOLVE, FrameType.REQ_MUTATE,
-        ):
+        verb = protocol.VERB_OF_REQUEST.get(frame_type)
+        if verb is None:
             await self._send_error(
-                writer, write_lock, request_id, ErrorCode.BAD_REQUEST,
+                reply, ErrorCode.BAD_REQUEST,
                 f"unexpected frame type {frame_type.name}",
             )
+            return
+        if not verb.admitted:
+            try:
+                answer = self._inline[verb.name]()
+            except ProtocolError as exc:
+                await self._send_error(reply, ErrorCode.BAD_REQUEST, str(exc))
+                return
+            await reply(_encoded(_answer(verb, *answer)))
             return
         # -- admission control ------------------------------------------
         if self._draining:
             await self._send_error(
-                writer, write_lock, request_id, ErrorCode.SHUTTING_DOWN,
-                "server is draining",
+                reply, ErrorCode.SHUTTING_DOWN, "server is draining"
             )
             return
         if self._admitted >= self.max_in_flight + self.queue_limit:
             self.obs.counter("net.busy_rejected").inc()
             await self._send_error(
-                writer, write_lock, request_id, ErrorCode.SERVER_BUSY,
+                reply, ErrorCode.SERVER_BUSY,
                 f"{self._admitted} requests already admitted",
             )
             return
         self._admitted += 1
         self.obs.counter("net.accepted").inc()
         self._update_load_gauges()
-        if frame_type is FrameType.REQ_SOLVE:
-            handler = self._serve_solve
-        elif frame_type is FrameType.REQ_MUTATE:
-            handler = self._serve_mutate
-        else:
-            handler = self._serve_request
         task = asyncio.create_task(
-            handler(writer, write_lock, frame_type, request_id, payload)
+            self._serve(reply, verb, request_id, payload)
         )
         self._inflight.add(task)
         task.add_done_callback(self._inflight.discard)
 
-    # -- request execution ---------------------------------------------------
+    def _manifest_json(self) -> tuple[str]:
+        if self.manifest_holder is None:
+            raise ProtocolError("this node serves no cluster manifest")
+        return (self.manifest_holder.current.to_json(),)
 
-    async def _serve_request(
-        self,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        frame_type: FrameType,
-        request_id: int,
-        payload: bytes,
+    # -- the request lifecycle -----------------------------------------------
+
+    async def _serve(
+        self, reply, verb: protocol.Verb, request_id: int, payload: bytes
     ) -> None:
+        """One admitted request of any verb, from decode to accounting.
+
+        On the event loop: decode the payload, let the verb refuse the
+        request before it queues, fix the deadline, and — last — encode
+        and write a unary answer, so a slow reader never pins a pool
+        worker.  On a pool worker (the engines are synchronous): the
+        queue-wait check and the verb body.  A *streamed* answer is
+        encoded and flushed from the worker frame by frame, blocking it,
+        so a slow client exerts backpressure on the search instead of
+        buffering unbounded solutions server-side (an answer is always
+        encoded by whoever writes it).  Every failure leaves as one
+        ``RESP_ERROR`` frame, except a peer that hung up; either way the
+        admitted request is not done until its last frame is flushed,
+        which is what drain waits on.
+        """
         started = time.monotonic()
-        batch = frame_type is FrameType.REQ_RETRIEVE_BATCH
+        loop = asyncio.get_running_loop()
+
+        def flush(answer) -> None:
+            sent = asyncio.run_coroutine_threadsafe(reply(_encoded(answer)), loop)
+            if not sent.result():
+                # Abort the search rather than resolving into a dead
+                # socket: an infinite answer stream would otherwise pin
+                # this worker and stall drain forever.
+                raise _ClientGone
+
+        def work(body, deadline):
+            # The queue wait is over: check whether the deadline already
+            # passed before touching the (uninterruptible) engines.
+            queue_wait_s = time.monotonic() - started
+            remaining = None
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise DeadlineExceeded(
+                        f"deadline expired after {queue_wait_s * 1e3:.1f}"
+                        "ms in the accept queue"
+                    )
+            with self.obs.span(
+                "net.request", type=verb.request.name, request_id=request_id
+            ) as span:
+                span.set(queue_wait_ms=round(queue_wait_s * 1e3, 3))
+                answers = body(remaining, span)
+                if verb.trailer is None:
+                    (answer,) = answers  # a unary verb is a stream of one
+                    return answer
+                for answer in answers:
+                    flush(answer)
+                return None  # nothing left for the loop to write
+
         try:
             try:
-                if batch:
-                    goals, mode, deadline_ms = protocol.decode_batch_request(
-                        payload
-                    )
-                else:
-                    goal, mode, deadline_ms = protocol.decode_retrieve_request(
-                        payload
-                    )
-                    goals = [goal]
+                request = getattr(protocol, verb.decode_request)(payload)
+            except ProtocolError:
+                raise
             except Exception as exc:
-                code, message = protocol.exception_to_error(
-                    exc if isinstance(exc, ProtocolError)
-                    else ProtocolError(f"undecodable request: {exc}")
-                )
-                await self._send_error(
-                    writer, write_lock, request_id, code, message
-                )
-                return
+                raise ProtocolError(f"undecodable request: {exc}") from exc
+            deadline_ms, body = self._verbs[verb.name](verb, request)
             deadline = None
             if deadline_ms:
                 deadline = started + deadline_ms / 1000.0
             elif self.default_deadline_s is not None:
                 deadline = started + self.default_deadline_s
-
-            def work():
-                # Runs on a pool worker: the queue wait is over, check
-                # whether the deadline already passed before touching
-                # the (uninterruptible) simulated hardware.
-                queue_wait_s = time.monotonic() - started
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise DeadlineExceeded(
-                            f"deadline expired after {queue_wait_s * 1e3:.1f}"
-                            "ms in the accept queue"
-                        )
-                with self.obs.span(
-                    "net.request",
-                    type=frame_type.name,
-                    request_id=request_id,
-                    goals=len(goals),
-                ) as span:
-                    span.set(queue_wait_ms=round(queue_wait_s * 1e3, 3))
-                    return self.engine.retrieve_batch(
-                        goals, mode=mode, timeout=remaining
-                    )
-
-            loop = asyncio.get_running_loop()
-            try:
-                results = await loop.run_in_executor(self._executor, work)
-            except Exception as exc:
-                code, message = protocol.exception_to_error(exc)
-                if code is ErrorCode.DEADLINE_EXPIRED:
-                    self.obs.counter("net.deadline_expired").inc()
-                await self._send_error(
-                    writer, write_lock, request_id, code, message
-                )
-                return
-            # One execution path; only the two frame formats differ.
-            if batch:
-                response = protocol.encode_batch_response(results)
-                response_type = FrameType.RESP_BATCH
-            else:
-                response = protocol.encode_result_response(results[0])
-                response_type = FrameType.RESP_RESULT
-            await self._send(
-                writer, write_lock, response_type, request_id, response
+            answer = await loop.run_in_executor(
+                self._executor, work, body, deadline
             )
+            if answer is not None and not await reply(_encoded(answer)):
+                raise _ClientGone
+        except _ClientGone:
+            # Not a server error, and no error frame into a dead socket.
+            self.obs.counter("net.client_disconnects").inc()
+        except Exception as exc:
+            code, message = protocol.exception_to_error(exc)
+            if code is ErrorCode.DEADLINE_EXPIRED:
+                self.obs.counter("net.deadline_expired").inc()
+            await self._send_error(reply, code, message)
         finally:
             self._admitted -= 1
             self._handled += 1
@@ -412,234 +433,84 @@ class RetrievalService:
             ):
                 self._done.set()
 
-    async def _serve_mutate(
-        self,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        frame_type: FrameType,
-        request_id: int,
-        payload: bytes,
-    ) -> None:
+    # -- the admitted verbs ----------------------------------------------------
+    #
+    # One method per verb, called on the loop with the decoded request.
+    # It may refuse the request before it queues (raise), and returns the
+    # request's ``deadline_ms`` and its body: a generator of answers
+    # (``_answer``: frame type, codec name, codec arguments), run on a
+    # pool worker with the budget left (seconds, or ``None``) and the
+    # ``net.request`` span.
+
+    def _retrieve(self, verb: protocol.Verb, request):
+        """``retrieve`` and ``retrieve_batch``: two formats, one path."""
+        goals, mode, deadline_ms = request
+        single = verb.name == "retrieve"
+        if single:
+            goals = [goals]
+
+        def body(remaining, span):
+            span.set(goals=len(goals))
+            results = self.engine.retrieve_batch(
+                goals, mode=mode, timeout=remaining
+            )
+            yield _answer(verb, results[0] if single else results)
+
+        return deadline_ms, body
+
+    def _solve(self, verb: protocol.Verb, request):
+        """One ``RESP_SOLUTION`` frame per answer, then the
+        ``RESP_SOLVE_DONE`` trailer (search exhausted, or capped)."""
+        goal, mode, deadline_ms, max_solutions = request
+
+        def body(remaining, span):
+            count = 0
+            for solution in SolveEngine(self.engine, mode=mode).solve(
+                goal, deadline_s=remaining, max_solutions=max_solutions
+            ):
+                yield _answer(verb, count, solution)
+                count += 1
+            span.set(solutions=count)
+            capped = bool(max_solutions) and count >= max_solutions
+            yield verb.trailer, "encode_solve_done", (
+                count, not capped, "solution cap reached" if capped else "",
+            )
+            self.obs.counter("net.solves").inc()
+
+        return deadline_ms, body
+
+    def _mutate(self, verb: protocol.Verb, request):
         """Apply one assert/retract against this node's engine.
 
-        A versioned request (``manifest_version != 0``) is rejected with
+        A versioned request (``manifest_version != 0``) is refused with
         ``STALE_MANIFEST`` when it does not match the node's current
         manifest — the client routed under placement that no longer
         holds, and applying the write could land it on a replica set the
         cluster has already moved away from.
         """
-        started = time.monotonic()
-        try:
-            try:
-                op, clause, module, manifest_version, deadline_ms, write_id = (
-                    protocol.decode_mutate_request(payload)
+        op, clause, module, manifest_version, deadline_ms, write_id = request
+        if self.manifest_holder is not None and manifest_version:
+            current = self.manifest_holder.version
+            if manifest_version != current:
+                self.obs.counter("net.stale_manifest").inc()
+                raise StaleManifest(
+                    f"request routed under manifest version "
+                    f"{manifest_version}; node is at {current}"
                 )
-            except Exception as exc:
-                code, message = protocol.exception_to_error(
-                    exc if isinstance(exc, ProtocolError)
-                    else ProtocolError(f"undecodable request: {exc}")
-                )
-                await self._send_error(
-                    writer, write_lock, request_id, code, message
-                )
-                return
-            if self.manifest_holder is not None and manifest_version:
-                current = self.manifest_holder.version
-                if manifest_version != current:
-                    self.obs.counter("net.stale_manifest").inc()
-                    await self._send_error(
-                        writer, write_lock, request_id,
-                        ErrorCode.STALE_MANIFEST,
-                        f"request routed under manifest version "
-                        f"{manifest_version}; node is at {current}",
-                    )
-                    return
-            deadline = None
-            if deadline_ms:
-                deadline = started + deadline_ms / 1000.0
-            elif self.default_deadline_s is not None:
-                deadline = started + self.default_deadline_s
+        method, takes_module, outcome = _MUTATORS[op]
+        options = {"module": module} if takes_module else {}
 
-            def work():
-                queue_wait_s = time.monotonic() - started
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise DeadlineExceeded(
-                        f"deadline expired after {queue_wait_s * 1e3:.1f}"
-                        "ms in the accept queue"
-                    )
-                with self.obs.span(
-                    "net.mutate", op=op, request_id=request_id
-                ):
-                    stamp = write_id or None
-                    removed = None
-                    if op == "assertz":
-                        self.engine.assertz(
-                            clause, module=module, write_id=stamp
-                        )
-                        applied = True
-                    elif op == "asserta":
-                        self.engine.asserta(
-                            clause, module=module, write_id=stamp
-                        )
-                        applied = True
-                    elif op == "retract":
-                        removed = self.engine.retract_matching(
-                            clause, write_id=stamp
-                        )
-                        applied = removed is not None
-                    else:  # retract_exact
-                        applied = self.engine.remove_exact(
-                            clause, write_id=stamp
-                        )
-                    return applied, removed
-
-            loop = asyncio.get_running_loop()
-            try:
-                applied, removed = await loop.run_in_executor(
-                    self._executor, work
+        def body(remaining, span):
+            span.set(op=op)
+            applied, removed = outcome(
+                getattr(self.engine, method)(
+                    clause, write_id=write_id or None, **options
                 )
-            except Exception as exc:
-                code, message = protocol.exception_to_error(exc)
-                if code is ErrorCode.DEADLINE_EXPIRED:
-                    self.obs.counter("net.deadline_expired").inc()
-                await self._send_error(
-                    writer, write_lock, request_id, code, message
-                )
-                return
+            )
             self.obs.counter("net.mutations", op=op).inc()
-            await self._send(
-                writer, write_lock, FrameType.RESP_MUTATED, request_id,
-                protocol.encode_mutated_response(
-                    self.engine.version, applied, removed
-                ),
-            )
-        finally:
-            self._admitted -= 1
-            self._handled += 1
-            self._update_load_gauges()
-            self.obs.histogram("net.request_ms").observe(
-                (time.monotonic() - started) * 1e3
-            )
-            if (
-                self.max_requests is not None
-                and self._handled >= self.max_requests
-            ):
-                self._done.set()
+            yield _answer(verb, self.engine.version, applied, removed)
 
-    async def _serve_solve(
-        self,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        frame_type: FrameType,
-        request_id: int,
-        payload: bytes,
-    ) -> None:
-        """Run a ``solve`` request, streaming one frame per solution.
-
-        The resolution loop runs on a pool worker (the engines are
-        synchronous); each answer crosses back to the event loop as its
-        own ``RESP_SOLUTION`` frame, *blocking the worker until the frame
-        is flushed* so a slow client exerts backpressure on the search
-        instead of buffering unbounded solutions server-side.  The
-        stream ends with ``RESP_SOLVE_DONE`` (exhausted or capped) or a
-        ``RESP_ERROR`` frame (deadline expired, resource budget blown,
-        resolution error) — either way the admitted request is not done
-        until the trailer is flushed, which is what drain waits on.
-        """
-        started = time.monotonic()
-        loop = asyncio.get_running_loop()
-        try:
-            try:
-                goal, mode, deadline_ms, max_solutions = (
-                    protocol.decode_solve_request(payload)
-                )
-            except Exception as exc:
-                code, message = protocol.exception_to_error(
-                    exc if isinstance(exc, ProtocolError)
-                    else ProtocolError(f"undecodable request: {exc}")
-                )
-                await self._send_error(
-                    writer, write_lock, request_id, code, message
-                )
-                return
-            deadline = None
-            if deadline_ms:
-                deadline = started + deadline_ms / 1000.0
-            elif self.default_deadline_s is not None:
-                deadline = started + self.default_deadline_s
-
-            def send_from_worker(resp_type, frame_payload):
-                sent = asyncio.run_coroutine_threadsafe(
-                    self._send(
-                        writer, write_lock, resp_type, request_id,
-                        frame_payload,
-                    ),
-                    loop,
-                ).result()
-                if not sent:
-                    # The client went away mid-stream: abort the search
-                    # rather than resolving into a dead socket (an
-                    # infinite answer stream would otherwise pin this
-                    # worker and stall drain forever).
-                    raise ConnectionError("solve client disconnected")
-
-            def work():
-                queue_wait_s = time.monotonic() - started
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise DeadlineExceeded(
-                            f"deadline expired after {queue_wait_s * 1e3:.1f}"
-                            "ms in the accept queue"
-                        )
-                solver = SolveEngine(self.engine, mode=mode)
-                count = 0
-                with self.obs.span("net.solve", request_id=request_id) as span:
-                    span.set(queue_wait_ms=round(queue_wait_s * 1e3, 3))
-                    for solution in solver.solve(
-                        goal,
-                        deadline_s=remaining,
-                        max_solutions=max_solutions,
-                    ):
-                        send_from_worker(
-                            FrameType.RESP_SOLUTION,
-                            protocol.encode_solution(count, solution),
-                        )
-                        count += 1
-                    span.set(solutions=count)
-                capped = bool(max_solutions) and count >= max_solutions
-                send_from_worker(
-                    FrameType.RESP_SOLVE_DONE,
-                    protocol.encode_solve_done(
-                        count,
-                        completed=not capped,
-                        reason="solution cap reached" if capped else "",
-                    ),
-                )
-
-            try:
-                await loop.run_in_executor(self._executor, work)
-                self.obs.counter("net.solves").inc()
-            except Exception as exc:
-                code, message = protocol.exception_to_error(exc)
-                if code is ErrorCode.DEADLINE_EXPIRED:
-                    self.obs.counter("net.deadline_expired").inc()
-                await self._send_error(
-                    writer, write_lock, request_id, code, message
-                )
-        finally:
-            self._admitted -= 1
-            self._handled += 1
-            self._update_load_gauges()
-            self.obs.histogram("net.request_ms").observe(
-                (time.monotonic() - started) * 1e3
-            )
-            if (
-                self.max_requests is not None
-                and self._handled >= self.max_requests
-            ):
-                self._done.set()
+        return deadline_ms, body
 
     # -- plumbing ------------------------------------------------------------
 
@@ -655,35 +526,25 @@ class RetrievalService:
         self,
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
-        frame_type: FrameType,
         request_id: int,
-        payload: bytes,
+        frame: tuple[FrameType, bytes],
     ) -> bool:
-        frame = protocol.encode_frame(frame_type, request_id, payload)
+        frame_type, payload = frame
+        data = protocol.encode_frame(frame_type, request_id, payload)
         try:
             async with write_lock:
-                writer.write(frame)
+                writer.write(data)
                 await writer.drain()
         except (ConnectionError, OSError):
             self.obs.counter("net.send_failures").inc()
             return False
-        self.obs.counter("net.bytes_out").inc(len(frame))
+        self.obs.counter("net.bytes_out").inc(len(data))
         self.obs.counter("net.responses", type=frame_type.name).inc()
         return True
 
-    async def _send_error(
-        self,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        request_id: int,
-        code: ErrorCode,
-        message: str,
-    ) -> None:
+    async def _send_error(self, reply, code: ErrorCode, message: str) -> None:
         self.obs.counter("net.errors", code=code.name).inc()
-        await self._send(
-            writer, write_lock, FrameType.RESP_ERROR, request_id,
-            protocol.encode_error(code, message),
-        )
+        await reply((FrameType.RESP_ERROR, protocol.encode_error(code, message)))
 
 
 class BackgroundService:

@@ -279,12 +279,12 @@ class TestNothingComputedAcrossAMutationIsServedAfterIt:
 
         def batch_then_mutate(*args, **kwargs):
             results = batch(*args, **kwargs)
-            monkeypatch.setattr(retriever, "_batch", batch)
+            monkeypatch.setattr(cluster, "retrieve_batch", batch)
             cluster.assertz(read_term("edge(n1, late)"))
             cluster.assertz(read_term("edge(n2, late)"))
             return results
 
-        monkeypatch.setattr(retriever, "_batch", batch_then_mutate)
+        monkeypatch.setattr(cluster, "retrieve_batch", batch_then_mutate)
         stale = retriever.prefetch(goal, (sibling,))
         assert rendered(stale) == ["edge(n1,m1)"]
         assert retriever.stats.prefetched_goals == 1

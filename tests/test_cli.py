@@ -313,6 +313,40 @@ class TestShardedCommands:
         assert "X = c2" in output
 
 
+    @staticmethod
+    def answer_lines(output: str) -> list[str]:
+        return [line for line in output.splitlines() if line.startswith("   ")]
+
+    def test_a_goal_means_the_same_at_any_shard_count(self):
+        # `--shards N` used to head-unify the goal against the merged
+        # candidates and print the rule heads (X = _Y_6, X = _Z_8).
+        from pathlib import Path
+
+        graph = str(Path(__file__).resolve().parents[1] / "examples" / "graph.pl")
+        goal = ["--goal", "path(a, X)", "--max-solutions", "3"]
+        single = run(["consult", graph, "--shards", "1", *goal])
+        sharded = run(
+            ["consult", graph, "--shards", "2", "--shard-by", "predicate", *goal]
+        )
+        assert self.answer_lines(single) == self.answer_lines(sharded) == [
+            "   X = b", "   X = e", "   X = c",
+            "   ... (solution limit reached)",
+        ]
+        assert "[batch] goals=1" in sharded
+
+    def test_a_conjunction_resolves_and_skips_the_batch_line(self, facts_file):
+        # A conjunction is not one clause retrieval: it is answered, and
+        # the batch accounting says why it has nothing to report.
+        output = run(
+            [
+                "consult", facts_file, "--shards", "2",
+                "--goal", "parent(p3, X), X \\= orphan",
+            ]
+        )
+        assert self.answer_lines(output) == ["   X = c3"]
+        assert "[batch] skipped: unknown predicate ,/2" in output
+
+
 class TestNetCommands:
     """`serve`, `client` and `loadgen` wired together over loopback."""
 

@@ -30,7 +30,7 @@ from repro.net.protocol import (
     encode_frame,
 )
 from repro.storage import UnknownPredicateError
-from repro.terms import Clause, read_term
+from repro.terms import Clause, as_clause, read_term
 
 
 def sample_stats(**overrides) -> RetrievalStats:
@@ -325,9 +325,173 @@ class TestErrorMapping:
         got_code, _ = protocol.exception_to_error(exc)
         assert got_code is code
 
+    @pytest.mark.parametrize("code", list(ErrorCode))
+    def test_every_code_round_trips_through_the_one_table(self, code):
+        """Both directions derive from one table: the exception a client
+        raises for a code maps back, server-side, to that code.  The two
+        codes without a class of their own surface as a ``RemoteError``
+        naming them, which a server relaying it reports as ``INTERNAL``."""
+        raised = protocol.error_to_exception(code, "m")
+        back, message = protocol.exception_to_error(raised)
+        if code in (ErrorCode.BAD_REQUEST, ErrorCode.INTERNAL):
+            assert type(raised) is RemoteError and code.name in str(raised)
+            assert back is ErrorCode.INTERNAL
+        else:
+            assert type(raised) is not RemoteError
+            assert (back, message) == (code, "m")
+
+    def test_a_subclass_is_reported_before_its_base(self):
+        from repro.engine.interp import PrologError, ResourceError
+
+        assert issubclass(ResourceError, PrologError)
+        assert issubclass(UnknownPredicateError, KeyError)
+        for exc, code in (
+            (ResourceError("x"), ErrorCode.RESOURCE_EXHAUSTED),
+            (PrologError("x"), ErrorCode.RESOLUTION_ERROR),
+            (UnknownPredicateError("x"), ErrorCode.UNKNOWN_PREDICATE),
+            (KeyError("x"), ErrorCode.BAD_REQUEST),
+        ):
+            assert protocol.exception_to_error(exc)[0] is code
+
     def test_unknown_predicate_message_unwrapped(self):
         code, message = protocol.exception_to_error(
             UnknownPredicateError("no procedure nosuch/3")
         )
         assert code is ErrorCode.UNKNOWN_PREDICATE
         assert message == "no procedure nosuch/3"  # no KeyError repr quotes
+
+
+class TestGoldenFrames:
+    """The wire did not move: every ``encode_*`` output, for one fixed
+    goal / clause / result / solution, is byte-equal to a literal
+    captured at 2263237 (before the verb table moved into ``protocol``).
+    A failure here is a wire-format change and needs a version bump."""
+
+    GOAL = read_term("parent(tom, X)")
+    RULE = as_clause(read_term("grand(X, Z) :- parent(X, Y), parent(Y, Z)"))
+    RESULT = RetrievalResult(
+        goal=GOAL,
+        candidates=[as_clause(read_term("parent(tom, bob)")), RULE],
+        stats=RetrievalStats(
+            mode=SearchMode.BOTH, residency="disk", clauses_total=6,
+            fs1_candidates=3, final_candidates=2, disk_time_s=0.25,
+            fs1_time_s=0.5, fs2_time_s=0.125, fs2_search_calls=1,
+            software_time_s=0.0, bytes_from_disk=512,
+        ),
+    )
+    SOLUTION = {"X": read_term("bob"), "Ys": read_term("[a, f(B), 3]")}
+
+    GOLDEN = {
+        "encode_retrieve_request": (
+            "000000150000000200000006706172656e7400000003746f6d02000000fa000c"
+            "620000000800000127000000000001000158"
+        ),
+        "encode_batch_request": (
+            "0000001a0000000300000006706172656e7400000003746f6d0000000171ff00"
+            "0000000002000c620000000800000127000000000001000158000c6200000210"
+            "00000127000000000001000159"
+        ),
+        "encode_solve_request": (
+            "000000150000000200000006706172656e7400000003746f6d0003000005dc00"
+            "000007000c620000000800000127000000000001000158"
+        ),
+        "encode_mutate_request": (
+            "0000001c00000003000000012c00000006706172656e74000000056772616e64"
+            "01000000030000002800047573657200000002000200340034030008001c0000"
+            "2600000026000001620000006200000124000000260000026200000124000002"
+            "24000001030158015a01590003772d31"
+        ),
+        "encode_result_response": (
+            "0000002a0000000500000006706172656e7400000003746f6d00000003626f62"
+            "000000012c000000056772616e64000c62000000080000012700000000000100"
+            "0158000000020000000000020011001100000800000000080000010800000200"
+            "000004000200340034030008001c000026000000260000016200000362000000"
+            "2400000026000002620000002400000224000001030158015a01590003000464"
+            "69736b000000060100000003000000020000000100000000000002003fd00000"
+            "000000003fe00000000000003fc00000000000000000000000000000"
+        ),
+        "encode_batch_response": (
+            "0000002a0000000500000006706172656e7400000003746f6d00000003626f62"
+            "000000012c000000056772616e640002000c6200000008000001270000000000"
+            "0100015800000002000000000002001100110000080000000008000001080000"
+            "0200000004000200340034030008001c00002600000026000001620000036200"
+            "00002400000026000002620000002400000224000001030158015a0159000300"
+            "046469736b000000060100000003000000020000000100000000000002003fd0"
+            "0000000000003fe00000000000003fc00000000000000000000000000000000c"
+            "62000000080000012700000000000100015800000000ff"
+        ),
+        "encode_solution": (
+            "000000150000000300000003626f620000000161000000016600000002000200"
+            "0158000408000000000000000259730018e30000000800000161000002270000"
+            "0010000003e0000000000001000142"
+        ),
+        "encode_solve_done": (
+            "00000003000014736f6c7574696f6e206361702072656163686564"
+        ),
+        "encode_mutated_response": (
+            "0000001c00000003000000012c00000006706172656e74000000056772616e64"
+            "0000000000000009010100000002000200340034030008001c00002600000026"
+            "0000016200000062000001240000002600000262000001240000022400000103"
+            "0158015a0159"
+        ),
+        "encode_manifest_response": (
+            "7b2276657273696f6e223a20317d"
+        ),
+        "encode_error": (
+            "09000c6e6f64652069732061742034"
+        ),
+        "encode_stats_response": (
+            "7b2261646472657373223a2022683a31222c202268616e646c6564223a20327d"
+        ),
+        "encode_frame": (
+            "c1ae0114deadbeef000000020102"
+        ),
+    }
+
+    def encoded(self) -> dict[str, bytes]:
+        goal, rule, result, solution = (
+            self.GOAL, self.RULE, self.RESULT, self.SOLUTION,
+        )
+        return {
+            "encode_retrieve_request": protocol.encode_retrieve_request(
+                goal, SearchMode.FS2_ONLY, 250
+            ),
+            "encode_batch_request": protocol.encode_batch_request(
+                [goal, read_term("q(1, Y)")], None, 0
+            ),
+            "encode_solve_request": protocol.encode_solve_request(
+                goal, SearchMode.BOTH, 1500, 7
+            ),
+            "encode_mutate_request": protocol.encode_mutate_request(
+                "asserta", rule, "user", 3, 40, "w-1"
+            ),
+            "encode_result_response": protocol.encode_result_response(result),
+            "encode_batch_response": protocol.encode_batch_response(
+                [result, RetrievalResult(goal=goal)]
+            ),
+            "encode_solution": protocol.encode_solution(2, solution),
+            "encode_solve_done": protocol.encode_solve_done(
+                3, False, "solution cap reached"
+            ),
+            "encode_mutated_response": protocol.encode_mutated_response(9, True, rule),
+            "encode_manifest_response": protocol.encode_manifest_response(
+                '{"version": 1}'
+            ),
+            "encode_error": protocol.encode_error(
+                ErrorCode.STALE_MANIFEST, "node is at 4"
+            ),
+            "encode_stats_response": protocol.encode_stats_response(
+                {"handled": 2, "address": "h:1"}
+            ),
+            "encode_frame": protocol.encode_frame(
+                FrameType.RESP_PONG, 0xDEADBEEF, b"\x01\x02"
+            ),
+        }
+
+    def test_every_encoder_is_pinned(self):
+        encoders = {n for n in protocol.__all__ if n.startswith("encode_")}
+        assert set(self.GOLDEN) == encoders == set(self.encoded())
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_bytes_equal_the_parent_literal(self, name):
+        assert self.encoded()[name].hex() == self.GOLDEN[name]

@@ -26,14 +26,17 @@ from repro.net import (
     BackgroundService,
     BackoffPolicy,
     DeadlineExceeded,
+    ErrorCode,
+    FrameType,
     RetrievalClient,
     RetrievalService,
     ServerBusy,
     ServerDraining,
+    protocol,
 )
 from repro.obs import Instrumentation
 from repro.storage import Residency, UnknownPredicateError
-from repro.terms import read_term
+from repro.terms import as_clause, read_term
 from repro.workloads import percentile, run_loadgen
 
 
@@ -245,6 +248,115 @@ class TestServiceSurface:
         assert fetched.version == 3 and fetched.num_shards == engine.num_shards
         assert "zed" not in [str(a["X"]) for a in answers]
         assert stats["engine_clauses"] == engine.clause_count()
+
+
+class TestOneRequestLifecycle:
+    """Every admitted verb lives the same life: one ``_serve``.
+
+    Three requests per verb over a raw socket — an undecodable payload,
+    a deadline that dies in the accept queue, a good one — and after
+    each the same accounting.  Before the three handlers were folded
+    into one, ``mutate``'s span lacked ``queue_wait_ms``.
+    """
+
+    REQUESTS = {
+        "retrieve": (read_term("parent(tom, X)"), None),
+        "retrieve_batch": ([read_term("parent(tom, X)")], None),
+        "solve": (read_term("grandparent(tom, Who)"), None),
+        "mutate": ("assertz", as_clause(read_term("parent(jim, kid)"))),
+    }
+
+    @staticmethod
+    def exchange(raw, verb, request_id, payload):
+        """Send one request frame; the frames of its answer."""
+        def read(count):
+            data = b""
+            while len(data) < count:
+                chunk = raw.recv(count - len(data))
+                assert chunk, "server hung up mid-answer"
+                data += chunk
+            return data
+
+        raw.sendall(protocol.encode_frame(verb.request, request_id, payload))
+        frames = []
+        last = verb.trailer or verb.response
+        while not frames or frames[-1][0] not in (FrameType.RESP_ERROR, last):
+            frame_type, echoed, length = protocol.decode_header(
+                read(protocol.HEADER.size)
+            )
+            assert echoed == request_id
+            frames.append((frame_type, read(length)))
+        return frames
+
+    def test_the_admitted_verbs_are_the_ones_pinned_here(self):
+        admitted = {n for n, verb in protocol.VERBS.items() if verb.admitted}
+        assert admitted == set(self.REQUESTS)
+
+    @pytest.mark.parametrize("name", sorted(REQUESTS))
+    def test_lifecycle_parity(self, name):
+        import socket
+
+        verb = protocol.VERBS[name]
+        encode = getattr(protocol, verb.encode_request)
+        obs = Instrumentation()
+        service = RetrievalService(family_engine(), max_in_flight=1, obs=obs)
+        handled = 0
+
+        def settled():
+            """Accounting runs after the last frame is flushed: wait."""
+            nonlocal handled
+            handled += 1
+            give_up = time.monotonic() + 10
+            while service._handled < handled and time.monotonic() < give_up:
+                time.sleep(0.005)
+            snapshot = service.stats_snapshot()
+            assert snapshot["handled"] == handled
+            assert snapshot["admitted_now"] == 0
+            observed = snapshot["registry"]["net.request_ms"]["count"]
+            assert observed == handled
+
+        with BackgroundService(service) as background:
+            raw = socket.create_connection(background.start())
+            raw.settimeout(10)
+            try:
+                # 1. An undecodable payload is a typed BAD_REQUEST.
+                ((frame_type, payload),) = self.exchange(
+                    raw, verb, 1, b"\x00\x00\x00\x00\xff"
+                )
+                assert frame_type is FrameType.RESP_ERROR
+                assert protocol.decode_error(payload)[0] is ErrorCode.BAD_REQUEST
+                settled()
+                # 2. A deadline spent waiting for the one worker.
+                gate = threading.Event()
+                service._executor.submit(gate.wait, 10)
+                releaser = threading.Timer(0.08, gate.set)
+                releaser.start()
+                ((frame_type, payload),) = self.exchange(
+                    raw, verb, 2, encode(*self.REQUESTS[name], deadline_ms=20)
+                )
+                releaser.join()
+                assert frame_type is FrameType.RESP_ERROR
+                code, message = protocol.decode_error(payload)
+                assert code is ErrorCode.DEADLINE_EXPIRED
+                assert "in the accept queue" in message
+                assert obs.registry.total("net.deadline_expired") == 1
+                settled()
+                assert not obs.recorder.spans("net.request")  # never ran
+                # 3. A good request: answered, and its span says how
+                # long it queued.
+                frames = self.exchange(
+                    raw, verb, 3, encode(*self.REQUESTS[name], deadline_ms=0)
+                )
+                assert frames[-1][0] is (verb.trailer or verb.response)
+                settled()
+                (span,) = obs.recorder.spans("net.request")
+                assert span.attrs["type"] == verb.request.name
+                assert span.attrs["request_id"] == 3
+                assert span.attrs["queue_wait_ms"] >= 0
+            finally:
+                raw.close()
+        assert obs.registry.total("net.errors") == 2
+        assert obs.registry.total("net.accepted") == 3
 
 
 class SlowEngine:
@@ -502,9 +614,7 @@ class TestLoadgenMixedWorkload:
             ),
         )
         baseline = engine.clause_count()
-        service = RetrievalService(
-            engine, max_in_flight=8, executor_workers=8, queue_limit=64
-        )
+        service = RetrievalService(engine, max_in_flight=8, queue_limit=64)
         with BackgroundService(service) as background:
             host, port = background.start()
             result = run_loadgen(
@@ -536,9 +646,7 @@ class TestLoadgenMixedWorkload:
 
     def test_same_seed_same_mix(self):
         engine = family_engine()
-        service = RetrievalService(
-            engine, max_in_flight=8, executor_workers=8, queue_limit=64
-        )
+        service = RetrievalService(engine, max_in_flight=8, queue_limit=64)
         with BackgroundService(service) as background:
             host, port = background.start()
             first = run_loadgen(

@@ -24,6 +24,7 @@ from repro.net import (
     RetrievalService,
 )
 from repro.net import protocol
+from repro.obs import Instrumentation
 from repro.terms import read_term, term_to_string
 
 GRAPH = """
@@ -155,17 +156,28 @@ class TestStreaming:
     def test_abandoning_an_infinite_stream_does_not_wedge_drain(self):
         # The client walks away mid-stream with no cap; the server must
         # notice the dead socket, abort the search, and still drain.
-        service = make_service(NATS)
+        obs = Instrumentation()
+        service = make_service(NATS, obs=obs)
         with BackgroundService(service) as background:
             host, port = background.service.address
             client = RetrievalClient(host, port)
             stream = client.solve(read_term("nat(N)"))
-            for _ in range(3):
+            for _ in range(2):
                 next(stream)
             stream.close()
             client.close()
         # Leaving the context manager drains; getting here is the test.
         assert service._drained
+        # Closing the stream is the documented way to stop nat(N): a
+        # hang-up, not a server error.  One failed write found the dead
+        # socket; no error frame was written into it after that.
+        total = obs.registry.total
+        assert total("net.client_disconnects") == 1
+        assert total("net.errors") == 0
+        assert total("net.send_failures") == 1
+        assert total("net.solves") == 0
+        assert service.stats_snapshot()["admitted_now"] == 0
+        assert service.stats_snapshot()["handled"] == 1
 
     def test_solutions_arrive_before_the_search_finishes(self):
         # Consume exactly one frame, then check the trailer has not

@@ -38,9 +38,7 @@ def process_address():
     engine = ProcessShardedRetrievalServer(2)
     engine.consult_text(PROGRAM)
     engine.start()
-    service = RetrievalService(
-        engine, max_in_flight=4, executor_workers=4
-    )
+    service = RetrievalService(engine, max_in_flight=4)
     with BackgroundService(service) as background:
         yield background.start()
     engine.close()

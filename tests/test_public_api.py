@@ -153,6 +153,7 @@ for info in pkgutil.walk_packages(repro.__path__, "repro."):
             ["client", "--port", "1", "--solve", "p(X)", "--engine", "zip"],
             ["loadgen", "--port", "1", "--goal", "p(X)", "--cores", "1,2"],
             ["loadgen", "--port", "1", "--goal", "p(X)", "--workers", "threads"],
+            ["serve", "kb.pl", "--executor-workers", "4"],
         ],
     )
     def test_removed_selector_flags_are_usage_errors(self, argv, capsys):
@@ -259,6 +260,100 @@ class TestOneClientSurface:
                 setattr(DurableStore, name, original)
             engine.close()
         assert calls == ["stage", "wait_durable"]
+
+
+class TestOneServerLifecycle:
+    """One verb table both ends read; one request lifecycle on the server.
+
+    Structural, by AST: the next frame added without a table row, or the
+    next handler that copies the lifecycle, fails here and not in review.
+    """
+
+    @staticmethod
+    def tree(module):
+        import ast
+        import inspect
+
+        return ast.parse(inspect.getsource(module))
+
+    def test_the_lifecycle_is_written_once(self):
+        import ast
+
+        from repro.net import server
+
+        tree = self.tree(server)
+        executor_calls = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "run_in_executor"
+        ]
+        releases = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.AugAssign)
+            and isinstance(node.op, ast.Sub)
+            and ast.unparse(node.target) == "self._admitted"
+        ]
+        assert len(executor_calls) == 1
+        assert len(releases) == 1
+        defined = {
+            node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        assert "_serve" in defined
+        assert not defined & {"_serve_request", "_serve_mutate", "_serve_solve"}
+
+    def test_every_request_frame_has_a_row_and_a_server_half(self):
+        from repro.cluster import ShardedRetrievalServer
+        from repro.net import FrameType, RetrievalService, protocol
+
+        requests = {t for t in FrameType if t.name.startswith("REQ_")}
+        assert set(protocol.VERB_OF_REQUEST) == requests
+        assert len(protocol.VERBS) == len(requests)
+        service = RetrievalService(ShardedRetrievalServer(1))
+        service._executor.shutdown()
+        rows = protocol.VERBS.values()
+        assert set(service._verbs) == {v.name for v in rows if v.admitted}
+        assert set(service._inline) == {v.name for v in rows if not v.admitted}
+        for verb in rows:
+            for codec in (
+                verb.encode_request, verb.decode_request,
+                verb.encode_response, verb.decode_response,
+            ):
+                assert codec is None or codec in protocol.__all__, verb
+
+    def test_the_client_pairs_no_frames_of_its_own(self):
+        import ast
+
+        from repro.net import client
+
+        tree = self.tree(client)
+        paired = [
+            ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "FrameType"
+        ]
+        # The one frame type a client names is the one no row owns.
+        assert set(paired) == {"FrameType.RESP_ERROR"}
+        codec_names = [
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.startswith(("encode_", "decode_"))
+        ]
+        assert codec_names == []
+        assert not hasattr(client, "_VERBS") and not hasattr(client, "_Verb")
+
+    def test_the_second_pool_size_and_the_signature_sniffing_are_gone(self):
+        import inspect
+
+        from repro.engine import solve
+        from repro.net import RetrievalService
+
+        assert "executor_workers" not in inspect.signature(
+            RetrievalService
+        ).parameters
+        assert not hasattr(solve, "_accepts_timeout")
+        assert "inspect" not in vars(solve)
 
 
 class TestOneCachePrimitive:

@@ -101,6 +101,21 @@ class TestEngineSequences:
             ]
             assert answers(engine, query) == want, query
 
+    def test_single_engine_backend_solves_under_a_deadline(self):
+        # The pairing the module docstring promises: one CRS, no
+        # cluster.  It takes the same ``timeout=`` the sharded front
+        # door does, so a deadline needs no per-backend call path.
+        kb = KnowledgeBase()
+        kb.consult_text(GRAPH)
+        machine = PrologMachine(kb, unknown_predicates="fail")
+        engine = SolveEngine(ClauseRetrievalServer(kb))
+        for query in ["path(a, X)", "path(X, Y)", "edge(X, d)", "path(z, X)"]:
+            want = [
+                {n: term_to_string(v) for n, v in s.items()}
+                for s in machine.solve(read_term(query))
+            ]
+            assert answers(engine, query, deadline_s=5) == want, query
+
     def test_max_solutions_caps_the_stream(self):
         engine = SolveEngine(cluster_with(GRAPH))
         assert len(answers(engine, "path(X, Y)", max_solutions=3)) == 3
@@ -185,6 +200,21 @@ class TestMutationFreshness:
 
 
 class TestRetrieverContract:
+    def test_the_single_engine_honours_the_deadline_contract(self):
+        # A budget already spent raises before any work (a TypeError
+        # before the single engine took ``timeout=``); a retrieval that
+        # starts is not pre-empted.
+        kb = KnowledgeBase()
+        kb.consult_text(GRAPH)
+        crs = ClauseRetrievalServer(kb)
+        goal = read_term("edge(a, X)")
+        with pytest.raises(RetrievalTimeout):
+            crs.retrieve_batch([goal], timeout=0.0)
+        with pytest.raises(RetrievalTimeout):
+            crs.retrieve(goal, timeout=-1.0)
+        (timed,) = crs.retrieve_batch([goal], timeout=5.0)
+        assert timed.candidates == crs.retrieve(goal).candidates != []
+
     def test_unknown_predicate_fails_quietly_by_default(self):
         engine = SolveEngine(cluster_with(GRAPH))
         assert answers(engine, "nosuch(X)") == []
