@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=ShardingPolicy.PREDICATE.value,
     )
     serve.add_argument(
-        "--workers", default="threads",
+        "--workers", type=_workers_arg, default="threads",
         help="shard execution backend: 'threads' (default) or "
         "'processes[:N]' to host each shard in a worker process over "
         "shared mmap segments (N overrides --shards)",
@@ -497,7 +497,8 @@ def _cmd_serve(args, out) -> int:
     from .report import format_net_report
 
     obs = Instrumentation()
-    backend, num_shards = _parse_workers(args.workers, max(1, args.shards))
+    backend, num_shards = args.workers
+    num_shards = num_shards or max(1, args.shards)
     durability = None
     if args.durability is not None:
         from .storage import DurabilityOptions
@@ -591,18 +592,18 @@ def _cmd_serve(args, out) -> int:
     return 0
 
 
-def _parse_workers(spec: str, default_shards: int) -> tuple[str, int]:
-    """Parse ``--workers threads | processes[:N]`` into (backend, shards)."""
-    if spec == "threads":
-        return "threads", default_shards
-    if spec == "processes":
-        return "processes", default_shards
-    if spec.startswith("processes:"):
-        count = int(spec.split(":", 1)[1])
-        if count < 1:
-            raise SystemExit("--workers processes:N needs N >= 1")
-        return "processes", count
-    raise SystemExit(f"unknown --workers backend {spec!r}")
+def _workers_arg(spec: str) -> tuple[str, int | None]:
+    """``--workers threads | processes | processes:N`` as (backend,
+    shards), shards ``None`` unless N overrides ``--shards``."""
+    if spec in ("threads", "processes"):
+        return spec, None
+    backend, _, count = spec.partition(":")
+    if backend == "processes" and count.isdecimal() and int(count) >= 1:
+        return backend, int(count)
+    raise argparse.ArgumentTypeError(
+        f"expected threads, processes or processes:N with N >= 1, "
+        f"not {spec!r}"
+    )
 
 
 def _cmd_client(args, out) -> int:

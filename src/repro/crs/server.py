@@ -134,12 +134,6 @@ class RetrievalResult:
     goal: Term
     candidates: list[Clause] = field(default_factory=list)
     stats: RetrievalStats | None = None
-    #: clause-file record addresses parallel to ``candidates`` when the
-    #: retrieval path knows them (all four modes do); ``None`` for
-    #: merged/legacy results.  The shared-memory result transport ships
-    #: (address, record bytes) pairs instead of pickled terms, so it
-    #: needs the address of every surviving candidate.
-    addresses: tuple[int, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.candidates)
@@ -411,9 +405,7 @@ class ClauseRetrievalServer(CachedFrontDoor):
             "software.scan", indicator=f"{store.indicator[0]}/{store.indicator[1]}"
         ) as span:
             matcher = PartialMatcher(goal, cross_binding=self.cross_binding)
-            record_addresses = store.clause_file.record_addresses()
             candidates = []
-            hit_addresses = []
             total_ops = 0
             for position in range(len(store)):
                 clause = store.clause_file.decode_clause(position)
@@ -421,7 +413,6 @@ class ClauseRetrievalServer(CachedFrontDoor):
                 total_ops += outcome.op_count()
                 if outcome.hit:
                     candidates.append(clause)
-                    hit_addresses.append(record_addresses[position])
             model = self.cost_model
             stats.software_time_s = (
                 stats.clauses_total * model.clause_decode_ns
@@ -438,12 +429,7 @@ class ClauseRetrievalServer(CachedFrontDoor):
         self.obs.counter("software.match_ops").inc(total_ops)
         self.obs.counter("software.sim_time_s").inc(stats.software_time_s)
         stats.final_candidates = len(candidates)
-        return RetrievalResult(
-            goal=goal,
-            candidates=candidates,
-            stats=stats,
-            addresses=tuple(hit_addresses),
-        )
+        return RetrievalResult(goal=goal, candidates=candidates, stats=stats)
 
     # -- mode (b): FS1 only -----------------------------------------------------
 
@@ -479,12 +465,7 @@ class ClauseRetrievalServer(CachedFrontDoor):
             )
         ]
         stats.final_candidates = len(candidates)
-        return RetrievalResult(
-            goal=goal,
-            candidates=candidates,
-            stats=stats,
-            addresses=tuple(fs1_result.candidate_addresses),
-        )
+        return RetrievalResult(goal=goal, candidates=candidates, stats=stats)
 
     # -- mode (c): FS2 only -------------------------------------------------------
 
@@ -505,16 +486,11 @@ class ClauseRetrievalServer(CachedFrontDoor):
             _, transfer = self._read_clause_extent(store)
             stats.disk_time_s = transfer.total_time_s
             stats.bytes_from_disk = transfer.bytes_transferred
-        candidates, hit_addresses = self._stream_through_fs2(
+        candidates = self._stream_through_fs2(
             goal, store, records, stats, addresses
         )
         stats.final_candidates = len(candidates)
-        return RetrievalResult(
-            goal=goal,
-            candidates=candidates,
-            stats=stats,
-            addresses=hit_addresses,
-        )
+        return RetrievalResult(goal=goal, candidates=candidates, stats=stats)
 
     # -- mode (d): FS1 + FS2 -------------------------------------------------------
 
@@ -540,9 +516,8 @@ class ClauseRetrievalServer(CachedFrontDoor):
             index_transfer = self.kb.disk.drive.read_time_s(store.index.size_bytes())
             stats.disk_time_s += max(0.0, index_transfer - stats.fs1_time_s)
             stats.bytes_from_disk += store.index.size_bytes()
-        candidates, hit_addresses = self._stream_through_fs2(
-            goal, store, records, stats,
-            list(fs1_result.candidate_addresses),
+        candidates = self._stream_through_fs2(
+            goal, store, records, stats, fs1_result.candidate_addresses
         )
         stats.final_candidates = len(candidates)
         # FS2 refined FS1's candidate set: the difference is FS1's false
@@ -550,12 +525,7 @@ class ClauseRetrievalServer(CachedFrontDoor):
         self.obs.counter("fs1.false_drops").inc(
             (stats.fs1_candidates or 0) - stats.final_candidates
         )
-        return RetrievalResult(
-            goal=goal,
-            candidates=candidates,
-            stats=stats,
-            addresses=hit_addresses,
-        )
+        return RetrievalResult(goal=goal, candidates=candidates, stats=stats)
 
     # -- shared plumbing -------------------------------------------------------------
 
@@ -565,8 +535,8 @@ class ClauseRetrievalServer(CachedFrontDoor):
         store: PredicateStore,
         records: "Iterable[bytes]",
         stats: RetrievalStats,
-        addresses: list[int] | None = None,
-    ) -> tuple[list[Clause], tuple[int, ...] | None]:
+        addresses: "Iterable[int]",
+    ) -> list[Clause]:
         """Run records through FS2 in track-sized search calls.
 
         ``records`` may be any iterable (lazy generators from the FS1
@@ -576,13 +546,11 @@ class ClauseRetrievalServer(CachedFrontDoor):
         the clause cache.  The Result Memory records the in-call stream
         position of every captured slot, so each result record maps back
         to its address by a direct index — O(results) per call, not
-        O(call x results).  Returns the surviving clauses plus their
-        record addresses (``None`` when the caller supplied none).
+        O(call x results).  Returns the surviving clauses.
         """
         self.fs2.set_query(goal)
         track_bytes = self.kb.disk.drive.geometry.track_bytes
         candidates: list[Clause] = []
-        hit_addresses: list[int] = []
         call: list[bytes] = []
         call_addresses: list[int] = []
         call_bytes = 0
@@ -596,30 +564,24 @@ class ClauseRetrievalServer(CachedFrontDoor):
             stats.fs2_search_calls += 1
             positions = self.fs2.result.satisfier_positions()
             for slot, record in enumerate(self.fs2.read_results()):
-                address = None
-                if addresses is not None:
-                    address = call_addresses[positions[slot]]
-                    hit_addresses.append(address)
+                address = call_addresses[positions[slot]]
                 candidates.append(self._decode_record(store, record, address))
             call = []
             call_addresses = []
             call_bytes = 0
             self.fs2.rearm()  # reset the Result Memory, keep the query
 
-        for position, record in enumerate(records):
+        for record, address in zip(records, addresses):
             if call and (
                 call_bytes + len(record) > track_bytes
                 or len(call) >= MAX_SATISFIERS
             ):
                 flush()
             call.append(record)
-            if addresses is not None:
-                call_addresses.append(addresses[position])
+            call_addresses.append(address)
             call_bytes += len(record)
         flush()
-        if addresses is None:
-            return candidates, None
-        return candidates, tuple(hit_addresses)
+        return candidates
 
     def _read_clause_extent(
         self, store: PredicateStore

@@ -2,8 +2,7 @@
 
 See :mod:`repro.parallel.segments` for the mmap segments and their
 copy-on-write rule, :mod:`repro.parallel.worker` for the worker
-process protocol, :mod:`repro.parallel.shm` for the shared-memory
-result slab, and :mod:`repro.parallel.server` for the
+process protocol, and :mod:`repro.parallel.server` for the
 process-backed drop-in behind the cluster front-end.
 """
 
@@ -14,7 +13,6 @@ from .segments import (
     write_segments,
 )
 from .server import ProcessShardedRetrievalServer, WorkerError
-from .shm import decode_results, encode_results
 from .worker import WorkerConfig, worker_main
 
 __all__ = [
@@ -24,8 +22,6 @@ __all__ = [
     "WorkerConfig",
     "WorkerError",
     "attach_kb",
-    "decode_results",
-    "encode_results",
     "worker_main",
     "write_segments",
 ]

@@ -1,8 +1,8 @@
 """A process-backed :class:`~repro.cluster.ShardedRetrievalServer`.
 
 ``ProcessShardedRetrievalServer`` keeps the entire cluster front-end —
-routing, front-end mode planning, the cluster LRU, the replication log,
-stat merging — in the parent, and moves only the *engine execution*
+routing, front-end mode planning, the replication log, stat merging —
+in the parent, and moves only the *engine execution*
 into one worker process per shard.  The parent remains authoritative:
 its in-process shard engines hold the canonical KB (so snapshots,
 migration and the replication log keep working unchanged), and
@@ -21,18 +21,11 @@ Why this shape gives bit-identical accounting with the threaded path:
 
 The GIL is what changes: each worker owns its own interpreter, so the
 per-record Python work of a broadcast runs on N cores instead of
-interleaving on one.  The fan-out is pipelined, not threaded: the
+interleaving on one — candidate decoding included, since a worker
+answers with its pickled ``RetrievalResult`` list on the same pipe that
+carries every other verb.  The fan-out is pipelined, not threaded: the
 parent posts one request to every busy worker, then collects the
 replies, blocked in ``Connection.recv`` (GIL released) while they run.
-
-Result transport: each worker owns a shared-memory slab and replies
-with a ``("__shm__", length)`` reference instead of pickled results —
-the parent decodes candidates off the slab through its own clause cache
-(:mod:`repro.parallel.shm`).  The pipe stays the control channel and
-the overflow path: a reply that outgrows the slab is pickled
-(``parallel.shm.fallbacks``), and on a host where the slab cannot be
-created at all (no ``/dev/shm``) the worker is launched without one and
-pickles everything (``parallel.shm.unavailable`` counts those launches).
 
 Fault tolerance: a worker that dies mid-call is respawned in place —
 segments are re-exported from the parent's authoritative shard (which
@@ -46,7 +39,6 @@ from __future__ import annotations
 import shutil
 import tempfile
 from multiprocessing import get_context
-from multiprocessing.shared_memory import SharedMemory
 from pathlib import Path
 
 from ..cluster.server import (
@@ -57,7 +49,6 @@ from ..cluster.server import (
 )
 from ..terms import Clause
 from .segments import write_segments
-from .shm import DEFAULT_SLOT_BYTES, decode_results, is_shm_ref
 from .worker import WorkerConfig, worker_main
 
 __all__ = ["ProcessShardedRetrievalServer", "WorkerError"]
@@ -68,15 +59,12 @@ class WorkerError(RuntimeError):
 
 
 class _WorkerHandle:
-    """Parent-side endpoint of one shard worker (pipe + process + slab)."""
+    """Parent-side endpoint of one shard worker (pipe + process)."""
 
-    def __init__(self, shard_id: int, process, conn, shm=None):
+    def __init__(self, shard_id: int, process, conn):
         self.shard_id = shard_id
         self.process = process
         self.conn = conn
-        #: the worker's result slab (parent-owned; ``None`` when the
-        #: host could not create one).
-        self.shm = shm
         #: last metrics snapshot merged into the parent registry, so
         #: repeated pulls advance by delta instead of double-counting.
         self.last_metrics: dict | None = None
@@ -113,16 +101,6 @@ class _WorkerHandle:
             self.process.terminate()
             self.process.join(timeout=timeout)
         self.conn.close()
-        if self.shm is not None:
-            try:
-                self.shm.close()
-            except BufferError:  # a decoded view is still alive somewhere
-                pass
-            try:
-                self.shm.unlink()
-            except FileNotFoundError:
-                pass
-            self.shm = None
 
 
 class ProcessShardedRetrievalServer(ShardedRetrievalServer):
@@ -142,7 +120,6 @@ class ProcessShardedRetrievalServer(ShardedRetrievalServer):
         *args,
         spool_dir: str | None = None,
         start_method: str = "spawn",
-        shm_slot_bytes: int = DEFAULT_SLOT_BYTES,
         **kwargs,
     ):
         # Worker state exists before super().__init__: a durable parent
@@ -151,7 +128,6 @@ class ProcessShardedRetrievalServer(ShardedRetrievalServer):
         self._spool_dir = spool_dir
         self._owns_spool = False
         self._start_method = start_method
-        self._shm_slot_bytes = shm_slot_bytes
         self._handles: dict[int, _WorkerHandle] = {}
         self._reload_counter = 0
         super().__init__(*args, **kwargs)
@@ -204,21 +180,12 @@ class ProcessShardedRetrievalServer(ShardedRetrievalServer):
         """Export the shard and spawn its worker (no handshake yet)."""
         ctx = get_context(self._start_method)
         segments_dir = self._export_shard(shard)
-        try:
-            shm = SharedMemory(create=True, size=self._shm_slot_bytes)
-        except OSError:
-            # No shared memory on this host: the worker pickles every
-            # result through the pipe, as it does for slot overflow.
-            shm = None
-            self.obs.counter("parallel.shm.unavailable").inc()
         parent_conn, child_conn = ctx.Pipe()
         config = WorkerConfig(
             shard_id=shard.shard_id,
             segments_dir=segments_dir,
             cross_binding=self._cross_binding,
             cost_model=self._cost_model,
-            shm_name=shm.name if shm is not None else None,
-            shm_slot_bytes=self._shm_slot_bytes,
         )
         process = ctx.Process(
             target=worker_main,
@@ -228,7 +195,7 @@ class ProcessShardedRetrievalServer(ShardedRetrievalServer):
         )
         process.start()
         child_conn.close()
-        return _WorkerHandle(shard.shard_id, process, parent_conn, shm)
+        return _WorkerHandle(shard.shard_id, process, parent_conn)
 
     def _await_ready(self, handle: _WorkerHandle) -> None:
         try:
@@ -344,41 +311,18 @@ class ProcessShardedRetrievalServer(ShardedRetrievalServer):
                 ))
             for shard, message, plans in posted:
                 try:
-                    self._file_reply(
-                        shard, plans, *self._collect(shard, *message)
-                    )
+                    _, results = self._collect(shard, *message)
                 except Exception as exc:  # noqa: BLE001 - raised below
                     failures.append(exc)
+                    continue
+                # The reply is the results, parallel to ``plans``.
+                for plan, result in zip(plans, results):
+                    plan.shard_results[shard.shard_id] = result
         finally:
             for shard in held:
                 shard.lock.release()
         if failures:
             raise failures[0]
-
-    def _file_reply(
-        self,
-        shard: ClusterShard,
-        plans: list[GoalPlan],
-        handle: _WorkerHandle,
-        payload,
-    ) -> None:
-        """File one worker's reply (results parallel to ``plans``, or a
-        slab reference to them) in the plans' ``shard_results``."""
-        if is_shm_ref(payload):
-            length = payload[1]
-            view = handle.shm.buf[:length]
-            try:
-                payload = decode_results(
-                    view, [plan.goal for plan in plans], shard
-                )
-            finally:
-                view.release()
-            self.obs.counter("parallel.shm.results").inc()
-            self.obs.counter("parallel.shm.bytes").inc(length)
-        elif handle.shm is not None:
-            self.obs.counter("parallel.shm.fallbacks").inc()
-        for plan, result in zip(plans, payload):
-            plan.shard_results[shard.shard_id] = result
 
     def _on_shard_mutation(
         self, shard: ClusterShard, op: str, clause: Clause, module: str

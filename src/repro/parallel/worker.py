@@ -28,14 +28,11 @@ time:
 ``("ping", )`` / ``("stop", )``
     Liveness and orderly shutdown.
 
-Replies are ``("ok", payload)`` or ``("err", exception)``.  Results are
-written to the worker's shared-memory slab as an ``(address, record
-bytes)`` directory and answered with a ``("__shm__", length)``
-reference — see :mod:`repro.parallel.shm`; payloads that cannot ride the
-slab (outgrown, unknown addresses) and workers launched without one
-(``shm_name=None``: the host could not create shared memory) fall back
-to pickled dataclasses on the pipe (terms are frozen slotted dataclasses
-with value equality, so that transport is loss-free too).
+Replies are ``("ok", payload)`` or ``("err", exception)``, pickled on
+the pipe.  A retrieve reply is the list of ``RetrievalResult``s itself:
+the worker has already decoded the candidates through its own decode
+cache, and terms are frozen slotted dataclasses with value equality, so
+the pickle is loss-free.
 """
 
 from __future__ import annotations
@@ -48,7 +45,6 @@ from ..crs.server import ClauseRetrievalServer
 from ..obs import Instrumentation
 from ..storage import Residency
 from .segments import attach_kb
-from .shm import DEFAULT_SLOT_BYTES, SlabWriter, attach_slab, encode_results
 
 __all__ = ["WorkerConfig", "worker_main"]
 
@@ -61,10 +57,6 @@ class WorkerConfig:
     segments_dir: str
     cross_binding: bool = True
     cost_model: HostCostModel | None = None
-    #: the worker's result slab; ``None`` when the parent could not
-    #: create one, and every result is pickled through the pipe.
-    shm_name: str | None = None
-    shm_slot_bytes: int = DEFAULT_SLOT_BYTES
 
 
 def _build_engine(config: WorkerConfig, segments_dir: str):
@@ -75,7 +67,7 @@ def _build_engine(config: WorkerConfig, segments_dir: str):
         kb,
         cost_model=config.cost_model,
         cross_binding=config.cross_binding,
-        cache_size=0,  # caching happens once, at the cluster front-end
+        cache_size=0,  # as a threaded shard engine: no shard result cache
         obs=obs,
     )
     return base, kb, server
@@ -105,27 +97,11 @@ def worker_main(conn, config: WorkerConfig) -> None:
     """Entry point for the spawned worker process."""
     try:
         base, kb, server = _build_engine(config, config.segments_dir)
-        writer = None
-        if config.shm_name:
-            writer = SlabWriter(
-                attach_slab(config.shm_name), config.shm_slot_bytes
-            )
     except BaseException as exc:  # surface attach failures to the parent
         _send(conn, "err", exc)
         conn.close()
         return
     _send(conn, "ok", "ready")
-
-    def _via_slab(results):
-        """Slab reference for a retrieve reply, or the results themselves."""
-        if writer is None:
-            return results
-        encoded = encode_results(results, kb)
-        if encoded is None:
-            return results
-        ref = writer.write(encoded)
-        return results if ref is None else ref
-
     while True:
         try:
             message = conn.recv()
@@ -134,11 +110,11 @@ def worker_main(conn, config: WorkerConfig) -> None:
         verb = message[0]
         try:
             if verb == "retrieve_batch":
-                payload = _via_slab([
+                payload = [
                     result
                     for goals, mode in message[1]
                     for result in server.retrieve_batch(goals, mode=mode)
-                ])
+                ]
             elif verb == "mutate":
                 _apply_mutation(kb, message[1], message[2], message[3])
                 payload = kb.version
@@ -163,6 +139,4 @@ def worker_main(conn, config: WorkerConfig) -> None:
             _send(conn, "err", exc)
         else:
             _send(conn, "ok", payload)
-    if writer is not None:
-        writer.close()
     conn.close()

@@ -134,10 +134,9 @@ class SymbolTable:
 class QuerySymbols(SymbolTable):
     """A lookup-only view of ``table`` for encoding one query.
 
-    A retrieval must not grow the table it searches: a client could fill
-    the 24-bit space with fresh atoms, and a worker process that interned
-    a goal's constants would number its next stored symbol differently
-    from the parent it shares records with.  Constants ``table`` lacks
+    A retrieval must not grow the table it searches, or clients sending
+    goals with fresh atoms would fill its 24-bit space one read at a
+    time; only stored clauses intern symbols.  Constants ``table`` lacks
     are numbered in this view's own entries instead, from ``len(table)``
     up — an offset no stored record can hold, so they never match, while
     two distinct absent constants stay distinct (``p(X, X)`` must still

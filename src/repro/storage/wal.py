@@ -50,6 +50,7 @@ import struct
 import threading
 import zlib
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..obs import Instrumentation
 from ..obs import get_default as _default_obs
@@ -380,30 +381,49 @@ class WriteAheadLog:
         self.obs.counter("wal.append_bytes").inc(len(frame))
 
     def wait_durable(self, seq: int) -> None:
-        """Block until record ``seq`` is committed per the flush policy."""
-        while True:
+        """Block until record ``seq`` (already staged) is committed per
+        the flush policy."""
+        self._write_staged(self._commit, durable=True, seq=seq)
+
+    def _write_staged(
+        self,
+        then: Callable[[list[bytes]], None],
+        *,
+        durable: bool,
+        seq: int | None = None,
+    ) -> None:
+        """The one staged-batch hand-off every writer goes through: wait
+        out a flush in flight, take the staged batch and its seq, write
+        it, then ``then(batch)`` with the flush flag still held.
+
+        ``durable`` says whether what ``then`` did commits the batch;
+        ``seq`` skips the hand-off once a flush that landed meanwhile
+        committed it (the group-commit waiters).
+        """
+        with self._cond:
+            self._cond.wait_for(
+                lambda: not self._flushing
+                or (seq is not None and self._durable_seq >= seq)
+            )
+            if seq is not None and self._durable_seq >= seq:
+                return
+            batch, batch_seq = self._staged, self._staged_seq
+            self._staged = []
+            self._flushing = True
+        try:
+            assert self._file is not None, "WAL not opened"
+            if batch:
+                self._file.write(b"".join(batch))
+            then(batch)
+        finally:
             with self._cond:
-                if self._durable_seq >= seq:
-                    return
-                if self._flushing:
-                    self._cond.wait()
-                    continue
-                batch = self._staged
-                batch_seq = self._staged_seq
-                self._staged = []
-                self._flushing = True
-            try:
-                self._commit(batch)
-            finally:
-                with self._cond:
+                if durable:
                     self._durable_seq = max(self._durable_seq, batch_seq)
-                    self._flushing = False
-                    self._cond.notify_all()
+                self._flushing = False
+                self._cond.notify_all()
 
     def _commit(self, batch: list[bytes]) -> None:
-        assert self._file is not None, "WAL not opened"
-        if batch:
-            self._file.write(b"".join(batch))
+        """The policy flush + fsync of a written batch."""
         if self.flush_policy != "none":
             self._file.flush()
         _maybe_crash("wal.pre_fsync")
@@ -425,26 +445,14 @@ class WriteAheadLog:
         the old segment regardless of policy — rotation is the boundary
         recovery relies on to confine torn tails to the newest segment.
         """
-        with self._cond:
-            while self._flushing:
-                self._cond.wait()
-            batch = self._staged
-            batch_seq = self._staged_seq
-            self._staged = []
-            self._flushing = True
-        try:
-            assert self._file is not None
-            if batch:
-                self._file.write(b"".join(batch))
+
+        def seal(batch: list[bytes]) -> None:
             self._file.flush()
             os.fsync(self._file.fileno())
             self._file.close()
             self._create_segment(base_seq)
-        finally:
-            with self._cond:
-                self._durable_seq = max(self._durable_seq, batch_seq)
-                self._flushing = False
-                self._cond.notify_all()
+
+        self._write_staged(seal, durable=True)
 
     def records_since(self, seq: int) -> list[MutationRecord]:
         """Every durable-or-staged record with ``seq`` greater, from disk.
@@ -453,16 +461,7 @@ class WriteAheadLog:
         read-back path, durability still rides the caller's policy)
         so the scan sees a contiguous prefix of everything staged.
         """
-        with self._cond:
-            while self._flushing:
-                self._cond.wait()
-            batch = self._staged
-            self._staged = []
-            if batch:
-                assert self._file is not None
-                self._file.write(b"".join(batch))
-            assert self._file is not None
-            self._file.flush()
+        self._write_staged(lambda batch: self._file.flush(), durable=False)
         out: list[MutationRecord] = []
         for path in _list_segments(self.directory):
             try:

@@ -226,6 +226,17 @@ class TestUserErrors:
         assert main(["consult", str(path)], out=io.StringIO()) == 2
         assert "line 3, column 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["processes:two", "processes:0", "process"])
+    def test_malformed_workers_is_a_usage_error(self, spec, program_file, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", program_file, "--workers", spec], out=io.StringIO())
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert "argument --workers: expected threads, processes or " in err
+        assert repr(spec) in err
+        assert "Traceback" not in err
+
 
 class TestDumpCommand:
     def test_dump_fact(self):

@@ -54,8 +54,7 @@ class TestSweepLeavesTheLedgerAlone:
             assert [str(c) for c in got.candidates] == [
                 str(c) for c in expected.candidates
             ]
-            assert got.addresses == expected.addresses
-            assert len(got.addresses) > 30  # wide on every shard
+            assert len(got.candidates) > 30  # wide on every shard
             for name in (
                 "clauses_total", "fs1_candidates", "final_candidates",
                 "fs1_time_s", "fs2_time_s", "fs2_search_calls",

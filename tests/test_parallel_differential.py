@@ -7,12 +7,15 @@ history, both the candidate multiset AND the modelled 1989 statistics
 (simulated disk/FS1/FS2 times, byte counts, per-shard splits) must be
 exactly the threaded cluster's.  The suite drives both backends side by
 side — element-wise over ``retrieve``, ``retrieve_batch``, full
-``solve`` queries, and across forwarded mutations — and a hypothesis
-property (slow tier) repeats the comparison over random knowledge
-bases.
+``solve`` queries, and across forwarded mutations — proves the respawn
+path by killing workers mid-traffic, and a hypothesis property (slow
+tier) repeats the comparison over random knowledge bases.
 """
 
 import dataclasses
+import os
+import signal
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,7 @@ from hypothesis import strategies as st
 from repro.cluster import ShardedRetrievalServer, ShardingPolicy
 from repro.crs import SearchMode
 from repro.engine import SolveEngine
+from repro.obs import Instrumentation
 from repro.parallel import ProcessShardedRetrievalServer
 from repro.storage import Residency
 from repro.terms import Atom, Clause, Struct, Var, read_term
@@ -56,7 +60,9 @@ def fingerprint(result):
 def build_pair(clauses=None, text=PROGRAM, num_shards=3,
                policy=ShardingPolicy.PREDICATE):
     threaded = ShardedRetrievalServer(num_shards, policy)
-    process = ProcessShardedRetrievalServer(num_shards, policy)
+    process = ProcessShardedRetrievalServer(
+        num_shards, policy, obs=Instrumentation()
+    )
     if clauses is not None:
         threaded.consult_clauses(clauses)
         process.consult_clauses(clauses)
@@ -65,6 +71,17 @@ def build_pair(clauses=None, text=PROGRAM, num_shards=3,
         process.consult_text(text)
     process.start()
     return threaded, process
+
+
+def kill_one_worker(process):
+    handle = next(iter(process._handles.values()))
+    os.kill(handle.process.pid, signal.SIGKILL)
+    handle.process.join(timeout=5.0)
+    # Give the pipe a moment to report EOF on the parent side.
+    deadline = time.monotonic() + 5.0
+    while handle.process.is_alive() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return handle.shard_id
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +285,102 @@ class TestSolveIdentity:
                     assert dataclasses.astuple(eng_p.stats) == dataclasses.astuple(
                         eng_t.stats
                     )
+        finally:
+            process.close()
+
+
+class TestWorkerRespawn:
+    def test_killed_worker_respawns_and_answers(self):
+        threaded, process = build_pair()
+        try:
+            goals = [read_term(text) for text in GOALS]
+            expected = [fingerprint(threaded.retrieve(g)) for g in goals]
+            assert [fingerprint(process.retrieve(g)) for g in goals] == (
+                expected
+            )
+            killed = kill_one_worker(process)
+            # Every goal still answers bit-identically: the dead
+            # worker's shard respawns transparently on first use.
+            assert [fingerprint(process.retrieve(g)) for g in goals] == (
+                expected
+            )
+            assert process.obs.registry.total(
+                "parallel.worker.restarts"
+            ) == 1
+            replacement = process._handles[killed]
+            assert replacement.process.is_alive()
+            # Batches work against the replacement too.
+            batch = [fingerprint(r) for r in process.retrieve_batch(goals)]
+            assert batch == [fingerprint(r) for r in threaded.retrieve_batch(goals)]
+        finally:
+            process.close()
+
+    def test_every_worker_killed_under_one_fan_out(self):
+        """The pipelined fan-out retries per handle and stays in step:
+        every dead worker is replaced inside one broadcast batch, and no
+        reply is left unread to answer a later request."""
+        threaded, process = build_pair()
+        try:
+            goals = [read_term(text) for text in GOALS]
+            expected = [fingerprint(r) for r in threaded.retrieve_batch(goals)]
+            for handle in list(process._handles.values()):
+                os.kill(handle.process.pid, signal.SIGKILL)
+                handle.process.join(timeout=5.0)
+            results = process.retrieve_batch(goals)
+            assert [fingerprint(r) for r in results] == expected
+            busy = {shard for r in results for shard in r.stats.per_shard}
+            assert len(busy) > 1
+            assert process.obs.registry.total(
+                "parallel.worker.restarts"
+            ) == len(busy)
+            for goal in goals:
+                assert fingerprint(process.retrieve(goal)) == fingerprint(
+                    threaded.retrieve(goal)
+                )
+        finally:
+            process.close()
+
+    def test_a_stuck_shard_times_the_fan_out_out(self):
+        """Deadline contract on the process backend: queue wait is cut
+        off, and the locks taken before the stuck one are given back."""
+        from repro.crs import RetrievalTimeout
+
+        _, process = build_pair(
+            text="q(a). q(b). q(c). q(d).",
+            num_shards=2,
+            policy=ShardingPolicy.ROUND_ROBIN,
+        )
+        try:
+            goal = read_term("q(X)")
+            stuck = process.shards[1].lock
+            stuck.acquire()
+            try:
+                for entry in (
+                    lambda: process.retrieve(goal, timeout=0.05),
+                    lambda: process.retrieve_batch([goal], timeout=0.05),
+                ):
+                    with pytest.raises(RetrievalTimeout):
+                        entry()
+                    assert process.shards[0].lock.acquire(timeout=1.0)
+                    process.shards[0].lock.release()
+            finally:
+                stuck.release()
+            assert len(process.retrieve(goal, timeout=5.0).candidates) == 4
+        finally:
+            process.close()
+
+    def test_mutations_survive_a_respawn(self):
+        """The replacement re-exports from the parent's mutated shard."""
+        threaded, process = build_pair()
+        try:
+            clause = Clause(Struct("edge", (Atom("post"), Atom("kill"))))
+            threaded.add_clause(clause)
+            process.add_clause(clause)
+            kill_one_worker(process)
+            goal = read_term("edge(X, Y)")
+            assert fingerprint(process.retrieve(goal)) == fingerprint(
+                threaded.retrieve(goal)
+            )
         finally:
             process.close()
 

@@ -455,8 +455,8 @@ class TestThreadedCluster:
 def run_process_pair(steps, num_shards=2) -> None:
     """Workers attach the parent's segments, then every mutation lands
     on the mapped stores (copy-on-write, then splice).  What the workers
-    serve — record bytes shipped back over the slab, and the modelled
-    stats computed from their images — must equal the threaded cluster's
+    serve — candidates decoded from their images, and the modelled
+    stats computed from them — must equal the threaded cluster's
     after every step."""
     threaded = ShardedRetrievalServer(num_shards, ShardingPolicy.FIRST_ARG)
     process = ProcessShardedRetrievalServer(num_shards, ShardingPolicy.FIRST_ARG)
