@@ -187,10 +187,10 @@ def test_bench_wide_result_fetch_schedule(benchmark):
                 goal = read_term(f"rec(K, c{wanted}, V)")
                 both = crs.retrieve(goal, mode=SearchMode.BOTH).stats
                 full = crs.retrieve(goal, mode=SearchMode.FS2_ONLY).stats
-                fs1 = crs.retrieve(goal, mode=SearchMode.FS1_ONLY)
+                fs1 = crs.fs1.search(store.index, goal)
                 offsets = [
                     (address, store.clause_file.record_span(address)[1])
-                    for address in fs1.addresses
+                    for address in fs1.candidate_addresses
                 ]
                 _, fetch = kb.disk.stream_records(store.extent_name(), offsets)
                 old_disk_s = (
