@@ -2,8 +2,10 @@
 
 Each benchmark registers the table/figure rows it regenerates via
 :func:`benchmarks.tables.record_table`; this conftest prints every
-registered table in the terminal summary (uncaptured) and writes them to
-``benchmarks/results.txt`` for EXPERIMENTS.md.
+registered table in the terminal summary (uncaptured).  A full, passing
+run (every ``test_*.py`` here collected, nothing deselected) also writes
+them to ``benchmarks/results.txt``, the checked-in record that CI diffs;
+a partial run leaves that file alone.
 """
 
 import pathlib
@@ -15,26 +17,16 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 from tables import format_tables, registered_tables  # noqa: E402
 
-RESULTS_PATH = pathlib.Path(__file__).parent / "results.txt"
+HERE = pathlib.Path(__file__).parent
+RESULTS_PATH = HERE / "results.txt"
+COLLECTED_FILES = pytest.StashKey[set]()
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--quick",
-        action="store_true",
-        default=False,
-        help="shrink benchmark workloads for CI smoke runs (fewer "
-        "entries, relaxed speedup floors)",
-    )
+def pytest_collection_finish(session):
+    session.config.stash[COLLECTED_FILES] = {item.path for item in session.items}
 
 
-@pytest.fixture
-def quick(request) -> bool:
-    """True when the suite runs under ``--quick`` (CI smoke mode)."""
-    return request.config.getoption("--quick")
-
-
-def pytest_terminal_summary(terminalreporter):
+def pytest_terminal_summary(terminalreporter, exitstatus, config):
     tables = registered_tables()
     if not tables:
         return
@@ -45,5 +37,15 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_line("=" * 70)
     for line in text.splitlines():
         terminalreporter.write_line(line)
-    RESULTS_PATH.write_text(text)
-    terminalreporter.write_line(f"(also written to {RESULTS_PATH})")
+    full_run = (
+        exitstatus == 0
+        and not terminalreporter.stats.get("deselected")
+        and config.stash.get(COLLECTED_FILES, set()) == set(HERE.glob("test_*.py"))
+    )
+    if full_run:
+        RESULTS_PATH.write_text(text)
+        terminalreporter.write_line(f"(also written to {RESULTS_PATH})")
+    else:
+        terminalreporter.write_line(
+            f"(partial or failing run: {RESULTS_PATH} left unchanged)"
+        )

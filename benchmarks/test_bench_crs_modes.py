@@ -34,7 +34,7 @@ def _kb_of_size(count: int) -> tuple[KnowledgeBase, object]:
     return kb, clauses[count // 2].head
 
 
-def test_bench_modes_vs_kb_size(benchmark):
+def test_bench_modes_vs_kb_size():
     unify_ns = ClauseRetrievalServer(KnowledgeBase()).cost_model.unify_per_candidate_ns
 
     def sweep():
@@ -67,7 +67,7 @@ def test_bench_modes_vs_kb_size(benchmark):
             )
         return rows
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = sweep()
     record_table(
         "E3",
         "Modelled retrieval time (ms) per CRS mode vs KB size "
@@ -82,7 +82,7 @@ def test_bench_modes_vs_kb_size(benchmark):
     assert largest[6] <= 5
 
 
-def test_bench_modes_shared_variable_query(benchmark):
+def test_bench_modes_shared_variable_query():
     def shared_sweep():
         rows = []
         for count in SIZES:
@@ -108,7 +108,7 @@ def test_bench_modes_shared_variable_query(benchmark):
             )
         return rows
 
-    rows = benchmark.pedantic(shared_sweep, rounds=1, iterations=1)
+    rows = shared_sweep()
     for count, fs1_candidates, fs2_candidates, _, _ in rows:
         assert fs1_candidates == count  # FS1 is blind to shared variables
         assert fs2_candidates < count * 0.15
@@ -168,7 +168,7 @@ def _per_record_seek_s(drive, offsets) -> float:
     return cost
 
 
-def test_bench_wide_result_fetch_schedule(benchmark):
+def test_bench_wide_result_fetch_schedule():
     """E3c: the two-stage fetch as FS1's candidate set widens.
 
     The disk driver serves FS1's candidates as read-through runs, so
@@ -220,7 +220,7 @@ def test_bench_wide_result_fetch_schedule(benchmark):
                 )
         return rows
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = sweep()
     break_even = ", ".join(
         "{}: {:.1f} KB".format(
             _short(drive),

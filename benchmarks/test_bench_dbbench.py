@@ -15,7 +15,7 @@ from tables import record_table
 ROWS = 800
 
 
-def test_bench_db_suite(benchmark):
+def test_bench_db_suite():
     suite = standard_suite(rows=ROWS, seed=0)
 
     def run_suite():
@@ -43,7 +43,7 @@ def test_bench_db_suite(benchmark):
             )
         return rows
 
-    rows = benchmark.pedantic(run_suite, rounds=1, iterations=1)
+    rows = run_suite()
     by_name = {row[0]: row for row in rows}
     for program in suite:
         answers = by_name[program.name][1]

@@ -3,7 +3,7 @@
 The Double Buffer lets clause n+1 stream from disk while clause n is being
 matched, so per-clause time is max(transfer, match) instead of their sum
 (section 3.2).  This bench quantifies the win across operation mixes and
-also measures the raw simulator's clause throughput.
+streams an open query through the simulator in Result-Memory chunks.
 """
 
 from repro.disk import FUJITSU_M2351A, MICROPOLIS_1325
@@ -16,7 +16,7 @@ from repro.workloads import FactKBSpec, generate_facts
 from tables import record_table
 
 
-def test_bench_overlap_model(benchmark):
+def test_bench_overlap_model():
     record_bytes = 40  # a typical small compiled fact
     transfer_ns = record_bytes / FUJITSU_M2351A.transfer_rate_bytes_per_sec * 1e9
 
@@ -41,7 +41,7 @@ def test_bench_overlap_model(benchmark):
             )
         return rows
 
-    rows = benchmark.pedantic(model, rounds=1, iterations=1)
+    rows = model()
     for _, transfer, match, single, double, speedup in rows:
         assert double == max(transfer, match)
         assert 1.0 <= speedup <= 2.0
@@ -54,7 +54,7 @@ def test_bench_overlap_model(benchmark):
     )
 
 
-def test_bench_streaming_cosimulation(benchmark):
+def test_bench_streaming_cosimulation():
     """Real per-clause op times folded against real transfer times."""
     symbols = SymbolTable()
     clauses = generate_facts(
@@ -88,7 +88,7 @@ def test_bench_streaming_cosimulation(benchmark):
             )
         return rows
 
-    rows = benchmark.pedantic(cosim, rounds=1, iterations=1)
+    rows = cosim()
     for _, transfer_us, match_us, single_us, double_us, speedup, bound in rows:
         assert double_us <= single_us
         assert bound == 0, "the filter must never throttle the disk"
@@ -110,8 +110,8 @@ def test_bench_streaming_cosimulation(benchmark):
     )
 
 
-def test_bench_simulator_throughput(benchmark):
-    """Raw Python-simulator speed: clauses matched per second."""
+def test_bench_open_query_in_result_memory_chunks():
+    """An open query passes every record, 64 satisfiers per search."""
     symbols = SymbolTable()
     clauses = generate_facts(
         FactKBSpec(functor="rec", arity=3, count=200, domain_sizes=(20,) * 3, seed=2)
@@ -120,16 +120,10 @@ def test_bench_simulator_throughput(benchmark):
     fs2 = SecondStageFilter(symbols)
     fs2.load_microprogram()
     query = read_term("rec(Q1, Q2, Q3)")
-
-    def search_all():
+    fs2.set_query(query)
+    # Split into Result-Memory-sized calls (64 satisfiers max).
+    satisfiers = 0
+    for start in range(0, len(records), 64):
+        satisfiers += fs2.search(records[start : start + 64]).satisfiers
         fs2.set_query(query)
-        # Split into Result-Memory-sized calls (64 satisfiers max).
-        total = 0
-        for start in range(0, len(records), 64):
-            stats = fs2.search(records[start : start + 64])
-            total += stats.satisfiers
-            fs2.set_query(query)
-        return total
-
-    satisfiers = benchmark(search_all)
     assert satisfiers == len(records)  # open query: everything matches

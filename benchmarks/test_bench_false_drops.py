@@ -27,7 +27,7 @@ def _false_drop_rate(scheme, clauses, query):
     return candidates, answers, false
 
 
-def test_bench_codeword_width_sweep(benchmark):
+def test_bench_codeword_width_sweep():
     clauses = generate_facts(
         FactKBSpec(functor="r", arity=4, count=600, domain_sizes=(40, 40, 40, 40), seed=21)
     )
@@ -54,7 +54,7 @@ def test_bench_codeword_width_sweep(benchmark):
             )
         return rows
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = sweep()
     # Wider codewords mean fewer false drops (non-unique encoding source).
     drop_rates = [row[4] for row in rows]
     assert drop_rates[0] >= drop_rates[-1]
@@ -67,7 +67,7 @@ def test_bench_codeword_width_sweep(benchmark):
     )
 
 
-def test_bench_truncation(benchmark):
+def test_bench_truncation():
     """Arguments beyond max_args are not encoded: mismatches go unseen."""
 
     def truncation_rows():
@@ -92,7 +92,7 @@ def test_bench_truncation(benchmark):
             rows.append((arity, len(decoys), passed))
         return rows
 
-    rows = benchmark.pedantic(truncation_rows, rounds=1, iterations=1)
+    rows = truncation_rows()
     for arity, decoys, passed in rows:
         if arity <= 12:
             assert passed < decoys  # the differing argument is encoded
@@ -107,7 +107,7 @@ def test_bench_truncation(benchmark):
     )
 
 
-def test_bench_analytic_vs_measured(benchmark):
+def test_bench_analytic_vs_measured():
     """The Roberts/ref-[11] formula against the real generator (E1d)."""
     clauses = generate_facts(
         FactKBSpec(
@@ -142,7 +142,7 @@ def test_bench_analytic_vs_measured(benchmark):
             )
         return rows
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = sweep()
     # Order-of-magnitude agreement between theory and implementation.
     for width, predicted_pct, measured_pct in rows:
         assert measured_pct <= predicted_pct * 8 + 1.0
@@ -158,7 +158,7 @@ def test_bench_analytic_vs_measured(benchmark):
     )
 
 
-def test_bench_shared_variables(benchmark):
+def test_bench_shared_variables():
     """The married_couple(S, S) query retrieves the entire predicate."""
     clauses = generate_couples(count=800, same_surname_fraction=0.05, seed=17)
     scheme = CodewordScheme(width=96, bits_per_key=2)
@@ -178,7 +178,7 @@ def test_bench_shared_variables(benchmark):
             )
         return rows
 
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
+    rows = measure()
     shared_row = rows[1]
     assert shared_row[1] == len(clauses)  # everything retrieved
     assert shared_row[2] < len(clauses) * 0.1  # yet few true answers

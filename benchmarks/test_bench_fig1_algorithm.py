@@ -38,7 +38,7 @@ def _workload():
     return clauses, queries
 
 
-def test_bench_fig1_equivalence(benchmark):
+def test_bench_fig1_equivalence():
     clauses, queries = _workload()
     symbols = SymbolTable()
     compiled = [compile_clause(c, symbols) for c in clauses]
@@ -63,7 +63,7 @@ def test_bench_fig1_equivalence(benchmark):
             rows.append((str(query), sim_hits, oracle_hits))
         return divergences, rows
 
-    divergences, rows = benchmark(run_all)
+    divergences, rows = run_all()
     assert divergences == 0
     record_table(
         "F1",
@@ -75,7 +75,7 @@ def test_bench_fig1_equivalence(benchmark):
     )
 
 
-def test_bench_fig1_soundness_and_filtering(benchmark):
+def test_bench_fig1_soundness_and_filtering():
     clauses, queries = _workload()
 
     def soundness_sweep():
@@ -93,7 +93,7 @@ def test_bench_fig1_soundness_and_filtering(benchmark):
                     lost += 1
         return lost, total_candidates, total_answers
 
-    lost, candidates, answers = benchmark(soundness_sweep)
+    lost, candidates, answers = soundness_sweep()
     assert lost == 0
     total = len(queries) * len(clauses)
     record_table(

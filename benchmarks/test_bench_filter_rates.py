@@ -24,17 +24,14 @@ def _mixed_rate(worst_fraction: float) -> float:
     return 1e9 / mean_ns
 
 
-def test_bench_headline_rates(benchmark):
-    def rates():
-        return {
-            "FS1 scan": FS1_SCAN_RATE_BYTES_PER_SEC,
-            "FS2 worst case": worst_case_rate_bytes_per_sec(),
-            "FS2 best case (all MATCH)": _mixed_rate(0.0),
-            "disk peak (Fujitsu M2351A SMD)": FUJITSU_M2351A.transfer_rate_bytes_per_sec,
-            "disk (Micropolis 1325 SCSI)": MICROPOLIS_1325.transfer_rate_bytes_per_sec,
-        }
-
-    rates = benchmark(rates)
+def test_bench_headline_rates():
+    rates = {
+        "FS1 scan": FS1_SCAN_RATE_BYTES_PER_SEC,
+        "FS2 worst case": worst_case_rate_bytes_per_sec(),
+        "FS2 best case (all MATCH)": _mixed_rate(0.0),
+        "disk peak (Fujitsu M2351A SMD)": FUJITSU_M2351A.transfer_rate_bytes_per_sec,
+        "disk (Micropolis 1325 SCSI)": MICROPOLIS_1325.transfer_rate_bytes_per_sec,
+    }
     assert rates["FS2 worst case"] == pytest.approx(4.25e6, rel=0.01)
     assert rates["FS1 scan"] == 4.5e6
     assert rates["FS2 worst case"] > rates["disk peak (Fujitsu M2351A SMD)"]
@@ -48,13 +45,9 @@ def test_bench_headline_rates(benchmark):
     )
 
 
-def test_bench_rate_vs_op_mix(benchmark):
+def test_bench_rate_vs_op_mix():
     fractions = [0.0, 0.1, 0.25, 0.5, 0.75, 1.0]
-
-    def sweep():
-        return [(f, _mixed_rate(f) / 1e6) for f in fractions]
-
-    series = benchmark(sweep)
+    series = [(f, _mixed_rate(f) / 1e6) for f in fractions]
     # Monotone decreasing, bounded by best/worst cases.
     rates = [rate for _, rate in series]
     assert rates == sorted(rates, reverse=True)

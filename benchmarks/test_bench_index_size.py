@@ -31,14 +31,14 @@ def _clause_file(count: int = 800):
     return clause_file
 
 
-def test_bench_index_build(benchmark):
+def test_bench_index_build():
     clause_file = _clause_file()
     scheme = CodewordScheme(width=96)
-    index = benchmark(SecondaryIndexFile.build, clause_file, scheme)
+    index = SecondaryIndexFile.build(clause_file, scheme)
     assert len(index) == len(clause_file)
 
 
-def test_bench_codeword_design_tool(benchmark):
+def test_bench_codeword_design_tool():
     """[E5b] Sizing the index for Warren's medium KB with the analytics.
 
     For 3M facts of ~5 ground keys each, what codeword width keeps false
@@ -69,7 +69,7 @@ def test_bench_codeword_design_tool(benchmark):
             )
         return rows
 
-    rows = benchmark.pedantic(design, rounds=1, iterations=1)
+    rows = design()
     widths = [row[1] for row in rows]
     assert widths == sorted(widths)  # tighter targets need wider codewords
     record_table(
@@ -82,7 +82,7 @@ def test_bench_codeword_design_tool(benchmark):
     )
 
 
-def test_bench_size_ratio_sweep(benchmark):
+def test_bench_size_ratio_sweep():
     clause_file = _clause_file()
     data_bytes = clause_file.size_bytes()
     queries = [clause_file.decode_clause(i * 53).head for i in range(8)]
@@ -108,7 +108,7 @@ def test_bench_size_ratio_sweep(benchmark):
             )
         return rows
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = sweep()
     for width, index_bytes, total_bytes, ratio, _ in rows:
         if width <= 128:
             assert index_bytes < total_bytes, "index must be smaller than data"

@@ -1,11 +1,11 @@
-"""[E7] Inference rate: interpreted vs compiled execution (LIPS).
+"""[E7] Naive reverse on both execution engines.
 
 Prolog-X is a *compiler*; the PDBM software component inherits that.
-This bench measures the classic naive-reverse LIPS figure on both of our
+This bench runs the classic naive-reverse workload on both of our
 execution engines — the tree-walking interpreter and the ZIP-style
-compiled-clause machine — and checks they agree on the answer.  (These
-are wall-clock Python numbers, not 1989 hardware projections; the point
-is the engine-to-engine comparison and the workload itself.)
+compiled-clause machine — records its logical-inference count, and
+checks that both engines return the same reversed list.  Host speed
+(LIPS) is not a paper number and is not recorded here.
 """
 
 from repro.engine import PrologMachine
@@ -32,44 +32,30 @@ def _machine() -> PrologMachine:
     return PrologMachine(kb, unknown_predicates="fail")
 
 
-def test_bench_nrev_interpreter(benchmark):
+def test_bench_nrev_interpreter():
     machine = _machine()
-
-    def run():
-        return next(iter(machine.solve_text(NREV30_GOAL)))
-
-    solution = benchmark(run)
+    solution = next(iter(machine.solve_text(NREV30_GOAL)))
     assert term_to_string(solution["R"]) == EXPECTED
-    lips = NREV30_INFERENCES / benchmark.stats["mean"]
+    # One clause retrieval per procedure call: the inference count.
+    assert machine.stats.retrievals == NREV30_INFERENCES
     record_table(
         "E7a",
         "nrev30 on the tree-walking interpreter",
         ("metric", "value"),
-        [
-            ("logical inferences", NREV30_INFERENCES),
-            ("mean time s", round(benchmark.stats["mean"], 5)),
-            ("LIPS", round(lips)),
-        ],
+        [("logical inferences", machine.stats.retrievals)],
     )
 
 
-def test_bench_nrev_compiled(benchmark):
+def test_bench_nrev_compiled():
     machine = _machine()
-
-    def run():
-        return next(iter(machine.compiled_solve_text(NREV30_GOAL)))
-
-    solution = benchmark(run)
+    solution = next(iter(machine.compiled_solve_text(NREV30_GOAL)))
     assert term_to_string(solution["R"]) == EXPECTED
-    lips = NREV30_INFERENCES / benchmark.stats["mean"]
+    # One clause retrieval per procedure call: the inference count.
+    assert machine.stats.retrievals == NREV30_INFERENCES
     record_table(
         "E7b",
         "nrev30 on the ZIP compiled-clause machine",
         ("metric", "value"),
-        [
-            ("logical inferences", NREV30_INFERENCES),
-            ("mean time s", round(benchmark.stats["mean"], 5)),
-            ("LIPS", round(lips)),
-        ],
+        [("logical inferences", machine.stats.retrievals)],
         notes="engines verified to produce the identical reversed list",
     )

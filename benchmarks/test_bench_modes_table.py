@@ -2,7 +2,7 @@
 
 The control-register bit encodings (b0/b1 selecting the four operational
 modes, b2 selecting FS1/FS2, b7 as match-found status) are verified and
-printed; the benchmark times a full host-protocol mode cycle.
+printed after a full host-protocol mode cycle.
 """
 
 from repro.fs2 import (
@@ -13,22 +13,18 @@ from repro.fs2 import (
 from tables import record_table
 
 
-def test_bench_mode_table(benchmark):
-    def cycle_modes():
-        register = ControlRegister()
-        register.select_filter(FilterSelect.FS2)
-        observed = []
-        for mode in (
-            OperationalMode.MICROPROGRAMMING,
-            OperationalMode.SET_QUERY,
-            OperationalMode.SEARCH,
-            OperationalMode.READ_RESULT,
-        ):
-            register.set_mode(mode)
-            observed.append((mode, register.value & 1, (register.value >> 1) & 1))
-        return observed
-
-    observed = benchmark(cycle_modes)
+def test_bench_mode_table():
+    register = ControlRegister()
+    register.select_filter(FilterSelect.FS2)
+    observed = []
+    for mode in (
+        OperationalMode.MICROPROGRAMMING,
+        OperationalMode.SET_QUERY,
+        OperationalMode.SEARCH,
+        OperationalMode.READ_RESULT,
+    ):
+        register.set_mode(mode)
+        observed.append((mode, register.value & 1, (register.value >> 1) & 1))
     expected = {
         OperationalMode.READ_RESULT: (0, 0),
         OperationalMode.SEARCH: (0, 1),
@@ -50,16 +46,12 @@ def test_bench_mode_table(benchmark):
     )
 
 
-def test_bench_filter_select(benchmark):
-    def toggle():
-        register = ControlRegister()
-        states = []
-        for which in (FilterSelect.FS1, FilterSelect.FS2, FilterSelect.FS1):
-            register.select_filter(which)
-            states.append((which, register.filter_select, (register.value >> 2) & 1))
-        return states
-
-    states = benchmark(toggle)
+def test_bench_filter_select():
+    register = ControlRegister()
+    states = []
+    for which in (FilterSelect.FS1, FilterSelect.FS2, FilterSelect.FS1):
+        register.select_filter(which)
+        states.append((which, register.filter_select, (register.value >> 2) & 1))
     for requested, observed, b2 in states:
         assert requested == observed
         assert b2 == (1 if requested == FilterSelect.FS2 else 0)

@@ -26,7 +26,7 @@ HOST_MEMORY_BYTES = 4 * 1024 * 1024
 LOADED_BYTES_PER_CLAUSE = 64
 
 
-def test_bench_memory_wall(benchmark):
+def test_bench_memory_wall():
     """Where does the in-memory approach hit the 4 MB wall?"""
 
     def wall():
@@ -47,7 +47,7 @@ def test_bench_memory_wall(benchmark):
             )
         return rows
 
-    rows = benchmark.pedantic(wall, rounds=1, iterations=1)
+    rows = wall()
     fits_flags = [row[2] for row in rows]
     assert "NO" in fits_flags  # the wall exists
     assert fits_flags[0] == "yes"
@@ -62,7 +62,7 @@ def test_bench_memory_wall(benchmark):
     )
 
 
-def test_bench_scaling_software_vs_clare(benchmark):
+def test_bench_scaling_software_vs_clare():
     def scaling():
         rows = []
         for count in (500, 2000, 8000):
@@ -90,7 +90,7 @@ def test_bench_scaling_software_vs_clare(benchmark):
             )
         return rows
 
-    rows = benchmark.pedantic(scaling, rounds=1, iterations=1)
+    rows = scaling()
     speedups = [row[3] for row in rows]
     # CLARE's advantage grows with knowledge-base size.
     assert speedups == sorted(speedups)
@@ -103,7 +103,7 @@ def test_bench_scaling_software_vs_clare(benchmark):
     )
 
 
-def test_bench_warren_kb_queries(benchmark):
+def test_bench_warren_kb_queries():
     """Run real queries against a scaled Warren medium-size KB."""
     kb = build_warren_kb(warren_kb_spec(0.002), seed=5)
     machine = PrologMachine(kb, unknown_predicates="fail")
@@ -118,7 +118,7 @@ def test_bench_warren_kb_queries(benchmark):
                     break
         return solutions
 
-    solutions = benchmark.pedantic(run_queries, rounds=1, iterations=1)
+    solutions = run_queries()
     assert solutions > 0
     spec = warren_kb_spec(0.002)
     record_table(

@@ -2,9 +2,7 @@
 
 The paper's Table 1 is derived from device propagation delays along the
 datapath routes of Figures 6-12.  This bench recomputes every row from
-the route model, asserts exact agreement, and times the computation (the
-model is consulted on every simulated TUE operation, so its speed matters
-to the simulator's throughput).
+the route model and asserts exact agreement with the paper.
 """
 
 from repro.fs2.timing import (
@@ -18,8 +16,8 @@ from repro.unify import HardwareOp
 from tables import record_table
 
 
-def test_bench_table1(benchmark):
-    rows = benchmark(table1)
+def test_bench_table1():
+    rows = table1()
     assert len(rows) == 7
     for figure, op_name, time_ns in rows:
         assert PAPER_TABLE1_NS[HardwareOp[op_name]] == time_ns
@@ -35,7 +33,7 @@ def test_bench_table1(benchmark):
     )
 
 
-def test_bench_route_breakdown(benchmark):
+def test_bench_route_breakdown():
     def breakdown():
         rows = []
         for op, timing in OPERATION_TIMINGS.items():
@@ -54,7 +52,7 @@ def test_bench_route_breakdown(benchmark):
                 )
         return rows
 
-    rows = benchmark(breakdown)
+    rows = breakdown()
     record_table(
         "T1b",
         "Figures 6-12: per-cycle route delays (ns)",
@@ -68,7 +66,7 @@ def test_bench_route_breakdown(benchmark):
     assert by_key[("QUERY_CROSS_BOUND_FETCH", 3)][5] == 45
 
 
-def test_bench_worst_case_lookup(benchmark):
-    op = benchmark(worst_case_op)
+def test_bench_worst_case_lookup():
+    op = worst_case_op()
     assert op == HardwareOp.QUERY_CROSS_BOUND_FETCH
     assert execution_time_ns(op) == 235

@@ -1,8 +1,8 @@
 """[TA1] Regenerate Table A1: the CLARE data type scheme.
 
 Prints the tag assignments as published, audits the enumerable tag space
-against the paper's "107 data types" claim, and measures the PIF
-encode/decode throughput on a mixed corpus (the compiler feeding CLARE).
+against the paper's "107 data types" claim, and round-trips a mixed
+corpus through the PIF encoder and decoder (the compiler feeding CLARE).
 """
 
 from repro.pif import PIFDecoder, PIFEncoder, SymbolTable, tags
@@ -25,8 +25,8 @@ def _corpus():
     return [read_term(text) for text in _CORPUS_TEXTS]
 
 
-def test_bench_tablea1_scheme(benchmark):
-    inventory = benchmark(tags.tag_inventory)
+def test_bench_tablea1_scheme():
+    inventory = tags.tag_inventory()
     rows = [
         ("Anonymous Var", f"0x{tags.TAG_ANONYMOUS_VAR:02x}", "0010 0000"),
         ("First Query Var", f"0x{tags.TAG_FIRST_QUERY_VAR:02x}", "0010 0111"),
@@ -61,29 +61,19 @@ def test_bench_tablea1_scheme(benchmark):
     assert 80 <= total <= 160
 
 
-def test_bench_pif_encode(benchmark):
-    corpus = _corpus()
-
-    def encode_all():
-        symbols = SymbolTable()
-        encoder = PIFEncoder(symbols, side="db")
-        return [encoder.encode_head(term) for term in corpus], symbols
-
-    encoded, _ = benchmark(encode_all)
+def test_bench_pif_encode():
+    encoder = PIFEncoder(SymbolTable(), side="db")
+    encoded = [encoder.encode_head(term) for term in _corpus()]
     assert all(e.size_bytes > 0 for e in encoded)
 
 
-def test_bench_pif_roundtrip(benchmark):
+def test_bench_pif_roundtrip():
     corpus = _corpus()
     symbols = SymbolTable()
     encoder = PIFEncoder(symbols, side="db")
     encoded = [encoder.encode_head(term) for term in corpus]
     decoder = PIFDecoder(symbols)
-
-    def decode_all():
-        return [decoder.decode_head(e) for e in encoded]
-
-    decoded = benchmark(decode_all)
+    decoded = [decoder.decode_head(e) for e in encoded]
     assert decoded == corpus
     record_table(
         "TA1c",

@@ -196,41 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also fetch and print the server's stats snapshot",
     )
 
-    loadgen = commands.add_parser(
-        "loadgen",
-        help="open-loop load generator against a running `serve` instance",
-    )
-    loadgen.add_argument("--host", default="127.0.0.1")
-    loadgen.add_argument(
-        "--port", type=int, required=True,
-        help="port of a running `serve` instance",
-    )
-    loadgen.add_argument(
-        "--goal", action="append", default=[], required=True,
-        help="goal pool, issued round-robin (repeatable)",
-    )
-    loadgen.add_argument("--qps", type=float, default=200.0)
-    loadgen.add_argument("--duration-s", type=float, default=1.0)
-    loadgen.add_argument("--deadline-ms", type=int, default=0)
-    loadgen.add_argument(
-        "--mode", choices=[m.value for m in SearchMode]
-    )
-    loadgen.add_argument(
-        "--retries", type=int, default=0,
-        help="client retry cap (0 keeps SERVER_BUSY visible in the counts)",
-    )
-    loadgen.add_argument(
-        "--write-fraction", type=float, default=0.0,
-        help="fraction of arrivals issued as assertz mutations of unique "
-        "generated facts (mixed read/write workload; default 0 = reads "
-        "only)",
-    )
-    loadgen.add_argument(
-        "--seed", type=int, default=0,
-        help="seed for the read/write arrival mix (same seed = same mix)",
-    )
-
-    goal = commands.add_parser("goal", help="solve a goal with an empty KB")
+    goal =commands.add_parser("goal", help="solve a goal with an empty KB")
     goal.add_argument("text", help="the goal")
     goal.add_argument("--max-solutions", type=int, default=10)
 
@@ -296,8 +262,6 @@ def _dispatch(args: argparse.Namespace, out) -> int:
         return _cmd_serve(args, out)
     if args.command == "client":
         return _cmd_client(args, out)
-    if args.command == "loadgen":
-        return _cmd_loadgen(args, out)
     return _cmd_consult(args, out)
 
 
@@ -675,29 +639,6 @@ def _cmd_client(args, out) -> int:
     except (DeadlineExceeded, NetError, ConnectionError, OSError) as exc:
         out.write(f"error: {exc}\n")
         return 1
-    return 0
-
-
-def _cmd_loadgen(args, out) -> int:
-    """Open-loop load generation against a running `serve` instance."""
-    from .workloads import run_loadgen
-
-    mode = SearchMode(args.mode) if args.mode else None
-    deadline_s = args.deadline_ms / 1000.0 if args.deadline_ms > 0 else None
-    goals = [read_term(text) for text in args.goal]
-    result = run_loadgen(
-        args.host,
-        args.port,
-        goals,
-        qps=args.qps,
-        duration_s=args.duration_s,
-        mode=mode,
-        deadline_s=deadline_s,
-        max_retries=args.retries,
-        write_fraction=args.write_fraction,
-        seed=args.seed,
-    )
-    out.write("[loadgen] " + result.summary() + "\n")
     return 0
 
 

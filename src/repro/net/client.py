@@ -6,8 +6,8 @@ about a call that is *policy* — framing by the shared verb table
 deadline, connection pool — written once as
 coroutines that touch no socket.  :class:`RetrievalClient` (for host
 Prolog systems and scripts) runs them over blocking sockets,
-:class:`AsyncRetrievalClient` (for open-loop load generation and other
-event-loop drivers) over asyncio streams; :class:`FailoverClient`
+:class:`AsyncRetrievalClient` (for event-loop drivers) over asyncio
+streams; :class:`FailoverClient`
 spreads reads over a replica group under the same :class:`_Budget`.
 
 Both clients mirror the in-process API — ``retrieve(goal, mode=...)``

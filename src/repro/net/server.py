@@ -550,8 +550,8 @@ class RetrievalService:
 class BackgroundService:
     """Run a :class:`RetrievalService` event loop on a daemon thread.
 
-    Synchronous drivers (the CLI's client side, pytest, the loadgen
-    benchmark harness) need a live server without owning an event loop;
+    Synchronous drivers (the CLI's client side, pytest, the ``bench/``
+    harness) need a live server without owning an event loop;
     this wrapper runs one, exposes the bound address, and turns
     :meth:`stop` into a loop-side graceful drain.
     """

@@ -8,11 +8,6 @@ from .graphs import (
     nrev_goal,
     nrev_program,
 )
-from .loadgen import (
-    LoadgenResult,
-    percentile,
-    run_loadgen,
-)
 from .synthetic import (
     FactKBSpec,
     generate_couples,
@@ -41,9 +36,6 @@ __all__ = [
     "generate_facts",
     "generate_mixed_predicate",
     "ground_query_for",
-    "LoadgenResult",
-    "percentile",
-    "run_loadgen",
     "open_query",
     "shared_variable_query",
     "warren_kb_spec",

@@ -1,7 +1,7 @@
 """Chaos/differential harness for the elastic cluster.
 
-One :class:`ChaosDriver` runs seeded loadgen-style traffic (reads,
-asserts, retracts) against a replicated :class:`~repro.cluster.Fleet`
+One :class:`ChaosDriver` runs seeded mixed traffic (reads, asserts,
+retracts) against a replicated :class:`~repro.cluster.Fleet`
 *and* a single-server oracle, while an injectable
 :class:`FaultSchedule` kills, restarts, slows, and live-migrates
 replicas at predetermined steps.  Every compared read must match the
@@ -27,7 +27,6 @@ from repro.cluster.migrate import MigrationError, migrate_shard
 from repro.net import BackoffPolicy, DeadlineExceeded, NetError
 from repro.storage import UnknownPredicateError
 from repro.terms import Atom, Clause, Struct, Var, term_to_string
-from repro.workloads.loadgen import percentile
 
 __all__ = [
     "FaultEvent",
@@ -115,7 +114,11 @@ class ChaosReport:
         return 1.0 - self.error_rate
 
     def latency_s(self, fraction: float) -> float:
-        return percentile(self.latencies_s, fraction)
+        """The nearest-rank ``fraction``-quantile (0..1) of the latencies."""
+        if not self.latencies_s:
+            return 0.0
+        ordered = sorted(self.latencies_s)
+        return ordered[round(fraction * (len(ordered) - 1))]
 
     def summary(self) -> str:
         return (

@@ -359,7 +359,7 @@ class TestShardedCommands:
 
 
 class TestNetCommands:
-    """`serve`, `client` and `loadgen` wired together over loopback."""
+    """`serve` and `client` wired together over loopback."""
 
     def serve_in_background(self, program_file, extra_args=()):
         import re
@@ -442,23 +442,6 @@ class TestNetCommands:
         )
         assert code == 1
         assert out.getvalue().startswith("error:")
-
-    def test_loadgen_summary(self, program_file):
-        out, thread, port = self.serve_in_background(
-            program_file, extra_args=["--max-requests", "10"]
-        )
-        lg_out = io.StringIO()
-        code = main(
-            ["loadgen", "--port", str(port), "--goal", "parent(tom, X)",
-             "--qps", "100", "--duration-s", "0.1"],
-            out=lg_out,
-        )
-        assert code == 0
-        summary = lg_out.getvalue()
-        assert summary.startswith("[loadgen] offered=10 ok=10")
-        assert "p99=" in summary
-        thread.join(timeout=20)
-        assert not thread.is_alive()
 
     def test_client_assert_retract_and_manifest(self, program_file):
         out, thread, port = self.serve_in_background(

@@ -37,11 +37,10 @@ from repro.net import (
 from repro.obs import Instrumentation
 from repro.storage import Residency, UnknownPredicateError
 from repro.terms import as_clause, read_term
-from repro.workloads import percentile, run_loadgen
 
 
-def family_engine(num_shards=2, policy=ShardingPolicy.FIRST_ARG, **kwargs):
-    engine = ShardedRetrievalServer(num_shards, policy, **kwargs)
+def family_engine(**kwargs):
+    engine = ShardedRetrievalServer(2, ShardingPolicy.FIRST_ARG, **kwargs)
     engine.consult_text(
         """
         parent(tom, bob). parent(tom, liz). parent(bob, ann).
@@ -431,28 +430,15 @@ class TestOverload:
         assert len(outcomes) == 12
         assert busy, "overload never produced a SERVER_BUSY rejection"
         assert ok_latencies, "no request was admitted under overload"
-        # Admitted p99 bounded: worst case is a full queue ahead of you.
+        # Admitted latency bounded: worst case is a full queue ahead of
+        # you.  With at most 12 samples the nearest-rank p99 is the max.
         bound_s = (queue_limit + 1) * delay_s + 1.0  # + generous host slack
-        assert percentile(ok_latencies, 0.99) < bound_s
+        assert max(ok_latencies) < bound_s
         # Rejections are immediate — far cheaper than one engine call.
         assert min(busy) < delay_s
         registry = obs.registry
         assert registry.total("net.busy_rejected") == len(busy)
         assert registry.total("net.accepted") == len(ok_latencies)
-
-    def test_loadgen_counts_busy_under_overload(self):
-        engine = SlowEngine(family_engine(), 0.03)
-        service = RetrievalService(engine, max_in_flight=1, queue_limit=1)
-        with BackgroundService(service) as background:
-            host, port = background.start()
-            result = run_loadgen(
-                host, port, [read_term("parent(tom, X)")],
-                qps=200.0, duration_s=0.25,
-            )
-        assert result.offered == 50
-        assert result.ok + result.busy + result.errors == result.offered
-        assert result.busy > 0  # open loop kept offering past capacity
-        assert result.ok > 0
 
 
 class TestDeadlines:
@@ -574,91 +560,3 @@ class TestGracefulDrain:
         assert service._done.is_set()
         background.stop()
 
-
-class TestLoadgenInjectedClock:
-    """Arrival pacing flows from the injected clock/sleep pair, so the
-    open-loop schedule is assertable without real time elapsing."""
-
-    def test_frozen_clock_paces_departures_deterministically(self):
-        delays = []
-
-        async def recording_sleep(delay):
-            delays.append(delay)
-
-        service = RetrievalService(family_engine())
-        with BackgroundService(service) as background:
-            host, port = background.start()
-            result = run_loadgen(
-                host, port, [read_term("parent(tom, X)")],
-                qps=100.0, duration_s=0.1,
-                clock=lambda: 0.0, sleep=recording_sleep,
-            )
-        assert result.offered == 10
-        assert result.ok == 10
-        # With time frozen at 0, request i's delay is exactly its
-        # departure offset i/qps (i=0 departs immediately, no sleep).
-        assert delays == pytest.approx([i / 100.0 for i in range(1, 10)])
-        assert result.wall_clock_s == 0.0
-        assert result.latencies_s == [0.0] * 10
-
-
-class TestLoadgenMixedWorkload:
-    def test_write_fraction_mixes_and_measures_separately(self, tmp_path):
-        from repro.storage import DurabilityOptions
-
-        engine = family_engine(
-            num_shards=1,
-            policy=ShardingPolicy.PREDICATE,
-            durability=DurabilityOptions(
-                directory=tmp_path / "store", auto_compact=False
-            ),
-        )
-        baseline = engine.clause_count()
-        service = RetrievalService(engine, max_in_flight=8, queue_limit=64)
-        with BackgroundService(service) as background:
-            host, port = background.start()
-            result = run_loadgen(
-                host, port, [read_term("parent(tom, X)")],
-                qps=200.0, duration_s=0.5,
-                write_fraction=0.4, seed=7,
-            )
-        engine.close()
-        assert result.offered == 100
-        assert result.writes_offered > 0
-        assert result.errors == 0 and result.busy == 0
-        assert result.writes_ok == result.writes_offered
-        assert result.ok == result.offered - result.writes_offered
-        # Reads and writes keep separate latency distributions.
-        assert len(result.latencies_s) == result.ok
-        assert len(result.write_latencies_s) == result.writes_ok
-        assert "writes_ok=" in result.summary()
-        # Every acked write is in the KB — and survives recovery.
-        assert engine.clause_count() == baseline + result.writes_ok
-        recovered = ShardedRetrievalServer(
-            1,
-            ShardingPolicy.PREDICATE,
-            durability=DurabilityOptions(
-                directory=tmp_path / "store", auto_compact=False
-            ),
-        )
-        assert recovered.clause_count() == baseline + result.writes_ok
-        recovered.close()
-
-    def test_same_seed_same_mix(self):
-        engine = family_engine()
-        service = RetrievalService(engine, max_in_flight=8, queue_limit=64)
-        with BackgroundService(service) as background:
-            host, port = background.start()
-            first = run_loadgen(
-                host, port, [read_term("parent(tom, X)")],
-                qps=100.0, duration_s=0.3, write_fraction=0.5, seed=3,
-            )
-            second = run_loadgen(
-                host, port, [read_term("parent(tom, X)")],
-                qps=100.0, duration_s=0.3, write_fraction=0.5, seed=3,
-            )
-        assert first.writes_offered == second.writes_offered
-
-    def test_write_fraction_validated(self):
-        with pytest.raises(ValueError):
-            run_loadgen("h", 1, [read_term("f(x)")], write_fraction=1.5)
