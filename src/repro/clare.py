@@ -35,15 +35,10 @@ class BoardNotSelected(RuntimeError):
 class CLARE:
     """The two-board clause retrieval engine on one VME window."""
 
-    def __init__(
-        self,
-        symbols: SymbolTable,
-        scheme: CodewordScheme,
-        cross_binding: bool = True,
-    ):
+    def __init__(self, symbols: SymbolTable, scheme: CodewordScheme):
         self.control = ControlRegister()
         self.fs1 = FS1Hardware(scheme)
-        self.fs2 = SecondStageFilter(symbols, cross_binding=cross_binding)
+        self.fs2 = SecondStageFilter(symbols)
         # The FS2 carries its own control register internally; the device
         # owns the authoritative one and mirrors mode changes into it.
         self.fs2.control = self.control

@@ -68,6 +68,10 @@ class SearchMode(Enum):
     BOTH = "fs1+fs2"
 
 
+#: The modes whose goals of one predicate share one FS1 scan.
+_FS1_MODES = frozenset((SearchMode.FS1_ONLY, SearchMode.BOTH))
+
+
 @dataclass(frozen=True)
 class HostCostModel:
     """Modelled software costs on the M68020 host.
@@ -283,10 +287,9 @@ class ClauseRetrievalServer(CachedFrontDoor):
         repeats are served from an LRU cache until the knowledge base
         changes; cache hits report zero filter time (no physical work
         happened).  Goals of one predicate whose mode involves FS1 share
-        one *batched* bit-sliced scan (every distinct signature column
-        the batch needs is loaded once); candidate sets and per-goal
-        simulated accounting are those of the goals retrieved one by
-        one.
+        one bit-sliced scan (:meth:`FirstStageFilter.search_batch`);
+        candidate sets and per-goal simulated accounting are those of
+        the goals retrieved one by one.
 
         ``timeout`` (host seconds) is the cluster front door's deadline
         contract on one engine: a budget already spent raises
@@ -299,9 +302,9 @@ class ClauseRetrievalServer(CachedFrontDoor):
         if timeout is not None and timeout <= 0:
             raise RetrievalTimeout("retrieval deadline expired before any work")
         results: list[RetrievalResult | None] = [None] * len(goals)
-        # One batched scan per FS1-involving (predicate, mode); every
-        # other plan is a group of its own.  Members are
-        # (position, goal, store, residency, mode, cache_key).
+        # One FS1 scan per FS1-involving (predicate, mode), however many
+        # goals it holds; every other plan is a group of its own.
+        # Members are (position, goal, store, residency, mode, cache_key).
         groups: dict[object, list[tuple]] = {}
         with self.obs.span("crs.retrieve_batch", goals=len(goals)):
             for position, goal in enumerate(goals):
@@ -317,8 +320,7 @@ class ClauseRetrievalServer(CachedFrontDoor):
                     else select_mode(goal, store, residency)
                 )
                 group = (
-                    (indicator, effective)
-                    if effective in (SearchMode.FS1_ONLY, SearchMode.BOTH)
+                    (indicator, effective) if effective in _FS1_MODES
                     else position
                 )
                 groups.setdefault(group, []).append(
@@ -326,10 +328,10 @@ class ClauseRetrievalServer(CachedFrontDoor):
                 )
             for members in groups.values():
                 fs1_results: list[FS1Result | None] = [None] * len(members)
-                if len(members) > 1:
-                    fs1_results = list(self.fs1.search_batch(
+                if members[0][4] in _FS1_MODES:
+                    fs1_results = self.fs1.search_batch(
                         members[0][2].index, [plan[1] for plan in members]
-                    ))
+                    )
                 for plan, fs1_result in zip(members, fs1_results):
                     position, goal, store, residency, effective, cache_key = plan
                     with self.obs.span(
@@ -359,13 +361,9 @@ class ClauseRetrievalServer(CachedFrontDoor):
         store: PredicateStore,
         residency: str,
         mode: SearchMode,
-        fs1_result: "FS1Result | None" = None,
+        fs1_result: FS1Result | None,
     ) -> RetrievalResult:
-        """Run one retrieval through its mode handler.
-
-        ``fs1_result`` carries a precomputed (batched) FS1 scan into the
-        FS1-involving handlers; the other modes ignore it.
-        """
+        """Run one retrieval; ``fs1_result`` is ``None`` outside the FS1 modes."""
         if mode is SearchMode.FS1_ONLY:
             return self._retrieve_fs1(goal, store, residency, fs1_result)
         if mode is SearchMode.BOTH:
@@ -438,26 +436,11 @@ class ClauseRetrievalServer(CachedFrontDoor):
         goal: Term,
         store: PredicateStore,
         residency: str,
-        fs1_result: FS1Result | None = None,
+        fs1_result: FS1Result,
     ) -> RetrievalResult:
-        stats = RetrievalStats(mode=SearchMode.FS1_ONLY, residency=residency)
-        stats.clauses_total = len(store)
-        if fs1_result is None:
-            fs1_result = self.fs1.search(store.index, goal)
-        stats.fs1_time_s = fs1_result.scan_time_s
-        stats.fs1_candidates = fs1_result.candidate_count
-        records, transfer = self._fetch_records(
-            store, fs1_result.candidate_addresses, residency
+        stats, records = self._fs1_stage(
+            SearchMode.FS1_ONLY, store, residency, fs1_result
         )
-        stats.disk_time_s = transfer.total_time_s
-        stats.bytes_from_disk = transfer.bytes_transferred
-        # The index itself streams from disk when the predicate is disk
-        # resident; the FS1 matches on the fly, so the scan is bounded by
-        # the slower of the index transfer and the FS1 rate.
-        if residency == Residency.DISK:
-            index_transfer = self.kb.disk.drive.read_time_s(store.index.size_bytes())
-            stats.disk_time_s += max(0.0, index_transfer - stats.fs1_time_s)
-            stats.bytes_from_disk += store.index.size_bytes()
         candidates = [
             self._decode_record(store, record, address)
             for record, address in zip(
@@ -499,12 +482,39 @@ class ClauseRetrievalServer(CachedFrontDoor):
         goal: Term,
         store: PredicateStore,
         residency: str,
-        fs1_result: FS1Result | None = None,
+        fs1_result: FS1Result,
     ) -> RetrievalResult:
-        stats = RetrievalStats(mode=SearchMode.BOTH, residency=residency)
+        stats, records = self._fs1_stage(
+            SearchMode.BOTH, store, residency, fs1_result
+        )
+        candidates = self._stream_through_fs2(
+            goal, store, records, stats, fs1_result.candidate_addresses
+        )
+        stats.final_candidates = len(candidates)
+        # FS2 refined FS1's candidate set: the difference is FS1's false
+        # drops relative to level-3 partial unification.
+        self.obs.counter("fs1.false_drops").inc(
+            fs1_result.candidate_count - stats.final_candidates
+        )
+        return RetrievalResult(goal=goal, candidates=candidates, stats=stats)
+
+    # -- shared plumbing -------------------------------------------------------------
+
+    def _fs1_stage(
+        self,
+        mode: SearchMode,
+        store: PredicateStore,
+        residency: str,
+        fs1_result: FS1Result,
+    ) -> "tuple[RetrievalStats, Iterable[bytes]]":
+        """Stats and candidate records for one goal's FS1 scan result.
+
+        The index itself streams from disk when the predicate is disk
+        resident; the FS1 matches on the fly, so the scan is bounded by
+        the slower of the index transfer and the FS1 rate.
+        """
+        stats = RetrievalStats(mode=mode, residency=residency)
         stats.clauses_total = len(store)
-        if fs1_result is None:
-            fs1_result = self.fs1.search(store.index, goal)
         stats.fs1_time_s = fs1_result.scan_time_s
         stats.fs1_candidates = fs1_result.candidate_count
         records, transfer = self._fetch_records(
@@ -513,21 +523,11 @@ class ClauseRetrievalServer(CachedFrontDoor):
         stats.disk_time_s = transfer.total_time_s
         stats.bytes_from_disk = transfer.bytes_transferred
         if residency == Residency.DISK:
-            index_transfer = self.kb.disk.drive.read_time_s(store.index.size_bytes())
+            index_bytes = store.index.size_bytes()
+            index_transfer = self.kb.disk.drive.read_time_s(index_bytes)
             stats.disk_time_s += max(0.0, index_transfer - stats.fs1_time_s)
-            stats.bytes_from_disk += store.index.size_bytes()
-        candidates = self._stream_through_fs2(
-            goal, store, records, stats, fs1_result.candidate_addresses
-        )
-        stats.final_candidates = len(candidates)
-        # FS2 refined FS1's candidate set: the difference is FS1's false
-        # drops relative to level-3 partial unification.
-        self.obs.counter("fs1.false_drops").inc(
-            (stats.fs1_candidates or 0) - stats.final_candidates
-        )
-        return RetrievalResult(goal=goal, candidates=candidates, stats=stats)
-
-    # -- shared plumbing -------------------------------------------------------------
+            stats.bytes_from_disk += index_bytes
+        return stats, records
 
     def _stream_through_fs2(
         self,

@@ -56,6 +56,15 @@ from .zipvm import ZipMachine
 
 __all__ = ["ClusterRetriever", "RetrieverStats", "SolveEngine", "SolveStats"]
 
+#: The retriever's candidate cache is bounded by entry count AND by
+#: estimated resident bytes, so a few huge candidate lists can't pin the
+#: whole predicate set in memory.
+RETRIEVER_CACHE_SIZE = 512
+RETRIEVER_CACHE_BYTES = 4 << 20
+
+#: Cache-cold sibling goals that ride along with one retrieval.
+PREFETCH_WIDTH = 8
+
 
 @dataclass
 class RetrieverStats:
@@ -83,23 +92,19 @@ class ClusterRetriever:
         self,
         backend,
         mode: SearchMode | None = None,
-        cache_size: int = 512,
-        cache_bytes: int = 4 << 20,
-        prefetch_width: int = 8,
         unknown: str = "fail",
     ):
         if unknown not in ("fail", "error"):
             raise ValueError("unknown must be 'fail' or 'error'")
         self._backend = backend
         self.mode = mode
-        self.prefetch_width = prefetch_width
         self.unknown = unknown
         self.stats = RetrieverStats()
-        # (backend version, goal key) -> candidates; bounded by entry
-        # count AND by estimated resident bytes, so a few huge candidate
-        # lists can't pin the whole predicate set in memory.
+        # (backend version, goal key) -> candidates.
         self._cache = LruCache(
-            cache_size, max_bytes=cache_bytes, cost=_candidates_cost
+            RETRIEVER_CACHE_SIZE,
+            max_bytes=RETRIEVER_CACHE_BYTES,
+            cost=_candidates_cost,
         )
         self._deadline: float | None = None
         self._router = getattr(backend, "router", None)
@@ -134,7 +139,7 @@ class ClusterRetriever:
             seen.add(sibling_key)
             extras.append(sibling)
             extra_keys.append(sibling_key)
-            if len(extras) >= self.prefetch_width:
+            if len(extras) >= PREFETCH_WIDTH:
                 break
         self.stats.retrievals += 1
         self._note_routing(goal)
@@ -252,8 +257,6 @@ class SolveEngine:
         backend,
         mode: SearchMode | None = None,
         engine: str = "zip",
-        cache_size: int = 512,
-        prefetch_width: int = 8,
         unknown: str = "fail",
         output=None,
     ):
@@ -261,13 +264,7 @@ class SolveEngine:
             raise ValueError("engine must be 'zip' or 'interp'")
         self.backend = backend
         self.engine = engine
-        self.retriever = ClusterRetriever(
-            backend,
-            mode=mode,
-            cache_size=cache_size,
-            prefetch_width=prefetch_width,
-            unknown=unknown,
-        )
+        self.retriever = ClusterRetriever(backend, mode=mode, unknown=unknown)
         self._output = output
         self._assertz = getattr(backend, "assertz", None)
         self._asserta = getattr(backend, "asserta", None)

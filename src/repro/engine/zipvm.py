@@ -20,9 +20,10 @@ Patterns are clause terms with variables replaced by frame-slot
 references; each activation allocates fresh variables for its slots, so
 standardisation-apart is a frame allocation, not a term copy.
 
-The machine supports the deterministic builtin core (unification, type
-tests, arithmetic, comparison) plus cut, and *escapes* to the
-tree-walking interpreter for everything else — per **predicate**, never
+The machine runs the deterministic builtin core (unification, type
+tests, arithmetic, comparison) inline through the interpreter's own
+builtin table, implements cut, and *escapes* to the tree-walking
+interpreter for everything else — per **predicate**, never
 per clause.  When any clause of a procedure uses constructs the
 compiler rejects (``;``, ``->``, ``\\+``, ``findall`` ...), the whole
 call runs under the interpreter as one choice point, so clause order —
@@ -45,8 +46,6 @@ from typing import Callable, Iterator
 from ..terms import (
     Atom,
     Clause,
-    Float,
-    Int,
     Struct,
     Term,
     Var,
@@ -56,7 +55,7 @@ from ..terms import (
     variables,
 )
 from ..unify import Bindings, unify
-from .interp import PrologError, ResourceError, Solver, term_order_key
+from .interp import PrologError, ResourceError, Solver, _CutSignal
 
 __all__ = ["CompileError", "CompiledProcedureClause", "ZipMachine", "compile_clause_code"]
 
@@ -144,7 +143,8 @@ class CompiledProcedureClause:
 
 # -- compilation ------------------------------------------------------------------
 
-#: Builtins the compiled engine executes inline (all semi-deterministic).
+#: Builtins the compiled engine executes inline (all semi-deterministic),
+#: through the interpreter's dispatch tables.
 _INLINE_BUILTINS = {
     ("true", 0),
     ("fail", 0),
@@ -173,6 +173,9 @@ _INLINE_BUILTINS = {
     ("atomic", 1),
     ("compound", 1),
 }
+
+#: The cut signal the inline builtins run under: none of them is a cut.
+_NO_CUT = _CutSignal()
 
 _UNSUPPORTED = {
     (";", 2),
@@ -342,6 +345,10 @@ class _EscapePoint:
     resume_mark: int
 
 
+#: Steps a compiled execution may take before the watchdog fires.
+MAX_STEPS = 5_000_000
+
+
 class ZipMachine:
     """Explicit-stack execution of compiled clauses.
 
@@ -354,14 +361,14 @@ class ZipMachine:
     def __init__(
         self,
         retriever: Callable[[Term], list[Clause]],
-        max_steps: int = 5_000_000,
         assertz: Callable[[Clause], None] | None = None,
         asserta: Callable[[Clause], None] | None = None,
         retract: Callable[[Clause], object] | None = None,
         output=None,
     ):
         self._retrieve = retriever
-        self.max_steps = max_steps
+        #: the runaway watchdog; tests lower it on the instance.
+        self.max_steps = MAX_STEPS
         self.calls = 0
         self.backtracks = 0
         #: goals handed to the interpreter (escapes), including whole
@@ -439,7 +446,10 @@ class ZipMachine:
                 del choice_points[goal_entry.cut_barrier :]
                 continue
             if indicator in _INLINE_BUILTINS:
-                if self._builtin(goal, indicator, bindings):
+                # The interpreter's own entry on this machine's bindings;
+                # its first answer (or none) is the builtin's outcome.
+                answer = self._interp._solve_goal(goal, bindings, 0, _NO_CUT)
+                if next(answer, None) is not None:
                     continue
             elif indicator in _ESCAPED_GOALS:
                 # Control construct / non-inline builtin: interpreter
@@ -667,69 +677,3 @@ class ZipMachine:
         for goal_term in reversed(body):
             goal_stack.append(_Goal(goal_term, cut_barrier))
         return True
-
-    # -- inline builtins -----------------------------------------------------------
-
-    def _builtin(
-        self, goal: Term, indicator: tuple[str, int], bindings: Bindings
-    ) -> bool:
-        from .interp import _evaluate, _numeric
-
-        name, _ = indicator
-        if name == "true":
-            return True
-        if name in ("fail", "false"):
-            return False
-        args = goal.args if isinstance(goal, Struct) else ()
-        if name == "=":
-            return unify(args[0], args[1], bindings) is not None
-        if name == "\\=":
-            mark = bindings.mark()
-            result = unify(args[0], args[1], bindings) is not None
-            bindings.undo_to(mark)
-            return not result
-        if name == "==":
-            return bindings.resolve(args[0]) == bindings.resolve(args[1])
-        if name == "\\==":
-            return bindings.resolve(args[0]) != bindings.resolve(args[1])
-        if name == "is":
-            value = _evaluate(args[1], bindings)
-            return unify(args[0], value, bindings) is not None
-        if name in ("<", ">", "=<", ">=", "=:=", "=\\="):
-            left = _numeric(_evaluate(args[0], bindings))
-            right = _numeric(_evaluate(args[1], bindings))
-            return {
-                "<": left < right,
-                ">": left > right,
-                "=<": left <= right,
-                ">=": left >= right,
-                "=:=": left == right,
-                "=\\=": left != right,
-            }[name]
-        if name in ("@<", "@>", "@=<", "@>="):
-            left = term_order_key(bindings.resolve(args[0]))
-            right = term_order_key(bindings.resolve(args[1]))
-            return {
-                "@<": left < right,
-                "@>": left > right,
-                "@=<": left <= right,
-                "@>=": left >= right,
-            }[name]
-        walked = bindings.walk(args[0])
-        if name == "var":
-            return isinstance(walked, Var)
-        if name == "nonvar":
-            return not isinstance(walked, Var)
-        if name == "atom":
-            return isinstance(walked, Atom)
-        if name == "number":
-            return isinstance(walked, (Int, Float))
-        if name == "integer":
-            return isinstance(walked, Int)
-        if name == "float":
-            return isinstance(walked, Float)
-        if name == "atomic":
-            return isinstance(walked, (Atom, Int, Float))
-        if name == "compound":
-            return isinstance(walked, Struct)
-        raise PrologError(f"inline builtin {name} not handled")

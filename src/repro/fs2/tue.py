@@ -25,14 +25,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+from ..pif.tags import INLINE_ARITY_LIMIT
 from ..terms import NIL, Atom, Float, Int, Struct, Term, Var, list_parts
 from ..unify.match import HardwareOp
 from .timing import execution_time_ns
 
 __all__ = ["SideTerm", "TestUnificationEngine"]
-
-_INLINE_LIMIT = 31
-
 
 @dataclass(frozen=True, slots=True)
 class SideTerm:
@@ -213,7 +211,7 @@ class TestUnificationEngine:
         a_open = isinstance(a_tail, Var)
         b_open = isinstance(b_tail, Var)
         if a_open or b_open:
-            if len(a_items) > _INLINE_LIMIT or len(b_items) > _INLINE_LIMIT:
+            if len(a_items) > INLINE_ARITY_LIMIT or len(b_items) > INLINE_ARITY_LIMIT:
                 return True  # pointer form: tags cannot disagree decisively
             return True  # unlimited list: arities need not agree
         return _saturated(len(a_items)) == _saturated(len(b_items))
@@ -235,4 +233,4 @@ def _kind(term: Term) -> str:
 
 def _saturated(arity: int) -> tuple[bool, int]:
     """(in-line?, field) — the tag view of an arity (saturates at 31)."""
-    return (arity <= _INLINE_LIMIT, min(arity, _INLINE_LIMIT))
+    return (arity <= INLINE_ARITY_LIMIT, min(arity, INLINE_ARITY_LIMIT))

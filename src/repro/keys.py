@@ -26,8 +26,8 @@ do *not* unify and keep distinct type tags.
 
 from __future__ import annotations
 
+from .pif.tags import INLINE_ARITY_LIMIT
 from .terms import CONS, NIL, Atom, Float, Int, Struct, Term, Var
-from .unify.match import INLINE_ARITY_LIMIT
 
 __all__ = [
     "canonical_goal_key",

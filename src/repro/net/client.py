@@ -614,6 +614,14 @@ class AsyncRetrievalClient:
 # -- replica failover ---------------------------------------------------------
 
 
+#: Failover quarantines: a busy replica sits out ``BUSY_PENALTY_S``; a
+#: transport failure ``FAILURE_PENALTY_S``, doubling per consecutive
+#: failure up to ``FAILURE_PENALTY_CAP_S``.
+BUSY_PENALTY_S = 0.05
+FAILURE_PENALTY_S = 0.1
+FAILURE_PENALTY_CAP_S = 2.0
+
+
 @dataclass
 class AddressHealth:
     """One address's recent behaviour, as seen by a failover client.
@@ -679,9 +687,6 @@ class FailoverClient:
         addresses: list[str] | tuple[str, ...],
         *,
         backoff: BackoffPolicy | None = None,
-        busy_penalty_s: float = 0.05,
-        failure_penalty_s: float = 0.1,
-        failure_penalty_cap_s: float = 2.0,
         connect_timeout_s: float | None = 5.0,
         request_timeout_s: float | None = 30.0,
         pool_size: int = 2,
@@ -694,9 +699,6 @@ class FailoverClient:
         if not addresses:
             raise ValueError("a failover client needs at least one address")
         self.backoff = backoff if backoff is not None else BackoffPolicy()
-        self.busy_penalty_s = busy_penalty_s
-        self.failure_penalty_s = failure_penalty_s
-        self.failure_penalty_cap_s = failure_penalty_cap_s
         self.obs = obs if obs is not None else _default_obs()
         self.rng = rng if rng is not None else random.Random()
         self._sleep = sleep
@@ -826,7 +828,7 @@ class FailoverClient:
                     # Penalise *this* address only and probe the next
                     # replica immediately — no backoff sleep yet.
                     self.health_of(address).note_busy(
-                        self._clock(), self.busy_penalty_s
+                        self._clock(), BUSY_PENALTY_S
                     )
                     self.obs.counter(
                         "net.failover.busy", address=address
@@ -836,9 +838,7 @@ class FailoverClient:
                     ServerDraining, ConnectError, ConnectionError, OSError
                 ) as exc:
                     self.health_of(address).note_failure(
-                        self._clock(),
-                        self.failure_penalty_s,
-                        self.failure_penalty_cap_s,
+                        self._clock(), FAILURE_PENALTY_S, FAILURE_PENALTY_CAP_S
                     )
                     self.obs.counter(
                         "net.failover.errors", address=address

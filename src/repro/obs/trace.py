@@ -211,7 +211,7 @@ class Instrumentation:
 
         Spans opened while another span of the *same instrumentation* is
         open become its children, giving per-retrieval trees like
-        ``engine.retrieve > crs.retrieve > fs1.scan``.
+        ``engine.retrieve > crs.retrieve_batch > fs1.scan``.
         """
         if not self.enabled:
             yield _NULL_SPAN

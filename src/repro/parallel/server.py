@@ -119,7 +119,6 @@ class ProcessShardedRetrievalServer(ShardedRetrievalServer):
         self,
         *args,
         spool_dir: str | None = None,
-        start_method: str = "spawn",
         **kwargs,
     ):
         # Worker state exists before super().__init__: a durable parent
@@ -127,7 +126,6 @@ class ProcessShardedRetrievalServer(ShardedRetrievalServer):
         # below consult ``_handles`` (empty = workers not up, local only).
         self._spool_dir = spool_dir
         self._owns_spool = False
-        self._start_method = start_method
         self._handles: dict[int, _WorkerHandle] = {}
         self._reload_counter = 0
         super().__init__(*args, **kwargs)
@@ -178,7 +176,9 @@ class ProcessShardedRetrievalServer(ShardedRetrievalServer):
 
     def _launch_worker(self, shard: ClusterShard) -> _WorkerHandle:
         """Export the shard and spawn its worker (no handshake yet)."""
-        ctx = get_context(self._start_method)
+        # Spawn is the one start method that behaves identically across
+        # platforms (see :mod:`repro.parallel.worker`).
+        ctx = get_context("spawn")
         segments_dir = self._export_shard(shard)
         parent_conn, child_conn = ctx.Pipe()
         config = WorkerConfig(

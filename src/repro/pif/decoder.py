@@ -101,6 +101,7 @@ def decode_term_at(
     var_names: tuple[str, ...],
     symbols: SymbolTable,
     end: int | None = None,
+    budget: list[int] | None = None,
 ) -> tuple[Term, int]:
     """The whole term whose first item is at ``position``, and its end.
 
@@ -112,9 +113,16 @@ def decode_term_at(
     below the item that points to it.  That is enforced: the blob must
     fit below the pointing item's start, which becomes the ``end`` of
     every read inside it.  Each pointer followed therefore strictly
-    lowers ``end``, and the walk terminates on any input.  A truncated
-    item or extension, an unassigned tag or a heap pointer out of range
-    raises :class:`PIFDecodeError`; a dangling symbol offset raises
+    lowers ``end``, and the walk terminates on any input.
+
+    Termination is not enough: k heap levels whose blobs each point
+    twice at the one below decode to 2^k items.  A valid record decodes
+    each blob once, so the items read out of blobs never exceed
+    ``(len(stream) + len(heap)) // 4``; ``budget`` (a one-element list,
+    shared by every term of one stream — :meth:`PIFDecoder.decode_args`
+    passes one) counts them down.  A truncated item or extension, an
+    unassigned tag, a heap pointer out of range or a spent budget raises
+    :class:`PIFDecodeError`; a dangling symbol offset raises
     ``KeyError``.
     """
     start = position
@@ -139,6 +147,8 @@ def decode_term_at(
         return symbols.float_at(content), position
     if category is None:
         raise PIFDecodeError(f"unassigned PIF tag 0x{tag:02x}")
+    if budget is None:
+        budget = [(len(data) + len(heap)) // ITEM_SIZE]
     pointer = category in _POINTERS
     if pointer:
         if position + EXTENSION_SIZE > limit:
@@ -151,6 +161,11 @@ def decode_term_at(
         if blob + _MIN_BLOB > inner:
             raise PIFDecodeError(f"heap pointer {blob} out of range")
         count = int.from_bytes(heap[blob : blob + 4], "big")
+        # At most the blob's words: its count word and elements (lists
+        # add a tail item on top).
+        budget[0] -= count + 1
+        if budget[0] < 0:
+            raise PIFDecodeError("heap blobs decoded past the record's size")
         source, cursor = heap, blob + 4
     else:
         count = tag & tags.ARITY_MASK
@@ -160,13 +175,15 @@ def decode_term_at(
     elements = []
     for _ in range(count):
         element, cursor = decode_term_at(
-            source, cursor, heap, var_names, symbols, inner
+            source, cursor, heap, var_names, symbols, inner, budget
         )
         elements.append(element)
     if category in _STRUCTS:
         term = Struct(symbols.atom_name_at(content), tuple(elements))
     else:
-        tail, cursor = decode_term_at(source, cursor, heap, var_names, symbols, inner)
+        tail, cursor = decode_term_at(
+            source, cursor, heap, var_names, symbols, inner, budget
+        )
         term = make_list(elements, tail=tail)
     return term, position if pointer else cursor
 
@@ -192,10 +209,13 @@ class PIFDecoder:
     def decode_args(self, encoded: EncodedArgs) -> list[Term]:
         """Decode the argument stream into a list of terms."""
         data, heap, names = encoded.stream, encoded.heap, encoded.var_names
+        budget = [(len(data) + len(heap)) // ITEM_SIZE]
         terms = []
         position = 0
         while position < len(data):
-            term, position = decode_term_at(data, position, heap, names, self.symbols)
+            term, position = decode_term_at(
+                data, position, heap, names, self.symbols, None, budget
+            )
             terms.append(term)
         return terms
 

@@ -183,14 +183,8 @@ class BitSlicedIndex:
     # -- scanning ----------------------------------------------------------
 
     def scan(self, query: Codeword) -> list[int]:
-        """Addresses matching ``query`` — identical to the naive scan."""
-        survivors, _ = self._survivors(query)
-        return self._materialize(survivors)
-
-    def scan_info(self, query: Codeword) -> tuple[list[int], int]:
-        """(matching addresses, distinct columns touched) for one query."""
-        survivors, columns_touched = self._survivors(query)
-        return self._materialize(survivors), columns_touched
+        """Addresses matching ``query``: a batch of one."""
+        return self.scan_batch([query])[0][0]
 
     def iter_scan(self, query: Codeword) -> Iterator[int]:
         """Lazily yield matching addresses, in clause-file order.
@@ -199,73 +193,50 @@ class BitSlicedIndex:
         demand so a consumer that stops early (or streams straight into
         FS2) never builds the intermediate address list.
         """
-        survivors, _ = self._survivors(query)
+        (survivors,), _ = self._evaluate([query])
         return self._enumerate(survivors)
 
     def scan_batch(
         self, queries: Sequence[Codeword]
     ) -> tuple[list[list[int]], int]:
-        """Evaluate many query codewords against one pass over the columns.
+        """Per-query address lists (input order) and the columns touched.
 
-        Each distinct column needed by *any* query is loaded (indexed)
-        once and folded into every (query, argument) accumulator that
-        wants it, so K queries over overlapping constants share column
-        work instead of re-walking the index K times.  Returns the
-        per-query address lists (input order) plus the number of
-        distinct columns touched for the whole batch.
+        The one evaluator behind every scan; see :meth:`_evaluate`.
         """
-        full = self._occupied
-        # contain[(q, p)] accumulates the AND of position p's columns
-        # for query q; wanted[column] lists the accumulators to fold
-        # that column into.
-        contain: dict[tuple[int, int], int] = {}
-        wanted: dict[int, list[tuple[int, int]]] = {}
-        constrained: list[list[int]] = []
-        for q, query in enumerate(queries):
-            positions = []
-            for p, bits in enumerate(query.arg_bits):
-                if bits == 0:
-                    continue
-                positions.append(p)
-                contain[(q, p)] = full
-                for bit in _bit_positions(bits):
-                    wanted.setdefault(bit, []).append((q, p))
-            constrained.append(positions)
-        for bit, sinks in wanted.items():
-            column = self._columns[bit]
-            for sink in sinks:
-                contain[sink] &= column
-        results = []
-        planes = self._planes
-        for q, positions in enumerate(constrained):
-            survivors = full
-            for p in positions:
-                plane = planes[p] if p < len(planes) else 0
-                survivors &= plane | contain[(q, p)]
-                if not survivors:
-                    break
-            results.append(self._materialize(survivors))
-        return results, len(wanted)
+        survivors, columns_touched = self._evaluate(queries)
+        return [self._materialize(s) for s in survivors], columns_touched
 
     # -- internals ---------------------------------------------------------
 
-    def _survivors(self, query: Codeword) -> tuple[int, int]:
-        survivors = self._occupied
-        columns_touched = 0
-        planes = self._planes
-        columns = self._columns
-        for position, bits in enumerate(query.arg_bits):
-            if bits == 0:
-                continue  # query imposes no constraint here
-            contain = self._occupied
-            for bit in _bit_positions(bits):
-                contain &= columns[bit]
-                columns_touched += 1
-            plane = planes[position] if position < len(planes) else 0
-            survivors &= plane | contain
-            if not survivors:
-                break
-        return survivors, columns_touched
+    def _evaluate(self, queries: Sequence[Codeword]) -> tuple[list[int], int]:
+        """Survivor bitsets of many query codewords, and the columns touched.
+
+        For each constrained argument of a query, the entries holding all
+        of its bits are the AND of those bits' columns; OR in the
+        position's mask plane (a clause variable absorbs any constant)
+        and AND across positions.  Once a query has no survivors its
+        remaining ANDs are skipped.  The second value — the one
+        definition of ``fs1.bitsliced.columns_touched`` — is the number
+        of distinct columns the batch's constrained arguments name: what
+        one pass over the index loads, however the batch is split.
+        """
+        full = self._occupied
+        columns, planes = self._columns, self._planes
+        named = 0  # union of every constrained argument's bits
+        survivor_sets = []
+        for query in queries:
+            survivors = full
+            for position, bits in enumerate(query.arg_bits):
+                named |= bits
+                if bits == 0 or not survivors:
+                    continue
+                contain = full
+                for bit in _bit_positions(bits):
+                    contain &= columns[bit]
+                plane = planes[position] if position < len(planes) else 0
+                survivors &= plane | contain
+            survivor_sets.append(survivors)
+        return survivor_sets, named.bit_count()
 
     def _enumerate(self, survivors: int) -> Iterator[int]:
         """Lazily yield the addresses of the set bits of ``survivors``.
@@ -285,10 +256,7 @@ class BitSlicedIndex:
 
     def _materialize(self, survivors: int) -> list[int]:
         if survivors == self._occupied:
-            # All entries survive — the all-variable / zero-set-bits query
-            # path lands here without having touched a single column, and
-            # the answer is just the address list in file order.  Skip the
-            # per-bit extraction walk over the (potentially huge) survivor
-            # integer.
+            # All entries survive (an all-variable query touches no
+            # column): the answer is the address list in file order.
             return list(self._addresses)
         return list(self._enumerate(survivors))

@@ -16,9 +16,9 @@ differential suites hold it against; neither is a serving mode.
 
 The simulated SCW+MB scan time is a function of the index size alone
 (the whole secondary file streams past the matcher whatever the host
-does).  :meth:`FirstStageFilter.search_batch` additionally evaluates K
-query codewords against one pass over the columns, which is what the
-cluster's batch executor amortises.
+does).  :meth:`FirstStageFilter.search_batch` is the one scan: it
+evaluates K query codewords against one pass over the columns, and
+:meth:`FirstStageFilter.search` is a batch of one.
 """
 
 from __future__ import annotations
@@ -103,97 +103,59 @@ class FirstStageFilter:
         return codeword
 
     def search(self, index: SecondaryIndexFile, query: Term) -> FS1Result:
-        """All candidate clause addresses for ``query``.
-
-        The whole secondary file streams past the matcher regardless of
-        hit count, so scan volume depends only on the index size.
-        """
-        self._check_scheme(index)
-        with self.obs.span("fs1.scan", indicator=_render(index.indicator)) as span:
-            query_codeword = self.query_codeword(query)
-            addresses, columns_touched = index.bitsliced.scan_info(
-                query_codeword
-            )
-            self.obs.counter("fs1.bitsliced.scans").inc()
-            self.obs.counter("fs1.bitsliced.columns_touched").inc(
-                columns_touched
-            )
-            result = self._result(index, addresses)
-            span.set(
-                entries=result.entries_scanned,
-                candidates=result.candidate_count,
-                bytes=result.bytes_scanned,
-                sim_time_s=result.scan_time_s,
-            )
-        self._account(result)
-        return result
+        """All candidate clause addresses for ``query``: a batch of one."""
+        return self.search_batch(index, [query])[0]
 
     def search_batch(
         self, index: SecondaryIndexFile, queries: list[Term]
     ) -> list[FS1Result]:
-        """One FS1 result per query, sharing index passes across the batch.
+        """One FS1 result per query, from one bit-sliced evaluator pass.
 
-        Every distinct column the batch needs is loaded once.  Per-query
-        simulated scan accounting is identical to :meth:`search` — the
-        modelled hardware streams the secondary file once per query
-        either way.
+        The span's ``bytes`` and ``sim_time_s`` are one query's modelled
+        pass over the secondary file.
         """
-        self._check_scheme(index)
-        with self.obs.span(
-            "fs1.batch_scan",
-            indicator=_render(index.indicator),
-            queries=len(queries),
-        ) as span:
-            codewords = [self.query_codeword(query) for query in queries]
-            address_lists, columns_touched = index.bitsliced.scan_batch(
-                codewords
-            )
-            self.obs.counter("fs1.bitsliced.scans").inc(len(queries))
-            self.obs.counter("fs1.bitsliced.columns_touched").inc(
-                columns_touched
-            )
-            results = [
-                self._result(index, addresses) for addresses in address_lists
-            ]
-            span.set(
-                entries=len(index),
-                candidates=sum(r.candidate_count for r in results),
-            )
-        self.obs.counter("fs1.batch.scans").inc()
-        self.obs.histogram(
-            "fs1.batch.size", buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256)
-        ).observe(len(queries))
-        for result in results:
-            self._account(result)
-        return results
-
-    # -- internals ---------------------------------------------------------
-
-    def _check_scheme(self, index: SecondaryIndexFile) -> None:
         if index.scheme != self.scheme:
             raise SchemeMismatchError(
                 "index was built with a different codeword scheme: "
                 f"{index.scheme!r} != {self.scheme!r}"
             )
-
-    def _result(
-        self, index: SecondaryIndexFile, addresses: list[int]
-    ) -> FS1Result:
-        bytes_scanned = index.size_bytes()
-        return FS1Result(
-            candidate_addresses=tuple(addresses),
-            entries_scanned=len(index),
-            bytes_scanned=bytes_scanned,
-            scan_time_s=bytes_scanned / self.scan_rate,
-        )
-
-    def _account(self, result: FS1Result) -> None:
-        obs = self.obs
-        obs.counter("fs1.searches").inc()
-        obs.counter("fs1.entries_scanned").inc(result.entries_scanned)
-        obs.counter("fs1.bytes_scanned").inc(result.bytes_scanned)
-        obs.counter("fs1.candidates").inc(result.candidate_count)
-        obs.counter("fs1.sim_time_s").inc(result.scan_time_s)
+        with self.obs.span(
+            "fs1.scan", indicator=_render(index.indicator), queries=len(queries)
+        ) as span:
+            codewords = [self.query_codeword(query) for query in queries]
+            address_lists, columns_touched = index.bitsliced.scan_batch(
+                codewords
+            )
+            # Every query streams the whole secondary file past the
+            # matcher, so its volume and time are the index's alone.
+            entries = len(index)
+            bytes_scanned = index.size_bytes()
+            scan_time_s = bytes_scanned / self.scan_rate
+            results = [
+                FS1Result(tuple(addresses), entries, bytes_scanned, scan_time_s)
+                for addresses in address_lists
+            ]
+            candidates = sum(map(len, address_lists))
+            span.set(
+                entries=entries,
+                candidates=candidates,
+                bytes=bytes_scanned,
+                sim_time_s=scan_time_s,
+            )
+        # One lookup per counter; the float time is added per query so
+        # its total does not depend on how the goals were batched.
+        obs, count = self.obs, len(queries)
+        obs.counter("fs1.bitsliced.scans").inc(count)
+        obs.counter("fs1.bitsliced.columns_touched").inc(columns_touched)
+        obs.counter("fs1.batch.scans").inc()
+        obs.counter("fs1.searches").inc(count)
+        obs.counter("fs1.entries_scanned").inc(entries * count)
+        obs.counter("fs1.bytes_scanned").inc(bytes_scanned * count)
+        obs.counter("fs1.candidates").inc(candidates)
+        sim_time = obs.counter("fs1.sim_time_s")
+        for _ in results:
+            sim_time.inc(scan_time_s)
+        return results
 
 
 def _render(indicator: tuple[str, int]) -> str:

@@ -38,6 +38,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
 
+from ..pif.tags import INLINE_ARITY_LIMIT
 from ..terms import (
     CONS,
     NIL,
@@ -61,10 +62,6 @@ __all__ = [
     "partial_match",
     "match_clause_head",
 ]
-
-#: Arity limit for in-line complex terms (5-bit arity field in the PIF tag).
-INLINE_ARITY_LIMIT = 31
-
 
 class MatchLevel(IntEnum):
     """The five matching depths investigated in the paper (section 2.2)."""

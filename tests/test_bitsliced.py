@@ -40,28 +40,55 @@ def build_index(
     return index
 
 
+def check_random_kb_and_queries(heads, queries):
+    index = build_index(heads)
+    for query in queries:
+        codeword = SCHEME.query_codeword(query)
+        assert index.bitsliced.scan(codeword) == index.scan(codeword)
+
+
+def check_batch_equals_solo(heads, queries):
+    index = build_index(heads)
+    codewords = [SCHEME.query_codeword(q) for q in queries]
+    batched, _ = index.bitsliced.scan_batch(codewords)
+    assert batched == [index.scan(cw) for cw in codewords]
+
+
+RANDOM_KB = st.lists(clause_heads(arity=3), min_size=0, max_size=20)
+RANDOM_QUERIES = st.lists(clause_heads(arity=3), min_size=1, max_size=6)
+BATCH_KB = st.lists(clause_heads(arity=3), min_size=0, max_size=16)
+BATCH_QUERIES = st.lists(clause_heads(arity=3), min_size=1, max_size=8)
+
+
 class TestScanEquivalence:
+    """The one evaluator against the horizontal reference scan.
+
+    ``scan`` and ``scan_batch`` share one survivor evaluator, so these
+    differentials are what guards it; the slow-marked variants rerun
+    them at ten times the example budget.
+    """
+
     @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(clause_heads(arity=3), min_size=0, max_size=20),
-        st.lists(clause_heads(arity=3), min_size=1, max_size=6),
-    )
+    @given(RANDOM_KB, RANDOM_QUERIES)
     def test_random_kb_and_queries(self, heads, queries):
-        index = build_index(heads)
-        for query in queries:
-            codeword = SCHEME.query_codeword(query)
-            assert index.bitsliced.scan(codeword) == index.scan(codeword)
+        check_random_kb_and_queries(heads, queries)
+
+    @pytest.mark.slow
+    @settings(max_examples=1000, deadline=None)
+    @given(RANDOM_KB, RANDOM_QUERIES)
+    def test_random_kb_and_queries_large_budget(self, heads, queries):
+        check_random_kb_and_queries(heads, queries)
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(clause_heads(arity=3), min_size=0, max_size=16),
-        st.lists(clause_heads(arity=3), min_size=1, max_size=8),
-    )
+    @given(BATCH_KB, BATCH_QUERIES)
     def test_batch_equals_solo(self, heads, queries):
-        index = build_index(heads)
-        codewords = [SCHEME.query_codeword(q) for q in queries]
-        batched, _ = index.bitsliced.scan_batch(codewords)
-        assert batched == [index.scan(cw) for cw in codewords]
+        check_batch_equals_solo(heads, queries)
+
+    @pytest.mark.slow
+    @settings(max_examples=600, deadline=None)
+    @given(BATCH_KB, BATCH_QUERIES)
+    def test_batch_equals_solo_large_budget(self, heads, queries):
+        check_batch_equals_solo(heads, queries)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -271,6 +298,32 @@ class TestFirstStageFilterModes:
         bitsliced.search(index, read_term("p(X, Y, Z)"))
         assert obs.registry.total("fs1.bitsliced.columns_touched") == before
 
+    def test_search_and_batch_of_one_touch_the_same_columns(self):
+        """One definition: the distinct columns loaded by the scan pass.
+
+        The goal's first constrained argument already has no survivors,
+        so an evaluator that stops early would load fewer columns for a
+        lone search than for the same goal in a batch.
+        """
+        index = build_index(
+            [read_term(f"p(a{i}, {i}, x)") for i in range(12)]
+        )
+        query = read_term("p(nowhere, 3, x)")
+        codeword = SCHEME.query_codeword(query)
+        assert index.scan(codeword) == []
+        assert index.bitsliced.scan_batch(
+            [SCHEME.query_codeword(read_term("p(nowhere, Y, Z)"))]
+        )[0] == [[]]
+        counts = []
+        for run in (
+            lambda fs1: fs1.search(index, query),
+            lambda fs1: fs1.search_batch(index, [query]),
+        ):
+            fs1, obs = self.filters()
+            run(fs1)
+            counts.append(obs.registry.total("fs1.bitsliced.columns_touched"))
+        assert counts[0] == counts[1] == bin(codeword.bits).count("1")
+
 
 class TestBitSlicedIndexDirect:
     def test_empty_index(self):
@@ -298,7 +351,7 @@ class TestLazyEnumeration:
             [read_term(f"p(a{i}, {i}, x)") for i in range(12)]
         ).bitsliced
         codeword = SCHEME.query_codeword(read_term("p(X, Y, Z)"))
-        addresses, columns_touched = index.scan_info(codeword)
+        (addresses,), columns_touched = index.scan_batch([codeword])
         assert columns_touched == 0
         assert addresses == [i * 32 for i in range(12)]
 

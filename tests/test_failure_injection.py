@@ -69,6 +69,29 @@ class TestMalformedPIF:
         with pytest.raises(PIFDecodeError, match="heap pointer"):
             PIFDecoder(symbols).decode_args(encoded)
 
+    def test_shared_heap_blob_is_bounded(self):
+        # k heap levels, each blob holding two pointers to the one below:
+        # a few hundred bytes that would decode to 2^k leaves.  Refused
+        # once the blobs read exceed what the record's bytes could hold.
+        symbols = SymbolTable()
+        symbols.intern_atom("f")
+
+        def pointer(blob):
+            return bytes([0x5F, 0, 0, 0]) + blob.to_bytes(4, "big")
+
+        heap = (1).to_bytes(4, "big") + bytes([0x08, 0, 0, 0])  # f
+        below = 0
+        for _ in range(18):
+            top = len(heap)
+            heap += (2).to_bytes(4, "big") + pointer(below) * 2
+            below = top
+        encoded = EncodedArgs(
+            indicator=("p", 1), stream=pointer(below), heap=heap
+        )
+        assert len(heap) < 400
+        with pytest.raises(PIFDecodeError, match="heap blobs"):
+            PIFDecoder(symbols).decode_args(encoded)
+
     def test_arity_mismatch_detected(self):
         symbols = SymbolTable()
         encoder = PIFEncoder(symbols)

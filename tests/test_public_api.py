@@ -209,6 +209,90 @@ class TestOnePIFReader:
         assert not hasattr(ItemCursor, "_materialise")
 
 
+class TestOneFS1Path:
+    """One survivor evaluator behind one FS1 scan; the CRS calls the batch."""
+
+    @staticmethod
+    def index_of(count):
+        from repro.scw import CodewordScheme, SecondaryIndexFile
+        from repro.terms import read_term
+
+        scheme = CodewordScheme()
+        index = SecondaryIndexFile(scheme, ("p", 2))
+        for i in range(count):
+            index.add(read_term(f"p(k{i}, v)"), i * 32)
+        return index
+
+    def test_the_second_evaluators_are_gone(self):
+        from repro.engine.zipvm import ZipMachine
+        from repro.scw import BitSlicedIndex
+
+        for name in ("_survivors", "scan_info"):
+            assert not hasattr(BitSlicedIndex, name), name
+        assert not hasattr(ZipMachine, "_builtin")
+
+    def test_a_lone_search_is_one_batch_scan(self):
+        from repro.obs import Instrumentation
+        from repro.scw import FirstStageFilter
+        from repro.terms import read_term
+
+        index = self.index_of(8)
+        obs = Instrumentation()
+        result = FirstStageFilter(index.scheme, obs=obs).search(
+            index, read_term("p(k3, V)")
+        )
+        assert result.candidate_addresses == (96,)
+        assert obs.registry.total("fs1.batch.scans") == 1
+        assert [span.name for span in obs.recorder.spans()] == ["fs1.scan"]
+
+    def test_the_crs_never_calls_the_lone_search(self, monkeypatch):
+        from repro.crs import ClauseRetrievalServer, SearchMode
+        from repro.scw import FirstStageFilter
+        from repro.storage import KnowledgeBase
+        from repro.terms import read_term
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the CRS scans through search_batch only")
+
+        monkeypatch.setattr(FirstStageFilter, "search", refuse)
+        kb = KnowledgeBase()
+        kb.consult_text(" ".join(f"p(k{i}, v)." for i in range(8)))
+        server = ClauseRetrievalServer(kb)
+        for mode in (SearchMode.FS1_ONLY, SearchMode.BOTH):
+            (result,) = server.retrieve_batch([read_term("p(k3, V)")], mode)
+            assert [str(c) for c in result.candidates] == ["p(k3,v)."]
+
+
+class TestUnsetOptionsAreConstants:
+    """Constructor options no caller ever set are module constants."""
+
+    @pytest.mark.parametrize(
+        "target, names",
+        [
+            ("repro.net.client:FailoverClient", (
+                "busy_penalty_s", "failure_penalty_s", "failure_penalty_cap_s",
+            )),
+            ("repro.engine.solve:SolveEngine", ("cache_size", "prefetch_width")),
+            ("repro.engine.solve:ClusterRetriever", (
+                "cache_size", "cache_bytes", "prefetch_width",
+            )),
+            ("repro.parallel.server:ProcessShardedRetrievalServer",
+             ("start_method",)),
+            ("repro.engine.zipvm:ZipMachine", ("max_steps",)),
+            ("repro.clare:CLARE", ("cross_binding",)),
+        ],
+    )
+    def test_the_option_is_gone(self, target, names):
+        import inspect
+
+        module, attr = target.split(":")
+        parameters = inspect.signature(
+            getattr(importlib.import_module(module), attr)
+        ).parameters
+        for name in names:
+            assert name not in parameters, (target, name)
+
+
 class TestOneClientSurface:
     """The blocking and asyncio clients are one surface over one core."""
 
