@@ -10,6 +10,7 @@ two-stage pipeline is the best general choice at scale.
 
 from repro.crs import ClauseRetrievalServer, SearchMode
 from repro.disk import FUJITSU_M2351A, MICROPOLIS_1325, DiskSim
+from repro.scw import CodewordScheme
 from repro.storage import KnowledgeBase, Residency
 from repro.terms import read_term
 from repro.workloads import FactKBSpec, generate_couples, generate_facts
@@ -150,7 +151,8 @@ def _wide_kb(drive) -> KnowledgeBase:
         )
         for i in range(WIDE_CLAUSES)
     )
-    kb = KnowledgeBase(disk=DiskSim(drive))
+    # The prototype's k = 2: these rows are the mode planner's evidence.
+    kb = KnowledgeBase(disk=DiskSim(drive), scheme=CodewordScheme(bits_per_key=2))
     kb.consult_text(text, module="data")
     kb.module("data").pin(Residency.DISK)
     kb.sync_to_disk()

@@ -6,8 +6,19 @@ collisions, controlled by codeword width; (2) truncation — only the first
 shared-variable queries.  Each source gets a sweep.
 """
 
-from repro.scw import CodewordScheme, false_drop_probability, optimal_bits_per_key
-from repro.terms import Atom, Clause, Struct, read_term, rename_apart
+import random
+from collections import Counter
+
+from repro.pif import ClauseFile, SymbolTable
+from repro.scw import (
+    DEFAULT_SCHEME,
+    CodewordScheme,
+    FirstStageFilter,
+    SecondaryIndexFile,
+    false_drop_probability,
+    optimal_bits_per_key,
+)
+from repro.terms import Atom, Clause, Struct, Var, read_term, rename_apart
 from repro.unify import unifiable
 from repro.workloads import FactKBSpec, generate_couples, generate_facts
 from tables import record_table
@@ -188,4 +199,109 @@ def test_bench_shared_variables():
         ("query", "candidates", "true answers", "false drops", "false drop %"),
         rows,
         notes="FS1 is blind to the S=S constraint; FS2 exists for this case",
+    )
+
+
+E1E_FACTS = 5000
+E1E_GOALS = 200
+
+
+def _one_key_per_argument_shapes():
+    """(label, facts, bound positions, goals): every argument one atom."""
+    rng = random.Random(1989)
+    nodes = E1E_FACTS // 4  # out-degree 4
+    edges = [
+        Clause(Struct("edge", (Atom(f"n{i // 4}"), Atom(f"n{rng.randrange(nodes)}"))))
+        for i in range(E1E_FACTS)
+    ]
+    recs = generate_facts(
+        FactKBSpec(
+            functor="rec", arity=3, count=E1E_FACTS,
+            domain_sizes=(E1E_FACTS // 10,) * 3, seed=31,
+        )
+    )
+    shapes = []
+    for label, facts, bound in (
+        ("edge/2 one-bound", edges, (0,)),
+        ("rec/3 one-bound", recs, (0,)),
+        ("rec/3 two-bound", recs, (0, 1)),
+    ):
+        goals = []
+        for _ in range(E1E_GOALS):
+            head = facts[rng.randrange(len(facts))].head
+            goals.append(
+                Struct(
+                    head.functor,
+                    tuple(
+                        arg if position in bound else Var(f"V{position}")
+                        for position, arg in enumerate(head.args)
+                    ),
+                )
+            )
+        shapes.append((label, facts, bound, goals))
+    return shapes
+
+
+def test_bench_false_drops_per_bits_per_key():
+    """E1e: ref [11]'s prediction against FS1's measured false drops per
+    goal, as k climbs from the prototype's 2 to the per-arity optimum."""
+    width = DEFAULT_SCHEME.width
+
+    def sweep():
+        rows = []
+        for label, facts, bound, goals in _one_key_per_argument_shapes():
+            arity = len(facts[0].head.args)
+            true_counts = Counter(
+                tuple(fact.head.args[p] for p in bound) for fact in facts
+            )
+            trues = [
+                true_counts[tuple(goal.args[p] for p in bound)] for goal in goals
+            ]
+            clause_file = ClauseFile(facts[0].head.indicator, SymbolTable())
+            for fact in facts:
+                clause_file.append(fact)
+            optimum = optimal_bits_per_key(width, arity)
+            for k in sorted({2, 4, DEFAULT_SCHEME.bits_per_key, 8, optimum}):
+                scheme = CodewordScheme(width=width, bits_per_key=k)
+                index = SecondaryIndexFile.build(clause_file, scheme)
+                results = FirstStageFilter(scheme).search_batch(index, goals)
+                false_drops = [
+                    len(result.candidate_addresses) - true
+                    for result, true in zip(results, trues)
+                ]
+                assert min(false_drops) >= 0, "FS1 dropped a true unifier"
+                probability = false_drop_probability(width, k, arity, len(bound))
+                predicted = sum(
+                    probability * (len(facts) - true) for true in trues
+                ) / len(goals)
+                rows.append(
+                    (
+                        label,
+                        k,
+                        "default" if k == DEFAULT_SCHEME.bits_per_key
+                        else "per-arity optimum" if k == optimum
+                        else "prototype" if k == 2 else "",
+                        predicted,
+                        sum(false_drops) / len(goals),
+                    )
+                )
+        return rows
+
+    rows = sweep()
+    for _, k, _, predicted, measured in rows:
+        # Order-of-magnitude agreement, as in E1d.
+        assert measured <= predicted * 8 + 0.1
+        if predicted > 1:
+            assert measured >= predicted / 8
+        if k == DEFAULT_SCHEME.bits_per_key:
+            assert measured < 0.1
+    record_table(
+        "E1e",
+        f"False drops per goal vs bits per key ({width}-bit codeword, "
+        f"{E1E_FACTS} facts, {E1E_GOALS} goals per shape)",
+        ("goal shape", "k", "scheme", "predicted", "measured"),
+        rows,
+        notes=f"default k = optimal_bits_per_key({width}, "
+        f"{DEFAULT_SCHEME.max_args}); predicted = "
+        "false_drop_probability(width, k, arity, bound) x non-answers",
     )

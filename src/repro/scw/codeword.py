@@ -27,6 +27,7 @@ Hashing is keyed BLAKE2 so codewords are deterministic across processes
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
 
 from ..terms import (
@@ -39,11 +40,15 @@ from ..terms import (
     Term,
     Var,
 )
+from .analysis import optimal_bits_per_key
 
 __all__ = ["CodewordScheme", "Codeword", "DEFAULT_SCHEME"]
 
 #: entries a scheme's component-hash memo may hold before it is dropped.
 KEY_BITS_MEMO_SIZE = 4096
+
+#: one digest -> its eight big-endian 16-bit values.
+_SIXTEEN_BIT_VALUES = struct.Struct(">8H").unpack
 
 
 @dataclass(frozen=True)
@@ -66,28 +71,38 @@ class CodewordScheme:
     """Parameters and hashing for SCW+MB generation.
 
     ``width``: codeword length in bits.  ``bits_per_key``: positions set
-    per hashed component.  ``max_args``: arguments encoded before
-    truncation (12 in the CLARE prototype).  ``max_depth``: how deep
-    inside an argument ground components are harvested.
+    per hashed component; by default ref [11]'s half-saturation optimum
+    ``optimal_bits_per_key(width, max_args)`` (6 for 96 bits and 12
+    arguments; the CLARE prototype used 2).  ``max_args``: arguments
+    encoded before truncation (12 in the CLARE prototype).
+    ``max_depth``: how deep inside an argument ground components are
+    harvested.
     """
 
     def __init__(
         self,
         width: int = 96,
-        bits_per_key: int = 2,
+        bits_per_key: int | None = None,
         max_args: int = 12,
         max_depth: int = 4,
     ):
         if width < 8:
             raise ValueError("codeword width must be at least 8 bits")
-        if not (1 <= bits_per_key <= width):
-            raise ValueError("bits_per_key must be in [1, width]")
         if max_args < 1:
             raise ValueError("max_args must be positive")
+        if max_depth < 0:
+            raise ValueError("max_depth must be non-negative")
+        if bits_per_key is None:
+            bits_per_key = optimal_bits_per_key(width, max_args)
+        if not (1 <= bits_per_key <= width):
+            raise ValueError("bits_per_key must be in [1, width]")
         self.width = width
         self.bits_per_key = bits_per_key
         self.max_args = max_args
         self.max_depth = max_depth
+        #: position -> a salted, empty BLAKE2 state, copied per hash
+        #: (built on first use: ``max_args`` may come from a manifest).
+        self._salted: dict[int, hashlib.blake2b] = {}
         #: (position, component key) -> hashed bits.  A knowledge base
         #: hashes the same few thousand components over and over (clause
         #: and query side alike); see :meth:`_key_bits`.
@@ -101,6 +116,13 @@ class CodewordScheme:
             and self.bits_per_key == other.bits_per_key
             and self.max_args == other.max_args
             and self.max_depth == other.max_depth
+        )
+
+    def __reduce__(self):
+        """Pickle by parameters (BLAKE2 states do not pickle)."""
+        return (
+            CodewordScheme,
+            (self.width, self.bits_per_key, self.max_args, self.max_depth),
         )
 
     def __hash__(self) -> int:
@@ -246,30 +268,40 @@ class CodewordScheme:
         return bits
 
     def _hash_key(self, position: int, key: str) -> int:
-        """The hash itself (what the memo is tested against)."""
-        digest = hashlib.blake2b(
-            key.encode("utf-8"), digest_size=16, salt=position.to_bytes(8, "big")
-        ).digest()
+        """The hash itself (what the memo is tested against).
+
+        The 16-byte BLAKE2 digest of ``key``, salted by ``position``, is
+        read as eight big-endian 16-bit values, each naming bit
+        ``value % width``.  Values are taken in order until
+        ``bits_per_key`` distinct bits are set; a digest that runs out
+        is followed by the digest of ``key + counter`` (4 bytes, from 1).
+        """
+        salted = self._salted.get(position)
+        if salted is None:
+            salted = self._salted[position] = hashlib.blake2b(
+                digest_size=16, salt=position.to_bytes(8, "big")
+            )
+        data = key.encode("utf-8")
+        width = self.width
+        wanted = self.bits_per_key
+        hasher = salted.copy()
+        hasher.update(data)
         bits = 0
-        stretch = digest
+        count = 0
         counter = 0
-        while bin(bits).count("1") < self.bits_per_key:
-            for index in range(0, len(stretch) - 1, 2):
-                value = int.from_bytes(stretch[index : index + 2], "big")
-                bits |= 1 << (value % self.width)
-                if bin(bits).count("1") >= self.bits_per_key:
-                    break
-            else:
-                counter += 1
-                stretch = hashlib.blake2b(
-                    key.encode("utf-8") + counter.to_bytes(4, "big"),
-                    digest_size=16,
-                    salt=position.to_bytes(8, "big"),
-                ).digest()
-                continue
-            break
-        return bits
+        while True:
+            for value in _SIXTEEN_BIT_VALUES(hasher.digest()):
+                bit = 1 << (value % width)
+                if not bits & bit:
+                    bits |= bit
+                    count += 1
+                    if count == wanted:
+                        return bits
+            counter += 1
+            hasher = salted.copy()
+            hasher.update(data + counter.to_bytes(4, "big"))
 
 
-#: The configuration used by benchmarks unless a sweep overrides it.
+#: The one default scheme (96 bits, k = 6, 12 arguments) every knowledge
+#: base, cluster and fleet is built with unless a caller passes another.
 DEFAULT_SCHEME = CodewordScheme()

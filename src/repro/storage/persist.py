@@ -202,7 +202,7 @@ def restore_kb(
     if not manifest_path.exists():
         raise error(f"no {_MANIFEST} in {path}")
 
-    scheme = CodewordScheme()
+    scheme: CodewordScheme | None = None
     modules: list[tuple[str, int, str]] = []
     predicates: list[tuple[str, int, str, str]] = []
     for line_number, line in enumerate(
@@ -212,19 +212,25 @@ def restore_kb(
             continue
         fields = line.split("\t")
         kind = fields[0]
-        if kind == "scheme":
-            scheme = CodewordScheme(
-                width=int(fields[1]),
-                bits_per_key=int(fields[2]),
-                max_args=int(fields[3]),
-                max_depth=int(fields[4]),
-            )
-        elif kind == "module":
-            modules.append((fields[1], int(fields[2]), fields[3]))
-        elif kind == "predicate":
-            predicates.append((fields[1], int(fields[2]), fields[3], fields[4]))
-        else:
-            raise error(f"{_MANIFEST}:{line_number}: unknown entry {kind!r}")
+        where = f"{_MANIFEST}:{line_number}"
+        try:
+            if kind == "scheme":
+                if len(fields) != 5:
+                    raise ValueError(f"{len(fields) - 1} fields, expected 4")
+                scheme = CodewordScheme(*map(int, fields[1:]))
+            elif kind == "module":
+                modules.append((fields[1], int(fields[2]), fields[3]))
+            elif kind == "predicate":
+                predicates.append((fields[1], int(fields[2]), fields[3], fields[4]))
+            else:
+                raise error(f"{where}: unknown entry {kind!r}")
+        except (IndexError, ValueError) as exc:
+            raise error(f"{where}: bad {kind} line: {exc}") from exc
+
+    if scheme is None:
+        # No default is safe: a KB indexed under one k and queried under
+        # another drops true unifiers in FS1.
+        raise error(f"{_MANIFEST}: no scheme line")
 
     seen_stems: dict[str, tuple[str, int]] = {}
     for name, arity, _, stem in predicates:

@@ -321,3 +321,112 @@ class TestIndexAdoption:
         assert obs.registry.total("kb.index_bytes") == sum(
             store.index.size_bytes() for store in loaded
         )
+
+
+def edge_kb(scheme: CodewordScheme, count: int = 400) -> KnowledgeBase:
+    """``edge/2`` with out-degree 4: one-bound goals are FS1's case."""
+    kb = KnowledgeBase(scheme=scheme)
+    kb.consult_text(
+        " ".join(f"edge(n{i // 4}, n{(i * 37) % count})." for i in range(count))
+    )
+    return kb
+
+
+class TestManifestScheme:
+    """The manifest's ``scheme`` line is required and validated: a KB is
+    queried under the scheme it was indexed with, or not at all.  A KB
+    indexed at k = 2 and queried at another k drops true unifiers."""
+
+    @pytest.fixture(params=["load_kb", "attach_kb"])
+    def reader(self, request):
+        from repro.parallel import SegmentError, attach_kb
+
+        if request.param == "load_kb":
+            return load_kb, PersistenceError
+        return attach_kb, SegmentError
+
+    @pytest.fixture
+    def segments(self, tmp_path):
+        from repro.parallel import write_segments
+
+        write_segments(edge_kb(CodewordScheme(bits_per_key=2)), tmp_path / "kb")
+        return tmp_path / "kb"
+
+    def rewrite_scheme(self, directory, line):
+        manifest = directory / "manifest.txt"
+        lines = [
+            candidate
+            for candidate in manifest.read_text().splitlines()
+            if not candidate.startswith("scheme\t")
+        ]
+        if line is not None:
+            lines.insert(0, line)
+        manifest.write_text("\n".join(lines) + "\n")
+
+    def test_a_k2_kb_reloads_at_k2_with_identical_fs1_candidates(
+        self, segments, reader
+    ):
+        from repro.scw import FirstStageFilter
+
+        read, _ = reader
+        original = edge_kb(CodewordScheme(bits_per_key=2))
+        restored = read(segments)
+        try:
+            assert restored.scheme == CodewordScheme(bits_per_key=2)
+            ours = restored.store(("edge", 2)).index
+            theirs = original.store(("edge", 2)).index
+            for text in ("edge(n3, Z)", "edge(Z, n37)", "edge(n7, n111)"):
+                goal = read_term(text)
+                assert (
+                    FirstStageFilter(restored.scheme)
+                    .search(ours, goal)
+                    .candidate_addresses
+                    == FirstStageFilter(original.scheme)
+                    .search(theirs, goal)
+                    .candidate_addresses
+                ), text
+        finally:
+            getattr(restored, "close", lambda: None)()
+
+    def test_missing_scheme_line_is_rejected(self, segments, reader):
+        read, error = reader
+        self.rewrite_scheme(segments, None)
+        with pytest.raises(error, match="no scheme line"):
+            read(segments)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "scheme\t96\ttwo\t12\t4",
+            "scheme\t96\t2\t12",
+            "scheme\t96\t2\t12\t4\t0",
+            "scheme\t4\t2\t12\t4",
+            "scheme\t96\t0\t12\t4",
+            "scheme\t96\t97\t12\t4",
+            "scheme\t96\t2\t0\t4",
+            "scheme\t96\t2\t12\t-1",
+        ],
+        ids=[
+            "non_integer", "short", "long", "narrow", "k_zero", "k_past_width",
+            "no_args", "negative_depth",
+        ],
+    )
+    def test_malformed_scheme_line_is_a_typed_error(self, segments, reader, line):
+        read, error = reader
+        self.rewrite_scheme(segments, line)
+        with pytest.raises(error, match="manifest.txt:1: bad scheme line"):
+            read(segments)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["module\tuser\tlarge\t-", "module\tuser", "predicate\tedge\ttwo\tuser\tx",
+         "predicate\tedge\t2"],
+        ids=["module_non_integer", "module_short", "predicate_non_integer",
+             "predicate_short"],
+    )
+    def test_malformed_entry_line_is_a_typed_error(self, segments, reader, line):
+        read, error = reader
+        manifest = segments / "manifest.txt"
+        manifest.write_text(manifest.read_text() + line + "\n")
+        with pytest.raises(error, match="bad (module|predicate) line"):
+            read(segments)
