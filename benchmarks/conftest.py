@@ -14,6 +14,8 @@ import sys
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
+# E7 runs the test suite's tree-walking oracle (``tests.oracle``).
+sys.path.insert(0, str(pathlib.Path(__file__).parents[1]))
 
 from tables import format_tables, registered_tables  # noqa: E402
 

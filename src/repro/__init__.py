@@ -5,7 +5,7 @@ Python reproduction of Wong & Williams (ISCA 1989).  The package models the
 full PDBM stack: Prolog terms and unification, the PIF compiled-clause
 format, the two CLARE filter stages (FS1 superimposed-codeword index search
 and FS2 partial test unification), the disk subsystem, disk-resident clause
-storage, the Clause Retrieval Server, and an integrated Prolog interpreter.
+storage, the Clause Retrieval Server, and an integrated compiled Prolog engine.
 
 Quickstart::
 

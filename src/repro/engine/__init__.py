@@ -1,10 +1,9 @@
-"""The PDBM Prolog interpreter and integrated machine."""
+"""The PDBM Prolog engine: the ZIP machine, its builtins and the integrated machine."""
 
-from .interp import (
+from .builtins import (
     ExistenceError,
     PrologError,
     ResourceError,
-    Solver,
     term_order_key,
 )
 from .machine import PrologMachine, QueryStats
@@ -18,7 +17,6 @@ __all__ = [
     "QueryStats",
     "ResourceError",
     "RetrieverStats",
-    "Solver",
     "SolveEngine",
     "SolveStats",
     "term_order_key",

@@ -4,9 +4,9 @@ This is the layer that turns the repo from a filter benchmark into a
 queryable database.  A :class:`ClusterRetriever` adapts the sharded
 front door (:class:`repro.cluster.ShardedRetrievalServer` — or a single
 :class:`repro.crs.ClauseRetrievalServer`) into the pluggable
-``Retriever`` callable both resolution engines consume, and a
+``retriever`` callable the resolution engine consumes, and a
 :class:`SolveEngine` runs conjunctive queries through the compiled ZIP
-machine (or the tree-walking interpreter) against it.
+machine against it.
 
 What the adapter adds over a bare ``retrieve`` call:
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from ..cache import LruCache
 from ..crs import SearchMode
@@ -51,7 +51,7 @@ from ..terms import (
     read_term,
     variables,
 )
-from .interp import ExistenceError, Solver
+from .builtins import ExistenceError
 from .zipvm import ZipMachine
 
 __all__ = ["ClusterRetriever", "RetrieverStats", "SolveEngine", "SolveStats"]
@@ -79,7 +79,7 @@ class RetrieverStats:
 
 
 class ClusterRetriever:
-    """A cluster (or single CRS) behind the engines' retriever contract.
+    """A cluster (or single CRS) behind the engine's retriever contract.
 
     ``backend`` needs ``retrieve_batch(goals, mode=..., timeout=...)``
     returning one object with a ``candidates`` list per goal (``timeout``
@@ -225,7 +225,6 @@ class SolveStats:
     solutions: int = 0
     calls: int = 0
     backtracks: int = 0
-    escapes: int = 0
     retrievals: int = 0
     cache_hits: int = 0
     prefetch_batches: int = 0
@@ -236,12 +235,6 @@ class SolveStats:
 
 class SolveEngine:
     """Conjunctive queries against a sharded retrieval backend.
-
-    ``engine`` fixes the execution model for the object's lifetime:
-    ``"zip"`` (what every serving path runs) is the compiled ZIP machine
-    with per-predicate interpreter escapes; ``"interp"``, the
-    tree-walking interpreter, is the oracle the differential suites
-    build to check it against — both produce identical answer sequences.
 
     Database mutation (``assert``/``retract`` goals) routes through the
     backend's front-door methods, so its version counter bumps and no
@@ -256,14 +249,10 @@ class SolveEngine:
         self,
         backend,
         mode: SearchMode | None = None,
-        engine: str = "zip",
         unknown: str = "fail",
         output=None,
     ):
-        if engine not in ("zip", "interp"):
-            raise ValueError("engine must be 'zip' or 'interp'")
         self.backend = backend
-        self.engine = engine
         self.retriever = ClusterRetriever(backend, mode=mode, unknown=unknown)
         self._output = output
         self._assertz = getattr(backend, "assertz", None)
@@ -311,42 +300,22 @@ class SolveEngine:
         return self.solve(read_term(text), **kwargs)
 
     def _bindings_iter(self, goal: Term):
-        if self.engine == "interp":
-            solver = Solver(
-                self.retriever,
-                assertz=self._assert_hook(self._assertz),
-                asserta=self._assert_hook(self._asserta),
-                retract=self._retract,
-                output=self._output,
-            )
-            return self._counting(solver.solve(goal), None)
         vm = ZipMachine(
             self.retriever,
-            assertz=self._assert_hook(self._assertz),
-            asserta=self._assert_hook(self._asserta),
+            assertz=self._assertz,
+            asserta=self._asserta,
             retract=self._retract,
             output=self._output,
         )
-        return self._counting(vm.solve(goal), vm)
-
-    @staticmethod
-    def _assert_hook(method) -> Callable[[Clause], None] | None:
-        if method is None:
-            return None
-        return lambda clause: method(clause)
-
-    def _counting(self, solutions, vm: ZipMachine | None):
         retriever_stats = self.retriever.stats
-        for bindings in solutions:
+        for bindings in vm.solve(goal):
             self._snapshot_stats(vm, retriever_stats)
             yield bindings
         self._snapshot_stats(vm, retriever_stats)
 
-    def _snapshot_stats(self, vm: ZipMachine | None, retriever: RetrieverStats):
-        if vm is not None:
-            self.stats.calls = vm.calls
-            self.stats.backtracks = vm.backtracks
-            self.stats.escapes = vm.escapes
+    def _snapshot_stats(self, vm: ZipMachine, retriever: RetrieverStats):
+        self.stats.calls = vm.calls
+        self.stats.backtracks = vm.backtracks
         self.stats.retrievals = retriever.retrievals
         self.stats.cache_hits = retriever.cache_hits
         self.stats.prefetch_batches = retriever.prefetch_batches

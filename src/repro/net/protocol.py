@@ -38,7 +38,7 @@ from enum import IntEnum
 
 from ..cluster import MergedRetrievalStats, WritesFrozen
 from ..crs import RetrievalResult, RetrievalStats, RetrievalTimeout, SearchMode
-from ..engine.interp import PrologError, ResourceError
+from ..engine.builtins import PrologError, ResourceError
 from ..pif import (
     CompiledClause,
     PIFDecodeError,

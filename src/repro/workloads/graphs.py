@@ -94,7 +94,7 @@ def chain_path_goals(length: int) -> list[str]:
 
 #: Naive reverse — the classic deep-recursion workload.  ``nrev/2`` on
 #: an N-element list makes O(N^2) inferences and recurses N deep, which
-#: is what the interpreter's stack-budget handling is sized against.
+#: is what the engine's deep-recursion tests are sized against.
 NREV_RULES = """\
 app([], L, L).
 app([H|T], L, [H|R]) :- app(T, L, R).

@@ -78,7 +78,7 @@ def build_warren_kb(spec: WarrenSpec, seed: int = 0) -> KnowledgeBase:
                 clauses.append(Clause(Struct(functor, head_vars)))
                 continue
             # Rule bodies call a strictly-earlier predicate (no recursion)
-            # with the right arity, giving the interpreter real
+            # with the right arity, giving the engine real
             # multi-predicate work.
             target = rng.randrange(p)
             target_args = (head_vars[0],) * arities[target]

@@ -345,6 +345,35 @@ class TestShardedCommands:
         ]
         assert "[batch] goals=1" in sharded
 
+    def test_control_constructs_answer_the_same_at_any_shard_count(self, tmp_path):
+        # Both shard counts run the one engine: negation, if-then-else,
+        # findall and 5 000 levels of recursion through `->` / `;`,
+        # deeper than a Python-stack interpreter reaches.
+        kb = tmp_path / "kb.pl"
+        kb.write_text(
+            "count(0).\n"
+            "count(N) :- N > 0, M is N - 1, ( M < 0 -> fail ; count(M) ).\n"
+            "node(a). node(b). node(c).\n"
+            "edge(a, b).\n"
+            "sink(X) :- node(X), \\+ edge(X, _).\n"
+        )
+        goals = [
+            "--goal", "count(5000)",
+            "--goal", "findall(X, sink(X), L)",
+            "--goal", "node(X), (edge(X, _) -> K = source ; K = sink)",
+        ]
+        single = run(["consult", str(kb), "--shards", "1", *goals])
+        sharded = run(
+            ["consult", str(kb), "--shards", "2", "--shard-by", "predicate", *goals]
+        )
+        assert self.answer_lines(single) == self.answer_lines(sharded) == [
+            "   true",
+            "   X = X, L = [b,c]",
+            "   X = a, K = source",
+            "   X = b, K = sink",
+            "   X = c, K = sink",
+        ]
+
     def test_a_conjunction_resolves_and_skips_the_batch_line(self, facts_file):
         # A conjunction is not one clause retrieval: it is answered, and
         # the batch accounting says why it has nothing to report.

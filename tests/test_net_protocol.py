@@ -406,7 +406,7 @@ class TestErrorMapping:
             assert (back, message) == (code, "m")
 
     def test_a_subclass_is_reported_before_its_base(self):
-        from repro.engine.interp import PrologError, ResourceError
+        from repro.engine import PrologError, ResourceError
 
         assert issubclass(ResourceError, PrologError)
         assert issubclass(UnknownPredicateError, KeyError)

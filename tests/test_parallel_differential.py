@@ -23,11 +23,12 @@ from hypothesis import strategies as st
 
 from repro.cluster import ShardedRetrievalServer, ShardingPolicy
 from repro.crs import SearchMode
-from repro.engine import SolveEngine
+from repro.engine import PrologMachine, SolveEngine
 from repro.obs import Instrumentation
 from repro.parallel import ProcessShardedRetrievalServer
-from repro.storage import Residency
+from repro.storage import KnowledgeBase, Residency
 from repro.terms import Atom, Clause, Struct, Var, read_term
+from tests.oracle import oracle_answers
 from tests.strategies import clause_heads
 
 PROGRAM = """
@@ -268,23 +269,29 @@ class TestSolveIdentity:
     def test_solve_streams_identical_answers_and_stats(self):
         threaded, process = build_pair()
         try:
-            for engine_kind in ("zip", "interp"):
-                for query in ("path(a, Z)", "likes(X, wine)"):
-                    goal = read_term(query)
-                    eng_t = SolveEngine(threaded, engine=engine_kind)
-                    eng_p = SolveEngine(process, engine=engine_kind)
-                    answers_t = [
-                        sorted((k, str(v)) for k, v in s.items())
-                        for s in eng_t.solve(goal, max_solutions=20)
-                    ]
-                    answers_p = [
-                        sorted((k, str(v)) for k, v in s.items())
-                        for s in eng_p.solve(goal, max_solutions=20)
-                    ]
-                    assert answers_p == answers_t, (engine_kind, query)
-                    assert dataclasses.astuple(eng_p.stats) == dataclasses.astuple(
-                        eng_t.stats
-                    )
+            kb = KnowledgeBase()
+            kb.consult_text(PROGRAM)
+            machine = PrologMachine(kb, unknown_predicates="fail")
+            for query in ("path(a, Z)", "likes(X, wine)"):
+                goal = read_term(query)
+                oracle = [
+                    sorted((k, str(v)) for k, v in s.items())
+                    for s in oracle_answers(machine, goal)
+                ][:20]
+                eng_t = SolveEngine(threaded)
+                eng_p = SolveEngine(process)
+                answers_t = [
+                    sorted((k, str(v)) for k, v in s.items())
+                    for s in eng_t.solve(goal, max_solutions=20)
+                ]
+                answers_p = [
+                    sorted((k, str(v)) for k, v in s.items())
+                    for s in eng_p.solve(goal, max_solutions=20)
+                ]
+                assert answers_p == answers_t == oracle, query
+                assert dataclasses.astuple(eng_p.stats) == dataclasses.astuple(
+                    eng_t.stats
+                )
         finally:
             process.close()
 

@@ -92,7 +92,7 @@ class TestDocumentationCoverage:
         "repro.storage.persist",
         "repro.crs", "repro.crs.server", "repro.crs.planner",
         "repro.crs.optimizer", "repro.crs.concurrency", "repro.crs.client",
-        "repro.engine", "repro.engine.interp", "repro.engine.machine",
+        "repro.engine", "repro.engine.builtins", "repro.engine.machine",
         "repro.engine.zipvm", "repro.engine.library",
         "repro.workloads", "repro.workloads.synthetic",
         "repro.workloads.warren", "repro.workloads.dbbench",
@@ -207,6 +207,60 @@ class TestOnePIFReader:
         for name in ("_read_term", "parse_record"):
             assert not hasattr(compiled, name), name
         assert not hasattr(ItemCursor, "_materialise")
+
+
+class TestOneSolveEngine:
+    """The ZIP machine is the only resolution engine in ``src``."""
+
+    IMPORT_EVERYTHING = """
+import importlib, pkgutil, sys
+import repro
+limit = sys.getrecursionlimit()
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    importlib.import_module(info.name)
+from repro.engine import PrologMachine
+from repro.storage import KnowledgeBase
+kb = KnowledgeBase()
+kb.consult_text("p(0). p(N) :- N > 0, M is N - 1, p(M).")
+assert PrologMachine(kb).succeeds("p(3000)")
+assert sys.getrecursionlimit() == limit, "a solve moved the recursion limit"
+leaked = sorted(name for name in sys.modules if name.split(".")[0] == "tests")
+assert not leaked, leaked
+"""
+
+    def test_src_imports_nothing_from_the_oracle(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(repro.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", self.IMPORT_EVERYTHING],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_the_second_engine_and_its_escapes_are_gone(self):
+        import dataclasses
+
+        import repro.engine
+        from repro.engine import PrologMachine, SolveStats, zipvm
+
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.engine.interp")
+        assert not hasattr(repro.engine, "Solver")
+        for name in ("compiled_solve", "compiled_solve_text", "solver"):
+            assert not hasattr(PrologMachine, name), name
+        for name in (
+            "_EscapePoint", "_ESCAPED_GOALS", "_UNSUPPORTED",
+            "clause_compilable", "_COMPILABLE_CACHE",
+        ):
+            assert not hasattr(zipvm, name), name
+        for name in ("_start_escape", "_query_needs_interpreter", "escapes"):
+            assert not hasattr(zipvm.ZipMachine, name), name
+        assert "escapes" not in {f.name for f in dataclasses.fields(SolveStats)}
 
 
 class TestOneFS1Path:
@@ -328,8 +382,8 @@ class TestOneClientSurface:
         assert "engine" not in inspect.signature(RetrievalClient.solve).parameters
         assert "engine" not in inspect.signature(SolveEngine.solve).parameters
         assert not hasattr(protocol, "_SOLVE_ENGINES")
-        # The oracle hook stays, on the constructor only.
-        assert "engine" in inspect.signature(SolveEngine).parameters
+        # One engine: the constructor takes no selector either.
+        assert "engine" not in inspect.signature(SolveEngine).parameters
 
     def test_net_all_is_unchanged(self):
         import repro.net

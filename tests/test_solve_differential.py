@@ -1,18 +1,17 @@
-"""Differential square: interpreter / ZIP VM / CRS-backed solve / net solve.
+"""Differential square: oracle / PrologMachine / CRS-backed solve / net solve.
 
 Hypothesis generates small terminating programs (a DAG of ``edge/2``
 facts plus recursive closure, cut, negation, and shared-variable rules);
 every query must produce the *identical answer sequence* on all four
 paths:
 
-1. the tree-walking interpreter over a single KnowledgeBase;
-2. the compiled ZIP machine over the same KB;
+1. the tree-walking oracle (``tests/oracle.py``) over a single
+   KnowledgeBase;
+2. ``PrologMachine.solve`` — the ZIP machine — over the same KB;
 3. ``SolveEngine`` pulling candidates through a predicate-sharded
-   cluster (the serving ``zip`` engine and the constructor-only
-   ``interp`` oracle);
-4. the ``solve`` verb over the wire protocol — which runs ``zip`` and
-   takes no engine selector — answers streamed one frame at a time and
-   compared against the in-process interpreter.
+   cluster;
+4. the ``solve`` verb over the wire protocol, answers streamed one
+   frame at a time.
 
 Predicate sharding keeps each procedure whole on one shard, so the
 cluster's candidate order equals single-KB clause order and sequence
@@ -28,6 +27,7 @@ from repro.engine import PrologMachine, SolveEngine
 from repro.net import BackgroundService, RetrievalService
 from repro.storage import KnowledgeBase
 from repro.terms import read_term, term_to_string
+from tests.oracle import oracle_answers
 
 RULES = """
 path(X, Y) :- edge(X, Y).
@@ -80,18 +80,14 @@ def test_in_process_square_agrees(program):
     machine = PrologMachine(kb, unknown_predicates="fail")
     cluster = ShardedRetrievalServer(2, policy=ShardingPolicy.PREDICATE)
     cluster.consult_text(program)
-    zip_solve = SolveEngine(cluster, engine="zip")
-    interp_solve = SolveEngine(cluster, engine="interp")
+    cluster_solve = SolveEngine(cluster)
     for query in QUERIES:
-        reference = [render(s) for s in machine.solve(read_term(query))]
-        compiled = [render(s) for s in machine.compiled_solve(read_term(query))]
-        assert compiled == reference, f"zipvm vs interp: {query}"
+        reference = [render(s) for s in oracle_answers(machine, read_term(query))]
+        compiled = [render(s) for s in machine.solve(read_term(query))]
+        assert compiled == reference, f"machine vs oracle: {query}"
         assert [
-            render(s) for s in zip_solve.solve(read_term(query))
-        ] == reference, f"cluster zip vs interp: {query}"
-        assert [
-            render(s) for s in interp_solve.solve(read_term(query))
-        ] == reference, f"cluster interp vs interp: {query}"
+            render(s) for s in cluster_solve.solve(read_term(query))
+        ] == reference, f"cluster vs oracle: {query}"
 
 
 @settings(
@@ -114,12 +110,12 @@ def test_net_solve_streams_the_interpreter_sequence(program):
         with RetrievalClient(host, port) as client:
             for query in QUERIES:
                 reference = [
-                    render(s) for s in machine.solve(read_term(query))
+                    render(s) for s in oracle_answers(machine, read_term(query))
                 ]
                 streamed = [
                     render(s) for s in client.solve(read_term(query))
                 ]
-                assert streamed == reference, f"net zip: {query}"
+                assert streamed == reference, f"net solve: {query}"
 
 
 @pytest.mark.parametrize("seed_nodes", [3, 4, 5])
@@ -139,7 +135,8 @@ def test_recursive_closure_square_on_dense_dag(seed_nodes):
     cluster.consult_text(program)
     engine = SolveEngine(cluster)
     for query in QUERIES:
-        reference = [render(s) for s in machine.solve(read_term(query))]
+        reference = [render(s) for s in oracle_answers(machine, read_term(query))]
+        assert [render(s) for s in machine.solve(read_term(query))] == reference
         assert [
             render(s) for s in engine.solve(read_term(query))
         ] == reference, query
