@@ -16,7 +16,7 @@ The same canonicalisation drives shard routing
 from the identical canonical encoding its cache key uses, so a cluster
 front-end can never cache under one identity and route under another.
 
-The keys are *structural* (nested tuples with type tags), not rendered
+The keys are *structural* (tuples of type-tagged entries), not rendered
 strings — a quoted atom spelled like a renamed variable, or an integer
 spelled like a float, can never collide with one.  Numeric edge case:
 ``-0.0 == 0.0`` for unification (and the FS1 codeword hash normalises
@@ -46,28 +46,33 @@ def canonical_goal_key(goal: Term) -> GoalKey:
     always passes partial matching regardless of its name, so ``p(_, a)``
     and ``p(X, a)`` with X a singleton canonicalise identically, while
     ``p(X, X)`` keeps its sharing pattern distinct from ``p(X, Y)``).
+
+    The key is flat: one entry per node in pre-order, a compound's entry
+    carrying its functor and arity, so a goal holding a long list keys,
+    hashes and compares without recursion.  Pre-order with arities
+    decodes uniquely, so equal keys still mean equal goal shapes.
     """
     mapping: dict[str, int] = {}
     counter = 0
-
-    def fresh() -> int:
-        nonlocal counter
-        index = counter
-        counter += 1
-        return index
-
-    def encode(term: Term) -> GoalKey:
+    key: list[GoalKey] = []
+    stack = [goal]
+    while stack:
+        term = stack.pop()
         if isinstance(term, Var):
             if term.is_anonymous():
-                return ("v", fresh())
+                key.append(("v", counter))
+                counter += 1
+                continue
             if term.name not in mapping:
-                mapping[term.name] = fresh()
-            return ("v", mapping[term.name])
-        if isinstance(term, Struct):
-            return ("s", term.functor, tuple(encode(a) for a in term.args))
-        return constant_index_key(term)
-
-    return encode(goal)
+                mapping[term.name] = counter
+                counter += 1
+            key.append(("v", mapping[term.name]))
+        elif isinstance(term, Struct):
+            key.append(("s", term.functor, len(term.args)))
+            stack.extend(reversed(term.args))
+        else:
+            key.append(constant_index_key(term))
+    return tuple(key)
 
 
 def constant_index_key(term: Term) -> GoalKey:

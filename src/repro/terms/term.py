@@ -100,9 +100,13 @@ class Var(Term):
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Struct(Term):
-    """A compound term ``functor(arg1, ..., argN)`` with arity >= 1."""
+    """A compound term ``functor(arg1, ..., argN)`` with arity >= 1.
+
+    Equality and hashing walk the term with an explicit stack, so a
+    long list compares and hashes without Python recursion.
+    """
 
     functor: str
     args: tuple[Term, ...] = field(default_factory=tuple)
@@ -115,6 +119,43 @@ class Struct(Term):
             )
         if not isinstance(self.args, tuple):
             object.__setattr__(self, "args", tuple(self.args))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Struct:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            left, right = stack.pop()
+            if left is right:
+                continue
+            if left.__class__ is Struct:
+                if (
+                    right.__class__ is not Struct
+                    or left.functor != right.functor
+                    or len(left.args) != len(right.args)
+                ):
+                    return False
+                stack.extend(zip(left.args, right.args))
+            elif left != right:
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        # Functor and arity of every node plus the leaves, in a fixed
+        # traversal order: equal terms give equal token sequences.
+        tokens: list = []
+        stack: list[Term] = [self]
+        while stack:
+            term = stack.pop()
+            if term.__class__ is Struct:
+                tokens.append(term.functor)
+                tokens.append(len(term.args))
+                stack.extend(term.args)
+            else:
+                tokens.append(term)
+        return hash(tuple(tokens))
 
     @property
     def arity(self) -> int:
@@ -217,6 +258,37 @@ def is_ground(term: Term) -> bool:
     return True
 
 
+def _map_variables(term: Term, replace) -> Term:
+    """``term`` with each variable occurrence replaced by ``replace(var)``.
+
+    Iterative (a long list costs no Python recursion) and sharing: a
+    subterm none of whose variables changed is returned as is.
+    """
+    # Open compounds: [term, done args, whether any argument changed].
+    frames: list[list] = []
+    current = term
+    while True:
+        if isinstance(current, Struct):
+            frames.append([current, [], False])
+            current = current.args[0]
+            continue
+        result = replace(current) if isinstance(current, Var) else current
+        while frames:
+            frame = frames[-1]
+            struct, done, changed = frame
+            args = struct.args
+            if result is not args[len(done)]:
+                frame[2] = changed = True
+            done.append(result)
+            if len(done) < len(args):
+                current = args[len(done)]
+                break
+            frames.pop()
+            result = Struct(struct.functor, tuple(done)) if changed else struct
+        else:
+            return result
+
+
 def rename_apart(
     term: Term, suffix: str | None = None, keep_anonymous: bool = False
 ) -> Term:
@@ -229,21 +301,19 @@ def rename_apart(
     """
     mapping: dict[Var, Var] = {}
 
-    def rename(t: Term) -> Term:
-        if isinstance(t, Var):
-            if t.is_anonymous():
-                return t if keep_anonymous else fresh_var()
-            if t not in mapping:
-                if suffix is not None:
-                    mapping[t] = Var(f"{t.name}{suffix}")
-                else:
-                    mapping[t] = fresh_var(f"_{t.name}_")
-            return mapping[t]
-        if isinstance(t, Struct):
-            return Struct(t.functor, tuple(rename(a) for a in t.args))
-        return t
+    def rename(var: Var) -> Var:
+        if var.is_anonymous():
+            return var if keep_anonymous else fresh_var()
+        renamed = mapping.get(var)
+        if renamed is None:
+            if suffix is not None:
+                renamed = Var(f"{var.name}{suffix}")
+            else:
+                renamed = fresh_var(f"_{var.name}_")
+            mapping[var] = renamed
+        return renamed
 
-    return rename(term)
+    return _map_variables(term, rename)
 
 
 def freshen_anonymous(term: Term) -> Term:
@@ -253,11 +323,9 @@ def freshen_anonymous(term: Term) -> Term:
     must treat each occurrence as independent, so goals are freshened
     before solving.
     """
-    if isinstance(term, Var):
-        return fresh_var("_A") if term.is_anonymous() else term
-    if isinstance(term, Struct):
-        return Struct(term.functor, tuple(freshen_anonymous(a) for a in term.args))
-    return term
+    return _map_variables(
+        term, lambda var: fresh_var("_A") if var.is_anonymous() else var
+    )
 
 
 def term_depth(term: Term) -> int:

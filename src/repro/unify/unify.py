@@ -57,7 +57,9 @@ def unify(
         a, b = stack.pop()
         a = bindings.walk(a)
         b = bindings.walk(b)
-        if a is b or a == b:
+        # Compounds are compared argument by argument below, never with
+        # a deep ``==``: a long list must not cost a recursion per cell.
+        if a is b or (a.__class__ is not Struct and a == b):
             continue
         if isinstance(a, Var):
             if occurs_check and occurs_in(a, b, bindings):
