@@ -31,8 +31,9 @@ time:
 Replies are ``("ok", payload)`` or ``("err", exception)``, pickled on
 the pipe.  A retrieve reply is the list of ``RetrievalResult``s itself:
 the worker has already decoded the candidates through its own decode
-cache, and terms are frozen slotted dataclasses with value equality, so
-the pickle is loss-free.
+cache, and terms are frozen values that pickle in constructor form
+(compounds as flat token tuples), so the pickle is loss-free and a
+goal of any depth crosses without recursion.
 """
 
 from __future__ import annotations

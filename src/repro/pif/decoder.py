@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..terms import NIL, Atom, Int, Struct, Term, Var, make_list
+from ..terms import ANONYMOUS, NIL, Atom, Int, Struct, Term, Var, make_list
 from . import tags
 from .encoder import EXTENSION_SIZE, ITEM_SIZE, EncodedArgs
 from .symbols import SymbolTable
@@ -142,7 +142,7 @@ def decode_term_at(
     if category in _VARIABLES:
         return Var(var_name(var_names, content)), position
     if category is _ANON:
-        return Var("_"), position
+        return ANONYMOUS, position
     if category is _FLOAT:
         return symbols.float_at(content), position
     if category is None:

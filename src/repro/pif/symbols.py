@@ -25,13 +25,15 @@ class SymbolTable:
 
     Atoms and functors share the name space (an atom *is* a 0-arity
     functor); floats are keyed separately so ``1.0`` and an atom ``'1.0'``
-    do not collide.
+    do not collide.  Each entry is the term itself, so :meth:`atom_at`
+    hands out one :class:`Atom` per offset and decoding a record
+    allocates no atoms.
     """
 
     __slots__ = ("_entries", "_atom_index", "_float_index")
 
     def __init__(self) -> None:
-        self._entries: list[tuple[str, str | float]] = []
+        self._entries: list[Atom | Float] = []
         self._atom_index: dict[str, int] = {}
         self._float_index: dict[float, int] = {}
 
@@ -42,7 +44,7 @@ class SymbolTable:
         """Offset for an atom/functor name, allocating if new."""
         offset = self._atom_index.get(name)
         if offset is None:
-            offset = self._allocate(("atom", name))
+            offset = self._allocate(Atom(name))
             self._atom_index[name] = offset
         return offset
 
@@ -58,36 +60,40 @@ class SymbolTable:
             value = 0.0
         offset = self._float_index.get(value)
         if offset is None:
-            offset = self._allocate(("float", value))
+            offset = self._allocate(Float(value))
             self._float_index[value] = offset
         return offset
 
-    def _allocate(self, entry: tuple[str, str | float]) -> int:
+    def _allocate(self, entry: Atom | Float) -> int:
         if len(self._entries) >= MAX_SYMBOLS:
             raise SymbolTableFull("24-bit symbol offset space exhausted")
         self._entries.append(entry)
         return len(self._entries) - 1
 
-    def lookup(self, offset: int) -> tuple[str, str | float]:
-        """The ``(kind, value)`` entry at ``offset``."""
+    def _entry(self, offset: int) -> Atom | Float:
         try:
             return self._entries[offset]
         except IndexError:
             raise KeyError(f"no symbol at offset {offset}") from None
 
+    def lookup(self, offset: int) -> tuple[str, str | float]:
+        """The ``(kind, value)`` entry at ``offset``."""
+        entry = self._entry(offset)
+        if entry.__class__ is Atom:
+            return ("atom", entry.name)
+        return ("float", entry.value)
+
     def atom_at(self, offset: int) -> Atom:
-        kind, value = self.lookup(offset)
-        if kind != "atom":
-            raise KeyError(f"symbol {offset} is a {kind}, not an atom")
-        assert isinstance(value, str)
-        return Atom(value)
+        entry = self._entry(offset)
+        if entry.__class__ is not Atom:
+            raise KeyError(f"symbol {offset} is a float, not an atom")
+        return entry
 
     def float_at(self, offset: int) -> Float:
-        kind, value = self.lookup(offset)
-        if kind != "float":
-            raise KeyError(f"symbol {offset} is a {kind}, not a float")
-        assert isinstance(value, float)
-        return Float(value)
+        entry = self._entry(offset)
+        if entry.__class__ is not Float:
+            raise KeyError(f"symbol {offset} is an atom, not a float")
+        return entry
 
     def atom_name_at(self, offset: int) -> str:
         return self.atom_at(offset).name
@@ -101,11 +107,14 @@ class SymbolTable:
         """Serialise the table (length-prefixed UTF-8 / float text entries)."""
         out = bytearray()
         out += len(self._entries).to_bytes(4, "big")
-        for kind, value in self._entries:
+        for entry in self._entries:
+            is_atom = entry.__class__ is Atom
             payload = (
-                value.encode("utf-8") if kind == "atom" else repr(value).encode()
+                entry.name.encode("utf-8")
+                if is_atom
+                else repr(entry.value).encode()
             )
-            out.append(0 if kind == "atom" else 1)
+            out.append(0 if is_atom else 1)
             out += len(payload).to_bytes(3, "big")
             out += payload
         return bytes(out)
@@ -169,7 +178,7 @@ class QuerySymbols(SymbolTable):
             offset = self._floor + super().intern_float(value)
         return offset
 
-    def lookup(self, offset: int) -> tuple[str, str | float]:
+    def _entry(self, offset: int) -> Atom | Float:
         if offset < self._floor:
-            return self._table.lookup(offset)
-        return super().lookup(offset - self._floor)
+            return self._table._entry(offset)
+        return super()._entry(offset - self._floor)

@@ -18,7 +18,7 @@ __all__ = ["Clause", "as_clause", "clause_from_term", "body_goals", "TRUE"]
 TRUE = Atom("true")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Clause:
     """A program clause with a callable head and a tuple of body goals."""
 
@@ -30,6 +30,9 @@ class Clause:
             raise ValueError(f"clause head must be callable: {self.head!r}")
         if not isinstance(self.body, tuple):
             object.__setattr__(self, "body", tuple(self.body))
+
+    def __reduce__(self):
+        return (Clause, (self.head, self.body) if self.body else (self.head,))
 
     @property
     def indicator(self) -> tuple[str, int]:

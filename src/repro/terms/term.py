@@ -12,11 +12,21 @@ the empty-list atom ``[]``; :func:`make_list` and :func:`list_parts` convert
 between Python sequences and cons chains.  This mirrors the CLARE paper's
 distinction between *terminated* lists (ending in ``[]``) and *unterminated*
 ("unlimited") lists ending in a tail variable, e.g. ``[a,b|Tail]``.
+
+Pickling carries terms over every process hop, and it stores each term
+in constructor form, so the constructor's checks run again on load.  A
+compound pickles flat, as its pre-order tokens (functor and arity per
+node, leaves as they are), and is rebuilt without recursion: a
+5 000-element list crosses a pipe at the default recursion limit.  An
+atom unpickles through a weak-valued table that hands out one
+:class:`Atom` per name while any is alive.  Equality and hashing stay
+by value, so sharing an object is only ever a saving.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -54,11 +64,18 @@ class Term:
         return isinstance(self, (Atom, Struct))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Atom(Term):
     """A symbolic constant."""
 
+    # Spelled out rather than ``slots=True``: the weak intern table
+    # needs ``__weakref__``, and ``weakref_slot`` is not in Python 3.10.
+    __slots__ = ("name", "__weakref__")
+
     name: str
+
+    def __reduce__(self):
+        return (_interned_atom, (self.name,))
 
     def __str__(self) -> str:
         from .writer import term_to_string
@@ -72,6 +89,9 @@ class Int(Term):
 
     value: int
 
+    def __reduce__(self):
+        return (Int, (self.value,))
+
     def __str__(self) -> str:
         return str(self.value)
 
@@ -82,6 +102,9 @@ class Float(Term):
 
     value: float
 
+    def __reduce__(self):
+        return (Float, (self.value,))
+
     def __str__(self) -> str:
         return repr(self.value)
 
@@ -91,6 +114,9 @@ class Var(Term):
     """A logic variable, identified by name within one clause/query."""
 
     name: str
+
+    def __reduce__(self):
+        return (Var, (self.name,))
 
     def is_anonymous(self) -> bool:
         """True for the don't-care variable ``_``."""
@@ -157,6 +183,25 @@ class Struct(Term):
                 tokens.append(term)
         return hash(tuple(tokens))
 
+    def __reduce__(self):
+        # Pre-order tokens, so nested compounds never reach the
+        # pickler's own recursion.  Each atom leaf is swapped for the
+        # live atom of its name: the pickler memoizes by identity, so
+        # a name then crosses once per pickle, not once per occurrence.
+        tokens: list = []
+        stack: list[Term] = [self]
+        while stack:
+            term = stack.pop()
+            if term.__class__ is Struct:
+                tokens.append(term.functor)
+                tokens.append(len(term.args))
+                stack.extend(reversed(term.args))
+            elif term.__class__ is Atom:
+                tokens.append(_INTERNED_ATOMS.setdefault(term.name, term))
+            else:
+                tokens.append(term)
+        return (_struct_from_tokens, (tuple(tokens),))
+
     @property
     def arity(self) -> int:
         return len(self.args)
@@ -172,8 +217,47 @@ class Struct(Term):
         return term_to_string(self)
 
 
+def _struct_from_tokens(tokens: tuple) -> Struct:
+    """Rebuild a compound from its :meth:`Struct.__reduce__` tokens.
+
+    Read back to front: a leaf is pushed, and a functor (a ``str``; a
+    leaf is always a term) takes its arity's worth of finished
+    arguments off the stack, first argument on top.
+    """
+    stack: list[Term] = []
+    for index in range(len(tokens) - 1, -1, -1):
+        token = tokens[index]
+        if isinstance(token, str):
+            start = len(stack) - tokens[index + 1]
+            if start < 0:
+                raise ValueError(f"compound {token!r} is missing arguments")
+            args = stack[start:]
+            del stack[start:]
+            args.reverse()
+            stack.append(Struct(token, tuple(args)))
+        elif not isinstance(token, int):
+            stack.append(token)
+    (term,) = stack
+    return term
+
+
 #: The empty list atom.
 NIL = Atom("[]")
+
+#: Atoms rebuilt by unpickling, one per name while any of them is alive.
+#: Weak values: a goal's fresh atom leaves no entry once the goal is
+#: dropped, so clients cannot grow the table.
+_INTERNED_ATOMS: weakref.WeakValueDictionary[str, Atom] = (
+    weakref.WeakValueDictionary({NIL.name: NIL})
+)
+
+
+def _interned_atom(name: str) -> Atom:
+    """The live :class:`Atom` named ``name``, made if there is none."""
+    atom = _INTERNED_ATOMS.get(name)
+    if atom is None:
+        atom = _INTERNED_ATOMS.setdefault(name, Atom(name))
+    return atom
 
 #: The list-cons functor name.
 CONS = "."

@@ -125,3 +125,55 @@ class TestTransportIdentity:
                 ] == [fingerprint(r) for r in threaded.retrieve_batch(goals)]
         finally:
             process.close()
+
+
+class TestDeepGoalsCrossThePipe:
+    """A goal holding a 5 000-element list, at the default recursion limit.
+
+    The goal is pickled to the worker and comes back inside its
+    ``RetrievalResult``.  Terms pickle as flat token tuples, so neither
+    hop recurses per cons cell; the threaded backend, which pickles
+    nothing, is the reference.  The test process may run with a raised
+    limit, so the retrieval runs in a fresh interpreter.
+    """
+
+    SCRIPT = """
+import sys
+sys.setrecursionlimit(1000)
+from repro.cluster import ShardedRetrievalServer
+from repro.parallel import ProcessShardedRetrievalServer
+from repro.terms import Int, Struct, make_list
+
+PROGRAM = "p(1, L). p(2, x). p(1, [a]). p(1, [0 | T])."
+goal = Struct("p", (Int(1), make_list([Int(i) for i in range(5000)])))
+threaded = ShardedRetrievalServer(2)
+threaded.consult_text(PROGRAM)
+process = ProcessShardedRetrievalServer(2)
+process.consult_text(PROGRAM)
+process.start()
+try:
+    expected = threaded.retrieve(goal)
+    got = process.retrieve(goal)
+finally:
+    process.close()
+assert [str(c) for c in expected.candidates] == ["p(1,L).", "p(1,[0|T])."]
+assert got.candidates == expected.candidates, got.candidates
+assert got.goal == goal
+assert sys.getrecursionlimit() == 1000
+"""
+
+    def test_both_backends_return_the_same_candidates(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = Path(repro.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr[-3000:]
