@@ -1,77 +1,86 @@
-"""Multiple clients sharing the CRS: locks, conflicts, deadlock handling.
+"""Multiple clients sharing one sharded CRS: the shard lock at work.
 
 "The CRS will also support simultaneous access by multiple clients which
 involves procedures for concurrency control and transaction handling"
-(paper section 2.2).
+(paper section 2.2).  A shard is one stateful CLARE board — one FS2 query
+register, one Result Memory, one drive — so each shard's lock admits one
+request at a time, read or write; every take of it is timed into the
+``cluster.shard_lock.wait_s`` histogram.
 
 Run with::
 
     python examples/multi_client.py
 """
 
-from repro.crs import (
-    ClauseRetrievalServer,
-    CRSFrontEnd,
-    DeadlockError,
-    WouldBlock,
-)
-from repro.storage import KnowledgeBase
+import threading
+
+from repro.cluster import ShardedRetrievalServer, ShardingPolicy
+from repro.crs import RetrievalTimeout
+from repro.obs import Instrumentation
+from repro.report import headline_counters
 from repro.terms import read_term
+
+CLIENTS = 4
+ROUNDS = 25
+
+
+def client(server: ShardedRetrievalServer, name: str, seen: dict) -> None:
+    """Read the stock table, add a row, and read that row back."""
+    for round_no in range(ROUNDS):
+        server.retrieve(read_term("stock(I, N)"))
+        row = read_term(f"stock({name}_{round_no}, {round_no})")
+        server.assertz(row)  # returns once applied: the ack
+        mine = server.retrieve(read_term(f"stock({name}_{round_no}, N)"))
+        assert [str(c) for c in mine.candidates] == [f"{row}."], mine
+    seen[name] = len(server.retrieve(read_term("stock(I, N)")).candidates)
 
 
 def main() -> None:
-    kb = KnowledgeBase()
-    kb.consult_text(
-        """
-        stock(widget, 12).  stock(gadget, 3).
-        price(widget, 250). price(gadget, 900).
-        """
-    )
-    front_end = CRSFrontEnd(ClauseRetrievalServer(kb))
+    obs = Instrumentation()
+    server = ShardedRetrievalServer(2, ShardingPolicy.FIRST_ARG, obs=obs)
+    server.consult_text("stock(widget, 12). stock(gadget, 3).")
 
-    print("-- concurrent readers share locks --")
-    alice = front_end.connect()
-    bob = front_end.connect()
-    print("alice sees", len(alice.retrieve(read_term("stock(I, N)"))), "stock rows")
-    print("bob sees  ", len(bob.retrieve(read_term("stock(I, N)"))), "stock rows")
-    alice.commit()
-    bob.commit()
+    print(f"-- {CLIENTS} client threads read and assert concurrently --")
+    seen: dict[str, int] = {}
+    threads = [
+        threading.Thread(target=client, args=(server, f"c{n}", seen))
+        for n in range(CLIENTS)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    print("every client read its own write right after the ack")
+    print("rows each client saw at the end:", dict(sorted(seen.items())))
+    total = len(server.retrieve(read_term("stock(I, N)")).candidates)
+    print("final stock table has", total, "rows")
 
-    print("\n-- a writer excludes readers until it commits --")
-    writer = front_end.connect()
-    writer.assertz(read_term("stock(sprocket, 7)"))
-    reader = front_end.connect()
+    print("\n-- a deadline cuts off the wait behind a held shard lock --")
+    goal = read_term("stock(I, N)")  # unbound first argument: every shard
+    held = server.shards[0].lock
+    held.acquire()  # e.g. a long retrieval already running on shard 0
     try:
-        reader.retrieve(read_term("stock(I, N)"))
-    except WouldBlock as exc:
-        print("reader blocked:", exc)
-    writer.commit()
+        server.retrieve(goal, timeout=0.05)
+    except RetrievalTimeout as exc:
+        print("RetrievalTimeout:", exc)
+    finally:
+        held.release()
+    print("after the release the same read returns",
+          len(server.retrieve(goal, timeout=5.0).candidates), "rows")
+
+    head = headline_counters(obs.registry)
     print(
-        "after commit the reader sees",
-        len(reader.retrieve(read_term("stock(I, N)"))),
-        "rows",
+        "\nshard lock: {:g} takes, {:.6f} s queued in total, "
+        "longest wait {:.6f} s".format(
+            head["shard_lock_waits"],
+            head["shard_lock_wait_s"],
+            head["shard_lock_wait_max_s"],
+        )
     )
-    reader.commit()
-
-    print("\n-- deadlock detection aborts the victim --")
-    one = front_end.connect()
-    two = front_end.connect()
-    one.assertz(read_term("stock(bolt, 1)"))  # one holds stock/2
-    two.assertz(read_term("price(bolt, 5)"))  # two holds price/2
-    try:
-        one.assertz(read_term("price(nut, 2)"))  # one waits on two
-    except WouldBlock:
-        print("client one now waits for price/2")
-    try:
-        two.assertz(read_term("stock(nut, 9)"))  # would close the cycle
-    except DeadlockError as exc:
-        print("client two aborted:", exc)
-    one.commit()
-    print("client one committed after the victim released its locks")
-
-    final = front_end.connect()
-    rows = final.retrieve(read_term("stock(I, N)"))
-    print("\nfinal stock table has", len(rows), "rows")
+    for instrument in obs.registry:
+        if instrument.name == "cluster.shard_lock.wait_s":
+            print(f"  shard {dict(instrument.labels)['shard']}: "
+                  f"{instrument.count} takes, mean {instrument.mean:.2e} s")
 
 
 if __name__ == "__main__":

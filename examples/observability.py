@@ -13,10 +13,12 @@ import json
 import tempfile
 
 from repro import KnowledgeBase, PrologMachine
+from repro.cluster import ShardedRetrievalServer
 from repro.crs import ClauseRetrievalServer, SearchMode
 from repro.obs import Instrumentation
-from repro.report import format_metrics
+from repro.report import format_metrics, headline_counters
 from repro.storage import Residency
+from repro.terms import read_term
 
 
 def build_machine(obs: Instrumentation) -> PrologMachine:
@@ -56,9 +58,18 @@ def main() -> None:
         first = json.loads(handle.read().splitlines()[0])
     print("first span:", first["name"], first["attrs"])
 
+    # The same registry also times the sharded front door's one
+    # concurrency control: every take of a shard's lock.
+    cluster = ShardedRetrievalServer(2, "first_arg", obs=obs)
+    cluster.consult_text(" ".join(f"part(p{n}, bin1, 3). " for n in range(4)))
+    cluster.retrieve(read_term("part(P, Bin, Load)"))  # one take per shard
     hits = obs.registry.value("crs.cache.hits")
-    waits = obs.registry.total("locks.waits")
-    print(f"\ncache hits: {hits:g}, lock waits: {waits:g}")
+    head = headline_counters(obs.registry)
+    print(
+        f"\ncache hits: {hits:g}, shard lock waits: "
+        f"{head['shard_lock_waits']:g} "
+        f"(max {head['shard_lock_wait_max_s']:.2e} s)"
+    )
 
 
 if __name__ == "__main__":

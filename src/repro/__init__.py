@@ -28,7 +28,6 @@ _EXPORTS = {
     "Residency": ("repro.storage", "Residency"),
     "PrologMachine": ("repro.engine", "PrologMachine"),
     "ClauseRetrievalServer": ("repro.crs", "ClauseRetrievalServer"),
-    "CRSFrontEnd": ("repro.crs", "CRSFrontEnd"),
     "SearchMode": ("repro.crs", "SearchMode"),
     "SecondStageFilter": ("repro.fs2", "SecondStageFilter"),
     "FirstStageFilter": ("repro.scw", "FirstStageFilter"),

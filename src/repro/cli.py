@@ -12,7 +12,7 @@ Usage::
 simulated disk) and runs goals against it, reporting which CRS search
 modes the planner chose.  ``stats`` is ``consult`` with the
 observability layer switched on: it dumps the full metrics registry
-(cache hits/misses, lock waits, FS2 search calls, stage sim times) and
+(cache hits/misses, shard-lock waits, FS2 search calls, stage sim times) and
 ``--trace-json FILE`` exports the span trace as NDJSON — one JSON object
 per pipeline stage (disk, FS1, FS2, software) per retrieval.  ``table1``
 prints the reproduced Table 1 and ``microcode`` disassembles the FS2

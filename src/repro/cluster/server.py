@@ -9,13 +9,14 @@ index, FS2 engine and disk model — and presents the *same*
 ``retrieve``/``solutions`` contract as the single-engine
 :class:`~repro.crs.ClauseRetrievalServer`.
 
-Concurrency model: the simulated hardware is stateful (one Result
-Memory, one query register per device), so each shard is guarded by its
-own lock; different shards run genuinely in parallel, one retrieval at a
-time per shard.  Timing model: parallel disks — a broadcast retrieval's
-wall clock is the *maximum* over the queried shards' filter times, not
-their sum; the per-shard breakdown is preserved in
-:class:`MergedRetrievalStats` for the report layer.
+Concurrency model (the paper's §2.2 concurrency control): the simulated
+hardware is stateful — one FS2 query register, one Result Memory and one
+drive per shard — so each shard is guarded by its own lock, taken by
+every read and every mutation, one at a time per shard; its queue wait
+is the ``cluster.shard_lock.wait_s`` histogram.  Timing model: parallel
+disks — a broadcast retrieval's wall clock is the *maximum* over the
+queried shards' filter times, not their sum; the per-shard breakdown is
+preserved in :class:`MergedRetrievalStats` for the report layer.
 """
 
 from __future__ import annotations
@@ -70,6 +71,9 @@ __all__ = [
     "ShardedRetrievalServer",
     "WritesFrozen",
 ]
+
+#: seconds; an uncontended take lands in the first bucket
+_LOCK_WAIT_BUCKETS = (1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0)
 
 
 @dataclass
@@ -134,30 +138,30 @@ class MergedRetrievalStats(RetrievalStats):
                 per_shard[shard_id] = stats
             elif stats.per_shard:
                 per_shard[shard_id] = next(iter(stats.per_shard.values()))
-        merged = cls(
+        # Each field is one ``sum`` over the shards: the same fold, to
+        # the last bit, as any reader who re-adds ``per_shard`` (3.12's
+        # float ``sum`` is compensated; a ``+=`` loop is not).
+        shards = per_shard.values()
+        fs1 = [s.fs1_candidates for s in shards if s.fs1_candidates is not None]
+        return cls(
             mode=mode if mode is not None else SearchMode.SOFTWARE,
             residency=(
                 residencies.pop() if len(residencies) == 1
                 else "mixed" if residencies else Residency.MEMORY
             ),
+            clauses_total=sum(s.clauses_total for s in shards),
+            fs1_candidates=sum(fs1) if fs1 else None,
+            final_candidates=sum(s.final_candidates for s in shards),
+            disk_time_s=sum((s.disk_time_s for s in shards), 0.0),
+            fs1_time_s=sum((s.fs1_time_s for s in shards), 0.0),
+            fs2_time_s=sum((s.fs2_time_s for s in shards), 0.0),
+            fs2_search_calls=sum(s.fs2_search_calls for s in shards),
+            software_time_s=sum((s.software_time_s for s in shards), 0.0),
+            bytes_from_disk=sum(s.bytes_from_disk for s in shards),
             shards_queried=len(shard_stats),
             broadcast=len(shard_stats) > 1,
             per_shard=per_shard,
         )
-        for stats in per_shard.values():
-            merged.clauses_total += stats.clauses_total
-            merged.final_candidates += stats.final_candidates
-            merged.fs2_search_calls += stats.fs2_search_calls
-            merged.bytes_from_disk += stats.bytes_from_disk
-            merged.disk_time_s += stats.disk_time_s
-            merged.fs1_time_s += stats.fs1_time_s
-            merged.fs2_time_s += stats.fs2_time_s
-            merged.software_time_s += stats.software_time_s
-            if stats.fs1_candidates is not None:
-                merged.fs1_candidates = (
-                    merged.fs1_candidates or 0
-                ) + stats.fs1_candidates
-        return merged
 
 
 @dataclass
@@ -360,7 +364,8 @@ class ShardedRetrievalServer(CachedFrontDoor):
         """
         shard_id = self.router.route_clause(clause.head)
         shard = self.shards[shard_id]
-        with shard.lock:
+        self._acquire_shard(shard, None)
+        try:
             if self.log.seen(write_id)[0]:
                 return shard_id, None
             self.log.check_writable()
@@ -372,6 +377,8 @@ class ShardedRetrievalServer(CachedFrontDoor):
             else:
                 shard.kb.asserta(clause, module=module)
             return shard_id, self._logged(shard, op, clause, module, write_id)
+        finally:
+            shard.lock.release()
 
     def _logged(
         self, shard: ClusterShard, op: str, clause: Clause, module: str,
@@ -424,7 +431,8 @@ class ShardedRetrievalServer(CachedFrontDoor):
             return None, None
         for shard_id in targets:
             shard = self.shards[shard_id]
-            with shard.lock:
+            self._acquire_shard(shard, None)
+            try:
                 hit, memo = self.log.seen(write_id)
                 if hit:
                     return (clause if exact else memo), None
@@ -440,6 +448,8 @@ class ShardedRetrievalServer(CachedFrontDoor):
                     return removed, self._logged(
                         shard, "retract", removed, "user", write_id
                     )
+            finally:
+                shard.lock.release()
         return None, None
 
     def pin_module(self, name: str, residency: str) -> None:
@@ -685,18 +695,31 @@ class ShardedRetrievalServer(CachedFrontDoor):
     def _on_shard_reload(self, shard: ClusterShard) -> None:
         """Hook: ``shard``'s whole KB was just replaced (lock held)."""
 
-    @staticmethod
-    def _acquire_shard(shard: ClusterShard, deadline: float | None) -> None:
+    def _acquire_shard(
+        self, shard: ClusterShard, deadline: float | None
+    ) -> None:
         """Take a shard's lock (unbounded with no deadline), or raise
-        :class:`RetrievalTimeout`."""
+        :class:`RetrievalTimeout`.
+
+        Every request-path take — reads on both backends, asserts and
+        retracts — comes through here, so the time spent queued behind
+        the shard's one board lands in ``cluster.shard_lock.wait_s``
+        (one sample per take; a timed-out attempt records none).
+        """
+        start = time.perf_counter()
         if deadline is None:
             shard.lock.acquire()
-            return
-        remaining = deadline - time.monotonic()
-        if remaining <= 0 or not shard.lock.acquire(timeout=remaining):
-            raise RetrievalTimeout(
-                f"shard {shard.shard_id} busy past the retrieval deadline"
-            )
+        else:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not shard.lock.acquire(timeout=remaining):
+                raise RetrievalTimeout(
+                    f"shard {shard.shard_id} busy past the retrieval deadline"
+                )
+        if self.obs.enabled:  # a bulk load takes the lock once per clause
+            self.obs.histogram(
+                "cluster.shard_lock.wait_s", buckets=_LOCK_WAIT_BUCKETS,
+                shard=str(shard.shard_id),
+            ).observe(time.perf_counter() - start)
 
     def _route_and_plan(
         self, goal: Term, mode: SearchMode | None

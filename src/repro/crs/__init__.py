@@ -1,14 +1,5 @@
-"""The Clause Retrieval Server: four search modes, planning, concurrency."""
+"""The Clause Retrieval Server: four search modes and planning."""
 
-from .client import CRSClient, CRSFrontEnd, WouldBlock
-from .concurrency import (
-    DeadlockError,
-    LockManager,
-    LockMode,
-    Transaction,
-    TransactionAborted,
-    TransactionManager,
-)
 from .keys import canonical_goal_key, constant_index_key, first_arg_index_key
 from .optimizer import ConjunctionPlanner, GoalEstimate
 from .planner import QueryFeatures, analyse_query, select_mode
@@ -22,24 +13,15 @@ from .server import (
 )
 
 __all__ = [
-    "CRSClient",
-    "CRSFrontEnd",
     "ClauseRetrievalServer",
     "ConjunctionPlanner",
-    "DeadlockError",
     "GoalEstimate",
     "HostCostModel",
-    "LockManager",
-    "LockMode",
     "QueryFeatures",
     "RetrievalResult",
     "RetrievalStats",
     "RetrievalTimeout",
     "SearchMode",
-    "Transaction",
-    "TransactionAborted",
-    "TransactionManager",
-    "WouldBlock",
     "analyse_query",
     "canonical_goal_key",
     "constant_index_key",

@@ -186,7 +186,6 @@ class RetrievalService:
         self._draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         while self._inflight:
             await asyncio.gather(
                 *list(self._inflight), return_exceptions=True
@@ -198,6 +197,10 @@ class RetrievalService:
             except (ConnectionError, OSError):
                 pass
         self._connections.clear()
+        if self._server is not None:
+            # Only now: since Python 3.12.1 ``wait_closed`` also waits
+            # for every accepted connection to close.
+            await self._server.wait_closed()
         self._executor.shutdown(wait=True)
         self._drained = True
         self.obs.counter("net.drains").inc()
@@ -218,12 +221,13 @@ class RetrievalService:
         self._drained = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         for task in list(self._inflight):
             task.cancel()
         for writer in list(self._connections):
             writer.close()
         self._connections.clear()
+        if self._server is not None:
+            await self._server.wait_closed()
         # Let the per-connection reader tasks observe their closed
         # transports and finish; torn down mid-read they would be
         # cancelled by loop shutdown and spray tracebacks instead.

@@ -2,9 +2,9 @@
 
 Reporting sits on top of the observability layer (:mod:`repro.obs`):
 the :class:`~repro.obs.MetricsRegistry` aggregates stage-level counters
-across the whole pipeline — disk, FS1, FS2, host software, locks — and
-this module is one consumer of that registry (the CLI's ``stats``
-command and the NDJSON trace export are others).  The per-machine
+across the whole pipeline — disk, FS1, FS2, host software, shard
+locks — and this module is one consumer of that registry (the CLI's
+``stats`` command and the NDJSON trace export are others).  The per-machine
 :class:`~repro.engine.QueryStats` view of the same run is kept for the
 classic per-goal trace report.
 """
@@ -71,6 +71,10 @@ def format_query_report(machine: PrologMachine, title: str = "query report") -> 
 
 def headline_counters(registry: MetricsRegistry) -> dict[str, float]:
     """The counters every report leads with, present even when zero."""
+    lock_waits = [
+        instrument for instrument in registry
+        if instrument.name == "cluster.shard_lock.wait_s"
+    ]
     return {
         "retrievals": registry.total("crs.retrievals"),
         "cache_hits": registry.total("crs.cache.hits"),
@@ -83,10 +87,13 @@ def headline_counters(registry: MetricsRegistry) -> dict[str, float]:
         "disk_bytes": registry.total("disk.bytes_read"),
         "disk_bytes_skipped": registry.total("disk.bytes_skipped"),
         "disk_seeks": registry.total("disk.seeks"),
-        "lock_waits": registry.total("locks.waits"),
-        "deadlocks": registry.total("locks.deadlocks"),
-        "txn_commits": registry.total("txn.commits"),
-        "txn_aborts": registry.total("txn.aborts"),
+        # every shard's lock-wait histogram, folded: takes, seconds
+        # queued in total and the longest single wait
+        "shard_lock_waits": sum(h.count for h in lock_waits),
+        "shard_lock_wait_s": sum((h.sum for h in lock_waits), 0.0),
+        "shard_lock_wait_max_s": max(
+            (h.max for h in lock_waits if h.count), default=0.0
+        ),
     }
 
 
@@ -275,11 +282,10 @@ def format_metrics(
         )
     )
     lines.append(
-        "lock waits={:g}  deadlocks={:g}  txn commits/aborts={:g}/{:g}".format(
-            head["lock_waits"],
-            head["deadlocks"],
-            head["txn_commits"],
-            head["txn_aborts"],
+        "shard lock waits={:g}  wait total/max={:.6f}/{:.6f} s".format(
+            head["shard_lock_waits"],
+            head["shard_lock_wait_s"],
+            head["shard_lock_wait_max_s"],
         )
     )
     lines.append("stage sim time (s):")

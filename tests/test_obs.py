@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.crs import ClauseRetrievalServer, CRSFrontEnd, SearchMode
+from repro.crs import ClauseRetrievalServer, SearchMode
 from repro.engine import PrologMachine
 from repro.obs import (
     Counter,
@@ -226,27 +226,6 @@ class TestPipelineInstrumentation:
         assert registry.value("fs2.false_drops") == registry.value(
             "fs2.clauses_examined"
         ) - registry.value("fs2.satisfiers")
-
-    def test_lock_and_txn_metrics(self):
-        obs = Instrumentation()
-        kb = KnowledgeBase(obs=obs)
-        kb.consult_text("p(a). p(b).")
-        front_end = CRSFrontEnd(ClauseRetrievalServer(kb, obs=obs))
-        reader = front_end.connect()
-        writer = front_end.connect()
-        reader.retrieve(read_term("p(X)"))
-        from repro.crs import WouldBlock
-
-        with pytest.raises(WouldBlock):
-            writer.assertz(read_term("p(c)"))
-        reader.commit()
-        writer.commit()
-        registry = obs.registry
-        assert registry.total("locks.waits") == 1
-        assert registry.total("locks.acquired") >= 2
-        assert registry.value("txn.begun") == 2
-        assert registry.value("txn.commits") == 2
-        assert registry.value("txn.active") == 0
 
     def test_solutions_records_ground_truth_false_drops(self):
         obs = Instrumentation()

@@ -91,7 +91,7 @@ class TestDocumentationCoverage:
         "repro.storage", "repro.storage.module", "repro.storage.kb",
         "repro.storage.persist",
         "repro.crs", "repro.crs.server", "repro.crs.planner",
-        "repro.crs.optimizer", "repro.crs.concurrency", "repro.crs.client",
+        "repro.crs.optimizer",
         "repro.engine", "repro.engine.builtins", "repro.engine.machine",
         "repro.engine.zipvm", "repro.engine.library",
         "repro.workloads", "repro.workloads.synthetic",
@@ -169,6 +169,42 @@ for info in pkgutil.walk_packages(repro.__path__, "repro."):
             assert "invalid choice: 'loadgen'" in err
         else:
             assert "unrecognized arguments" in err
+
+
+class TestOneConcurrencyControl:
+    """The per-shard lock is the only concurrency control in ``src``."""
+
+    IMPORT_EVERYTHING = """
+import importlib, pkgutil
+import repro
+found = []
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    module = importlib.import_module(info.name)
+    for name in ("LockManager", "TransactionManager", "CRSFrontEnd"):
+        if hasattr(module, name):
+            found.append(info.name + "." + name)
+assert not found, found
+assert "CRSFrontEnd" not in repro._EXPORTS
+"""
+
+    def test_no_module_defines_the_2pl_simulation(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(repro.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", self.IMPORT_EVERYTHING],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("module_name", ["concurrency", "client"])
+    def test_the_simulation_modules_are_gone(self, module_name):
+        with pytest.raises(ImportError):
+            importlib.import_module(f"repro.crs.{module_name}")
 
 
 class TestOnePIFReader:

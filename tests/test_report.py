@@ -89,8 +89,9 @@ class TestMetricsFormatting:
     def test_headline_counters_present_when_zero(self):
         head = headline_counters(MetricsRegistry())
         assert head["retrievals"] == 0
-        assert head["lock_waits"] == 0
-        assert set(head) >= {"cache_hits", "fs2_search_calls", "txn_commits"}
+        assert head["shard_lock_waits"] == 0
+        assert head["shard_lock_wait_max_s"] == 0.0
+        assert set(head) >= {"cache_hits", "fs2_search_calls", "shard_lock_wait_s"}
 
     def test_format_metrics_sections(self):
         machine, obs = self.instrumented_machine()
@@ -105,9 +106,12 @@ class TestMetricsFormatting:
 
     def test_format_metrics_accepts_bare_registry(self):
         registry = MetricsRegistry()
-        registry.counter("locks.waits", mode="X").inc(3)
+        for shard, wait in (("0", 0.25), ("0", 0.5), ("1", 0.125)):
+            registry.histogram("cluster.shard_lock.wait_s", shard=shard).observe(
+                wait
+            )
         text = format_metrics(registry)
-        assert "lock waits=3" in text
+        assert "lock waits=3  wait total/max=0.875000/0.500000 s" in text
 
     def test_query_report_appends_metrics_when_enabled(self):
         machine, obs = self.instrumented_machine()
