@@ -52,7 +52,7 @@ from ..crs import RetrievalResult, SearchMode
 from ..obs import Instrumentation
 from ..obs import get_default as _default_obs
 from ..scw import CodewordScheme, DEFAULT_SCHEME
-from ..storage import DurabilityOptions, UnknownPredicateError
+from ..storage import DurabilityOptions, KnowledgeBase, UnknownPredicateError
 from ..terms import (
     Clause,
     Term,
@@ -317,7 +317,14 @@ class Fleet:
         return opts
 
     def _build_node(self, shard_id: int, seed: bool = True) -> ClusterNode:
-        """A one-shard engine seeded with the shard's clause partition."""
+        """A one-shard engine seeded with the shard's clause partition.
+
+        The partition is compiled once, into a fresh KB the engine
+        adopts as its base state at seq 0 (``adopt_kb``): no per-clause
+        record, seq or lock take.  A durable node writes the seed as its
+        first snapshot and flips ``CURRENT`` before it is handed out
+        (and started); one that recovered a snapshot is not re-seeded.
+        """
         engine = ShardedRetrievalServer(
             1,
             policy=self.policy,
@@ -326,10 +333,9 @@ class Fleet:
             **self._node_engine_opts(shard_id),
         )
         if seed and (engine.recovered is None or engine.recovered.empty):
-            # One bulk load: a durable node group-commits the partition
-            # and is only handed out (and started) once all of it is on
-            # disk.
-            engine.add_clauses(self._partition[shard_id], module=self._module)
+            kb = KnowledgeBase(self.scheme)
+            kb.consult_clauses(self._partition[shard_id], module=self._module)
+            engine.adopt_kb(kb)
         return ClusterNode(
             shard_id=shard_id,
             engine=engine,

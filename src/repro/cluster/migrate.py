@@ -280,8 +280,8 @@ def _catch_up_in_place(peer: ClusterNode, stale: ClusterNode) -> bool:
     this attempt left behind.
     """
     seq = stale.engine.version
-    if seq == 0:
-        return False
+    if seq == 0 and not stale.engine.clause_count():
+        return False  # nothing to build on (a seeded node is at seq 0 too)
     try:
         catch_up(peer, stale, seq)
     except Exception:

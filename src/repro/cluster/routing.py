@@ -102,40 +102,28 @@ class ShardRouter:
             self._indicator_shards.setdefault(indicator, set()).add(shard)
             return shard
 
-    def observe(self, head: Term, shard_id: int) -> None:
-        """Record that ``shard_id`` holds a clause with this head.
+    def observe_indicator(
+        self, indicator: tuple[str, int], shard_id: int,
+        unindexed: bool = True,
+    ) -> None:
+        """Record that ``shard_id`` holds clauses of ``indicator``.
 
         Unlike :meth:`route_clause` this does not *choose* a placement —
-        it registers one that already exists (a recovered snapshot, or a
-        shard discovered by a cold client's broadcast probe).  Under
-        round-robin the original placement was positional, so re-hashing
-        would record a lie; under first-arg an observed clause joins the
-        unindexed set when its key is unindexable, exactly as if it had
-        been routed here originally.
-        """
-        indicator = functor_indicator(head)
-        with self._lock:
-            self._indicator_shards.setdefault(indicator, set()).add(shard_id)
-            if (
-                self.policy is ShardingPolicy.FIRST_ARG
-                and first_arg_index_key(head) is None
-            ):
-                self._unindexed_shards.setdefault(indicator, set()).add(
-                    shard_id
-                )
-
-    def observe_indicator(self, indicator: tuple[str, int], shard_id: int) -> None:
-        """Record that ``shard_id`` answered for ``indicator`` (discovery).
-
-        Used by cold clients that probed every shard: only the predicate
-        is known, not the individual clause keys, so under ``first_arg``
-        the shard is conservatively added to the unindexed set — future
-        goals on the predicate broadcast to it, which is sound (the
-        filter stages reject non-unifying clauses) just unpruned.
+        it registers one that already exists (a recovered or adopted
+        KB, or a shard discovered by a cold client's broadcast probe).
+        Under round-robin the original placement was positional, so
+        re-hashing would record a lie.  Under first-arg the shard joins
+        the predicate's unindexed set when ``unindexed`` — some clause
+        there has a variable first argument, or the predicate has arity
+        0 — exactly as if it had been routed here originally.  A cold
+        client knows only the predicate, not the clause keys, so it
+        keeps the conservative default: future goals broadcast to the
+        shard, which is sound (the filter stages reject non-unifying
+        clauses), just unpruned.
         """
         with self._lock:
             self._indicator_shards.setdefault(indicator, set()).add(shard_id)
-            if self.policy is ShardingPolicy.FIRST_ARG:
+            if unindexed and self.policy is ShardingPolicy.FIRST_ARG:
                 self._unindexed_shards.setdefault(indicator, set()).add(
                     shard_id
                 )

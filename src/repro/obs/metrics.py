@@ -315,17 +315,19 @@ class MetricsRegistry:
 
     def render(self) -> str:
         """Aligned text dump, one line per instrument."""
+        def number(value) -> str:
+            return f"{value:g}" if isinstance(value, float) else str(value)
+
         lines = []
         for key, data in sorted(self.snapshot().items()):
             if data["type"] == "histogram":
                 lines.append(
-                    f"{key:<44} count={data['count']:<8} mean={data['mean']:.3f} "
-                    f"min={data['min']} max={data['max']}"
+                    f"{key:<44} count={data['count']:<8} "
+                    f"mean={number(data['mean'])} min={number(data['min'])} "
+                    f"max={number(data['max'])}"
                 )
             else:
-                value = data["value"]
-                rendered = f"{value:g}" if isinstance(value, float) else str(value)
-                lines.append(f"{key:<44} {rendered}")
+                lines.append(f"{key:<44} {number(data['value'])}")
         return "\n".join(lines)
 
     def reset(self) -> None:

@@ -41,6 +41,7 @@ from ..terms import Clause, Term
 from .encoder import EncodedArgs, PIFEncoder, PIFError
 from .decoder import PIFDecodeError, PIFDecoder
 from .symbols import SymbolTable
+from .tags import is_variable_tag
 
 __all__ = [
     "MAX_RECORD_BYTES",
@@ -311,6 +312,15 @@ class ClauseFile:
     def decode_clause(self, index: int) -> Clause:
         """Decompile record ``index`` back to a logical clause."""
         return decode_compiled(self.record(index), self.symbols)
+
+    def has_unindexed_head(self) -> bool:
+        """Whether some clause has no first-argument index key (arity 0,
+        or a variable first argument: :func:`repro.keys.first_arg_index_key`
+        is ``None``), read off each record's first head tag undecoded."""
+        if not self.indicator[1]:
+            return len(self) > 0
+        image, skip = self._image, _HEADER.size
+        return any(is_variable_tag(image[at + skip]) for at in self._addresses)
 
     # -- mutation ----------------------------------------------------------
 

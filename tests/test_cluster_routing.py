@@ -147,3 +147,113 @@ class TestFirstArgIndexKey:
             gk = first_arg_index_key(goal)
             ck = first_arg_index_key(head)
             assert gk is None or ck is None or gk == ck, (goal_arg, clause_arg)
+
+
+class TestPlacementFromStoredImages:
+    """A recovered or adopted KB registers its placement off the record
+    heads' first tags, never by decoding a clause, and must route every
+    goal exactly as decoding each head for its first-argument key did."""
+
+    PROGRAM = (
+        "p(X, 1). p(_, 2). p(a, 3). p(f(b), 4). p([1, 2], 5). p([], 6). "
+        "p(7, 7). p(2.5, 8). p(g(U, V), 9). p([H | T], 10). "
+        "q. q. r :- q. "
+        "s(a). s(b). s(c). s(d). s(e). s(f). s(g). s(h). "
+        "t(X) :- s(X). t(a)."
+    )
+    GOALS = (
+        "p(X, N)", "p(a, N)", "p(f(Z), N)", "p([H | T], N)", "p([], N)",
+        "p(7, N)", "p(2.5, N)", "p(zzz, N)", "p(h(1), N)", "p(g(1, 2), N)",
+        "q", "r", "s(a)", "s(X)", "s(zz)", "t(a)", "t(X)", "t(b)",
+    )
+
+    @staticmethod
+    def _routes(engine):
+        return {
+            goal: engine.router.route_goal(read_term(goal))
+            for goal in TestPlacementFromStoredImages.GOALS
+        }
+
+    @staticmethod
+    def _reopen_counting_decodes(store, monkeypatch, policy):
+        from repro.cluster import ShardedRetrievalServer
+        from repro.pif import ClauseFile
+
+        inside, decodes = [False], []
+        real_decode = ClauseFile.decode_clause
+        real_engine_over = ShardedRetrievalServer._engine_over
+
+        def counting_decode(self, index):
+            if inside[0]:
+                decodes.append(index)
+            return real_decode(self, index)
+
+        def watched_engine_over(self, shard_id, kb):
+            inside[0] = True
+            try:
+                return real_engine_over(self, shard_id, kb)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(ClauseFile, "decode_clause", counting_decode)
+        monkeypatch.setattr(
+            ShardedRetrievalServer, "_engine_over", watched_engine_over
+        )
+        engine = ShardedRetrievalServer(4, policy, durability=store)
+        monkeypatch.undo()
+        return engine, decodes
+
+    @pytest.mark.parametrize("policy", ["first_arg", "round_robin"])
+    def test_restart_from_snapshot_routes_as_before(
+        self, tmp_path, monkeypatch, policy
+    ):
+        from repro.cluster import ShardedRetrievalServer
+        from repro.storage import DurabilityOptions
+
+        store = DurabilityOptions(tmp_path / "store", auto_compact=False)
+        engine = ShardedRetrievalServer(4, policy, durability=store)
+        engine.consult_text(self.PROGRAM)
+        want = self._routes(engine)
+        engine.compact()
+        engine.close()
+
+        reborn, decodes = self._reopen_counting_decodes(
+            store, monkeypatch, policy
+        )
+        try:
+            assert reborn.recovered.snapshot is not None
+            assert not reborn.recovered.records
+            assert decodes == []
+            assert self._routes(reborn) == want
+            # The unindexed sets equal what decoding every head for its
+            # first-argument key registers.
+            decoded = ShardRouter(4, policy)
+            for shard in reborn.shards:
+                for store_ in shard.kb:
+                    for clause in store_.clauses():
+                        decoded.observe_indicator(
+                            store_.indicator, shard.shard_id,
+                            unindexed=first_arg_index_key(clause.head) is None,
+                        )
+            assert reborn.router._unindexed_shards == decoded._unindexed_shards
+            assert (
+                reborn.router._indicator_shards == decoded._indicator_shards
+            )
+        finally:
+            reborn.close()
+
+    @given(first=terms(max_depth=2))
+    @settings(max_examples=200, deadline=None)
+    def test_head_tag_agrees_with_the_index_key(self, first):
+        from repro.pif import ClauseFile, PIFError, SymbolTable
+        from repro.terms import Clause
+
+        head = Struct("p", (first, read_term("x")))
+        clause_file = ClauseFile(("p", 2), SymbolTable())
+        try:
+            clause_file.append(Clause(head))
+        except PIFError:
+            return  # over the record-size cap: nothing to place
+        assert clause_file.has_unindexed_head() == (
+            first_arg_index_key(head) is None
+        )

@@ -82,6 +82,23 @@ class TestMetricsRegistry:
         assert lines[0].startswith("alpha")
         assert lines[1].startswith("zeta")
 
+    def test_render_keeps_sub_millisecond_histograms_readable(self):
+        import re
+
+        registry = MetricsRegistry()
+        waits = registry.histogram("lock.wait_s", buckets=(1e-5, 1e-4))
+        for value in (5.33600041308091e-06, 3.559500009941985e-05):
+            waits.observe(value)
+        (line,) = registry.render().splitlines()
+        fields = dict(re.findall(r"(\w+)=(\S+)", line))
+        assert fields == {
+            "count": "2", "mean": "2.04655e-05",
+            "min": "5.336e-06", "max": "3.5595e-05",
+        }
+        for value in fields.values():
+            assert value != "0.000"
+            assert len(re.sub(r"\D", "", value.split("e")[0])) < 17
+
 
 class TestTracing:
     def test_span_nesting_parent_ids(self):
