@@ -47,6 +47,7 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from ..crs import RetrievalResult, SearchMode
 from ..obs import Instrumentation
@@ -125,11 +126,15 @@ class ClusterNode:
 
 
 class Fleet:
-    """Coordinator for a replicated, elastically placed cluster."""
+    """Coordinator for a replicated, elastically placed cluster.
+
+    ``program`` is Prolog text or the clauses themselves; an in-process
+    caller that holds clauses passes them and skips the parse.
+    """
 
     def __init__(
         self,
-        program_text: str = "",
+        program: str | Iterable[Clause] = "",
         *,
         num_shards: int = 2,
         replicas: int = 2,
@@ -169,10 +174,10 @@ class Fleet:
         self._partition: dict[int, list[Clause]] = {
             shard_id: [] for shard_id in range(num_shards)
         }
-        for term in read_program(program_text):
-            clause = clause_from_term(term)
-            home = self.router.route_clause(clause.head)
-            self._partition[home].append(clause)
+        if isinstance(program, str):
+            program = map(clause_from_term, read_program(program))
+        for clause in program:
+            self._partition[self.router.route_clause(clause.head)].append(clause)
         #: address -> node, every replica ever started (dead ones stay
         #: until restarted or migrated away).
         self.nodes: dict[str, ClusterNode] = {}
@@ -188,8 +193,14 @@ class Fleet:
         started: list[ClusterNode] = []
         for shard_id in range(self.num_shards):
             addresses: list[str] = []
+            seed: KnowledgeBase | None = None
             for _ in range(self._replicas):
                 node = self._build_node(shard_id)
+                recovered = node.engine.recovered
+                if recovered is None or recovered.empty:
+                    if seed is None:
+                        seed = self._compile_partition(shard_id)
+                    node.engine.adopt_kb(seed.replica())
                 node.start(None)
                 started.append(node)
                 self.nodes[node.address] = node
@@ -316,15 +327,8 @@ class Fleet:
             )
         return opts
 
-    def _build_node(self, shard_id: int, seed: bool = True) -> ClusterNode:
-        """A one-shard engine seeded with the shard's clause partition.
-
-        The partition is compiled once, into a fresh KB the engine
-        adopts as its base state at seq 0 (``adopt_kb``): no per-clause
-        record, seq or lock take.  A durable node writes the seed as its
-        first snapshot and flips ``CURRENT`` before it is handed out
-        (and started); one that recovered a snapshot is not re-seeded.
-        """
+    def _build_node(self, shard_id: int) -> ClusterNode:
+        """A one-shard engine, empty unless it recovered a durable store."""
         engine = ShardedRetrievalServer(
             1,
             policy=self.policy,
@@ -332,21 +336,32 @@ class Fleet:
             obs=self.obs.labelled(node_shard=str(shard_id)),
             **self._node_engine_opts(shard_id),
         )
-        if seed and (engine.recovered is None or engine.recovered.empty):
-            kb = KnowledgeBase(self.scheme)
-            kb.consult_clauses(self._partition[shard_id], module=self._module)
-            engine.adopt_kb(kb)
         return ClusterNode(
             shard_id=shard_id,
             engine=engine,
             service_opts=dict(self._service_opts),
         )
 
+    def _compile_partition(self, shard_id: int) -> KnowledgeBase:
+        """The shard's partition compiled once, the images to seed from.
+
+        Each replica adopts its own :meth:`KnowledgeBase.replica` of it
+        as its base state at seq 0 (``adopt_kb``): no per-clause
+        compile, record, seq or lock take per replica, and one copy of
+        the bytes until a replica's first write.  A durable replica
+        writes the seed as its first snapshot and flips ``CURRENT``
+        before it is started; one that recovered a snapshot is not
+        re-seeded.
+        """
+        kb = KnowledgeBase(self.scheme)
+        kb.consult_clauses(self._partition[shard_id], module=self._module)
+        return kb
+
     def new_node(self, shard_id: int) -> ClusterNode:
         """An *empty* started node for a migration target; the caller
         loads a snapshot into it (``engine.adopt_kb``) before it is
         added to the manifest."""
-        node = self._build_node(shard_id, seed=False)
+        node = self._build_node(shard_id)
         node.start(self.holder)
         self.nodes[node.address] = node
         return node

@@ -45,7 +45,7 @@ from ..pif import (
     PIFDecoder,
     PIFEncoder,
     SymbolTable,
-    compile_clause,
+    clause_record,
 )
 from ..pif.encoder import EncodedArgs
 from ..storage import UnknownPredicateError
@@ -373,11 +373,11 @@ class PayloadEncoder:
         self._encoded_args(encoded)
 
     def clause(self, clause: Clause) -> None:
-        compiled = compile_clause(clause, self.symbols)
-        name, arity = compiled.indicator
+        record = clause_record(clause, self.symbols)
+        name, arity = clause.indicator
         self.body.u32(self.symbols.intern_atom(name))
         self.body.u16(arity)
-        self.body.blob16(compiled.to_bytes())
+        self.body.blob16(record)
 
     def _encoded_args(self, encoded: EncodedArgs) -> None:
         self.body.blob16(encoded.stream)

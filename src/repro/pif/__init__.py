@@ -5,6 +5,7 @@ from .clausefile import (
     MAX_RECORD_BYTES,
     ClauseFile,
     CompiledClause,
+    clause_record,
     compile_clause,
 )
 from .decoder import Item, PIFDecodeError, PIFDecoder, scan_items
@@ -31,6 +32,7 @@ __all__ = [
     "PIFError",
     "SymbolTable",
     "SymbolTableFull",
+    "clause_record",
     "compile_clause",
     "scan_items",
     "tags",

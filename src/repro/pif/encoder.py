@@ -23,17 +23,24 @@ Variable occurrences are typed at compile time: the first occurrence of a
 named variable gets the First-DB/Query-Var tag, later occurrences the
 Subsequent tag, and all occurrences share one content field (the variable
 offset, which doubles as the binding-store slot at run time).
+
+:class:`TermWriter` is the one encoder: :class:`PIFEncoder` runs it over
+a query or a head, and :func:`repro.pif.clausefile.clause_record` over a
+whole clause, straight into the record's bytes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..terms import NIL, Atom, Float, Int, Struct, Term, Var, list_parts
+from ..terms import CONS, Atom, Float, Int, Struct, Term, Var
 from . import tags
 from .symbols import SymbolTable
 
-__all__ = ["PIFError", "EncodedArgs", "PIFEncoder", "ITEM_SIZE", "EXTENSION_SIZE"]
+__all__ = [
+    "PIFError", "EncodedArgs", "PIFEncoder", "TermWriter", "ITEM_SIZE",
+    "EXTENSION_SIZE",
+]
 
 ITEM_SIZE = 4
 EXTENSION_SIZE = 4
@@ -91,180 +98,156 @@ class PIFEncoder:
             return EncodedArgs(indicator=(head.name, 0), stream=b"")
         if not isinstance(head, Struct):
             raise PIFError(f"clause head must be callable, got {head!r}")
-        state = _EncodeState()
+        writer = TermWriter(self.symbols, self._first_tag, self._sub_tag)
+        stream = bytearray()
         for arg in head.args:
-            self._encode(arg, state)
-        return EncodedArgs(
-            indicator=head.indicator,
-            stream=bytes(state.stream),
-            heap=bytes(state.heap),
-            var_names=tuple(state.var_names),
-        )
-
-    def encode_clause(
-        self, head: Term, body_term: Term | None = None
-    ) -> tuple[EncodedArgs, bytes]:
-        """Encode head arguments and an optional body term in one pass.
-
-        The body shares the head's variable numbering and heap, so a
-        variable appearing in both is Sub-typed in the body.  Returns the
-        head encoding plus the raw body stream (empty for facts).
-        """
-        if isinstance(head, Atom):
-            indicator: tuple[str, int] = (head.name, 0)
-            args: tuple[Term, ...] = ()
-        elif isinstance(head, Struct):
-            indicator = head.indicator
-            args = head.args
-        else:
-            raise PIFError(f"clause head must be callable, got {head!r}")
-        state = _EncodeState()
-        for arg in args:
-            self._encode(arg, state)
-        head_length = len(state.stream)
-        if body_term is not None:
-            self._encode(body_term, state)
-        stream = bytes(state.stream)
-        head_encoded = EncodedArgs(
-            indicator=indicator,
-            stream=stream[:head_length],
-            heap=bytes(state.heap),
-            var_names=tuple(state.var_names),
-        )
-        return head_encoded, stream[head_length:]
+            writer.term(arg, stream)
+        return writer.encoded(head.indicator, stream)
 
     def encode_term(self, term: Term) -> EncodedArgs:
         """Encode a single term as a one-item stream (used for bodies)."""
-        state = _EncodeState()
-        self._encode(term, state)
+        writer = TermWriter(self.symbols, self._first_tag, self._sub_tag)
+        stream = bytearray()
+        writer.term(term, stream)
+        return writer.encoded(("$term", 1), stream)
+
+
+def _item(tag: int, content: int) -> bytes:
+    """One 4-byte item: the 8-bit tag over a checked 24-bit content."""
+    if content >> 24:
+        raise PIFError(f"content field {content} exceeds 24 bits")
+    return (tag << 24 | content).to_bytes(4, "big")
+
+
+_NIL_ITEM = _item(tags.TAG_TLIST_INLINE_BASE, 0)  # arity 0 == []
+_ANONYMOUS_ITEM = _item(tags.TAG_ANONYMOUS_VAR, 0)
+_INT_MASK = (1 << tags.INT_INLINE_BITS) - 1
+_INT_WORD = tags.TAG_INT_BASE << 24  # the nibble is the value's top 4 bits
+
+
+class TermWriter:
+    """The one PIF encoder: appends each term's items to a caller's buffer.
+
+    One writer spans one encoding — a query, or a whole clause record
+    (head and body share its variable numbering and heap).  Items go
+    straight into the ``bytearray`` passed to :meth:`term`; pointer
+    forms put their elements in :attr:`heap`, nested blobs first
+    (post-order), so an extension always points backwards.
+    """
+
+    __slots__ = ("_atom", "_float", "_first", "_sub", "heap", "_slots", "names")
+
+    def __init__(self, symbols: SymbolTable, first_tag: int, sub_tag: int):
+        self._atom = symbols.intern_atom
+        self._float = symbols.intern_float
+        self._first = first_tag
+        self._sub = sub_tag
+        self.heap = bytearray()
+        #: variable name -> offset; :attr:`names` in offset order.
+        self._slots: dict[str, int] = {}
+        self.names: list[str] = []
+
+    def encoded(self, indicator: tuple[str, int], stream: bytearray) -> EncodedArgs:
         return EncodedArgs(
-            indicator=("$term", 1),
-            stream=bytes(state.stream),
-            heap=bytes(state.heap),
-            var_names=tuple(state.var_names),
+            indicator=indicator,
+            stream=bytes(stream),
+            heap=bytes(self.heap),
+            var_names=tuple(self.names),
         )
 
-    # -- encoding ------------------------------------------------------------
-
-    def _encode(self, term: Term, state: "_EncodeState") -> None:
-        if isinstance(term, Var):
-            self._encode_var(term, state)
-        elif isinstance(term, Int):
-            self._encode_int(term, state)
-        elif isinstance(term, Float):
-            state.emit(tags.TAG_FLOAT_PTR, self.symbols.intern_float(term.value))
-        elif isinstance(term, Atom):
-            if term == NIL:
-                state.emit(tags.TAG_TLIST_INLINE_BASE)  # arity 0 == []
+    def term(self, term: Term, out: bytearray) -> None:
+        kind = term.__class__
+        if kind is Atom:
+            name = term.name
+            if name == "[]":
+                out += _NIL_ITEM
             else:
-                state.emit(tags.TAG_ATOM_PTR, self.symbols.intern_atom(term.name))
-        elif isinstance(term, Struct):
-            if term.functor == "." and term.arity == 2:
-                self._encode_list(term, state)
+                out += _item(tags.TAG_ATOM_PTR, self._atom(name))
+        elif kind is Var:
+            self._var(term.name, out)
+        elif kind is Struct:
+            args = term.args
+            if term.functor == CONS and len(args) == 2:
+                self._list(term, out)
             else:
-                self._encode_struct(term, state)
+                self.struct(term.functor, args, out)
+        elif kind is Int:
+            value = term.value
+            if not tags.INT_INLINE_MIN <= value <= tags.INT_INLINE_MAX:
+                raise PIFError(
+                    f"integer {value} exceeds the 28-bit in-line range "
+                    f"[{tags.INT_INLINE_MIN}, {tags.INT_INLINE_MAX}]"
+                )
+            out += (_INT_WORD | value & _INT_MASK).to_bytes(4, "big")
+        elif kind is Float:
+            out += _item(tags.TAG_FLOAT_PTR, self._float(term.value))
         else:
             raise PIFError(f"cannot encode {term!r}")
 
-    def _encode_var(self, var: Var, state: "_EncodeState") -> None:
-        if var.is_anonymous():
-            state.emit(tags.TAG_ANONYMOUS_VAR)
+    def conjunction(self, goals: tuple[Term, ...], out: bytearray) -> None:
+        """``goals`` as the right-nested ``','/2`` chain of a clause body."""
+        for goal in goals[:-1]:
+            out += _item(tags.TAG_STRUCT_INLINE_BASE | 2, self._atom(","))
+            self.term(goal, out)
+        self.term(goals[-1], out)
+
+    def struct(self, functor: str, args: tuple[Term, ...], out: bytearray) -> None:
+        """A structure; over 31 arguments it moves to the heap."""
+        offset = self._atom(functor)
+        arity = len(args)
+        if arity <= tags.INLINE_ARITY_LIMIT:
+            out += _item(tags.TAG_STRUCT_INLINE_BASE | arity, offset)
+            for arg in args:
+                self.term(arg, out)
             return
-        offset = state.var_offsets.get(var)
-        if offset is None:
-            offset = len(state.var_names)
-            if offset > 0xFF:
-                # The content field for variables is a one-byte offset
-                # (Table A1: "Variable Offset (b)").
-                raise PIFError("more than 256 distinct variables in one clause")
-            state.var_offsets[var] = offset
-            state.var_names.append(var.name)
-            state.emit(self._first_tag, offset)
-        else:
-            state.emit(self._sub_tag, offset)
+        blob = bytearray(arity.to_bytes(4, "big"))
+        for arg in args:
+            self.term(arg, blob)
+        out += _item(tags.TAG_STRUCT_PTR_BASE | tags.INLINE_ARITY_LIMIT, offset)
+        out += self._to_heap(blob)
 
-    def _encode_int(self, term: Int, state: "_EncodeState") -> None:
-        value = term.value
-        if not (tags.INT_INLINE_MIN <= value <= tags.INT_INLINE_MAX):
-            raise PIFError(
-                f"integer {value} exceeds the 28-bit in-line range "
-                f"[{tags.INT_INLINE_MIN}, {tags.INT_INLINE_MAX}]"
-            )
-        unsigned = value & ((1 << tags.INT_INLINE_BITS) - 1)
-        nibble = (unsigned >> 24) & 0xF
-        state.emit(tags.TAG_INT_BASE | nibble, unsigned & 0xFFFFFF)
-
-    def _encode_struct(self, term: Struct, state: "_EncodeState") -> None:
-        functor_offset = self.symbols.intern_atom(term.functor)
-        if term.arity <= tags.INLINE_ARITY_LIMIT:
-            state.emit(tags.TAG_STRUCT_INLINE_BASE | term.arity, functor_offset)
-            for element in term.args:
-                self._encode(element, state)
-            return
-        # Pointer form: elements live in the heap (post-order encoding).
-        heap_state = state.sub_state()
-        for element in term.args:
-            self._encode(element, heap_state)
-        blob = term.arity.to_bytes(4, "big") + bytes(heap_state.stream)
-        pointer = state.add_heap_blob(blob)
-        state.emit(
-            tags.TAG_STRUCT_PTR_BASE | tags.INLINE_ARITY_LIMIT,
-            functor_offset,
-            extension=pointer,
-        )
-
-    def _encode_list(self, term: Struct, state: "_EncodeState") -> None:
-        items, tail = list_parts(term)
-        open_list = isinstance(tail, Var)
+    def _list(self, term: Struct, out: bytearray) -> None:
+        items: list[Term] = []
+        while term.__class__ is Struct and term.functor == CONS and len(term.args) == 2:
+            items.append(term.args[0])
+            term = term.args[1]
+        open_list = term.__class__ is Var
         if len(items) <= tags.INLINE_ARITY_LIMIT:
             base = (
                 tags.TAG_ULIST_INLINE_BASE if open_list else tags.TAG_TLIST_INLINE_BASE
             )
-            state.emit(base | len(items))
+            out += _item(base | len(items), 0)
             for element in items:
-                self._encode(element, state)
-            self._encode(tail, state)
+                self.term(element, out)
+            self.term(term, out)
             return
         base = tags.TAG_ULIST_PTR_BASE if open_list else tags.TAG_TLIST_PTR_BASE
-        heap_state = state.sub_state()
+        blob = bytearray(len(items).to_bytes(4, "big"))
         for element in items:
-            self._encode(element, heap_state)
-        self._encode(tail, heap_state)
-        blob = len(items).to_bytes(4, "big") + bytes(heap_state.stream)
-        pointer = state.add_heap_blob(blob)
-        state.emit(base | tags.INLINE_ARITY_LIMIT, 0, extension=pointer)
+            self.term(element, blob)
+        self.term(term, blob)
+        out += _item(base | tags.INLINE_ARITY_LIMIT, 0)
+        out += self._to_heap(blob)
 
+    def _var(self, name: str, out: bytearray) -> None:
+        if name == "_":
+            out += _ANONYMOUS_ITEM
+            return
+        offset = self._slots.get(name)
+        if offset is not None:
+            out += bytes((self._sub, 0, 0, offset))
+            return
+        offset = len(self.names)
+        if offset > 0xFF:
+            # The content field for variables is a one-byte offset
+            # (Table A1: "Variable Offset (b)").
+            raise PIFError("more than 256 distinct variables in one clause")
+        self._slots[name] = offset
+        self.names.append(name)
+        out += bytes((self._first, 0, 0, offset))
 
-class _EncodeState:
-    """Mutable buffers shared across one head/query encoding."""
-
-    __slots__ = ("stream", "heap", "var_offsets", "var_names", "_root")
-
-    def __init__(self, root: "_EncodeState | None" = None):
-        self.stream = bytearray()
-        self._root = root if root is not None else self
-        if root is None:
-            self.heap = bytearray()
-            self.var_offsets: dict[Var, int] = {}
-            self.var_names: list[str] = []
-        else:
-            self.heap = root.heap
-            self.var_offsets = root.var_offsets
-            self.var_names = root.var_names
-
-    def emit(self, tag: int, content: int = 0, extension: int | None = None) -> None:
-        if not (0 <= content < (1 << 24)):
-            raise PIFError(f"content field {content} exceeds 24 bits")
-        self.stream.append(tag)
-        self.stream += content.to_bytes(3, "big")
-        if extension is not None:
-            self.stream += extension.to_bytes(4, "big")
-
-    def sub_state(self) -> "_EncodeState":
-        """A fresh stream buffer sharing the heap and variable numbering."""
-        return _EncodeState(self._root)
-
-    def add_heap_blob(self, blob: bytes) -> int:
-        offset = len(self._root.heap)
-        self._root.heap += blob
-        return offset
+    def _to_heap(self, blob: bytearray) -> bytes:
+        """Append a finished blob to the heap; its 4-byte extension."""
+        offset = len(self.heap)
+        self.heap += blob
+        return offset.to_bytes(EXTENSION_SIZE, "big")

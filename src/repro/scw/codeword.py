@@ -107,6 +107,9 @@ class CodewordScheme:
         #: hashes the same few thousand components over and over (clause
         #: and query side alike); see :meth:`_key_bits`.
         self._key_bits_memo: dict[tuple[int, str], int] = {}
+        #: (position, atom name or integer) -> its bits, for an atomic
+        #: argument: no component key is built, or kept, per use.
+        self._atomic_memo: dict[tuple[int, str | int], int] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CodewordScheme):
@@ -187,6 +190,7 @@ class CodewordScheme:
         bits = 0
         mask = 0
         arg_bits: list[int] = []
+        atomic = self._atomic_memo
         for position, arg in enumerate(args):
             if position >= self.max_args:
                 # Truncation: unencoded arguments are unconstrained on the
@@ -194,6 +198,18 @@ class CodewordScheme:
                 mask |= ((1 << (len(args) - position)) - 1) << position
                 arg_bits.extend(0 for _ in args[position:])
                 break
+            kind = arg.__class__
+            if kind is Atom or kind is Int:
+                # An atomic argument is one component: its bits straight
+                # off the memo, keyed by the name (a str) or the value
+                # (an int), which never compare equal to each other.
+                value = arg.name if kind is Atom else arg.value
+                group = atomic.get((position, value))
+                if group is None:
+                    group = self._atomic_bits(position, value)
+                bits |= group
+                arg_bits.append(group)
+                continue
             group = 0
             has_variable = False
             for key in self._components(arg, position):
@@ -206,6 +222,16 @@ class CodewordScheme:
                 mask |= 1 << position
             arg_bits.append(group)
         return Codeword(bits=bits, mask=mask, arg_bits=tuple(arg_bits))
+
+    def _atomic_bits(self, position: int, value: str | int) -> int:
+        """The hash of an atom's or integer's one component, kept in the
+        atomic memo only (bounded and dropped like :meth:`_key_bits`')."""
+        key = f"a:{value}" if value.__class__ is str else f"i:{value}"
+        memo = self._atomic_memo
+        if len(memo) >= KEY_BITS_MEMO_SIZE:
+            memo.clear()
+        bits = memo[position, value] = self._hash_key(position, key)
+        return bits
 
     def _components(self, term: Term, position: int) -> list[str | None]:
         """Hashable descriptors of one argument's ground components.

@@ -52,6 +52,7 @@ class SecondaryIndexFile:
         self.scheme = scheme
         self.indicator = indicator
         self._row_bytes = scheme.entry_bytes(ADDRESS_BYTES)
+        self._mask_bits = 8 * scheme.mask_bytes
         self._rows: bytearray | bytes | memoryview = bytearray()
         #: the packed column image shipped beside adopted rows, if any:
         #: (bytes per column, columns, planes).
@@ -147,13 +148,11 @@ class SecondaryIndexFile:
 
     def _row(self, head: Term, address: int) -> tuple[Codeword, bytes]:
         """A head's codeword and its serialised row (mask cut to its field)."""
-        scheme = self.scheme
-        codeword = scheme.clause_codeword(head)
-        mask_field = (1 << scheme.mask_bytes * 8) - 1
-        return codeword, (
-            codeword.bits.to_bytes(scheme.codeword_bytes, "big")
-            + (codeword.mask & mask_field).to_bytes(scheme.mask_bytes, "big")
-            + address.to_bytes(ADDRESS_BYTES, "big")
+        codeword = self.scheme.clause_codeword(head)
+        mask_bits = self._mask_bits
+        fields = codeword.bits << mask_bits | codeword.mask & ((1 << mask_bits) - 1)
+        return codeword, (fields << 8 * ADDRESS_BYTES | address).to_bytes(
+            self._row_bytes, "big"
         )
 
     def _owned_rows(self) -> bytearray:
@@ -228,3 +227,10 @@ class SecondaryIndexFile:
     def to_bytes(self) -> bytes:
         """The on-disk image the FS1 hardware streams through."""
         return bytes(self._rows)
+
+    def shared_rows(self) -> bytes | memoryview:
+        """The rows as a read-only buffer another index may adopt
+        (:meth:`ClauseFile.shared_image`'s counterpart)."""
+        if isinstance(self._rows, bytearray):
+            self._rows = bytes(self._rows)
+        return self._rows

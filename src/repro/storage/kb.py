@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 
 from ..disk import DiskSim
 from ..obs import Instrumentation
-from ..pif import ClauseFile, CompiledClause, SymbolTable
+from ..pif import ClauseFile, SymbolTable
 from ..scw import CodewordScheme, DEFAULT_SCHEME, SecondaryIndexFile
 from ..terms import (
     Clause,
@@ -109,6 +109,39 @@ class KnowledgeBase:
         #: are trusted again.
         self._disk_synced: dict[tuple[str, int], tuple[int, int]] = {}
 
+    def replica(self) -> "KnowledgeBase":
+        """A knowledge base of its own over this one's images.
+
+        Symbol table, modules and stores are new objects.  Each clause
+        file and index adopts this one's image as a read-only buffer
+        (:meth:`ClauseFile.shared_image`, copy-on-write, as
+        :func:`~repro.storage.load_kb` adopts a saved file), so every
+        replica and this knowledge base share the bytes until each one's
+        first mutation copies them, and no mutation reaches another.
+        Nothing is compiled or hashed.  The codeword scheme is shared,
+        as by every KB built with it.
+        """
+        copy = KnowledgeBase(self.scheme, obs=self.disk.obs)
+        copy.symbols = SymbolTable.from_bytes(self.symbols.to_bytes())
+        for name, module in self._modules.items():
+            copy._modules[name] = Module(
+                name, module.large_threshold_bytes, module.pinned_residency,
+                set(module.indicators),
+            )
+        for indicator, store in self._predicates.items():
+            copy._predicates[indicator] = PredicateStore(
+                indicator=indicator,
+                clause_file=ClauseFile.from_image(
+                    indicator, copy.symbols, store.clause_file.shared_image()
+                ),
+                module_name=store.module_name,
+                scheme=self.scheme,
+                index=SecondaryIndexFile.from_image(
+                    self.scheme, indicator, store.index.shared_rows()
+                ),
+            )
+        return copy
+
     # -- modules --------------------------------------------------------------
 
     def module(self, name: str) -> Module:
@@ -141,14 +174,13 @@ class KnowledgeBase:
             count += 1
         return count
 
-    def add_clause(self, clause: Clause, module: str = "user") -> CompiledClause:
+    def add_clause(self, clause: Clause, module: str = "user") -> None:
         """Append a clause (``assertz`` order: end of its procedure)."""
         store = self._store_or_create(clause.indicator, module)
-        compiled = store.clause_file.append(clause)
+        store.clause_file.append(clause)
         store.index.add(clause.head, store.clause_file.last_address())
         self.version += 1
         self.publish_footprint()
-        return compiled
 
     def assertz(self, clause_or_term: Clause | Term, module: str = "user") -> None:
         self.add_clause(as_clause(clause_or_term), module=module)

@@ -54,7 +54,7 @@ from typing import Callable
 
 from ..obs import Instrumentation
 from ..obs import get_default as _default_obs
-from ..pif import CompiledClause, PIFDecodeError, SymbolTable, compile_clause
+from ..pif import CompiledClause, PIFDecodeError, SymbolTable, clause_record
 from ..pif.clausefile import decode_compiled
 from ..terms import Clause
 from .persist import load_write_ids, save_write_ids
@@ -162,10 +162,9 @@ def encode_record(record: MutationRecord) -> bytes:
     if record.op not in _OP_CODE:
         raise WalError(f"op {record.op!r} is not WAL-encodable")
     symbols = SymbolTable()
-    compiled = compile_clause(record.clause, symbols)
+    rec_blob = clause_record(record.clause, symbols)
     sym_blob = symbols.to_bytes()
-    rec_blob = compiled.to_bytes()
-    name, arity = compiled.indicator
+    name, arity = record.clause.indicator
     name_blob = name.encode("utf-8")
     module_blob = record.module.encode("utf-8")
     id_blob = (record.write_id or "").encode("utf-8")

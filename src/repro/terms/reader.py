@@ -13,6 +13,7 @@ The entry points are :func:`read_term` (one term from a string),
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -33,7 +34,7 @@ class ReaderError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class _Token:
     kind: str  # atom var int float punct string end
     text: str
@@ -48,6 +49,15 @@ _SYMBOL_CHARS = set("+-*/\\^<>=~:.?@#&$")
 _ASCII_DIGITS = set("0123456789")
 _PUNCT = {"(", ")", "[", "]", "{", "}", ",", "|"}
 
+# ``\s`` and ``\w`` are exactly ``str.isspace`` and ``str.isalnum`` or
+# ``_`` over all of Unicode, so each run ends where a per-character
+# loop over those predicates would stop.
+_SPACES = re.compile(r"\s+")
+_WORD_TAIL = re.compile(r"\w*")
+_SYMBOL_RUN = re.compile(r"[+\-*/\\^<>=~:.?@#&$]+")
+#: digits, then a fraction and an exponent, each only when a digit follows.
+_DECIMAL = re.compile(r"[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?")
+
 
 def _tokenize(text: str) -> Iterator[_Token]:
     i = 0
@@ -55,13 +65,13 @@ def _tokenize(text: str) -> Iterator[_Token]:
     while i < n:
         c = text[i]
         if c.isspace():
-            i += 1
+            i = _SPACES.match(text, i).end()
             continue
         if c == "%":
             nl = text.find("\n", i)
             i = n if nl < 0 else nl + 1
             continue
-        if text.startswith("/*", i):
+        if c == "/" and text.startswith("/*", i):
             end = text.find("*/", i + 2)
             if end < 0:
                 raise ReaderError("unterminated block comment", i, text)
@@ -73,8 +83,7 @@ def _tokenize(text: str) -> Iterator[_Token]:
             yield token
             continue
         if c == "_" or c.isalpha():
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
+            i = _WORD_TAIL.match(text, i + 1).end()
             word = text[start:i]
             if c == "_" or c.isupper():
                 yield _Token("var", word, start, i)
@@ -102,8 +111,7 @@ def _tokenize(text: str) -> Iterator[_Token]:
             i += 1
             continue
         if c in _SYMBOL_CHARS:
-            while i < n and text[i] in _SYMBOL_CHARS:
-                i += 1
+            i = _SYMBOL_RUN.match(text, i).end()
             sym = text[start:i]
             # A '.' followed by whitespace/EOF is the clause terminator.
             if sym == "." and (i >= n or text[i].isspace() or text[i] == "%"):
@@ -145,25 +153,9 @@ def _scan_number(text: str, i: int) -> tuple[int, _Token]:
             return j, _Token("int", str(int(text[i + 2 : j], 16)), start, j)
         # "0x" with no digits: just the integer 0 (the 'x' scans separately).
         return i + 1, _Token("int", "0", start, i + 1)
-    j = i
-    while j < n and text[j] in _ASCII_DIGITS:
-        j += 1
-    is_float = False
-    if j < n - 1 and text[j] == "." and text[j + 1] in _ASCII_DIGITS:
-        is_float = True
-        j += 1
-        while j < n and text[j] in _ASCII_DIGITS:
-            j += 1
-    if j < n and text[j] in "eE":
-        k = j + 1
-        if k < n and text[k] in "+-":
-            k += 1
-        if k < n and text[k] in _ASCII_DIGITS:
-            is_float = True
-            j = k
-            while j < n and text[j] in _ASCII_DIGITS:
-                j += 1
-    kind = "float" if is_float else "int"
+    match = _DECIMAL.match(text, i)
+    j = match.end()
+    kind = "int" if match.lastindex is None else "float"
     return j, _Token(kind, text[start:j], start, j)
 
 

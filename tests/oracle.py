@@ -10,7 +10,7 @@ disagreement about resolution, not about what a builtin does.
 
 Each proof level nests a few Python frames, so the solver raises the
 recursion limit toward its depth budget and turns a ``RecursionError``
-into :class:`repro.engine.ResourceError` (~3 000 levels at the ceiling).
+into :class:`repro.engine.ResourceError` past a per-version ceiling.
 """
 
 from __future__ import annotations
@@ -55,10 +55,14 @@ _FRAMES_PER_DEPTH = 6
 
 #: Never ask CPython for more frames than the C stack of this build can
 #: actually resume through: deep ``yield from`` chains re-enter one C
-#: frame per level, and an 8 MiB stack segfaults somewhere beyond ~40k
-#: resumed generator frames.  20k frames keeps a 2x safety margin and
-#: still allows ~3000 levels of resolution depth.
-_RECURSION_LIMIT_CEILING = 20_000
+#: frame per level.  On 3.11+ an 8 MiB stack segfaults somewhere beyond
+#: ~40k resumed generator frames, so 20k keeps a 2x margin (~4 500
+#: levels of a ``path/2`` chain).  Before 3.11 every Python call also
+#: recursed in C, and the same stack died near 19k frames (a 5 000-level
+#: chain under 3.10.13), so those interpreters stop at 12k (~2 700
+#: levels); past the ceiling, ``RecursionError`` becomes
+#: ``ResourceError``.
+_RECURSION_LIMIT_CEILING = 20_000 if sys.version_info >= (3, 11) else 12_000
 
 
 def _ensure_stack_headroom(max_depth: int) -> None:

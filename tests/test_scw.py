@@ -324,9 +324,14 @@ class TestKeyBitsMemo:
         memoised = CodewordScheme(
             scheme.width, scheme.bits_per_key, scheme.max_args, scheme.max_depth
         )
+        class Forgetful(dict):
+            def __setitem__(self, key, value):
+                pass
+
         reference = Unmemoised(
             scheme.width, scheme.bits_per_key, scheme.max_args, scheme.max_depth
         )
+        reference._atomic_memo = Forgetful()
         for head in heads + heads:  # second pass is served from the memo
             assert memoised.clause_codeword(head) == reference.clause_codeword(
                 head
@@ -334,7 +339,7 @@ class TestKeyBitsMemo:
             assert memoised.query_codeword(head) == reference.query_codeword(
                 head
             )
-        assert not reference._key_bits_memo
+        assert not reference._key_bits_memo and not reference._atomic_memo
 
     def test_memo_is_bounded_and_dropped_whole(self, monkeypatch):
         from repro.scw import codeword
@@ -346,6 +351,7 @@ class TestKeyBitsMemo:
             head = read_term(f"p(k{i}, v{i % 3})")
             expected[i] = scheme.clause_codeword(head)
             assert len(scheme._key_bits_memo) <= 8
+            assert len(scheme._atomic_memo) <= 8
         for i in range(30):  # across several drops, same codewords
             assert scheme.clause_codeword(
                 read_term(f"p(k{i}, v{i % 3})")

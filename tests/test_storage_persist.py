@@ -280,6 +280,7 @@ class TestIndexAdoption:
 
         monkeypatch.setattr(clausefile, "decode_compiled", forbidden)
         monkeypatch.setattr(clausefile, "compile_clause", forbidden)
+        monkeypatch.setattr(clausefile, "clause_record", forbidden)
         monkeypatch.setattr(CodewordScheme, "_hash_key", forbidden)
         obs = Instrumentation()
         loaded = load_kb(tmp_path / "kb", obs=obs)
