@@ -9,7 +9,7 @@ streams an open query through the simulator in Result-Memory chunks.
 from repro.disk import FUJITSU_M2351A, MICROPOLIS_1325
 from repro.fs2 import SecondStageFilter, simulate_streaming_search
 from repro.fs2.timing import execution_time_ns
-from repro.pif import SymbolTable, compile_clause
+from repro.pif import SymbolTable, clause_record
 from repro.terms import read_term
 from repro.unify import HardwareOp
 from repro.workloads import FactKBSpec, generate_facts
@@ -63,7 +63,7 @@ def test_bench_streaming_cosimulation():
             variable_fraction=0.1, domain_sizes=(15,) * 3, seed=6,
         )
     )
-    records = [compile_clause(c, symbols).to_bytes() for c in clauses]
+    records = [bytes(clause_record(c, symbols)) for c in clauses]
     query = read_term("rec(S, S, X)")
 
     def cosim():
@@ -116,7 +116,7 @@ def test_bench_open_query_in_result_memory_chunks():
     clauses = generate_facts(
         FactKBSpec(functor="rec", arity=3, count=200, domain_sizes=(20,) * 3, seed=2)
     )
-    records = [compile_clause(c, symbols).to_bytes() for c in clauses]
+    records = [bytes(clause_record(c, symbols)) for c in clauses]
     fs2 = SecondStageFilter(symbols)
     fs2.load_microprogram()
     query = read_term("rec(Q1, Q2, Q3)")

@@ -53,7 +53,7 @@ def main() -> None:
     fs2.set_query(query)
     print(f"query set: {query} (mode = {fs2.control.mode.name})")
 
-    records = [clause_file.record(i).to_bytes() for i in range(len(clause_file))]
+    records = [bytes(clause_file.record_bytes(i)) for i in range(len(clause_file))]
     stats = fs2.search(records)
     print(f"search done (mode = {fs2.control.mode.name})")
     print(f"  clauses examined : {stats.clauses_examined}")

@@ -43,8 +43,8 @@ def main() -> None:
 
     print("\nEvery clause was compiled to the PIF format behind the scenes:")
     store = kb.store(("anc", 2))
-    record = store.clause_file.record(1)
-    print(f"  anc/2 clause 2 -> {len(record.to_bytes())} bytes of PIF")
+    record = store.clause_file.record_bytes(1)
+    print(f"  anc/2 clause 2 -> {len(record)} bytes of PIF")
     print(f"  decoded back  -> {store.clause_file.decode_clause(1)}")
 
 

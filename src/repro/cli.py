@@ -283,16 +283,17 @@ def _cmd_microcode(out) -> int:
 
 
 def _cmd_dump(args, out) -> int:
-    from .pif import SymbolTable, compile_clause
+    from .pif import CompiledClause, SymbolTable, clause_record
     from .pif.dump import dump_record
     from .terms import clause_from_term
 
     symbols = SymbolTable()
     clause = clause_from_term(read_term(args.clause))
-    record = compile_clause(clause, symbols)
+    data = clause_record(clause, symbols)
+    record, _ = CompiledClause.from_bytes(data, clause.indicator)
     for line in dump_record(record, symbols):
         out.write(line + "\n")
-    out.write(f"record size: {len(record.to_bytes())} bytes\n")
+    out.write(f"record size: {len(data)} bytes\n")
     return 0
 
 

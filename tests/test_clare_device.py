@@ -72,7 +72,7 @@ class TestFS2Path:
         device.select(FilterSelect.FS2)
         device.fs2_load_microprogram()
         device.fs2_set_query(read_term("p(a, X)"))
-        records = [clause_file.record(i).to_bytes() for i in range(len(clause_file))]
+        records = [bytes(clause_file.record_bytes(i)) for i in range(len(clause_file))]
         stats = device.fs2_search(records)
         assert stats.satisfiers == 3
         assert len(device.fs2_read_results()) == 3
@@ -83,7 +83,7 @@ class TestFS2Path:
         device.select(FilterSelect.FS2)
         device.fs2_load_microprogram()
         device.fs2_set_query(read_term("p(zz, ww)"))
-        device.fs2_search([clause_file.record(3).to_bytes()])
+        device.fs2_search([bytes(clause_file.record_bytes(3))])
         # The FS2's match-found lands in the device's register.
         assert device.control.match_found
 
@@ -107,7 +107,7 @@ class TestMemoryMappedView:
         device.fs2._program = program
         device.select(FilterSelect.FS2)
         device.fs2_set_query(read_term("p(a, b)"))
-        stats = device.fs2_search([clause_file.record(0).to_bytes()])
+        stats = device.fs2_search([bytes(clause_file.record_bytes(0))])
         assert stats.satisfiers == 1
 
     def test_results_readable_through_window(self, setup):
@@ -118,7 +118,7 @@ class TestMemoryMappedView:
         device.select(FilterSelect.FS2)
         device.fs2_load_microprogram()
         device.fs2_set_query(read_term("p(a, b)"))
-        record = clause_file.record(0).to_bytes()
+        record = bytes(clause_file.record_bytes(0))
         device.fs2_search([record])
         data = device.window.read_block(
             CLARE_BASE_ADDRESS + RM_OFFSET, len(record)
@@ -132,7 +132,7 @@ class TestTwoStagePipeline:
         addresses = clause_file.record_addresses()
         image = clause_file.to_bytes()
         lengths = {
-            address: len(clause_file.record(i).to_bytes())
+            address: len(bytes(clause_file.record_bytes(i)))
             for i, address in enumerate(addresses)
         }
 

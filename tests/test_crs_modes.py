@@ -222,22 +222,23 @@ class TestSelectiveFetchCost:
         """FS1's selective fetch is O(candidates), not O(predicate).
 
         The address table is maintained incrementally by the clause
-        file, so a retrieval must not call ``CompiledClause.to_bytes``
-        at all — the old code re-serialised all 300 records per call.
+        file, so a retrieval must not write a record (``clause_record``,
+        the one record writer) at all — the old code re-serialised all
+        300 records per call.
         """
-        from repro.pif.clausefile import CompiledClause
+        from repro.pif import clausefile
 
         crs = ClauseRetrievalServer(fact_kb)
         query = ground_query_for(fact_kb.clauses(("rec", 3)), seed=2)
         calls = 0
-        original = CompiledClause.to_bytes
+        original = clausefile.clause_record
 
-        def counting(self, include_names=True):
+        def counting(clause, symbols):
             nonlocal calls
             calls += 1
-            return original(self, include_names)
+            return original(clause, symbols)
 
-        monkeypatch.setattr(CompiledClause, "to_bytes", counting)
+        monkeypatch.setattr(clausefile, "clause_record", counting)
         result = crs.retrieve(query, mode=SearchMode.FS1_ONLY)
         assert len(result) >= 1
         assert calls == 0

@@ -17,6 +17,7 @@ from repro.pif import (
     PIFEncoder,
     PIFError,
     SymbolTable,
+    clause_record,
     compile_clause,
     scan_items,
 )
@@ -120,7 +121,7 @@ class TestResourceLimits:
         """More than 64 satisfiers in one FS2 search call overflows the RM."""
         symbols = SymbolTable()
         records = [
-            compile_clause(Clause(Struct("p", (Int(i),))), symbols).to_bytes()
+            bytes(clause_record(Clause(Struct("p", (Int(i),))), symbols))
             for i in range(65)
         ]
         fs2 = SecondStageFilter(symbols)
@@ -214,7 +215,7 @@ class TestProtocolAndWatchdog:
         fs2 = SecondStageFilter(symbols)
         fs2.load_microprogram()
         fs2.set_query(read_term("p(a)"))
-        good = compile_clause(clause_from_term(read_term("p(a)")), symbols).to_bytes()
+        good = bytes(clause_record(clause_from_term(read_term("p(a)")), symbols))
         corrupt = bytes([good[0], good[1], 0xFF]) + good[3:]
         with pytest.raises(Exception):
             fs2.search([corrupt])

@@ -28,7 +28,7 @@ from repro.fs2 import (
     derive_cycle_costs,
 )
 from repro.obs import Instrumentation
-from repro.pif import SymbolTable, compile_clause
+from repro.pif import SymbolTable, clause_record
 from repro.terms import Clause, Int, Struct, Var, functor_indicator, read_term
 
 from .strategies import PIF_INT_MAX, PIF_INT_MIN, clause_heads
@@ -40,7 +40,7 @@ def build_fs2(mode, heads, obs=None, **kwargs):
     """One filter per mode: each gets its own symbol table and records."""
     symbols = SymbolTable()
     records = [
-        compile_clause(Clause(head=head), symbols).to_bytes() for head in heads
+        bytes(clause_record(Clause(head=head), symbols)) for head in heads
     ]
     fs2 = SecondStageFilter(symbols, mode=mode, obs=obs, **kwargs)
     fs2.load_microprogram()

@@ -44,7 +44,7 @@ def run_search(query_text, texts, indicator, cross_binding=True):
     fs2 = SecondStageFilter(symbols, cross_binding=cross_binding)
     fs2.load_microprogram()
     fs2.set_query(read_term(query_text))
-    records = [cf.record(i).to_bytes() for i in range(len(cf))]
+    records = [bytes(cf.record_bytes(i)) for i in range(len(cf))]
     stats = fs2.search(records)
     decoder = PIFDecoder(symbols)
     hits = []
@@ -138,10 +138,10 @@ class TestSearchFlow:
         fs2 = SecondStageFilter(symbols)
         fs2.load_microprogram()
         fs2.set_query(read_term("p(zzz)"))
-        fs2.search([cf.record(0).to_bytes()])
+        fs2.search([bytes(cf.record_bytes(0))])
         assert not fs2.control.match_found
         fs2.set_query(read_term("p(a)"))
-        fs2.search([cf.record(0).to_bytes()])
+        fs2.search([bytes(cf.record_bytes(0))])
         assert fs2.control.match_found
 
     def test_mode_sequence(self):
@@ -151,7 +151,7 @@ class TestSearchFlow:
         assert fs2.control.mode == OperationalMode.MICROPROGRAMMING
         fs2.set_query(read_term("p(a)"))
         assert fs2.control.mode == OperationalMode.SET_QUERY
-        fs2.search([cf.record(0).to_bytes()])
+        fs2.search([bytes(cf.record_bytes(0))])
         assert fs2.control.mode == OperationalMode.SEARCH
         fs2.read_results()
         assert fs2.control.mode == OperationalMode.READ_RESULT
@@ -170,7 +170,7 @@ class TestSearchFlow:
         fs2 = SecondStageFilter(symbols)
         fs2.load_microprogram()
         fs2.set_query(read_term("p(a)"))
-        stats = fs2.search([cf.record(0).to_bytes()], indicator=("q", 1))
+        stats = fs2.search([bytes(cf.record_bytes(0))], indicator=("q", 1))
         assert stats.satisfiers == 0
 
     def test_stats_accounting(self):
@@ -184,7 +184,7 @@ class TestSearchFlow:
 
     def test_query_reuse_resets_state(self):
         symbols, cf = make_kb(["p(a)", "p(b)"], ("p", 1))
-        records = [cf.record(i).to_bytes() for i in range(2)]
+        records = [bytes(cf.record_bytes(i)) for i in range(2)]
         fs2 = SecondStageFilter(symbols)
         fs2.load_microprogram()
         fs2.set_query(read_term("p(a)"))

@@ -2,14 +2,14 @@
 
 from repro.disk import FUJITSU_M2351A, MICROPOLIS_1325
 from repro.fs2 import SecondStageFilter, simulate_streaming_search
-from repro.pif import SymbolTable, compile_clause
+from repro.pif import SymbolTable, clause_record
 from repro.terms import clause_from_term, read_term
 
 
 def prepared(clause_texts, query_text, indicator):
     symbols = SymbolTable()
     records = [
-        compile_clause(clause_from_term(read_term(text)), symbols).to_bytes()
+        bytes(clause_record(clause_from_term(read_term(text)), symbols))
         for text in clause_texts
     ]
     fs2 = SecondStageFilter(symbols)

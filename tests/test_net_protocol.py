@@ -313,10 +313,10 @@ class TestMalformedRecords:
 
     def splice(self, payload, corrupt):
         """``payload`` with its one record of CLAUSE replaced by a corrupt one."""
-        from repro.pif import compile_clause
+        from repro.pif import clause_record
 
         symbols = protocol.PayloadDecoder(payload).symbols
-        good = compile_clause(self.CLAUSE, symbols).to_bytes()
+        good = bytes(clause_record(self.CLAUSE, symbols))
         assert good[3:5] == (8).to_bytes(2, "big")
         blob = len(good).to_bytes(2, "big") + good
         assert payload.count(blob) == 1
