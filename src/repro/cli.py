@@ -283,13 +283,17 @@ def _cmd_microcode(out) -> int:
 
 
 def _cmd_dump(args, out) -> int:
-    from .pif import CompiledClause, SymbolTable, clause_record
+    from .pif import CompiledClause, PIFError, SymbolTable, clause_record
     from .pif.dump import dump_record
     from .terms import clause_from_term
 
     symbols = SymbolTable()
     clause = clause_from_term(read_term(args.clause))
-    data = clause_record(clause, symbols)
+    try:
+        data = clause_record(clause, symbols)
+    except PIFError as exc:  # the clause does not fit a PIF record
+        sys.stderr.write(f"repro: error: {exc}\n")
+        return 2
     record, _ = CompiledClause.from_bytes(data, clause.indicator)
     for line in dump_record(record, symbols):
         out.write(line + "\n")
@@ -456,8 +460,6 @@ def _print_batch(server, goals, mode, out) -> None:
 
 def _cmd_serve(args, out) -> int:
     """Load a program into a cluster and serve it over TCP until drained."""
-    import asyncio
-
     from .net import RetrievalService
     from .report import format_net_report
 
@@ -525,9 +527,8 @@ def _cmd_serve(args, out) -> int:
         ),
         obs=obs,
     )
-
-    async def serve() -> None:
-        host, port = await service.start()
+    try:
+        host, port = service.start()
         # Publish a one-node manifest: this instance is a complete
         # single-replica cluster, so `client --manifest` answers and
         # versioned mutations are stale-checkable against it.
@@ -544,12 +545,9 @@ def _cmd_serve(args, out) -> int:
         out.write(f"[net] serving on {host}:{port}\n")
         if hasattr(out, "flush"):
             out.flush()
-        await service.run(args.max_requests)
-
-    try:
-        asyncio.run(serve())
+        service.serve(args.max_requests)
     except KeyboardInterrupt:
-        pass  # run()'s finally already drained
+        service.drain()  # a no-op once serve() has drained
     finally:
         if backend == "processes" or durability is not None:
             server.close()

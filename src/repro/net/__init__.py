@@ -1,12 +1,13 @@
-"""Network serving for CLARE: wire protocol, asyncio server, clients.
+"""Network serving for CLARE: wire protocol, threaded server, clients.
 
 The paper's engine is a *server* a host Prolog system queries; this
 package puts the in-process :class:`~repro.cluster.ShardedRetrievalServer`
 behind an actual socket.  ``protocol`` defines the length-prefixed frame
 format (reusing the PIF encoder and symbol table), ``server`` is the
-asyncio front-end with admission control and deadlines, and ``client``
-holds one request core (verb table, framing, retry/backoff, deadline,
-connection pool) under a blocking and an asyncio driver.
+front-end on plain threads with admission control and deadlines, and
+``client`` holds one request core (verb table, framing, retry/backoff,
+deadline, connection pool) over blocking sockets and over asyncio
+streams; only the asyncio client imports asyncio, and only when it runs.
 """
 
 from .client import (

@@ -29,9 +29,9 @@ budget exhausted client-side raises
 
 from __future__ import annotations
 
-import asyncio
 import random
 import socket
+import sys
 import threading
 import time
 from collections.abc import Callable
@@ -143,7 +143,13 @@ class _Budget:
 
 #: ``asyncio.TimeoutError`` is an alias of the builtin only from Python
 #: 3.11; on 3.10 ``except TimeoutError`` (or ``OSError``) lets it through.
-_TIMEOUTS = (TimeoutError, asyncio.TimeoutError)
+#: Only there does this module import asyncio up front.
+if sys.version_info >= (3, 11):
+    _TIMEOUTS = (TimeoutError,)
+else:
+    import asyncio
+
+    _TIMEOUTS = (TimeoutError, asyncio.TimeoutError)
 
 _RETRYABLE = (ServerBusy, ServerDraining, ConnectError, ConnectionError, OSError)
 
@@ -530,7 +536,8 @@ class RetrievalClient:
 
 
 class _AsyncConnection:
-    """One TCP connection on asyncio streams."""
+    """One TCP connection on asyncio streams, imported where it runs:
+    on a live event loop, never in a process that drives none."""
 
     def __init__(self, reader, writer):
         self.reader = reader
@@ -538,11 +545,15 @@ class _AsyncConnection:
 
     @classmethod
     async def open(cls, host: str, port: int, timeout: float | None):
+        import asyncio
+
         return cls(
             *await asyncio.wait_for(asyncio.open_connection(host, port), timeout)
         )
 
     async def send(self, data: bytes, timeout: float | None) -> None:
+        import asyncio
+
         self.writer.write(data)
         # Bounded like the reads: a peer that stops reading must not
         # park the caller in drain() past its deadline.
@@ -550,6 +561,8 @@ class _AsyncConnection:
             await asyncio.wait_for(self.writer.drain(), timeout)
 
     async def read(self, timeout: float | None) -> bytes:
+        import asyncio
+
         return await asyncio.wait_for(self.reader.read(65536), timeout)
 
     def close(self) -> None:
@@ -580,6 +593,8 @@ class AsyncRetrievalClient:
         obs: Instrumentation | None = None,
         rng: random.Random | None = None,
     ):
+        import asyncio
+
         self._core = _RequestCore(
             host, port, pool_size, backoff, connect_timeout_s,
             request_timeout_s, max_frame_bytes, obs, rng,

@@ -202,7 +202,7 @@ class Verb:
     #: ends a streamed answer, after any number of ``response`` frames;
     #: ``None``: one ``response`` frame is the whole answer
     trailer: FrameType | None = None
-    #: ``False``: answered inline on the event loop, outside admission
+    #: ``False``: answered inline by the connection's reader, outside admission
     #: control — a health probe must get through a saturated server
     admitted: bool = True
 

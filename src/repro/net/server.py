@@ -1,9 +1,12 @@
-"""The asyncio retrieval service: CLARE behind a TCP socket.
+"""The retrieval service: CLARE behind a TCP socket, on plain threads.
 
-One :class:`RetrievalService` owns a listening socket, a bounded thread
-pool over a :class:`~repro.cluster.ShardedRetrievalServer` (the engines
-are synchronous simulated hardware; the event loop must never block on
-them), and an explicit admission controller:
+In the paper the CRS is a back end the host Prolog drives with plain
+synchronous requests, and the engines here are synchronous simulated
+hardware, so the service is threads only: one accept thread, one reader
+thread per connection, and a bounded pool of workers over a
+:class:`~repro.cluster.ShardedRetrievalServer`.  A reader decodes
+frames, answers the inline verbs itself and runs the explicit admission
+controller:
 
 * at most ``max_in_flight`` requests execute concurrently (the pool's
   workers — more would just convoy on the per-shard locks);
@@ -28,14 +31,14 @@ the same error frame).
 
 Shutdown is a *drain*: stop accepting connections, refuse new requests
 on live connections (``SHUTTING_DOWN``), let every admitted request
-finish and flush its response, then close connections and stop the
-pool.  Nothing admitted is ever dropped.
+finish and write its response, then shut every connection down and
+join every thread.  Nothing admitted is ever dropped.
 """
 
 from __future__ import annotations
 
-import asyncio
 import functools
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -57,7 +60,7 @@ __all__ = ["RetrievalService", "BackgroundService"]
 
 
 class _ClientGone(Exception):
-    """The peer hung up before its answer was flushed."""
+    """The peer hung up before its answer was written."""
 
 
 #: Wire mutation op -> the public engine method that applies it, whether
@@ -83,6 +86,23 @@ def _encoded(answer) -> tuple[FrameType, bytes]:
     """The frame of an answer, encoded where it is about to be written."""
     frame_type, codec, args = answer
     return frame_type, getattr(protocol, codec)(*args) if codec else b""
+
+
+def _read_exactly(stream, count: int) -> bytes | None:
+    """``count`` bytes, or ``None`` once the peer has hung up."""
+    try:
+        data = stream.read(count)
+    except OSError:
+        return None
+    return data if len(data) == count else None
+
+
+def _hang_up(sock: socket.socket) -> None:
+    """Shut ``sock`` down both ways: wakes any thread blocked on it."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # already reset or closed
 
 
 class RetrievalService:
@@ -139,103 +159,72 @@ class RetrievalService:
             "solve": self._solve,
             "mutate": self._mutate,
         }
-        self._server: asyncio.AbstractServer | None = None
+        self._listener: socket.socket | None = None
+        self._acceptor: threading.Thread | None = None
+        # ``_lock`` guards admission and the connection table (each
+        # connection -> the thread reading it); ``_idle`` is notified
+        # whenever the last admitted request settles.
+        self._lock = threading.Lock()
+        self._idle = threading.Condition(self._lock)
+        self._connections: dict[socket.socket, threading.Thread] = {}
         self._admitted = 0  # queued + executing requests
         self._handled = 0  # admitted requests fully responded to
-        self._inflight: set[asyncio.Task] = set()
-        self._connections: set[asyncio.StreamWriter] = set()
         self._draining = False
         self._drained = False
-        self._done = asyncio.Event()
+        self._done = threading.Event()
         self.max_requests: int | None = None
 
     # -- lifecycle -----------------------------------------------------------
 
-    async def start(self) -> tuple[str, int]:
-        """Bind and start accepting; returns the bound (host, port)."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        sockname = self._server.sockets[0].getsockname()
-        self.host, self.port = sockname[0], sockname[1]
-        return self.host, self.port
+    def start(self) -> tuple[str, int]:
+        """Bind (once) and start accepting; returns the bound (host, port)."""
+        if self._listener is None:
+            family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
+            self._listener = socket.create_server(
+                (self.host, self.port), family=family
+            )
+            self.host, self.port = self._listener.getsockname()[:2]
+            self._acceptor = threading.Thread(
+                target=self._accept, name="clare-net-accept", daemon=True
+            )
+            self._acceptor.start()
+        return self.address
 
     @property
     def address(self) -> tuple[str, int]:
         return self.host, self.port
 
-    async def run(self, max_requests: int | None = None) -> None:
-        """Start, serve until ``max_requests`` are handled, then drain.
-
-        With ``max_requests=None`` this serves until cancelled; the
-        drain still runs on the way out, so an outer ``CancelledError``
-        (or KeyboardInterrupt turned into one) shuts down gracefully.
-        """
+    def serve(self, max_requests: int | None = None) -> None:
+        """Start, serve until ``max_requests`` are handled (``None``: until
+        interrupted), then drain — on a KeyboardInterrupt too."""
         self.max_requests = max_requests
-        if self._server is None:
-            await self.start()
+        self.start()
         try:
-            await self._done.wait()
+            self._done.wait()
         finally:
-            await self.drain()
+            self.drain()
 
-    async def drain(self) -> None:
-        """Stop accepting, finish every admitted request, flush stats."""
-        if self._drained:
-            return
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-        while self._inflight:
-            await asyncio.gather(
-                *list(self._inflight), return_exceptions=True
-            )
-        for writer in list(self._connections):
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        self._connections.clear()
-        if self._server is not None:
-            # Only now: since Python 3.12.1 ``wait_closed`` also waits
-            # for every accepted connection to close.
-            await self._server.wait_closed()
-        self._executor.shutdown(wait=True)
-        self._drained = True
-        self.obs.counter("net.drains").inc()
-        self.obs.gauge("net.queue_depth").set(0)
-        self.obs.gauge("net.in_flight").set(0)
+    def drain(self, timeout: float | None = None) -> None:
+        """Stop accepting, finish every admitted request, then close.
 
-    async def abort(self) -> None:
-        """Die abruptly: drop connections and in-flight work on the floor.
-
-        The crash-fault counterpart of :meth:`drain` (chaos testing,
-        emergency shutdown): nothing is completed, nothing is flushed —
-        clients see connection resets exactly as they would from a
-        killed process, and recover via failover.
+        ``timeout`` bounds the wait for admitted requests (a client that
+        stops reading a streamed answer holds its worker); past it, the
+        rest is abandoned as :meth:`abort` abandons it.
         """
-        if self._drained:
-            return
-        self._draining = True
-        self._drained = True
-        if self._server is not None:
-            self._server.close()
-        for task in list(self._inflight):
-            task.cancel()
-        for writer in list(self._connections):
-            writer.close()
-        self._connections.clear()
-        if self._server is not None:
-            await self._server.wait_closed()
-        # Let the per-connection reader tasks observe their closed
-        # transports and finish; torn down mid-read they would be
-        # cancelled by loop shutdown and spray tracebacks instead.
-        await asyncio.sleep(0.05)
-        self._executor.shutdown(wait=False, cancel_futures=True)
-        self.obs.counter("net.aborts").inc()
-        self.obs.gauge("net.queue_depth").set(0)
-        self.obs.gauge("net.in_flight").set(0)
+        if not self._drained:
+            self._stop_accepting()
+            with self._idle:
+                settled = self._idle.wait_for(lambda: not self._admitted, timeout)
+            self._close("net.drains", abort=not settled)
+
+    def abort(self) -> None:
+        """Die abruptly, as a killed process would (chaos testing,
+        emergency shutdown): connections and queued work are dropped, a
+        request already on a worker finds its socket gone, and clients
+        recover via failover."""
+        if not self._drained:
+            self._stop_accepting()
+            self._close("net.aborts", abort=True)
 
     def stats_snapshot(self) -> dict:
         """The payload of a ``REQ_STATS`` response."""
@@ -249,61 +238,101 @@ class RetrievalService:
             "registry": registry.snapshot() if registry is not None else {},
         }
 
+    def _stop_accepting(self) -> None:
+        with self._lock:
+            self._draining = True
+        if self._listener is not None:
+            _hang_up(self._listener)  # wakes the accept thread
+            self._acceptor.join()
+            self._listener.close()
+
+    def _close(self, counter: str, abort: bool) -> None:
+        # Hang up under the lock, which a reader closes its socket under:
+        # no shutdown can reach a descriptor the kernel has reused.
+        with self._lock:
+            readers = list(self._connections.values())
+            for conn in self._connections:
+                _hang_up(conn)
+        for reader in readers:
+            reader.join()
+        self._executor.shutdown(wait=not abort, cancel_futures=abort)
+        self._drained = True
+        self.obs.counter(counter).inc()
+        self.obs.gauge("net.queue_depth").set(0)
+        self.obs.gauge("net.in_flight").set(0)
+
     # -- connection handling -------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _accept(self) -> None:
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                if self._draining:
+                    return  # the listener was shut down
+                time.sleep(0.1)  # out of descriptors, say: back off
+                continue
+            reader = threading.Thread(
+                target=self._read, args=(conn,), name="clare-net-conn",
+                daemon=True,
+            )
+            with self._lock:
+                # A reader's entry outlives its socket, so that drain
+                # can join it; forget those that have finished.
+                for gone in [c for c, t in self._connections.items()
+                             if not t.is_alive()]:
+                    del self._connections[gone]
+                self._connections[conn] = reader
+            reader.start()
+
+    def _read(self, conn: socket.socket) -> None:
+        """Read one connection's frames until the peer hangs up."""
         self.obs.counter("net.connections").inc()
-        self._connections.add(writer)
-        write_lock = asyncio.Lock()
+        stream = conn.makefile("rb")
+        write_lock = threading.Lock()
 
         def reply_to(request_id: int):
-            """Where a request's frames go: ``await reply(frame)``."""
-            return functools.partial(self._send, writer, write_lock, request_id)
+            """Where a request's frames go: ``reply(frame)`` -> written?"""
+            return functools.partial(self._send, conn, write_lock, request_id)
 
         try:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             while True:
-                try:
-                    header = await reader.readexactly(protocol.HEADER.size)
-                except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                    break  # peer hung up (possibly mid-frame)
+                header = _read_exactly(stream, protocol.HEADER.size)
+                if header is None:
+                    break  # peer hung up (possibly mid-header)
                 try:
                     frame_type, request_id, length = protocol.decode_header(
                         header, self.max_frame_bytes
                     )
-                    payload = await reader.readexactly(length)
                 except ProtocolError as exc:
                     # Framing is unrecoverable: report and hang up.
                     self.obs.counter("net.bad_frames").inc()
-                    await self._send_error(
-                        reply_to(0), ErrorCode.BAD_REQUEST, str(exc)
-                    )
+                    self._send_error(reply_to(0), ErrorCode.BAD_REQUEST, str(exc))
                     break
-                except (asyncio.IncompleteReadError, ConnectionError, OSError):
+                payload = _read_exactly(stream, length)
+                if payload is None:
                     self.obs.counter("net.truncated_frames").inc()
                     break
                 self.obs.counter("net.bytes_in").inc(
                     protocol.HEADER.size + length
                 )
-                await self._dispatch(
+                self._dispatch(
                     reply_to(request_id), frame_type, request_id, payload
                 )
         finally:
-            self._connections.discard(writer)
             self.obs.counter("net.disconnects").inc()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            stream.close()
+            _hang_up(conn)  # fails a worker's blocked write on it
+            with write_lock, self._lock:
+                conn.close()
 
-    async def _dispatch(
+    def _dispatch(
         self, reply, frame_type: FrameType, request_id: int, payload: bytes
     ) -> None:
         verb = protocol.VERB_OF_REQUEST.get(frame_type)
         if verb is None:
-            await self._send_error(
+            self._send_error(
                 reply, ErrorCode.BAD_REQUEST,
                 f"unexpected frame type {frame_type.name}",
             )
@@ -312,31 +341,28 @@ class RetrievalService:
             try:
                 answer = self._inline[verb.name]()
             except ProtocolError as exc:
-                await self._send_error(reply, ErrorCode.BAD_REQUEST, str(exc))
+                self._send_error(reply, ErrorCode.BAD_REQUEST, str(exc))
                 return
-            await reply(_encoded(_answer(verb, *answer)))
+            reply(_encoded(_answer(verb, *answer)))
             return
         # -- admission control ------------------------------------------
-        if self._draining:
-            await self._send_error(
-                reply, ErrorCode.SHUTTING_DOWN, "server is draining"
-            )
-            return
-        if self._admitted >= self.max_in_flight + self.queue_limit:
+        with self._lock:
+            draining, admitted = self._draining, self._admitted
+            busy = admitted >= self.max_in_flight + self.queue_limit
+            if not (draining or busy):
+                self._admitted += 1
+                self._update_load_gauges()
+        if draining:
+            self._send_error(reply, ErrorCode.SHUTTING_DOWN, "server is draining")
+        elif busy:
             self.obs.counter("net.busy_rejected").inc()
-            await self._send_error(
+            self._send_error(
                 reply, ErrorCode.SERVER_BUSY,
-                f"{self._admitted} requests already admitted",
+                f"{admitted} requests already admitted",
             )
-            return
-        self._admitted += 1
-        self.obs.counter("net.accepted").inc()
-        self._update_load_gauges()
-        task = asyncio.create_task(
+        else:
+            self.obs.counter("net.accepted").inc()
             self._serve(reply, verb, request_id, payload)
-        )
-        self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
 
     def _manifest_json(self) -> tuple[str]:
         if self.manifest_holder is None:
@@ -345,58 +371,62 @@ class RetrievalService:
 
     # -- the request lifecycle -----------------------------------------------
 
-    async def _serve(
+    def _serve(
         self, reply, verb: protocol.Verb, request_id: int, payload: bytes
     ) -> None:
         """One admitted request of any verb, from decode to accounting.
 
-        On the event loop: decode the payload, let the verb refuse the
-        request before it queues, fix the deadline, and — last — encode
-        and write a unary answer, so a slow reader never pins a pool
-        worker.  On a pool worker (the engines are synchronous): the
-        queue-wait check and the verb body.  A *streamed* answer is
-        encoded and flushed from the worker frame by frame, blocking it,
-        so a slow client exerts backpressure on the search instead of
-        buffering unbounded solutions server-side (an answer is always
-        encoded by whoever writes it).  Every failure leaves as one
+        On the connection's reader thread: decode the payload, let the
+        verb refuse the request before it queues, fix the deadline and
+        hand the rest to the pool.  On a pool worker (the engines are
+        synchronous): the queue-wait check, the verb body, and every
+        frame of the answer, encoded and written by the worker.  A
+        *streamed* answer is written frame by frame as the search
+        produces it, blocking the worker, so a slow client exerts
+        backpressure on the search instead of buffering unbounded
+        solutions server-side.  Every failure leaves as one
         ``RESP_ERROR`` frame, except a peer that hung up; either way the
-        admitted request is not done until its last frame is flushed,
+        admitted request is not done until its last frame is written,
         which is what drain waits on.
         """
         started = time.monotonic()
-        loop = asyncio.get_running_loop()
 
         def flush(answer) -> None:
-            sent = asyncio.run_coroutine_threadsafe(reply(_encoded(answer)), loop)
-            if not sent.result():
+            if not reply(_encoded(answer)):
                 # Abort the search rather than resolving into a dead
                 # socket: an infinite answer stream would otherwise pin
                 # this worker and stall drain forever.
                 raise _ClientGone
 
-        def work(body, deadline):
-            # The queue wait is over: check whether the deadline already
-            # passed before touching the (uninterruptible) engines.
-            queue_wait_s = time.monotonic() - started
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise DeadlineExceeded(
-                        f"deadline expired after {queue_wait_s * 1e3:.1f}"
-                        "ms in the accept queue"
-                    )
-            with self.obs.span(
-                "net.request", type=verb.request.name, request_id=request_id
-            ) as span:
-                span.set(queue_wait_ms=round(queue_wait_s * 1e3, 3))
-                answers = body(remaining, span)
-                if verb.trailer is None:
+        def work(body, deadline) -> None:
+            try:
+                # The queue wait is over: check whether the deadline
+                # already passed before touching the (uninterruptible)
+                # engines.
+                queue_wait_s = time.monotonic() - started
+                remaining = None
+                if deadline is not None:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        raise DeadlineExceeded(
+                            f"deadline expired after {queue_wait_s * 1e3:.1f}"
+                            "ms in the accept queue"
+                        )
+                with self.obs.span(
+                    "net.request", type=verb.request.name, request_id=request_id
+                ) as span:
+                    span.set(queue_wait_ms=round(queue_wait_s * 1e3, 3))
+                    answers = body(remaining, span)
+                    if verb.trailer is not None:
+                        for answer in answers:
+                            flush(answer)
+                        return
                     (answer,) = answers  # a unary verb is a stream of one
-                    return answer
-                for answer in answers:
-                    flush(answer)
-                return None  # nothing left for the loop to write
+                flush(answer)
+            except Exception as exc:
+                self._fail(reply, exc)
+            finally:
+                self._settle(started)
 
         try:
             try:
@@ -411,35 +441,40 @@ class RetrievalService:
                 deadline = started + deadline_ms / 1000.0
             elif self.default_deadline_s is not None:
                 deadline = started + self.default_deadline_s
-            answer = await loop.run_in_executor(
-                self._executor, work, body, deadline
-            )
-            if answer is not None and not await reply(_encoded(answer)):
-                raise _ClientGone
-        except _ClientGone:
-            # Not a server error, and no error frame into a dead socket.
+            self._executor.submit(work, body, deadline)
+        except Exception as exc:  # refused before it queued
+            self._fail(reply, exc)
+            self._settle(started)
+
+    def _fail(self, reply, exc: Exception) -> None:
+        """One error frame for a failed request — none into a dead socket:
+        a peer that hung up is no server error."""
+        if isinstance(exc, _ClientGone):
             self.obs.counter("net.client_disconnects").inc()
-        except Exception as exc:
-            code, message = protocol.exception_to_error(exc)
-            if code is ErrorCode.DEADLINE_EXPIRED:
-                self.obs.counter("net.deadline_expired").inc()
-            await self._send_error(reply, code, message)
-        finally:
+            return
+        code, message = protocol.exception_to_error(exc)
+        if code is ErrorCode.DEADLINE_EXPIRED:
+            self.obs.counter("net.deadline_expired").inc()
+        self._send_error(reply, code, message)
+
+    def _settle(self, started: float) -> None:
+        """Account for an admitted request once its last frame is out."""
+        self.obs.histogram("net.request_ms").observe(
+            (time.monotonic() - started) * 1e3
+        )
+        with self._lock:
             self._admitted -= 1
             self._handled += 1
             self._update_load_gauges()
-            self.obs.histogram("net.request_ms").observe(
-                (time.monotonic() - started) * 1e3
-            )
-            if (
-                self.max_requests is not None
-                and self._handled >= self.max_requests
-            ):
-                self._done.set()
+            if not self._admitted:
+                self._idle.notify_all()
+        if self.max_requests is not None and self._handled >= self.max_requests:
+            self._done.set()
 
     # -- the admitted verbs ----------------------------------------------------
     #
-    # One method per verb, called on the loop with the decoded request.
+    # One method per verb, called on the reader thread with the decoded
+    # request.
     # It may refuse the request before it queues (raise), and returns the
     # request's ``deadline_ms`` and its body: a generator of answers
     # (``_answer``: frame type, codec name, codec arguments), run on a
@@ -526,103 +561,50 @@ class RetrievalService:
             max(0, self._admitted - self.max_in_flight)
         )
 
-    async def _send(
+    def _send(
         self,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
+        conn: socket.socket,
+        write_lock: threading.Lock,
         request_id: int,
         frame: tuple[FrameType, bytes],
     ) -> bool:
         frame_type, payload = frame
         data = protocol.encode_frame(frame_type, request_id, payload)
         try:
-            async with write_lock:
-                writer.write(data)
-                await writer.drain()
-        except (ConnectionError, OSError):
+            with write_lock:
+                conn.sendall(data)
+        except OSError:
             self.obs.counter("net.send_failures").inc()
             return False
         self.obs.counter("net.bytes_out").inc(len(data))
         self.obs.counter("net.responses", type=frame_type.name).inc()
         return True
 
-    async def _send_error(self, reply, code: ErrorCode, message: str) -> None:
+    def _send_error(self, reply, code: ErrorCode, message: str) -> None:
         self.obs.counter("net.errors", code=code.name).inc()
-        await reply((FrameType.RESP_ERROR, protocol.encode_error(code, message)))
+        reply((FrameType.RESP_ERROR, protocol.encode_error(code, message)))
 
 
 class BackgroundService:
-    """Run a :class:`RetrievalService` event loop on a daemon thread.
-
-    Synchronous drivers (the CLI's client side, pytest, the ``bench/``
-    harness) need a live server without owning an event loop;
-    this wrapper runs one, exposes the bound address, and turns
-    :meth:`stop` into a loop-side graceful drain.
-    """
+    """The handle tests, the ``bench/`` harness and the fleet hold on a
+    :class:`RetrievalService`, which runs on threads of its own:
+    :meth:`start` binds, :meth:`stop` drains, :meth:`kill` aborts."""
 
     def __init__(self, service: RetrievalService):
         self.service = service
-        self._ready = threading.Event()
-        self._stop = None  # asyncio.Event, created on the loop
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._startup_error: BaseException | None = None
-        self._abort = False
 
-    def start(self, timeout: float = 10.0) -> tuple[str, int]:
-        """Start the loop thread; returns the bound (host, port).
-
-        Idempotent: a second call (e.g. ``with BackgroundService(...)``
-        plus an explicit ``start()``) waits on the same loop thread
-        instead of spawning a competing one.
-        """
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._run, name="clare-net-loop", daemon=True
-            )
-            self._thread.start()
-        if not self._ready.wait(timeout):
-            raise RuntimeError("network service failed to start in time")
-        if self._startup_error is not None:
-            raise RuntimeError(
-                f"network service failed to start: {self._startup_error}"
-            )
-        return self.service.address
-
-    def _run(self) -> None:
-        asyncio.run(self._main())
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        try:
-            await self.service.start()
-        except BaseException as exc:  # bind failures must not hang start()
-            self._startup_error = exc
-            self._ready.set()
-            return
-        self._ready.set()
-        await self._stop.wait()
-        if self._abort:
-            await self.service.abort()
-        else:
-            await self.service.drain()
+    def start(self) -> tuple[str, int]:
+        """Bind (once); returns the bound (host, port)."""
+        return self.service.start()
 
     def stop(self, timeout: float = 30.0) -> None:
-        """Drain the service and join the loop thread."""
-        if self._loop is None or self._thread is None:
-            return
-        if self._thread.is_alive():
-            try:
-                self._loop.call_soon_threadsafe(self._stop.set)
-            except RuntimeError:
-                pass  # loop already closed
-        self._thread.join(timeout)
+        """Drain the service, waiting at most ``timeout`` seconds for
+        its admitted requests before shutting their connections down."""
+        self.service.drain(timeout)
 
-    def kill(self, timeout: float = 30.0) -> None:
-        """Crash the service: abort instead of drain, then join."""
-        self._abort = True
-        self.stop(timeout)
+    def kill(self) -> None:
+        """Crash the service: abort instead of drain."""
+        self.service.abort()
 
     def __enter__(self) -> "BackgroundService":
         self.start()

@@ -26,7 +26,6 @@ Hashing is keyed BLAKE2 so codewords are deterministic across processes
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass
 
@@ -41,6 +40,11 @@ from ..terms import (
     Var,
 )
 from .analysis import optimal_bits_per_key
+
+try:  # hashlib's own blake2b, without loading OpenSSL through _hashlib
+    from _blake2 import blake2b
+except ImportError:  # an interpreter built without the builtin module
+    from hashlib import blake2b
 
 __all__ = ["CodewordScheme", "Codeword", "DEFAULT_SCHEME"]
 
@@ -102,7 +106,7 @@ class CodewordScheme:
         self.max_depth = max_depth
         #: position -> a salted, empty BLAKE2 state, copied per hash
         #: (built on first use: ``max_args`` may come from a manifest).
-        self._salted: dict[int, hashlib.blake2b] = {}
+        self._salted: dict[int, blake2b] = {}
         #: (position, component key) -> hashed bits.  A knowledge base
         #: hashes the same few thousand components over and over (clause
         #: and query side alike); see :meth:`_key_bits`.
@@ -304,7 +308,7 @@ class CodewordScheme:
         """
         salted = self._salted.get(position)
         if salted is None:
-            salted = self._salted[position] = hashlib.blake2b(
+            salted = self._salted[position] = blake2b(
                 digest_size=16, salt=position.to_bytes(8, "big")
             )
         data = key.encode("utf-8")

@@ -252,6 +252,17 @@ class TestDumpCommand:
         assert "clause q/1 (rule)" in output
         assert "body:" in output
 
+    def test_a_clause_too_big_for_a_record_is_a_user_error(self, capsys):
+        args = ", ".join(f"a{i}" for i in range(150))  # a 621-byte record
+        out = io.StringIO()
+        assert main(["dump", f"p(f({args}))"], out=out) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "repro: error: clause record is 621 bytes; "
+            "the Result Memory slot limit is 512\n"
+        )
+        assert out.getvalue() == ""
+
 
 class TestShardedCommands:
     @pytest.fixture

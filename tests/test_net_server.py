@@ -560,3 +560,191 @@ class TestGracefulDrain:
         assert service._done.is_set()
         background.stop()
 
+
+
+class TestThreadLifecycle:
+    """The service is threads: an accept thread, a reader per
+    connection, the pool.  None may outlive ``stop()`` or ``kill()``,
+    and no client can hold ``stop()`` open — else a server process
+    would never exit."""
+
+    @staticmethod
+    def server_threads(before):
+        return [
+            thread for thread in set(threading.enumerate()) - before
+            if thread.name.startswith("clare-net")
+        ]
+
+    @staticmethod
+    def within(seconds, call, *args):
+        """Run ``call`` on a thread; fail, rather than hang, past
+        ``seconds``."""
+        runner = threading.Thread(target=call, args=args, daemon=True)
+        runner.start()
+        runner.join(seconds)
+        assert not runner.is_alive(), f"{call.__name__} took over {seconds} s"
+
+    def gone_within(self, seconds, before):
+        """Server threads may take a moment to leave after ``kill()``."""
+        give_up = time.monotonic() + seconds
+        while self.server_threads(before) and time.monotonic() < give_up:
+            time.sleep(0.01)
+        assert self.server_threads(before) == []
+
+    def exercised(self, service):
+        """Start ``service`` and give it some connections and work."""
+        background = BackgroundService(service)
+        host, port = background.start()
+        for _ in range(3):
+            with RetrievalClient(host, port) as client:
+                client.retrieve(read_term("parent(tom, X)"))
+        return background, RetrievalClient(host, port)
+
+    def test_stop_joins_every_server_thread(self):
+        before = set(threading.enumerate())
+        background, idle = self.exercised(RetrievalService(family_engine()))
+        idle.ping()  # one connection still open, its reader blocked
+        assert self.server_threads(before)
+        self.within(10, background.stop)
+        assert self.server_threads(before) == []
+        idle.close()
+
+    def test_kill_leaves_no_server_thread(self):
+        before = set(threading.enumerate())
+        background, idle = self.exercised(RetrievalService(family_engine()))
+        idle.ping()
+        self.within(10, background.kill)
+        # The accept and reader threads are joined; an idle pool worker
+        # leaves on its own as soon as it sees the shutdown.
+        self.gone_within(5, before)
+        idle.close()
+
+    @pytest.mark.parametrize("hang_up", [True, False])
+    def test_half_a_frame_does_not_stall_stop(self, hang_up):
+        import socket
+
+        before = set(threading.enumerate())
+        obs = Instrumentation()
+        background = BackgroundService(
+            RetrievalService(family_engine(), obs=obs)
+        )
+        raw = socket.create_connection(background.start())
+        frame = protocol.encode_frame(
+            FrameType.REQ_RETRIEVE, 1,
+            protocol.encode_retrieve_request(read_term("parent(tom, X)")),
+        )
+        raw.sendall(frame[: len(frame) // 2])
+        if hang_up:
+            raw.close()
+        self.within(5, background.stop)
+        assert self.server_threads(before) == []
+        assert obs.registry.total("net.accepted") == 0
+        raw.close()
+
+    @staticmethod
+    def stalled_stream(obs):
+        """A service whose one worker is blocked writing a ``solve``
+        stream to a raw client that reads none of it."""
+        import socket
+
+        engine = ShardedRetrievalServer(2)
+        # Endless answers of 60 kB each: the socket fills in a moment.
+        engine.consult_text(
+            f"big('{'a' * 60000}'). rep(A) :- big(A). rep(A) :- rep(A)."
+        )
+        service = RetrievalService(engine, max_in_flight=1, obs=obs)
+        background = BackgroundService(service)
+        raw = socket.socket()
+        raw.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        raw.connect(background.start())
+        raw.sendall(protocol.encode_frame(
+            FrameType.REQ_SOLVE, 1,
+            protocol.encode_solve_request(read_term("rep(A)")),
+        ))
+        # Backpressure, not server-side buffering: the bytes written
+        # stop growing while the stream is still admitted.
+        last, give_up = -1, time.monotonic() + 10
+        while time.monotonic() < give_up:
+            time.sleep(0.2)
+            written = obs.registry.total("net.bytes_out")
+            if written == last:
+                break
+            last = written
+        assert written == last, "the stream never blocked on its reader"
+        assert service.stats_snapshot()["admitted_now"] == 1
+        return service, background, raw
+
+    def test_a_stalled_solve_reader_who_hangs_up_frees_its_worker(self):
+        before = set(threading.enumerate())
+        obs = Instrumentation()
+        service, background, raw = self.stalled_stream(obs)
+        raw.close()  # walk away with the stream unread
+        give_up = time.monotonic() + 5
+        while service.stats_snapshot()["handled"] < 1:
+            assert time.monotonic() < give_up, "the worker stayed blocked"
+            time.sleep(0.01)
+        self.within(1, background.stop)
+        assert self.server_threads(before) == []
+        total = obs.registry.total
+        assert total("net.client_disconnects") == 1
+        assert total("net.errors") == 0
+        assert service.stats_snapshot()["admitted_now"] == 0
+
+    def test_a_client_that_never_reads_cannot_hold_stop_past_its_timeout(self):
+        before = set(threading.enumerate())
+        obs = Instrumentation()
+        _, background, raw = self.stalled_stream(obs)
+        # The client neither reads nor leaves: past the drain's timeout
+        # its connection is shut down, which fails the blocked write.
+        self.within(5, background.stop, 0.3)
+        self.gone_within(5, before)
+        assert obs.registry.total("net.client_disconnects") == 1
+        raw.close()
+
+    def test_admission_accounting_holds_under_contention(self):
+        """More clients than cores and a tiny switch interval: a lost
+        update to the admission counter would leave it nonzero, or
+        make accepted + rejected miss the requests sent."""
+        import sys
+
+        clients, calls = 12, 15
+        obs = Instrumentation()
+        service = RetrievalService(
+            family_engine(), max_in_flight=2, queue_limit=3, obs=obs
+        )
+        goal = read_term("parent(tom, X)")
+        background = BackgroundService(service)
+        host, port = background.start()
+
+        def hammer():
+            with RetrievalClient(
+                host, port, backoff=BackoffPolicy(max_retries=0)
+            ) as client:
+                for _ in range(calls):
+                    try:
+                        client.retrieve(goal)
+                    except ServerBusy:
+                        pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        self.within(10, background.stop)
+        total = obs.registry.total
+        snapshot = service.stats_snapshot()
+        assert snapshot["admitted_now"] == 0
+        assert snapshot["handled"] == total("net.accepted")
+        assert total("net.accepted") + total("net.busy_rejected") == (
+            clients * calls
+        )
+        assert obs.registry.histogram("net.request_ms").count == (
+            snapshot["handled"]
+        )

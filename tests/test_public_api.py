@@ -502,7 +502,8 @@ class TestOneServerLifecycle:
         tree = self.tree(server)
         executor_calls = [
             node for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "run_in_executor"
+            if isinstance(node, ast.Attribute)
+            and ast.unparse(node) == "self._executor.submit"
         ]
         releases = [
             node for node in ast.walk(tree)
