@@ -770,20 +770,31 @@ class ShardedRetrievalServer(CachedFrontDoor):
         mode: SearchMode | None,
         shard_results: dict[int, RetrievalResult],
     ) -> RetrievalResult:
-        """One result from many: concatenate candidates, fold stats."""
-        candidates: list[Clause] = []
-        for shard_id in sorted(shard_results):
-            candidates.extend(shard_results[shard_id].candidates)
+        """One result from many: concatenate candidates, fold stats.
+
+        Engines' results concatenate their stored records undecoded;
+        results that arrive as clauses (off a pipe or a wire)
+        concatenate their clauses.
+        """
+        ordered = [shard_results[shard_id] for shard_id in sorted(shard_results)]
         stats = MergedRetrievalStats.over(
             {sid: result.stats for sid, result in shard_results.items()}, mode
         )
-        return RetrievalResult(goal=goal, candidates=candidates, stats=stats)
+        if all(result.sources is not None for result in ordered):
+            sources = tuple(
+                source for result in ordered for source in result.sources
+            )
+            return RetrievalResult(goal, stats=stats, sources=sources)
+        candidates = [
+            clause for result in ordered for clause in result.candidates
+        ]
+        return RetrievalResult(goal, candidates, stats)
 
     def _account_retrieval(self, result: RetrievalResult) -> None:
         stats = result.stats
         obs = self.obs
         obs.counter("cluster.retrievals", policy=self.policy.value).inc()
-        obs.counter("cluster.candidates_returned").inc(len(result.candidates))
+        obs.counter("cluster.candidates_returned").inc(len(result))
         if not isinstance(stats, MergedRetrievalStats):
             return
         if stats.per_shard:  # only physical executions count here

@@ -19,7 +19,7 @@ host cost model for the software path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable
 
@@ -29,7 +29,7 @@ from ..fs2 import SecondStageFilter
 from ..keys import canonical_goal_key
 from ..obs import Instrumentation
 from ..obs import get_default as _default_obs
-from ..pif import CompiledClause
+from ..pif import CompiledClause, SymbolTable
 from ..pif.clausefile import decode_compiled
 from ..scw import FS1Result, FirstStageFilter
 from ..storage import KnowledgeBase, PredicateStore, Residency
@@ -43,6 +43,7 @@ __all__ = [
     "RetrievalStats",
     "RetrievalResult",
     "RetrievalTimeout",
+    "StoredCandidates",
     "ClauseRetrievalServer",
 ]
 
@@ -131,23 +132,119 @@ class RetrievalStats:
         )
 
 
-@dataclass
-class RetrievalResult:
-    """Candidates plus accounting for one goal retrieval."""
+@dataclass(frozen=True, eq=False)
+class StoredCandidates:
+    """One engine's candidates for one goal, as the PIF records it stores.
 
-    goal: Term
-    candidates: list[Clause] = field(default_factory=list)
-    stats: RetrievalStats | None = None
+    The records are immutable bytes taken under the shard's lock — a
+    copy, a slice of an adopted image or a Result Memory read-out — so
+    they stay what the retrieval saw however the predicate is spliced
+    afterwards.  ``generation`` is the clause file's at that moment;
+    with an address it names one record forever, which is the key of
+    the engine's decoded-clause cache.  Software mode decoded every
+    clause to match it and hands its candidates' ``clauses`` along.
+    """
+
+    symbols: SymbolTable
+    indicator: tuple[str, int]
+    generation: int
+    addresses: list[int]
+    records: list[bytes]
+    decode_cache: LruCache
+    clauses: list[Clause] | None = None
 
     def __len__(self) -> int:
-        return len(self.candidates)
+        return len(self.records)
+
+    def decode(self) -> list[Clause]:
+        """The candidates as clauses, each through the decode cache."""
+        if self.clauses is not None:
+            return list(self.clauses)
+        cache = self.decode_cache
+        cacheable = cache.max_entries > 0
+        clauses = []
+        for address, record in zip(self.addresses, self.records):
+            key = (self.generation, address)
+            clause = cache.get(key) if cacheable else None
+            if clause is None:
+                compiled, _ = CompiledClause.from_bytes(record, self.indicator)
+                clause = decode_compiled(compiled, self.symbols)
+                if cacheable:
+                    cache.put(key, clause)
+            clauses.append(clause)
+        return clauses
+
+
+@dataclass(init=False, eq=False, repr=False)
+class RetrievalResult:
+    """Candidates plus accounting for one goal retrieval.
+
+    An engine's result carries its candidates as ``sources``, the
+    stored records of every engine that answered (one per shard after a
+    merge), and the wire sends those records as they are.
+    :attr:`candidates` is the ``list[Clause]`` in-process callers read:
+    decoded on first access, or given outright (``sources`` is then
+    ``None``), as a client's decoded answer is.
+    """
+
+    __slots__ = ("goal", "stats", "sources", "_candidates")
+    goal: Term
+    stats: RetrievalStats | None
+    sources: tuple[StoredCandidates, ...] | None
+    _candidates: list[Clause] | None
+
+    def __init__(
+        self,
+        goal: Term,
+        candidates: list[Clause] | None = None,
+        stats: RetrievalStats | None = None,
+        sources: tuple[StoredCandidates, ...] | None = None,
+    ):
+        self.goal = goal
+        self.stats = stats
+        self.sources = sources
+        if candidates is None and sources is None:
+            candidates = []
+        self._candidates = candidates
+
+    @property
+    def candidates(self) -> list[Clause]:
+        if self._candidates is None:
+            self._candidates = [
+                clause for source in self.sources for clause in source.decode()
+            ]
+        return self._candidates
+
+    def __len__(self) -> int:
+        if self._candidates is None:
+            return sum(len(source) for source in self.sources)
+        return len(self._candidates)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not RetrievalResult:
+            return NotImplemented
+        return (self.goal, self.candidates, self.stats) == (
+            other.goal, other.candidates, other.stats
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"RetrievalResult(goal={self.goal!r}, "
+            f"candidates={self.candidates!r}, stats={self.stats!r})"
+        )
+
+    def __reduce__(self):
+        # Across a pipe the records' symbol table and decode cache stay
+        # behind: a result pickles as its decoded candidates.
+        return (RetrievalResult, (self.goal, self.candidates, self.stats))
 
     def hit_view(self) -> RetrievalResult:
         """A cached result as served: a copy, at no physical cost."""
-        return replace(
-            self,
-            candidates=list(self.candidates),
-            stats=None if self.stats is None else self.stats.without_cost(),
+        return RetrievalResult(
+            self.goal,
+            None if self._candidates is None else list(self._candidates),
+            None if self.stats is None else self.stats.without_cost(),
+            self.sources,
         )
 
 
@@ -214,7 +311,7 @@ class CachedFrontDoor:
         # unification are the pipeline's end-to-end false drops.
         self.obs.counter(f"{self._family}.true_matches").inc(len(matches))
         self.obs.counter(f"{self._family}.false_drops").inc(
-            len(result.candidates) - len(matches)
+            len(result) - len(matches)
         )
         return matches
 
@@ -347,7 +444,7 @@ class ClauseRetrievalServer(CachedFrontDoor):
                                 result.stats.clauses_total
                                 if result.stats else 0
                             ),
-                            candidates=len(result.candidates),
+                            candidates=len(result),
                         )
                     if cache_key is not None:
                         self._cache.put(cache_key, result)
@@ -404,13 +501,16 @@ class ClauseRetrievalServer(CachedFrontDoor):
         ) as span:
             matcher = PartialMatcher(goal, cross_binding=self.cross_binding)
             candidates = []
+            hits = []
             total_ops = 0
+            clause_file = store.clause_file
             for position in range(len(store)):
-                clause = store.clause_file.decode_clause(position)
+                clause = clause_file.decode_clause(position)
                 outcome = matcher.match_head(clause.head)
                 total_ops += outcome.op_count()
                 if outcome.hit:
                     candidates.append(clause)
+                    hits.append(position)
             model = self.cost_model
             stats.software_time_s = (
                 stats.clauses_total * model.clause_decode_ns
@@ -427,7 +527,14 @@ class ClauseRetrievalServer(CachedFrontDoor):
         self.obs.counter("software.match_ops").inc(total_ops)
         self.obs.counter("software.sim_time_s").inc(stats.software_time_s)
         stats.final_candidates = len(candidates)
-        return RetrievalResult(goal=goal, candidates=candidates, stats=stats)
+        addresses = clause_file.record_addresses()
+        source = self._stored(
+            store,
+            [addresses[position] for position in hits],
+            [clause_file.record_bytes(position) for position in hits],
+            candidates,
+        )
+        return RetrievalResult(goal, stats=stats, sources=(source,))
 
     # -- mode (b): FS1 only -----------------------------------------------------
 
@@ -441,14 +548,11 @@ class ClauseRetrievalServer(CachedFrontDoor):
         stats, records = self._fs1_stage(
             SearchMode.FS1_ONLY, store, residency, fs1_result
         )
-        candidates = [
-            self._decode_record(store, record, address)
-            for record, address in zip(
-                records, fs1_result.candidate_addresses
-            )
-        ]
-        stats.final_candidates = len(candidates)
-        return RetrievalResult(goal=goal, candidates=candidates, stats=stats)
+        source = self._stored(
+            store, list(fs1_result.candidate_addresses), list(records)
+        )
+        stats.final_candidates = len(source)
+        return RetrievalResult(goal, stats=stats, sources=(source,))
 
     # -- mode (c): FS2 only -------------------------------------------------------
 
@@ -469,11 +573,9 @@ class ClauseRetrievalServer(CachedFrontDoor):
             _, transfer = self._read_clause_extent(store)
             stats.disk_time_s = transfer.total_time_s
             stats.bytes_from_disk = transfer.bytes_transferred
-        candidates = self._stream_through_fs2(
-            goal, store, records, stats, addresses
-        )
-        stats.final_candidates = len(candidates)
-        return RetrievalResult(goal=goal, candidates=candidates, stats=stats)
+        source = self._stream_through_fs2(goal, store, records, stats, addresses)
+        stats.final_candidates = len(source)
+        return RetrievalResult(goal, stats=stats, sources=(source,))
 
     # -- mode (d): FS1 + FS2 -------------------------------------------------------
 
@@ -487,16 +589,16 @@ class ClauseRetrievalServer(CachedFrontDoor):
         stats, records = self._fs1_stage(
             SearchMode.BOTH, store, residency, fs1_result
         )
-        candidates = self._stream_through_fs2(
+        source = self._stream_through_fs2(
             goal, store, records, stats, fs1_result.candidate_addresses
         )
-        stats.final_candidates = len(candidates)
+        stats.final_candidates = len(source)
         # FS2 refined FS1's candidate set: the difference is FS1's false
         # drops relative to level-3 partial unification.
         self.obs.counter("fs1.false_drops").inc(
             fs1_result.candidate_count - stats.final_candidates
         )
-        return RetrievalResult(goal=goal, candidates=candidates, stats=stats)
+        return RetrievalResult(goal, stats=stats, sources=(source,))
 
     # -- shared plumbing -------------------------------------------------------------
 
@@ -536,21 +638,22 @@ class ClauseRetrievalServer(CachedFrontDoor):
         records: "Iterable[bytes]",
         stats: RetrievalStats,
         addresses: "Iterable[int]",
-    ) -> list[Clause]:
+    ) -> StoredCandidates:
         """Run records through FS2 in track-sized search calls.
 
         ``records`` may be any iterable (lazy generators from the FS1
         survivor enumeration or a segment-backed clause file stream
         straight through without an intermediate list).  ``addresses``
-        (parallel to ``records``) lets surviving records decode through
-        the clause cache.  The Result Memory records the in-call stream
-        position of every captured slot, so each result record maps back
-        to its address by a direct index — O(results) per call, not
-        O(call x results).  Returns the surviving clauses.
+        is parallel to ``records``.  The Result Memory records the
+        in-call stream position of every captured slot, so each result
+        record maps back to its address by a direct index — O(results)
+        per call, not O(call x results).  Returns the satisfiers as read
+        out of the Result Memory, with their addresses.
         """
         self.fs2.set_query(goal)
         track_bytes = self.kb.disk.drive.geometry.track_bytes
-        candidates: list[Clause] = []
+        found: list[bytes] = []
+        found_addresses: list[int] = []
         call: list[bytes] = []
         call_addresses: list[int] = []
         call_bytes = 0
@@ -562,10 +665,11 @@ class ClauseRetrievalServer(CachedFrontDoor):
             search_stats = self.fs2.search(call, indicator=store.indicator)
             stats.fs2_time_s += search_stats.op_time_ns / 1e9
             stats.fs2_search_calls += 1
-            positions = self.fs2.result.satisfier_positions()
-            for slot, record in enumerate(self.fs2.read_results()):
-                address = call_addresses[positions[slot]]
-                candidates.append(self._decode_record(store, record, address))
+            found.extend(self.fs2.read_results())
+            found_addresses.extend(
+                call_addresses[position]
+                for position in self.fs2.result.satisfier_positions()
+            )
             call = []
             call_addresses = []
             call_bytes = 0
@@ -581,7 +685,7 @@ class ClauseRetrievalServer(CachedFrontDoor):
             call_addresses.append(address)
             call_bytes += len(record)
         flush()
-        return candidates
+        return self._stored(store, found_addresses, found)
 
     def _read_clause_extent(
         self, store: PredicateStore
@@ -650,22 +754,22 @@ class ClauseRetrievalServer(CachedFrontDoor):
         )
         self.kb.mark_disk_synced(store.indicator)
 
-    def _decode_record(
-        self, store: PredicateStore, record: bytes, address: int | None = None
-    ) -> Clause:
-        """Decode one candidate record, through the decoded-clause cache.
+    def _stored(
+        self,
+        store: PredicateStore,
+        addresses: list[int],
+        records: list[bytes],
+        clauses: list[Clause] | None = None,
+    ) -> StoredCandidates:
+        """Candidate records of ``store`` as they stand now, decodable later
+        through this engine's decoded-clause cache.
 
         The key is (clause-file generation, record address): addresses
         are stable under append and every other mutation splices the
         file under a fresh generation, so a cached decode can never be
         served for changed bytes.
         """
-        cacheable = address is not None and self._decode_cache.max_entries > 0
-        key = (store.clause_file.generation, address)
-        clause = self._decode_cache.get(key) if cacheable else None
-        if clause is None:
-            compiled, _ = CompiledClause.from_bytes(record, store.indicator)
-            clause = decode_compiled(compiled, self.kb.symbols)
-            if cacheable:
-                self._decode_cache.put(key, clause)
-        return clause
+        return StoredCandidates(
+            self.kb.symbols, store.indicator, store.clause_file.generation,
+            addresses, records, self._decode_cache, clauses,
+        )

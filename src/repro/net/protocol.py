@@ -38,6 +38,7 @@ from enum import IntEnum
 
 from ..cluster import MergedRetrievalStats, WritesFrozen
 from ..crs import RetrievalResult, RetrievalStats, RetrievalTimeout, SearchMode
+from ..crs.server import StoredCandidates
 from ..engine.builtins import PrologError, ResourceError
 from ..pif import (
     CompiledClause,
@@ -47,6 +48,7 @@ from ..pif import (
     SymbolTable,
     clause_record,
 )
+from ..pif.clausefile import rebase_record
 from ..pif.encoder import EncodedArgs
 from ..storage import UnknownPredicateError
 from ..terms import Clause, Term
@@ -367,14 +369,28 @@ class PayloadEncoder:
     def __init__(self) -> None:
         self.symbols = SymbolTable()
         self.body = _Writer()
+        #: per engine symbol table: its offsets already moved into ours
+        self._moved: dict[SymbolTable, dict[int, int]] = {}
 
     def goal(self, goal: Term) -> None:
         encoded = PIFEncoder(self.symbols, side="query").encode_term(goal)
         self._encoded_args(encoded)
 
     def clause(self, clause: Clause) -> None:
-        record = clause_record(clause, self.symbols)
-        name, arity = clause.indicator
+        self._record(clause_record(clause, self.symbols), clause.indicator)
+
+    def stored(self, source: StoredCandidates) -> None:
+        """An engine's candidate records, each rebased onto this message's
+        table: what :meth:`clause` writes for its clause, never decoded."""
+        memo = self._moved.setdefault(source.symbols, {})
+        for record in source.records:
+            self._record(
+                rebase_record(record, source.symbols, self.symbols, memo),
+                source.indicator,
+            )
+
+    def _record(self, record: bytes, indicator: tuple[str, int]) -> None:
+        name, arity = indicator
         self.body.u32(self.symbols.intern_atom(name))
         self.body.u16(arity)
         self.body.blob16(record)
@@ -420,9 +436,13 @@ class PayloadEncoder:
 
     def result(self, result: RetrievalResult) -> None:
         self.goal(result.goal)
-        self.body.u32(len(result.candidates))
-        for clause in result.candidates:
-            self.clause(clause)
+        self.body.u32(len(result))
+        if result.sources is None:
+            for clause in result.candidates:
+                self.clause(clause)
+        else:
+            for source in result.sources:
+                self.stored(source)
         self.stats(result.stats)
 
     def finish(self) -> bytes:

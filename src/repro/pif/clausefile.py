@@ -40,10 +40,18 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from ..terms import Atom, Clause, Struct
-from .encoder import EncodedArgs, PIFError, TermWriter
+from .encoder import ITEM_SIZE, EncodedArgs, PIFError, TermWriter
 from .decoder import PIFDecodeError, PIFDecoder
 from .symbols import SymbolTable
-from .tags import TAG_FIRST_DB_VAR, TAG_SUB_DB_VAR, is_variable_tag
+from .tags import (
+    CATEGORY,
+    INLINE_CHILDREN,
+    ITEM_LENGTH,
+    TAG_FIRST_DB_VAR,
+    TAG_SUB_DB_VAR,
+    TagCategory,
+    is_variable_tag,
+)
 
 __all__ = [
     "MAX_RECORD_BYTES",
@@ -52,6 +60,7 @@ __all__ = [
     "clause_record",
     "compile_clause",
     "parse_record",
+    "rebase_record",
     "record_layout",
 ]
 
@@ -262,6 +271,79 @@ def _check_size(total: int) -> None:
         )
 
 
+#: The items whose content field is a symbol offset.
+_SYMBOLIC = frozenset((
+    TagCategory.ATOM, TagCategory.FLOAT,
+    TagCategory.STRUCT_INLINE, TagCategory.STRUCT_PTR,
+))
+_LIST_POINTERS = frozenset((TagCategory.TLIST_PTR, TagCategory.ULIST_PTR))
+
+
+def rebase_record(
+    record: bytes, source: SymbolTable, target: SymbolTable, memo: dict[int, int]
+) -> bytearray:
+    """``record``, written against ``source``, rewritten against ``target``.
+
+    The bytes :func:`clause_record` writes for the record's clause into
+    ``target``, with no clause built: only the content fields of atom,
+    float and functor items change, and every item, blob and name keeps
+    its place.  Items are visited in the order the writer interned them
+    (pre-order, a pointer form's blob where its pointer stands), so
+    ``target`` grows exactly as it would have.  ``memo`` holds the
+    ``source`` offsets already moved into ``target`` (one dict per pair
+    of tables).  An item that runs past its streams, a blob that is not
+    below the item pointing at it, or more items than the record's size
+    allows raise :class:`PIFDecodeError`.
+    """
+    head, body, heap = _HEADER.unpack_from(record)[2:]
+    out = bytearray(record)
+    stream_end = _HEADER.size + head + body
+    heap_end = stream_end + heap
+    budget = (heap_end - _HEADER.size) // ITEM_SIZE
+    position = _HEADER.size
+    remaining = budget + 1  # the streams are read to their end
+    resume: list[tuple[int, int]] = []  # where each open blob's pointer ends
+    while True:
+        if remaining == 0 or (position >= stream_end and not resume):
+            if not resume:
+                return out
+            position, remaining = resume.pop()
+            continue
+        tag = out[position]
+        category = CATEGORY[tag]
+        length = ITEM_LENGTH[tag]
+        budget -= 1
+        if (
+            category is None or budget < 0
+            or position + length > (heap_end if resume else stream_end)
+        ):
+            raise PIFDecodeError(f"record item at {position} is malformed")
+        if category in _SYMBOLIC:
+            offset = out[position + 1] << 16 | out[position + 2] << 8 | out[position + 3]
+            moved = memo.get(offset)
+            if moved is None:
+                kind, value = source.lookup(offset)
+                if (kind == "float") != (category is TagCategory.FLOAT):
+                    raise PIFDecodeError(f"symbol {offset} is not a {category.name}")
+                moved = memo[offset] = (
+                    target.intern_float(value) if kind == "float"
+                    else target.intern_atom(value)
+                )
+            out[position + 1 : position + ITEM_SIZE] = moved.to_bytes(3, "big")
+        remaining -= 1
+        if length == ITEM_SIZE:
+            remaining += INLINE_CHILDREN[tag]
+            position += ITEM_SIZE
+            continue
+        blob = stream_end + int.from_bytes(out[position + ITEM_SIZE : position + 8], "big")
+        if blob + 8 > (position if resume else heap_end):
+            raise PIFDecodeError(f"heap pointer at {position} out of range")
+        resume.append((position + 8, remaining))
+        remaining = int.from_bytes(out[blob : blob + 4], "big")
+        remaining += category in _LIST_POINTERS  # a list's tail item
+        position = blob + 4
+
+
 def compile_clause(clause: Clause, symbols: SymbolTable) -> CompiledClause:
     """Compile a clause to PIF: the parse of its :func:`clause_record`."""
     return CompiledClause.from_bytes(
@@ -321,6 +403,20 @@ class ClauseFile:
             offset += total
         clause_file._image = image
         return clause_file
+
+    def replica(self, symbols: SymbolTable) -> "ClauseFile":
+        """A file of its own over this one's records, under ``symbols``.
+
+        The image is shared (:meth:`shared_image`) until either file's
+        first mutation copies it; the address table and fact count are
+        copied, not re-derived — this file checked its headers when it
+        wrote or adopted them.
+        """
+        copy = ClauseFile(self.indicator, symbols)
+        copy._image = self.shared_image()
+        copy._addresses = array("I", self._addresses)
+        copy.fact_count = self.fact_count
+        return copy
 
     def __len__(self) -> int:
         return len(self._addresses)

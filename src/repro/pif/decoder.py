@@ -124,68 +124,96 @@ def decode_term_at(
     unassigned tag, a heap pointer out of range or a spent budget raises
     :class:`PIFDecodeError`; a dangling symbol offset raises
     ``KeyError``.
+
+    Compound terms open frames on an explicit stack instead of
+    recursing, so nesting depth is bounded by the input, not by the
+    interpreter's frame limit.  A frame is ``[category, functor offset,
+    elements, elements wanted, resume]``; ``resume`` is where a pointer
+    form's parent goes on reading once its blob is done.
     """
-    start = position
+    source = data
     limit = len(data) if end is None else end
-    if position + ITEM_SIZE > limit:
-        raise PIFDecodeError("truncated item")
-    tag = data[position]
-    content = (data[position + 1] << 16) | (data[position + 2] << 8) | data[
-        position + 3
-    ]
-    position += ITEM_SIZE
-    category = tags.CATEGORY[tag]
-    if category is _ATOM:
-        return symbols.atom_at(content), position
-    if category is _INT:
-        return Int(tags.inline_int(tag, content)), position
-    if category in _VARIABLES:
-        return Var(var_name(var_names, content)), position
-    if category is _ANON:
-        return ANONYMOUS, position
-    if category is _FLOAT:
-        return symbols.float_at(content), position
-    if category is None:
-        raise PIFDecodeError(f"unassigned PIF tag 0x{tag:02x}")
-    if budget is None:
-        budget = [(len(data) + len(heap)) // ITEM_SIZE]
-    pointer = category in _POINTERS
-    if pointer:
-        if position + EXTENSION_SIZE > limit:
-            raise PIFDecodeError("truncated extension")
-        blob = int.from_bytes(data[position : position + EXTENSION_SIZE], "big")
-        position += EXTENSION_SIZE
-        # From the stream, the blob may sit anywhere in the heap; from
-        # inside the heap, only wholly below this item (start < limit).
-        inner = len(heap) if end is None else start
-        if blob + _MIN_BLOB > inner:
-            raise PIFDecodeError(f"heap pointer {blob} out of range")
-        count = int.from_bytes(heap[blob : blob + 4], "big")
-        # At most the blob's words: its count word and elements (lists
-        # add a tail item on top).
-        budget[0] -= count + 1
-        if budget[0] < 0:
-            raise PIFDecodeError("heap blobs decoded past the record's size")
-        source, cursor = heap, blob + 4
-    else:
-        count = tag & tags.ARITY_MASK
-        if count == 0 and category is _C.TLIST_INLINE:
-            return NIL, position
-        source, cursor, inner = data, position, end
-    elements = []
-    for _ in range(count):
-        element, cursor = decode_term_at(
-            source, cursor, heap, var_names, symbols, inner, budget
-        )
-        elements.append(element)
+    in_heap = end is not None
+    frames: list[list] = []
+    while True:
+        start = position
+        if position + ITEM_SIZE > limit:
+            raise PIFDecodeError("truncated item")
+        tag = source[position]
+        content = (source[position + 1] << 16) | (source[position + 2] << 8) | source[
+            position + 3
+        ]
+        position += ITEM_SIZE
+        category = tags.CATEGORY[tag]
+        if category is _ATOM:
+            term = symbols.atom_at(content)
+        elif category is _INT:
+            term = Int(tags.inline_int(tag, content))
+        elif category in _VARIABLES:
+            term = Var(var_name(var_names, content))
+        elif category is _ANON:
+            term = ANONYMOUS
+        elif category is _FLOAT:
+            term = symbols.float_at(content)
+        elif category is None:
+            raise PIFDecodeError(f"unassigned PIF tag 0x{tag:02x}")
+        else:
+            if budget is None:
+                budget = [(len(data) + len(heap)) // ITEM_SIZE]
+            resume = None
+            if category in _POINTERS:
+                if position + EXTENSION_SIZE > limit:
+                    raise PIFDecodeError("truncated extension")
+                blob = int.from_bytes(source[position : position + EXTENSION_SIZE], "big")
+                position += EXTENSION_SIZE
+                # From the stream, the blob may sit anywhere in the heap;
+                # from inside the heap, only wholly below this item.
+                inner = start if in_heap else len(heap)
+                if blob + _MIN_BLOB > inner:
+                    raise PIFDecodeError(f"heap pointer {blob} out of range")
+                count = int.from_bytes(heap[blob : blob + 4], "big")
+                # At most the blob's words: its count word and elements
+                # (lists add a tail item on top).
+                budget[0] -= count + 1
+                if budget[0] < 0:
+                    raise PIFDecodeError("heap blobs decoded past the record's size")
+                resume = (source, position, limit, in_heap)
+                source, position, limit, in_heap = heap, blob + 4, inner, True
+            else:
+                count = tag & tags.ARITY_MASK
+            if category in _STRUCTS:
+                wanted = count
+            elif count == 0 and category is _C.TLIST_INLINE:
+                wanted = 0  # the empty list, []
+            else:
+                wanted = count + 1  # a list's elements, then its tail
+            frames.append([category, content, [], wanted, resume])
+            if wanted:
+                continue
+            term = _close(frames.pop(), symbols)
+        # Hand the finished term up through every frame it completes.
+        while frames:
+            frame = frames[-1]
+            elements = frame[2]
+            elements.append(term)
+            if len(elements) < frame[3]:
+                break
+            frames.pop()
+            term = _close(frame, symbols)
+            if frame[4] is not None:
+                source, position, limit, in_heap = frame[4]
+        else:
+            return term, position
+
+
+def _close(frame: list, symbols: SymbolTable) -> Term:
+    """The term of a frame whose elements are all read."""
+    category, content, elements, wanted, _ = frame
     if category in _STRUCTS:
-        term = Struct(symbols.atom_name_at(content), tuple(elements))
-    else:
-        tail, cursor = decode_term_at(
-            source, cursor, heap, var_names, symbols, inner, budget
-        )
-        term = make_list(elements, tail=tail)
-    return term, position if pointer else cursor
+        return Struct(symbols.atom_name_at(content), tuple(elements))
+    if not wanted:
+        return NIL
+    return make_list(elements[:-1], tail=elements[-1])
 
 
 class PIFDecoder:

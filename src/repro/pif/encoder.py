@@ -166,11 +166,7 @@ class TermWriter:
         elif kind is Var:
             self._var(term.name, out)
         elif kind is Struct:
-            args = term.args
-            if term.functor == CONS and len(args) == 2:
-                self._list(term, out)
-            else:
-                self.struct(term.functor, args, out)
+            self._compound(term, out)
         elif kind is Int:
             value = term.value
             if not tags.INT_INLINE_MIN <= value <= tags.INT_INLINE_MAX:
@@ -191,43 +187,64 @@ class TermWriter:
             self.term(goal, out)
         self.term(goals[-1], out)
 
-    def struct(self, functor: str, args: tuple[Term, ...], out: bytearray) -> None:
-        """A structure; over 31 arguments it moves to the heap."""
-        offset = self._atom(functor)
-        arity = len(args)
-        if arity <= tags.INLINE_ARITY_LIMIT:
-            out += _item(tags.TAG_STRUCT_INLINE_BASE | arity, offset)
-            for arg in args:
-                self.term(arg, out)
-            return
-        blob = bytearray(arity.to_bytes(4, "big"))
-        for arg in args:
-            self.term(arg, blob)
-        out += _item(tags.TAG_STRUCT_PTR_BASE | tags.INLINE_ARITY_LIMIT, offset)
-        out += self._to_heap(blob)
+    def _compound(self, term: Struct, out: bytearray) -> None:
+        """A structure or list and everything under it, in pre-order.
 
-    def _list(self, term: Struct, out: bytearray) -> None:
-        items: list[Term] = []
-        while term.__class__ is Struct and term.functor == CONS and len(term.args) == 2:
-            items.append(term.args[0])
-            term = term.args[1]
-        open_list = term.__class__ is Var
-        if len(items) <= tags.INLINE_ARITY_LIMIT:
-            base = (
-                tags.TAG_ULIST_INLINE_BASE if open_list else tags.TAG_TLIST_INLINE_BASE
-            )
-            out += _item(base | len(items), 0)
-            for element in items:
-                self.term(element, out)
-            self.term(term, out)
-            return
-        base = tags.TAG_ULIST_PTR_BASE if open_list else tags.TAG_TLIST_PTR_BASE
-        blob = bytearray(len(items).to_bytes(4, "big"))
-        for element in items:
-            self.term(element, blob)
-        self.term(term, blob)
-        out += _item(base | tags.INLINE_ARITY_LIMIT, 0)
-        out += self._to_heap(blob)
+        An explicit stack of ``(term, buffer)`` entries stands in for
+        recursion, so nesting is bounded by memory, not by the
+        interpreter's frame limit; atomic elements go through
+        :meth:`term`.  A pointer form (over 31 arguments or list
+        elements) writes its elements into a blob of its own and leaves
+        a closing entry ``(None, (buffer, item, blob))`` under them: once
+        they are written the blob joins the heap — nested blobs first,
+        post-order — and the item and its extension go to ``buffer``.
+        """
+        limit = tags.INLINE_ARITY_LIMIT
+        stack: list[tuple] = [(term, out)]
+        while stack:
+            term, out = stack.pop()
+            if term is None:
+                parent, item, blob = out
+                parent += item
+                parent += self._to_heap(blob)
+                continue
+            if term.__class__ is not Struct:
+                self.term(term, out)
+                continue
+            args = term.args
+            if term.functor == CONS and len(args) == 2:
+                elements: list[Term] = []
+                while (
+                    term.__class__ is Struct and term.functor == CONS
+                    and len(term.args) == 2
+                ):
+                    elements.append(term.args[0])
+                    term = term.args[1]
+                count = len(elements)
+                elements.append(term)  # the tail item closes the list
+                open_list = term.__class__ is Var
+                if count <= limit:
+                    base = (
+                        tags.TAG_ULIST_INLINE_BASE if open_list
+                        else tags.TAG_TLIST_INLINE_BASE
+                    )
+                    out += _item(base | count, 0)
+                    stack.extend((element, out) for element in reversed(elements))
+                    continue
+                base = tags.TAG_ULIST_PTR_BASE if open_list else tags.TAG_TLIST_PTR_BASE
+                item = _item(base | limit, 0)
+                args = elements
+            else:
+                offset = self._atom(term.functor)
+                count = len(args)
+                if count <= limit:
+                    out += _item(tags.TAG_STRUCT_INLINE_BASE | count, offset)
+                    stack.extend((arg, out) for arg in reversed(args))
+                    continue
+                item = _item(tags.TAG_STRUCT_PTR_BASE | limit, offset)
+            blob = bytearray(count.to_bytes(4, "big"))
+            stack.append((None, (out, item, blob)))
+            stack.extend((arg, blob) for arg in reversed(args))
 
     def _var(self, name: str, out: bytearray) -> None:
         if name == "_":

@@ -64,6 +64,14 @@ class SymbolTable:
             self._float_index[value] = offset
         return offset
 
+    def copy(self) -> "SymbolTable":
+        """A table of its own with the same entries at the same offsets."""
+        table = SymbolTable()
+        table._entries = list(self._entries)
+        table._atom_index = dict(self._atom_index)
+        table._float_index = dict(self._float_index)
+        return table
+
     def _allocate(self, entry: Atom | Float) -> int:
         if len(self._entries) >= MAX_SYMBOLS:
             raise SymbolTableFull("24-bit symbol offset space exhausted")

@@ -114,15 +114,16 @@ class KnowledgeBase:
 
         Symbol table, modules and stores are new objects.  Each clause
         file and index adopts this one's image as a read-only buffer
-        (:meth:`ClauseFile.shared_image`, copy-on-write, as
-        :func:`~repro.storage.load_kb` adopts a saved file), so every
+        (:meth:`ClauseFile.shared_image`, copy-on-write), so every
         replica and this knowledge base share the bytes until each one's
         first mutation copies them, and no mutation reaches another.
-        Nothing is compiled or hashed.  The codeword scheme is shared,
-        as by every KB built with it.
+        This knowledge base's state was checked when it was built or
+        loaded, so the symbol entries and address tables are copied as
+        they stand; nothing is parsed, compiled or hashed.  The codeword
+        scheme is shared, as by every KB built with it.
         """
         copy = KnowledgeBase(self.scheme, obs=self.disk.obs)
-        copy.symbols = SymbolTable.from_bytes(self.symbols.to_bytes())
+        copy.symbols = self.symbols.copy()
         for name, module in self._modules.items():
             copy._modules[name] = Module(
                 name, module.large_threshold_bytes, module.pinned_residency,
@@ -131,9 +132,7 @@ class KnowledgeBase:
         for indicator, store in self._predicates.items():
             copy._predicates[indicator] = PredicateStore(
                 indicator=indicator,
-                clause_file=ClauseFile.from_image(
-                    indicator, copy.symbols, store.clause_file.shared_image()
-                ),
+                clause_file=store.clause_file.replica(copy.symbols),
                 module_name=store.module_name,
                 scheme=self.scheme,
                 index=SecondaryIndexFile.from_image(

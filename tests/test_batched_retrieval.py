@@ -115,8 +115,9 @@ class TestDecodeCache:
         server = ClauseRetrievalServer(kb, obs=obs)  # no retrieval LRU
         goal = read_term("fact(k1, N, V)")
         first = server.retrieve(goal, mode=SearchMode.BOTH)
+        candidates = first.candidates  # decoded on first access
         misses_after_first = obs.registry.total("crs.decode_cache.misses")
-        assert misses_after_first == len(first.candidates) > 0
+        assert misses_after_first == len(candidates) > 0
         second = server.retrieve(goal, mode=SearchMode.BOTH)
         assert candidate_keys(first) == candidate_keys(second)
         # Second pass decoded nothing new.

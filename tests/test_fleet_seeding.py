@@ -109,6 +109,36 @@ def test_replica_of_a_knowledge_base():
     assert images(left) != before and images(kb) != before
 
 
+@pytest.mark.parametrize("write", ["assertz", "asserta", "retract"])
+def test_a_replicas_first_write_stays_private(write):
+    # The replica copies its source's symbol entries and address tables
+    # rather than re-deriving them; its first write, which grows or
+    # splices them, reaches neither its source nor a sibling.
+    kb = KnowledgeBase()
+    kb.consult_text(PROGRAM)
+    replica, sibling = kb.replica(), kb.replica()
+    source_state = images(kb), len(kb.symbols), kb.store(("rec", 3)).clause_file.record_addresses()
+    if write == "retract":
+        assert replica.retract(read_term("rec(k3, V, N)"))
+    else:
+        getattr(replica, write)(read_term("rec(k3, unseen_atom, 3.5)"))
+    for untouched in (kb, sibling):
+        assert (
+            images(untouched), len(untouched.symbols),
+            untouched.store(("rec", 3)).clause_file.record_addresses(),
+        ) == source_state
+    assert images(replica) != source_state[0]
+    assert [str(c) for c in sibling.clauses(("rec", 3))] == [
+        str(c) for c in kb.clauses(("rec", 3))
+    ]
+    # ... and the source's own next write stays out of the replica.
+    kb.assertz(read_term("rec(k999, another_unseen, 1)"))
+    assert not replica.symbols.contains_atom("another_unseen")
+    assert len(replica.clauses(("rec", 3))) == 120 + (write != "retract") - (
+        write == "retract"
+    )
+
+
 def test_fleet_takes_clauses_as_well_as_text():
     clauses = [clause_from_term(term) for term in read_program(PROGRAM)]
     with Fleet(PROGRAM, num_shards=2, replicas=1, policy="first_arg") as text_fleet:
